@@ -1,15 +1,13 @@
 //! Transport benchmarks (DESIGN.md §10): the per-rank-mailbox
-//! substrate of the reliable transport against the single global
-//! mailbox it replaced, and the end-to-end distributed machine on
-//! all-to-all `put`s — over the lossless fast path and a lossy
-//! network. Results are recorded in EXPERIMENTS.md.
+//! substrate of the exchange against the single global mailbox it
+//! replaced, and the end-to-end distributed machine on all-to-all
+//! `put`s. Results are recorded in EXPERIMENTS.md.
 
 use std::hint::black_box;
 use std::sync::{Barrier, Mutex};
 
 use bsml_bsp::distributed::DistMachine;
 use bsml_bsp::transport::{SharedMem, Transport};
-use bsml_bsp::{LossyConfig, TransportConfig};
 use bsml_std::workloads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -57,7 +55,7 @@ fn global_mailbox_all_to_all(p: usize) {
 /// receiving rank, one lock per mailbox — senders to different ranks
 /// never contend.
 fn per_rank_mailbox_all_to_all(p: usize) {
-    let transport = SharedMem::new(p, 4 * p.max(16));
+    let transport = SharedMem::new(p);
     let barrier = Barrier::new(p);
     std::thread::scope(|scope| {
         for rank in 0..p {
@@ -68,7 +66,7 @@ fn per_rank_mailbox_all_to_all(p: usize) {
                 for _ in 0..ROUNDS {
                     for dst in 0..p {
                         if dst != rank {
-                            assert!(transport.try_send(rank, dst, &frame));
+                            assert!(transport.try_send(dst, &frame));
                         }
                     }
                     let mut got = 0usize;
@@ -105,9 +103,7 @@ fn bench_mailbox_substrates(c: &mut Criterion) {
 
 fn bench_distributed_all_to_all(c: &mut Criterion) {
     // End-to-end: the full distributed machine (threads, evaluator,
-    // reliable exchange) on an all-to-all put, lossless vs a 10%
-    // drop + 10% duplicate network that the reliable layer has to
-    // repair in-line.
+    // exchange) on an all-to-all put.
     let ast = workloads::total_exchange().ast();
     let mut group = c.benchmark_group("net/all-to-all-put");
     group.sample_size(10);
@@ -115,12 +111,6 @@ fn bench_distributed_all_to_all(c: &mut Criterion) {
         let shared = DistMachine::new(p);
         group.bench_with_input(BenchmarkId::new("shared-mem", p), &ast, |b, ast| {
             b.iter(|| shared.run(black_box(ast)).expect("runs"));
-        });
-        let lossy = DistMachine::new(p).with_transport(TransportConfig::Lossy(
-            LossyConfig::new(0xBEEF).drop(100).duplicate(100),
-        ));
-        group.bench_with_input(BenchmarkId::new("lossy-10pc", p), &ast, |b, ast| {
-            b.iter(|| lossy.run(black_box(ast)).expect("runs"));
         });
     }
     group.finish();

@@ -10,15 +10,15 @@
 //! (width-1 `Value::Vector`s). `put` and `if‥at‥` serialize values
 //! into [`PortableValue`]s, frame them on the wire protocol of
 //! [`crate::wire`], and exchange them through per-rank mailboxes
-//! behind a [`crate::transport::Transport`] — reliably: every data
-//! frame carries a per-link sequence number and is acknowledged, lost
-//! or corrupted frames are retransmitted on an idle-poll deadline,
-//! duplicates are suppressed, and a full mailbox exerts backpressure
-//! instead of growing without bound (DESIGN.md §10). A superstep's
-//! exchange completes only when **all** expected frames are acked on
-//! every rank; the final barrier of the superstep is a poisonable
-//! [`PoisonBarrier`] (a failing processor releases, rather than
-//! deadlocks, its peers).
+//! behind a lossless [`crate::transport::Transport`]. Every data frame
+//! carries a per-link sequence number; a rank's exchange ends once
+//! every frame it expects has arrived with the exact next number, and
+//! any other frame fails the run at once with
+//! [`EvalError::TransportFailure`] (DESIGN.md §10). A full mailbox
+//! exerts backpressure instead of growing without bound. The final
+//! barrier of the superstep is a poisonable [`PoisonBarrier`] (a
+//! failing processor releases, rather than deadlocks, its peers), and
+//! it keeps the next superstep's frames out of this one's exchange.
 //!
 //! **Robustness** (DESIGN.md §9): every barrier wait runs under a
 //! wall-clock watchdog ([`DEFAULT_BARRIER_TIMEOUT`]), so a stalled or
@@ -47,7 +47,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -64,8 +63,7 @@ use crate::checkpoint::{
 use crate::faults::{FaultKind, FaultPlan};
 use crate::postmortem::{FlightLog, RankFlightLog};
 use crate::process::RemoteHub;
-use crate::supervisor::{Sleeper, ThreadSleeper};
-use crate::transport::{LossyNet, NetTuning, SharedMem, Transport, TransportConfig};
+use crate::transport::{SharedMem, Transport};
 use crate::wire::{CtlLedger, CtlStats, Frame, FramePayload};
 
 /// Default per-processor fuel of a [`DistMachine`]: conservative
@@ -85,6 +83,10 @@ pub const DIST_DEFAULT_FUEL: u64 = 10_000_000;
 /// [`DistMachine::new`]), or disable with
 /// [`DistMachine::without_watchdog`].
 pub const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long an exchange poll that moved no frame sleeps before polling
+/// again.
+const POLL_SLEEP: Duration = Duration::from_micros(100);
 
 /// The environment variable overriding [`DEFAULT_BARRIER_TIMEOUT`]
 /// (milliseconds). Unparsable values fall back to the default; the
@@ -248,8 +250,8 @@ impl PoisonBarrier {
 pub(crate) enum SyncBackend {
     /// All ranks share one address space and one barrier.
     Local(PoisonBarrier),
-    /// This rank is alone in its process; barriers, exchange
-    /// completion and poison all travel through the hub's socket.
+    /// This rank is alone in its process; barriers and poison travel
+    /// through the hub's socket.
     Remote(Arc<RemoteHub>),
 }
 
@@ -278,25 +280,14 @@ struct FaultLedger {
     /// progress a failed attempt made and therefore how many
     /// supersteps a resume replays.
     furthest_superstep: AtomicU64,
-    /// Frames handed to the transport (data + acks, retransmissions
-    /// included).
+    /// Data frames handed to the transport.
     frames_sent: AtomicU64,
-    /// Retransmissions of unacked data frames.
-    retransmits: AtomicU64,
-    /// Received frames suppressed by sequence number (duplicates and
-    /// stale frames from a completed exchange).
-    dups_dropped: AtomicU64,
     /// Received frames rejected by the wire decoder (checksum,
-    /// truncation, bad tags) — each is treated as lost and repaired by
-    /// retransmission.
+    /// truncation, bad tags) — each fails the run.
     corrupt_frames: AtomicU64,
     /// `try_send` refusals: how often a full peer mailbox made a
     /// sender drain its own mail and retry.
     backpressure_waits: AtomicU64,
-    /// Plan-injected in-flight losses swallowed by the reliable layer
-    /// (lossy transports only; the substrate's own injected drops are
-    /// counted by the transport itself).
-    frames_lost: AtomicU64,
 }
 
 impl FaultLedger {
@@ -308,27 +299,22 @@ impl FaultLedger {
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             barrier_timeouts: self.barrier_timeouts.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dups_dropped: self.dups_dropped.load(Ordering::Relaxed),
             corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
             backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            frames_lost: self.frames_lost.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Flushes one attempt's reliability and checkpoint counters into the
-/// `bsp.*` / `net.*` telemetry counters — shared by the in-process
+/// Flushes one attempt's fault, transport and checkpoint counters into
+/// the `bsp.*` / `net.*` telemetry counters — shared by the in-process
 /// backend (from its own [`FaultLedger`]) and the multi-process parent
 /// (from the [`CtlLedger`]s its rank processes shipped home), so both
-/// backends account identically. `extra_frames_lost` carries the lossy
-/// substrate's own injected drops.
+/// backends account identically.
 pub(crate) fn flush_counters(
     telemetry: &Telemetry,
     counters: &CtlLedger,
     checkpoints_written: u64,
     checkpoint_bytes: u64,
-    extra_frames_lost: u64,
 ) {
     if counters.faults_injected > 0 {
         telemetry.counter_add("bsp.faults_injected", counters.faults_injected);
@@ -345,21 +331,11 @@ pub(crate) fn flush_counters(
     if counters.frames_sent > 0 {
         telemetry.counter_add("net.frames_sent", counters.frames_sent);
     }
-    if counters.retransmits > 0 {
-        telemetry.counter_add("net.retransmits", counters.retransmits);
-    }
-    if counters.dups_dropped > 0 {
-        telemetry.counter_add("net.dups_dropped", counters.dups_dropped);
-    }
     if counters.corrupt_frames > 0 {
         telemetry.counter_add("net.corrupt_frames", counters.corrupt_frames);
     }
     if counters.backpressure_waits > 0 {
         telemetry.counter_add("net.backpressure_waits", counters.backpressure_waits);
-    }
-    let frames_lost = counters.frames_lost + extra_frames_lost;
-    if frames_lost > 0 {
-        telemetry.counter_add("net.frames_lost", frames_lost);
     }
 }
 
@@ -374,9 +350,8 @@ struct NetCheckpoint {
     fingerprint: u64,
 }
 
-/// The shared "network": the frame transport, the barrier, the
-/// exchange-completion counter, and the (optional) fault plan
-/// governing this attempt.
+/// The shared "network": the frame transport, the barrier, and the
+/// (optional) fault plan governing this attempt.
 #[derive(Debug)]
 struct Network {
     p: usize,
@@ -385,17 +360,6 @@ struct Network {
     sync: SyncBackend,
     /// The substrate frames travel over (per-rank mailboxes).
     transport: Arc<dyn Transport>,
-    /// Retransmission/backpressure knobs of the reliable layer.
-    tuning: NetTuning,
-    /// How idle exchange polls pause — injectable so chaos tests
-    /// never depend on wall-clock sleeping.
-    sleeper: Arc<dyn Sleeper>,
-    /// Cumulative count of locally-completed exchanges across all
-    /// ranks. Exchange `n` is globally complete when this reaches
-    /// `p·(n+1)`; until then every locally-done rank keeps servicing
-    /// its mailbox (re-acking duplicates), which is what makes a lost
-    /// *ack* recoverable — the peer that needs it is still listening.
-    exchanges_done: AtomicU64,
     /// Watchdog timeout applied to every barrier wait and exchange.
     barrier_timeout: Option<Duration>,
     /// Faults to inject into this attempt (`None` = zero-cost).
@@ -418,14 +382,9 @@ struct Network {
 }
 
 impl Network {
-    // Private constructor mirroring the field list one-for-one; a
-    // params struct would just restate it.
-    #[allow(clippy::too_many_arguments)]
     fn new(
         p: usize,
         transport: Arc<dyn Transport>,
-        tuning: NetTuning,
-        sleeper: Arc<dyn Sleeper>,
         barrier_timeout: Option<Duration>,
         faults: Option<Arc<FaultPlan>>,
         attempt: u32,
@@ -436,9 +395,6 @@ impl Network {
             p,
             sync: SyncBackend::Local(PoisonBarrier::new(p)),
             transport,
-            tuning,
-            sleeper,
-            exchanges_done: AtomicU64::new(0),
             barrier_timeout,
             faults,
             attempt,
@@ -465,25 +421,6 @@ impl Network {
             SyncBackend::Remote(hub) => hub.is_poisoned(),
         }
     }
-
-    /// Declares this rank's current exchange locally complete.
-    fn declare_exchange_done(&self) {
-        match &self.sync {
-            SyncBackend::Local(_) => {
-                self.exchanges_done.fetch_add(1, Ordering::AcqRel);
-            }
-            SyncBackend::Remote(hub) => hub.declare_exchange_done(),
-        }
-    }
-
-    /// The machine-wide count of locally-completed exchanges (exchange
-    /// `n` is globally complete at `p·(n+1)`).
-    fn exchange_global_count(&self) -> u64 {
-        match &self.sync {
-            SyncBackend::Local(_) => self.exchanges_done.load(Ordering::Acquire),
-            SyncBackend::Remote(hub) => hub.exchange_total(),
-        }
-    }
 }
 
 /// Replay state of a resumed rank: the checkpoint frame being
@@ -491,27 +428,6 @@ impl Network {
 struct ReplayState {
     frame: RankFrame,
     next: usize,
-}
-
-/// One outbound data frame of an exchange and its delivery state —
-/// an entry of the per-exchange send window.
-struct OutFrame {
-    dst: usize,
-    seq: u64,
-    bytes: Vec<u8>,
-    /// Accepted by the transport at least once.
-    sent: bool,
-    /// The exchange-loop poll iteration of the first transmission —
-    /// the zero point of the `net.ack_latency_polls` histogram.
-    sent_at_poll: u64,
-    /// Idle polls since the last (re)transmission.
-    idle: u32,
-    acked: bool,
-    retransmits: u32,
-    /// Plan-injected in-flight loss: the first transmission is
-    /// swallowed before reaching the transport, so the retransmission
-    /// machinery has to repair it (lossy substrates only).
-    drop_first: bool,
 }
 
 /// The SPMD driver for one processor (rank). Statistics are shared
@@ -531,13 +447,9 @@ struct SpmdDriver {
     replay: Option<ReplayState>,
     /// Next sequence number per `(self → dst)` link.
     send_seq: Vec<u64>,
-    /// Next expected sequence number per `(src → self)` link; frames
-    /// below it are duplicates.
+    /// Next expected sequence number per `(src → self)` link; a frame
+    /// carrying any other number fails the exchange.
     recv_seq: Vec<u64>,
-    /// Exchanges completed by this rank this attempt (identical on
-    /// every rank by SPMD replication — the exchange-completion
-    /// counter's target derives from it).
-    exchanges: u64,
     /// This rank's Lamport clock (DESIGN.md §12): advanced by one on
     /// every local protocol event (stamping a frame, entering or
     /// leaving a barrier), and to `max(local, remote) + 1` on every
@@ -763,24 +675,12 @@ impl SpmdDriver {
         }
     }
 
-    /// Runs one reliable exchange over the transport: transmits
-    /// `sends` (this rank's window of data frames), collects and
-    /// acknowledges the frames this rank `expect`s, retransmits
-    /// unacked frames on an idle-poll deadline (lossy transports
-    /// only — on a lossless substrate an unacked frame means the peer
-    /// has not arrived yet, and the wall-clock watchdog owns that
-    /// case), suppresses duplicates by per-link sequence number, and
-    /// rejects frames the wire decoder refuses. The exchange is over
-    /// only when **every** rank has declared itself done (all expected
-    /// frames accepted, all own frames acked, all acks flushed): the
-    /// shared completion counter keeps locally-done ranks servicing
-    /// their mailboxes, which is what makes a lost *ack* recoverable —
-    /// the peer that needs to resend is still being listened to
-    /// (DESIGN.md §10).
+    /// Runs one exchange (`exchange_inner`), timing it into the
+    /// `bsp.barrier_wait_us` histogram.
     fn exchange(
         &mut self,
         superstep: u64,
-        sends: Vec<(usize, FramePayload, bool)>,
+        sends: Vec<(usize, FramePayload)>,
         expect: &[bool],
     ) -> Result<Vec<Option<FramePayload>>, EvalError> {
         // The exchange doubles as the superstep's entry
@@ -800,25 +700,33 @@ impl SpmdDriver {
         }
     }
 
+    /// Stamps and sends `sends` (this rank's data frames, at most one
+    /// per peer), draining this rank's own mailbox whenever a full
+    /// peer mailbox refuses one, and returns once every frame this
+    /// rank `expect`s has arrived with the exact next per-link
+    /// sequence number. Any other frame — one the wire decoder
+    /// rejects, one from an unknown or self sender, one on a link
+    /// nothing (more) was expected on, or one out of sequence — fails
+    /// the run at once with [`EvalError::TransportFailure`]. There is
+    /// no acknowledgement and no completion round: the superstep exit
+    /// barrier that follows every exchange keeps the next superstep's
+    /// frames out of this one (DESIGN.md §10).
     fn exchange_inner(
         &mut self,
         superstep: u64,
-        sends: Vec<(usize, FramePayload, bool)>,
+        sends: Vec<(usize, FramePayload)>,
         expect: &[bool],
     ) -> Result<Vec<Option<FramePayload>>, EvalError> {
         let net = Arc::clone(&self.net);
         let p = net.p;
         let ledger = &net.ledger;
-        let lossless = net.transport.is_lossless();
-        let target = (self.exchanges + 1).saturating_mul(p as u64);
         let deadline = net.barrier_timeout.map(|t| Instant::now() + t);
 
         // Stamp each outbound frame with this rank's Lamport clock at
-        // build time. A retransmission reuses these exact bytes: same
-        // stamp, same logical message — which is what lets the
-        // postmortem analyzer pair every receive with its send.
-        let mut window: Vec<OutFrame> = Vec::with_capacity(sends.len());
-        for (dst, payload, drop_first) in sends {
+        // build time — what lets the postmortem analyzer pair every
+        // receive with its send.
+        let mut outbox: Vec<(usize, Vec<u8>)> = Vec::with_capacity(sends.len());
+        for (dst, payload) in sends {
             let seq = self.send_seq[dst];
             self.send_seq[dst] += 1;
             let lamport = self.tick();
@@ -839,246 +747,120 @@ impl SpmdDriver {
                     bytes: bytes.len() as u64,
                 },
             );
-            window.push(OutFrame {
-                dst,
-                seq,
-                bytes,
-                sent: false,
-                sent_at_poll: 0,
-                idle: 0,
-                acked: false,
-                retransmits: 0,
-                drop_first,
-            });
+            outbox.push((dst, bytes));
         }
 
         let mut inbox: Vec<Option<FramePayload>> = vec![None; p];
-        let mut awaiting = expect.iter().filter(|&&e| e).count();
-        let mut acks_due: VecDeque<(usize, u64)> = VecDeque::new();
-        let mut declared_done = false;
-        let mut polls: u64 = 0;
+        let expected = expect.iter().filter(|&&e| e).count();
+        let mut awaiting = expected;
 
         loop {
-            polls += 1;
             let mut progressed = false;
 
-            // Phase 1: (re)transmit the send window.
-            let mut backpressured_to: Option<usize> = None;
-            let mut retransmitted: Option<(usize, u64)> = None;
-            for f in &mut window {
-                if !f.sent {
-                    if f.drop_first {
-                        // Plan-injected in-flight loss: the frame
-                        // vanishes before the transport ever sees it;
-                        // the retransmission deadline repairs it.
-                        f.drop_first = false;
-                        f.sent = true;
-                        f.sent_at_poll = polls;
-                        ledger.frames_lost.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    } else if net.transport.try_send(self.rank, f.dst, &f.bytes) {
-                        f.sent = true;
-                        f.sent_at_poll = polls;
-                        f.idle = 0;
-                        ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    } else {
-                        ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-                        backpressured_to = Some(f.dst);
-                    }
-                } else if !f.acked && !lossless && f.idle >= net.tuning.retransmit_after {
-                    if f.retransmits >= net.tuning.retransmit_budget {
-                        net.poison();
-                        return Err(EvalError::TransportFailure {
-                            rank: self.rank,
-                            superstep,
-                            detail: format!(
-                                "message to rank {} (seq {}) unacknowledged after {} \
-                                 retransmissions",
-                                f.dst, f.seq, f.retransmits
-                            ),
-                        });
-                    }
-                    if net.transport.try_send(self.rank, f.dst, &f.bytes) {
-                        f.retransmits += 1;
-                        f.idle = 0;
-                        ledger.retransmits.fetch_add(1, Ordering::Relaxed);
-                        ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        retransmitted = Some((f.dst, f.seq));
-                        progressed = true;
-                    } else {
-                        ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-                        backpressured_to = Some(f.dst);
-                    }
+            // Offer every unsent frame; a full mailbox keeps its frame
+            // for the next poll, while the drain below keeps running,
+            // so two ranks with mutually full mailboxes cannot
+            // deadlock on each other.
+            let mut refused_by = None;
+            outbox.retain(|(dst, bytes)| {
+                if net.transport.try_send(*dst, bytes) {
+                    ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
+                    progressed = true;
+                    false
+                } else {
+                    ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
+                    refused_by = Some(*dst);
+                    true
                 }
-            }
-            // Flight events are recorded outside the window borrow (at
-            // most one of each per poll — enough for a postmortem, and
-            // it keeps a spinning sender from flooding its own ring).
-            if let Some((dst, seq)) = retransmitted {
-                let lamport = self.tick();
-                self.flight_record(
-                    lamport,
-                    FlightEvent::FrameRetransmitted {
-                        to: dst as u64,
-                        seq,
-                    },
-                );
-            }
-            if let Some(dst) = backpressured_to {
+            });
+            // At most one flight event per poll: enough for a
+            // postmortem, and a spinning sender cannot flood its ring.
+            if let Some(dst) = refused_by {
                 let lamport = self.tick();
                 self.flight_record(lamport, FlightEvent::BackpressureWait { to: dst as u64 });
             }
 
-            // Phase 2: flush pending acks. A refusal re-queues the ack
-            // and breaks — but the drain below keeps running either
-            // way, so two ranks with mutually full mailboxes cannot
-            // deadlock on each other.
-            while let Some(&(dst, seq)) = acks_due.front() {
-                let lamport = self.tick();
-                let bytes = Frame {
-                    from: self.rank,
-                    superstep,
-                    seq,
-                    lamport,
-                    payload: FramePayload::Ack,
-                }
-                .encode();
-                if net.transport.try_send(self.rank, dst, &bytes) {
-                    acks_due.pop_front();
-                    ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    self.flight_record(
-                        lamport,
-                        FlightEvent::AckSent {
-                            to: dst as u64,
-                            seq,
-                        },
-                    );
-                    progressed = true;
-                } else {
-                    // The stamp is discarded with the frame — a fresh
-                    // one is drawn when the ack is retried.
-                    ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-
-            // Phase 3: drain this rank's mailbox.
+            // Drain this rank's whole mailbox before judging
+            // completion, so a surplus frame is caught in the exchange
+            // it arrived in.
             while let Some(bytes) = net.transport.recv(self.rank) {
                 progressed = true;
                 let frame = match Frame::decode(&bytes) {
                     Ok(f) => f,
-                    Err(_) => {
-                        // A frame the decoder rejects (bit corruption,
-                        // truncation) is treated as lost: dropped here,
-                        // repaired by the sender's retransmission.
+                    Err(err) => {
                         ledger.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                         let lamport = self.tick();
                         self.flight_record(lamport, FlightEvent::CorruptRejected);
-                        continue;
+                        return Err(
+                            self.transport_failure(superstep, format!("undecodable frame: {err}"))
+                        );
                     }
                 };
                 let src = frame.from;
                 if src >= p || src == self.rank {
-                    ledger.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    let lamport = self.tick();
-                    self.flight_record(lamport, FlightEvent::CorruptRejected);
-                    continue;
+                    return Err(self.transport_failure(
+                        superstep,
+                        format!("frame claims to come from rank {src}, which is not a peer"),
+                    ));
+                }
+                if !expect[src] || inbox[src].is_some() {
+                    return Err(self.transport_failure(
+                        superstep,
+                        format!(
+                            "frame from rank {src} (seq {}) on a link nothing more was \
+                             expected on",
+                            frame.seq
+                        ),
+                    ));
+                }
+                if frame.seq != self.recv_seq[src] {
+                    return Err(self.transport_failure(
+                        superstep,
+                        format!(
+                            "frame from rank {src} carries seq {}, expected {}",
+                            frame.seq, self.recv_seq[src]
+                        ),
+                    ));
                 }
                 // Every received frame advances the Lamport clock past
                 // the sender's stamp: the receive is strictly after
                 // the send, machine-wide.
                 let stamp = self.observe(frame.lamport);
-                match frame.payload {
-                    FramePayload::Ack => {
-                        // A stale ack (no matching window entry) is
-                        // ignored: its exchange already completed.
-                        let mut round_trip = None;
-                        if let Some(f) = window
-                            .iter_mut()
-                            .find(|f| f.dst == src && f.seq == frame.seq)
-                        {
-                            if !f.acked {
-                                f.acked = true;
-                                round_trip = Some(polls.saturating_sub(f.sent_at_poll));
-                            }
-                        }
-                        if let Some(rt) = round_trip {
-                            self.telemetry.histogram_record("net.ack_latency_polls", rt);
-                            self.flight_record(
-                                stamp,
-                                FlightEvent::AckReceived {
-                                    from: src as u64,
-                                    seq: frame.seq,
-                                    polls: rt,
-                                },
-                            );
-                        }
-                    }
-                    payload => {
-                        if frame.seq == self.recv_seq[src] && expect[src] && inbox[src].is_none() {
-                            self.recv_seq[src] += 1;
-                            inbox[src] = Some(payload);
-                            awaiting -= 1;
-                            acks_due.push_back((src, frame.seq));
-                            self.flight_record(
-                                stamp,
-                                FlightEvent::FrameReceived {
-                                    from: src as u64,
-                                    seq: frame.seq,
-                                    superstep: frame.superstep,
-                                    sent_lamport: frame.lamport,
-                                },
-                            );
-                            if self.telemetry.is_enabled() {
-                                // A causal arrow from the sender's rank
-                                // track to ours, at the delivery
-                                // instant (the sender's wall clock is
-                                // not observable here).
-                                let now = self.telemetry.now_us();
-                                let from_track =
-                                    self.telemetry.track(&format!("p{src}")).current_track();
-                                let id = net.flow_ids.fetch_add(1, Ordering::Relaxed);
-                                self.telemetry.record_flow(
-                                    id,
-                                    match inbox[src] {
-                                        Some(FramePayload::IfAt(_)) => "ifat",
-                                        _ => "put",
-                                    },
-                                    from_track,
-                                    self.telemetry.current_track(),
-                                    now,
-                                    now,
-                                );
-                            }
-                        } else if frame.seq < self.recv_seq[src] {
-                            // Duplicate (a retransmission whose
-                            // original already arrived): suppress, but
-                            // re-ack — the sender may have lost ours.
-                            ledger.dups_dropped.fetch_add(1, Ordering::Relaxed);
-                            acks_due.push_back((src, frame.seq));
-                        } else {
-                            // A data frame from the future, or on a
-                            // link nothing was expected on: protocol
-                            // noise — suppress without acking so the
-                            // sender's budget eventually surfaces it.
-                            ledger.dups_dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                self.recv_seq[src] += 1;
+                awaiting -= 1;
+                self.flight_record(
+                    stamp,
+                    FlightEvent::FrameReceived {
+                        from: src as u64,
+                        seq: frame.seq,
+                        superstep: frame.superstep,
+                        sent_lamport: frame.lamport,
+                    },
+                );
+                if self.telemetry.is_enabled() {
+                    // A causal arrow from the sender's rank track to
+                    // ours, at the delivery instant (the sender's wall
+                    // clock is not observable here).
+                    let now = self.telemetry.now_us();
+                    let from_track = self.telemetry.track(&format!("p{src}")).current_track();
+                    let id = net.flow_ids.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.record_flow(
+                        id,
+                        match frame.payload {
+                            FramePayload::IfAt(_) => "ifat",
+                            FramePayload::Put(_) => "put",
+                        },
+                        from_track,
+                        self.telemetry.current_track(),
+                        now,
+                        now,
+                    );
                 }
+                inbox[src] = Some(frame.payload);
             }
 
-            if !declared_done
-                && awaiting == 0
-                && window.iter().all(|f| f.acked)
-                && acks_due.is_empty()
-            {
-                declared_done = true;
-                net.declare_exchange_done();
-                progressed = true;
-            }
-            if declared_done && net.exchange_global_count() >= target {
-                break;
+            if awaiting == 0 && outbox.is_empty() {
+                return Ok(inbox);
             }
 
             // Liveness: a crashed peer surfaces mid-exchange, and a
@@ -1090,29 +872,28 @@ impl SpmdDriver {
                 if Instant::now() >= d {
                     ledger.barrier_timeouts.fetch_add(1, Ordering::Relaxed);
                     net.poison();
-                    let done = net.exchange_global_count();
-                    let base = self.exchanges.saturating_mul(p as u64);
+                    // This rank, plus every peer whose frame it holds.
                     return Err(EvalError::BarrierTimeout {
                         superstep,
-                        waiting: usize::try_from(done.saturating_sub(base)).unwrap_or(0),
+                        waiting: 1 + expected - awaiting,
                     });
                 }
             }
             if !progressed {
-                // Idle poll: age unacked frames toward their
-                // retransmission deadline and pause through the
-                // injectable sleeper (never a bare thread::sleep, so
-                // tests control all wall-clock behavior).
-                for f in &mut window {
-                    if f.sent && !f.acked {
-                        f.idle += 1;
-                    }
-                }
-                net.sleeper.sleep(net.tuning.poll_sleep);
+                std::thread::sleep(POLL_SLEEP);
             }
         }
-        self.exchanges += 1;
-        Ok(inbox)
+    }
+
+    /// Fails the run on a frame the exchange cannot accept: poisons
+    /// the peers and names this rank and superstep.
+    fn transport_failure(&self, superstep: u64, detail: String) -> EvalError {
+        self.net.poison();
+        EvalError::TransportFailure {
+            rank: self.rank,
+            superstep,
+            detail,
+        }
     }
 
     // --- checkpoint recording, staging and replay -------------------------
@@ -1440,11 +1221,10 @@ impl ParallelDriver for SpmdDriver {
         }
         let p = self.net.p;
         let superstep = self.inject_entry_faults()?;
-        let lossless = self.net.transport.is_lossless();
         let f = self.my_component(fs, "put")?.clone();
         // Local phase: evaluate my send function for every target and
         // serialize the messages into wire frames.
-        let mut sends: Vec<(usize, FramePayload, bool)> = Vec::with_capacity(p.saturating_sub(1));
+        let mut sends: Vec<(usize, FramePayload)> = Vec::with_capacity(p.saturating_sub(1));
         let mut self_payload = PortableValue::NoComm;
         for dst in 0..p {
             let v = ev.apply_fn(f.clone(), Value::Int(dst as i64), Mode::OnProc(self.rank))?;
@@ -1454,38 +1234,24 @@ impl ParallelDriver for SpmdDriver {
                 lock_ignore_poison(&self.stats).sent_words += words;
             }
             let portable = v.to_portable().inspect_err(|_| self.net.poison())?;
-            let plan_drop = self.drops_message(dst, superstep);
-            if dst == self.rank {
-                // A self-message never touches the wire; dropping one
-                // can only be modelled as silent loss (`nc ()`), and
-                // only a lossless substrate keeps that legacy reading.
-                self_payload = if plan_drop && lossless {
-                    PortableValue::NoComm
-                } else {
-                    portable
-                };
-            } else if lossless {
-                // Legacy drop semantics: the message was *sent* (the
-                // sender paid for it) but never arrives — the receiver
-                // sees `nc ()`, and only the oracle cross-check can
-                // tell. This is exactly what the reliable layer below
-                // exists to fix.
-                let payload = FramePayload::Put(if plan_drop {
-                    PortableValue::NoComm
-                } else {
-                    portable
-                });
-                sends.push((dst, payload, false));
+            // A plan-dropped message was *sent* (the sender paid for
+            // it) but never arrives: the receiver sees `nc ()`, and
+            // only the supervisor's oracle cross-check can tell.
+            let payload = if self.drops_message(dst, superstep) {
+                PortableValue::NoComm
             } else {
-                // On a lossy substrate the drop happens *in flight*:
-                // the reliable layer detects the missing ack and
-                // retransmits, so the receiver still gets the value.
-                sends.push((dst, FramePayload::Put(portable), plan_drop));
+                portable
+            };
+            if dst == self.rank {
+                // A self-message never touches the wire.
+                self_payload = payload;
+            } else {
+                sends.push((dst, FramePayload::Put(payload)));
             }
         }
-        // Communication phase: the reliable exchange is also the
-        // superstep's entry synchronization (it cannot complete before
-        // every rank has arrived and delivered).
+        // Communication phase: the exchange is also the superstep's
+        // entry synchronization (it cannot complete before every peer
+        // has arrived and delivered).
         let expect: Vec<bool> = (0..p).map(|j| j != self.rank).collect();
         let delivered = self.exchange(superstep, sends, &expect)?;
         let mut row: Vec<PortableValue> = Vec::with_capacity(p);
@@ -1554,13 +1320,13 @@ impl ParallelDriver for SpmdDriver {
         // per peer; everyone else expects exactly one frame, from
         // `at`. (The plan's message drops target `put` h-relations;
         // the if‥at‥ broadcast is never plan-dropped.)
-        let mut sends: Vec<(usize, FramePayload, bool)> = Vec::new();
+        let mut sends: Vec<(usize, FramePayload)> = Vec::new();
         if self.rank == at {
             lock_ignore_poison(&self.stats).sent_words += (p - 1) as u64;
             sends.extend(
                 (0..p)
                     .filter(|&dst| dst != self.rank)
-                    .map(|dst| (dst, FramePayload::IfAt(mine), false)),
+                    .map(|dst| (dst, FramePayload::IfAt(mine))),
             );
         }
         let expect: Vec<bool> = (0..p).map(|j| j == at && self.rank != at).collect();
@@ -1649,9 +1415,6 @@ pub struct DistMachine {
     pub(crate) barrier_timeout: Option<Duration>,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) checkpoints: Option<(CheckpointPolicy, Arc<dyn CheckpointStore>)>,
-    pub(crate) transport: TransportConfig,
-    pub(crate) tuning: NetTuning,
-    pub(crate) net_sleeper: Arc<dyn Sleeper>,
     pub(crate) flight: Option<usize>,
     pub(crate) execution: Execution,
 }
@@ -1674,9 +1437,6 @@ impl DistMachine {
             barrier_timeout: Some(barrier_timeout_from_env()),
             faults: None,
             checkpoints: None,
-            transport: TransportConfig::SharedMem,
-            tuning: NetTuning::default(),
-            net_sleeper: Arc::new(ThreadSleeper),
             flight: flight_capacity_from_env(),
             execution: Execution::InProcess,
         }
@@ -1731,50 +1491,6 @@ impl DistMachine {
     #[must_use]
     pub fn without_watchdog(mut self) -> DistMachine {
         self.barrier_timeout = None;
-        self
-    }
-
-    /// Selects the message transport: the default
-    /// [`TransportConfig::SharedMem`] fast path, or a seeded
-    /// [`TransportConfig::Lossy`] substrate that drops, reorders,
-    /// duplicates, delays and bit-corrupts frames for chaos testing.
-    /// Lossy runs either complete with exactly the values a lossless
-    /// run produces (the reliable layer repairs every injected
-    /// perturbation) or fail with [`EvalError::TransportFailure`]
-    /// once a frame exhausts its retransmission budget — never a hang,
-    /// never a silently wrong answer.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportConfig) -> DistMachine {
-        self.transport = transport;
-        self
-    }
-
-    /// The configured message transport.
-    #[must_use]
-    pub fn transport(&self) -> &TransportConfig {
-        &self.transport
-    }
-
-    /// Overrides the reliable layer's retransmission and backpressure
-    /// knobs ([`NetTuning`]).
-    #[must_use]
-    pub fn with_net_tuning(mut self, tuning: NetTuning) -> DistMachine {
-        self.tuning = tuning;
-        self
-    }
-
-    /// The reliable layer's tuning knobs.
-    #[must_use]
-    pub fn net_tuning(&self) -> NetTuning {
-        self.tuning
-    }
-
-    /// Overrides how idle exchange polls pause. Tests inject a
-    /// [`crate::supervisor::RecordingSleeper`] (or a no-op) so chaos
-    /// suites never depend on wall-clock sleeping.
-    #[must_use]
-    pub fn with_net_sleeper(mut self, sleeper: Arc<dyn Sleeper>) -> DistMachine {
-        self.net_sleeper = sleeper;
         self
     }
 
@@ -1911,21 +1627,6 @@ impl DistMachine {
                 store: Arc::clone(store),
                 fingerprint: program_fingerprint(e, self.p),
             });
-        let transport: Arc<dyn Transport> = match &self.transport {
-            TransportConfig::SharedMem => {
-                Arc::new(SharedMem::new(self.p, self.tuning.mailbox_capacity))
-            }
-            TransportConfig::Lossy(cfg) if attempt < cfg.armed_attempts => Arc::new(LossyNet::new(
-                self.p,
-                cfg.for_attempt(attempt),
-                self.tuning.mailbox_capacity,
-            )),
-            // Chaos disarmed for this attempt: supervised retries past
-            // the armed window run on the clean fast path.
-            TransportConfig::Lossy(_) => {
-                Arc::new(SharedMem::new(self.p, self.tuning.mailbox_capacity))
-            }
-        };
         let flight: Option<Vec<Arc<FlightRecorder>>> = self.flight.map(|capacity| {
             (0..self.p)
                 .map(|_| Arc::new(FlightRecorder::new(capacity)))
@@ -1933,9 +1634,7 @@ impl DistMachine {
         });
         let net = Arc::new(Network::new(
             self.p,
-            transport,
-            self.tuning,
-            Arc::clone(&self.net_sleeper),
+            Arc::new(SharedMem::new(self.p)),
             self.barrier_timeout,
             self.faults.clone(),
             attempt,
@@ -1947,15 +1646,12 @@ impl DistMachine {
 
         // Account for the fault, checkpoint and transport layers
         // whether or not the run succeeded — chaos tests reconcile
-        // these counters against the plan. `injected_drops` carries
-        // the plan-injected in-flight losses plus the drops the lossy
-        // substrate itself rolled.
+        // these counters against the plan.
         flush_counters(
             &self.telemetry,
             &net.ledger.counters(),
             net.ledger.checkpoints_written.load(Ordering::Relaxed),
             net.ledger.checkpoint_bytes.load(Ordering::Relaxed),
-            net.transport.injected_drops(),
         );
         let furthest = net.ledger.furthest_superstep.load(Ordering::Relaxed);
         // Drain the recorders after every rank thread has exited —
@@ -2123,7 +1819,6 @@ fn run_rank_inner(
         replay: replay.map(|frame| ReplayState { frame, next: 0 }),
         send_seq: vec![0; p],
         recv_seq: vec![0; p],
-        exchanges: 0,
         clock,
         flight,
         fuel_mark: fuel,
@@ -2157,8 +1852,8 @@ fn run_rank_inner(
 /// Telemetry is disabled in rank processes — the parent owns the
 /// session's [`Telemetry`] and flushes the shipped [`CtlLedger`]s
 /// through [`flush_counters`], so counters still reconcile; only the
-/// per-poll `net.ack_latency_polls` histogram is unavailable in
-/// process mode.
+/// per-rank `bsp.barrier_wait_us` histogram is unavailable in process
+/// mode.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_remote_rank(
     rank: usize,
@@ -2167,7 +1862,6 @@ pub(crate) fn run_remote_rank(
     transport: Arc<dyn Transport>,
     program: &Expr,
     fuel: u64,
-    tuning: NetTuning,
     barrier_timeout: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
     attempt: u32,
@@ -2179,9 +1873,6 @@ pub(crate) fn run_remote_rank(
         p,
         sync: SyncBackend::Remote(hub),
         transport,
-        tuning,
-        sleeper: Arc::new(ThreadSleeper),
-        exchanges_done: AtomicU64::new(0),
         barrier_timeout,
         faults,
         attempt,
@@ -2482,78 +2173,92 @@ mod tests {
         assert_eq!(barrier_timeout_from_env(), DEFAULT_BARRIER_TIMEOUT);
     }
 
-    #[test]
-    fn lossy_transport_delivers_oracle_identical() {
-        let e = parse(
-            "let r = put (mkpar (fun j -> fun i -> j * 10 + i)) in
-             apply (mkpar (fun i -> fun t -> t ((i + 1) mod (bsp_p ()))), r)",
-        )
-        .unwrap();
-        let oracle = DistMachine::new(4).run(&e).unwrap();
-        let lossy = DistMachine::new(4)
-            .with_transport(TransportConfig::Lossy(
-                crate::transport::LossyConfig::new(0xB5F1)
-                    .drop(150)
-                    .reorder(150)
-                    .duplicate(150)
-                    .corrupt(150)
-                    .delay(150),
-            ))
-            .with_barrier_timeout(Duration::from_secs(20))
-            .run(&e)
-            .unwrap();
-        assert_eq!(lossy.value.to_string(), oracle.value.to_string());
-        assert_eq!(lossy.supersteps, oracle.supersteps);
-        assert_eq!(lossy.total_words_sent, oracle.total_words_sent);
+    /// What [`Defective`] does to the first frame it carries.
+    #[derive(Clone, Copy, Debug)]
+    enum Defect {
+        FlipBit,
+        Duplicate,
     }
 
-    #[test]
-    fn transport_budget_exhaustion_surfaces_failure() {
-        // Total loss: every transmission is swallowed, so acks never
-        // arrive, the retransmit budget runs out, and the failure is
-        // *reported* — never a hang, never a wrong answer.
+    /// A transport that is lossless except for one defect on its
+    /// first frame — a substrate breaking its contract.
+    #[derive(Debug)]
+    struct Defective {
+        defect: Defect,
+        boxes: Vec<Mutex<std::collections::VecDeque<Vec<u8>>>>,
+        /// The destination of the first frame, once sent.
+        first_dst: Mutex<Option<usize>>,
+    }
+
+    impl Transport for Defective {
+        fn try_send(&self, dst: usize, bytes: &[u8]) -> bool {
+            let mut frame = bytes.to_vec();
+            let mut copies = 1;
+            let mut first_dst = lock_ignore_poison(&self.first_dst);
+            if first_dst.is_none() {
+                *first_dst = Some(dst);
+                match self.defect {
+                    Defect::FlipBit => frame[bytes.len() / 2] ^= 1,
+                    Defect::Duplicate => copies = 2,
+                }
+            }
+            // Both copies land under one lock, so the receiver drains
+            // them in the same poll.
+            let mut mailbox = lock_ignore_poison(&self.boxes[dst]);
+            for _ in 0..copies {
+                mailbox.push_back(frame.clone());
+            }
+            true
+        }
+
+        fn recv(&self, rank: usize) -> Option<Vec<u8>> {
+            lock_ignore_poison(&self.boxes[rank]).pop_front()
+        }
+    }
+
+    /// Runs a one-superstep exchange on two ranks over a [`Defective`]
+    /// transport under a 10 s watchdog, and checks that the receiver
+    /// of the damaged frame fails the run at once.
+    fn assert_fails_fast(defect: Defect) {
         let e = parse("put (mkpar (fun j -> fun i -> j))").unwrap();
-        let machine = DistMachine::new(2)
-            .with_transport(TransportConfig::Lossy(
-                crate::transport::LossyConfig::new(7).drop(1000),
-            ))
-            .with_net_tuning(NetTuning {
-                retransmit_after: 2,
-                retransmit_budget: 3,
-                poll_sleep: Duration::ZERO,
-                ..NetTuning::default()
-            })
-            .with_barrier_timeout(Duration::from_secs(30));
+        let transport = Arc::new(Defective {
+            defect,
+            boxes: (0..2).map(|_| Mutex::default()).collect(),
+            first_dst: Mutex::new(None),
+        });
+        let machine = DistMachine::new(2).with_barrier_timeout(Duration::from_secs(10));
+        let net = Arc::new(Network::new(
+            2,
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            machine.barrier_timeout,
+            None,
+            0,
+            None,
+            None,
+        ));
         let start = Instant::now();
-        let err = machine.run(&e).unwrap_err();
+        let result = machine.run_threads(&e, &net, None);
+        let elapsed = start.elapsed();
+        let receiver = lock_ignore_poison(&transport.first_dst).expect("a frame was sent");
+        match result {
+            Err(EvalError::TransportFailure {
+                rank, superstep, ..
+            }) => assert_eq!((rank, superstep), (receiver, 0), "{defect:?}"),
+            other => panic!("{defect:?}: expected a TransportFailure, got {other:?}"),
+        }
         assert!(
-            matches!(err, EvalError::TransportFailure { superstep: 0, .. }),
-            "got {err:?}"
+            elapsed < Duration::from_secs(5),
+            "{defect:?}: took {elapsed:?} under a 10 s watchdog"
         );
-        assert!(start.elapsed() < Duration::from_secs(10));
     }
 
     #[test]
-    fn plan_drop_is_healed_on_lossy() {
-        // On the lossless transport a FaultPlan message drop silently
-        // replaces the payload with `nc ()` (only the oracle
-        // cross-check can tell). On a lossy transport the same drop
-        // happens *in flight* — and the reliable layer repairs it.
-        let e = parse(
-            "let r = put (mkpar (fun j -> fun i -> j + 100)) in
-             apply (mkpar (fun i -> fun t -> t ((i + 1) mod (bsp_p ()))), r)",
-        )
-        .unwrap();
-        let telemetry = Telemetry::enabled_logical();
-        let machine = DistMachine::new(2)
-            .with_faults(FaultPlan::new().drop_message(0, 1, 0))
-            .with_transport(TransportConfig::Lossy(crate::transport::LossyConfig::new(
-                3,
-            )))
-            .with_telemetry(telemetry.clone());
-        let out = machine.run(&e).unwrap();
-        assert_eq!(out.value.to_string(), "<|101, 100|>");
-        assert!(telemetry.counter_value("net.frames_lost") >= 1);
-        assert!(telemetry.counter_value("net.retransmits") >= 1);
+    fn a_corrupt_frame_fails_the_exchange_at_once() {
+        assert_fails_fast(Defect::FlipBit);
+    }
+
+    #[test]
+    fn a_duplicate_frame_fails_the_exchange_at_once() {
+        assert_fails_fast(Defect::Duplicate);
     }
 }

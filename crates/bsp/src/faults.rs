@@ -17,14 +17,9 @@
 //!   [`bsml_eval::EvalError::InjectedFault`] and poisons the barrier.
 //! * [`FaultKind::Panic`] — the processor thread panics mid-superstep
 //!   (exercising the machine's unwind containment).
-//! * [`FaultKind::DropMessage`] — one `put` message is lost in
-//!   flight. On the lossless shared-memory transport it is silently
-//!   replaced with `nc ()` (caught only by the supervisor's oracle
-//!   cross-check); on a lossy transport
-//!   ([`crate::transport::TransportConfig::Lossy`]) the reliable
-//!   delivery layer detects the missing acknowledgement and
-//!   retransmits, so the drop is *tolerated* — counted in
-//!   `net.frames_lost`/`net.retransmits`, never corrupting the value.
+//! * [`FaultKind::DropMessage`] — one `put` message is lost: it is
+//!   silently replaced with `nc ()`, caught only by the supervisor's
+//!   oracle cross-check.
 //! * [`FaultKind::Stall`] — the processor sleeps before a barrier
 //!   (long stalls trip the watchdog as
 //!   [`bsml_eval::EvalError::BarrierTimeout`]).
@@ -63,11 +58,8 @@ pub enum FaultKind {
         superstep: u64,
     },
     /// The `put` message from `from` to `to` in superstep `superstep`
-    /// is lost in flight. On the lossless transport it is silently
-    /// replaced by `nc ()` — a loss the receiver cannot distinguish
-    /// from "nothing was sent"; on a lossy transport the reliable
-    /// layer retransmits it, so the loss costs retries, not
-    /// correctness.
+    /// is lost: it is silently replaced by `nc ()` — a loss the
+    /// receiver cannot distinguish from "nothing was sent".
     DropMessage {
         /// The sending processor.
         from: usize,
@@ -391,8 +383,8 @@ pub struct LinkFault {
 }
 
 /// Sebastiano Vigna's SplitMix64 — tiny, seedable, and good enough to
-/// scatter faults, jitter supervisor backoff, and schedule the lossy
-/// transport's perturbations; avoids any external RNG dependency.
+/// scatter faults and jitter supervisor backoff; avoids any external
+/// RNG dependency.
 #[derive(Debug)]
 pub(crate) struct SplitMix64 {
     state: u64,

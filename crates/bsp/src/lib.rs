@@ -77,5 +77,5 @@ pub use supervisor::{
     backoff_delay, RecordingSleeper, Sleeper, SupervisedOutcome, Supervisor, ThreadSleeper,
     POSTMORTEM_DIR_ENV,
 };
-pub use transport::{Bind, Listener, LossyConfig, NetTuning, RankStream, TransportConfig};
+pub use transport::{Bind, Listener, RankStream};
 pub use wire::{Frame, FramePayload, WireError};

@@ -162,9 +162,7 @@ impl From<WireError> for PostmortemError {
 /// Event tags, in [`FlightEvent`] declaration order.
 const TAG_FRAME_SENT: u8 = 0;
 const TAG_FRAME_RECEIVED: u8 = 1;
-const TAG_ACK_SENT: u8 = 2;
-const TAG_ACK_RECEIVED: u8 = 3;
-const TAG_FRAME_RETRANSMITTED: u8 = 4;
+// Tags 2–4 (the retired ack and retransmission events) stay unused.
 const TAG_CORRUPT_REJECTED: u8 = 5;
 const TAG_BACKPRESSURE_WAIT: u8 = 6;
 const TAG_BARRIER_ENTER: u8 = 7;
@@ -190,13 +188,6 @@ pub(crate) fn encode_event(out: &mut Vec<u8>, ev: &TimedFlightEvent) {
             superstep,
             sent_lamport,
         } => (TAG_FRAME_RECEIVED, [from, seq, superstep, sent_lamport], 4),
-        FlightEvent::AckSent { to, seq } => (TAG_ACK_SENT, [to, seq, 0, 0], 2),
-        FlightEvent::AckReceived { from, seq, polls } => {
-            (TAG_ACK_RECEIVED, [from, seq, polls, 0], 3)
-        }
-        FlightEvent::FrameRetransmitted { to, seq } => {
-            (TAG_FRAME_RETRANSMITTED, [to, seq, 0, 0], 2)
-        }
         FlightEvent::CorruptRejected => (TAG_CORRUPT_REJECTED, [0, 0, 0, 0], 0),
         FlightEvent::BackpressureWait { to } => (TAG_BACKPRESSURE_WAIT, [to, 0, 0, 0], 1),
         FlightEvent::BarrierEnter { superstep } => (TAG_BARRIER_ENTER, [superstep, 0, 0, 0], 1),
@@ -246,19 +237,6 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedFlightEvent, Postm
             seq: r.u64()?,
             superstep: r.u64()?,
             sent_lamport: r.u64()?,
-        },
-        TAG_ACK_SENT => FlightEvent::AckSent {
-            to: r.u64()?,
-            seq: r.u64()?,
-        },
-        TAG_ACK_RECEIVED => FlightEvent::AckReceived {
-            from: r.u64()?,
-            seq: r.u64()?,
-            polls: r.u64()?,
-        },
-        TAG_FRAME_RETRANSMITTED => FlightEvent::FrameRetransmitted {
-            to: r.u64()?,
-            seq: r.u64()?,
         },
         TAG_CORRUPT_REJECTED => FlightEvent::CorruptRejected,
         TAG_BACKPRESSURE_WAIT => FlightEvent::BackpressureWait { to: r.u64()? },
@@ -1180,13 +1158,6 @@ mod tests {
                 superstep: 3,
                 sent_lamport: 4,
             },
-            FlightEvent::AckSent { to: 1, seq: 2 },
-            FlightEvent::AckReceived {
-                from: 1,
-                seq: 2,
-                polls: 3,
-            },
-            FlightEvent::FrameRetransmitted { to: 1, seq: 2 },
             FlightEvent::CorruptRejected,
             FlightEvent::BackpressureWait { to: 1 },
             FlightEvent::BarrierEnter { superstep: 1 },
@@ -1398,6 +1369,14 @@ mod tests {
                 waiting: 1
             }),
             (None, Some(3))
+        );
+        assert_eq!(
+            error_coordinate(&EvalError::TransportFailure {
+                rank: 3,
+                superstep: 0,
+                detail: "undecodable frame".to_string()
+            }),
+            (Some(3), Some(0))
         );
         assert_eq!(error_coordinate(&EvalError::PeerFailure), (None, None));
     }

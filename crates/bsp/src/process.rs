@@ -52,7 +52,7 @@ use crate::distributed::{
 use crate::faults::{FaultPlan, LinkFault, LinkFaultKind};
 use crate::postmortem::{error_coordinate, FlightLog, PostmortemBundle, RankFlightLog};
 use crate::supervisor::POSTMORTEM_DIR_ENV;
-use crate::transport::{Bind, Listener, NetTuning, RankStream, SocketTransport, Transport};
+use crate::transport::{Bind, Listener, RankStream, SocketTransport, Transport};
 use crate::wire::{
     read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, MAX_CTL_FRAME, PROTOCOL_VERSION,
 };
@@ -143,8 +143,9 @@ pub const RANK_FINGERPRINT_ENV: &str = "BSML_RANK_FINGERPRINT";
 /// Deterministically SIGKILL one rank process — the chaos grid's
 /// process-mode fault. `superstep = s` kills the rank as it *enters*
 /// superstep `s` (it is withheld the barrier release that would let it
-/// proceed past superstep `s - 1`; `s = 0` kills right after the
-/// handshake), which mirrors the in-process crash fault's coordinate:
+/// proceed past superstep `s - 1`; `s = 0` kills it after its `Hello`,
+/// before it is welcomed), which mirrors the in-process crash fault's
+/// coordinate:
 /// the newest committed checkpoint generation is `⌊s/k⌋·k`, so a
 /// supervised resume replays exactly `s mod k` supersteps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -373,7 +374,7 @@ impl EgressRing {
 
 /// A rank process's end of the parent's control stream: the writer
 /// half plus everything the reader thread routes off the stream
-/// (delivered frames, exchange totals, barrier releases, poison).
+/// (delivered frames, barrier releases, poison).
 /// This is what [`crate::distributed::SyncBackend::Remote`] and
 /// [`SocketTransport`] talk to.
 #[derive(Debug)]
@@ -381,10 +382,6 @@ pub(crate) struct RemoteHub {
     writer: Mutex<RankStream>,
     /// Data frames the parent routed to this rank, in arrival order.
     inbound: Mutex<VecDeque<Vec<u8>>>,
-    /// Machine-wide count of locally-completed exchanges (monotonic:
-    /// updated with `fetch_max`, because parent reader threads may
-    /// interleave their `ExchangeTotal` broadcasts).
-    exchange_total: AtomicU64,
     barrier: Mutex<BarrierProgress>,
     barrier_cv: Condvar,
     /// The frame bytes [`RelayStore`] staged since the last barrier,
@@ -452,7 +449,6 @@ impl RemoteHub {
         Arc::new(RemoteHub {
             writer: Mutex::new(writer),
             inbound: Mutex::new(VecDeque::new()),
-            exchange_total: AtomicU64::new(0),
             barrier: Mutex::new(BarrierProgress::default()),
             barrier_cv: Condvar::new(),
             staged: Mutex::new(None),
@@ -575,18 +571,6 @@ impl RemoteHub {
         lock(&self.barrier).poisoned
     }
 
-    /// Reports one locally-completed exchange to the parent.
-    pub(crate) fn declare_exchange_done(&self) {
-        if self.send(&CtlMsg::ExchangeDone).is_err() {
-            self.poison_local();
-        }
-    }
-
-    /// The parent's latest machine-wide exchange count.
-    pub(crate) fn exchange_total(&self) -> u64 {
-        self.exchange_total.load(Ordering::Acquire)
-    }
-
     /// Stashes staged checkpoint-frame bytes for the next
     /// `BarrierEnter` (called by [`RelayStore::stage`]).
     fn stage(&self, bytes: Vec<u8>) {
@@ -692,9 +676,6 @@ impl RemoteHub {
     fn absorb(&self, msg: CtlMsg) {
         match msg {
             CtlMsg::Deliver { frame } => lock(&self.inbound).push_back(frame),
-            CtlMsg::ExchangeTotal { total } => {
-                self.exchange_total.fetch_max(total, Ordering::AcqRel);
-            }
             CtlMsg::BarrierRelease { .. } => {
                 lock(&self.barrier).releases += 1;
                 self.barrier_cv.notify_all();
@@ -1006,10 +987,6 @@ fn rank_process() -> Result<i32, String> {
         program,
         fuel,
         barrier_timeout_ms,
-        mailbox_capacity,
-        retransmit_after,
-        retransmit_budget,
-        poll_sleep_us,
         checkpoint_interval,
         flight_capacity,
         heartbeat_ms,
@@ -1081,12 +1058,6 @@ fn rank_process() -> Result<i32, String> {
     std::thread::spawn(move || run_child_reader(&reader_hub, stream));
 
     let transport: Arc<dyn Transport> = Arc::new(SocketTransport::new(Arc::clone(&hub)));
-    let tuning = NetTuning {
-        mailbox_capacity: mailbox_capacity as usize,
-        retransmit_after: u32::try_from(retransmit_after).unwrap_or(u32::MAX),
-        retransmit_budget: u32::try_from(retransmit_budget).unwrap_or(u32::MAX),
-        poll_sleep: Duration::from_micros(poll_sleep_us),
-    };
     let barrier_timeout =
         (barrier_timeout_ms > 0).then(|| Duration::from_millis(barrier_timeout_ms));
     let plan = (!faults.is_empty()).then(|| Arc::new(FaultPlan::from_faults(faults)));
@@ -1117,7 +1088,6 @@ fn rank_process() -> Result<i32, String> {
             transport,
             &parsed,
             fuel,
-            tuning,
             barrier_timeout,
             plan,
             attempt,
@@ -1505,6 +1475,19 @@ fn launch_ranks(
     // Welcome the fleet: program + full execution configuration.
     let program = e.to_string();
     for (rank, slot) in slots.iter_mut().enumerate() {
+        // A superstep-0 kill lands before the welcome, so the rank
+        // sends no part of superstep 0 — like an in-process crash at
+        // the entry of its first `put`. Killed after the welcome, it
+        // could race its data frames out and let a peer finish the
+        // superstep's exchange.
+        if cfg
+            .kills
+            .iter()
+            .any(|k| k.rank == rank && k.superstep == 0 && k.attempt == attempt)
+        {
+            let _ = children[rank].kill();
+            continue;
+        }
         let (_, writer) = slot.as_mut().expect("all connected");
         let welcome = CtlMsg::Welcome {
             program: program.clone(),
@@ -1512,10 +1495,6 @@ fn launch_ranks(
             barrier_timeout_ms: machine
                 .barrier_timeout
                 .map_or(0, |t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX)),
-            mailbox_capacity: machine.tuning.mailbox_capacity as u64,
-            retransmit_after: u64::from(machine.tuning.retransmit_after),
-            retransmit_budget: u64::from(machine.tuning.retransmit_budget),
-            poll_sleep_us: u64::try_from(machine.tuning.poll_sleep.as_micros()).unwrap_or(u64::MAX),
             checkpoint_interval: machine
                 .checkpoints
                 .as_ref()
@@ -1600,9 +1579,10 @@ struct Link {
     /// Bumped per heal; readers parked on a dead stream wake on it.
     generation: Mutex<u64>,
     generation_cv: Condvar,
-    /// The healed reader half, parked here by the acceptor until the
-    /// rank's reader thread picks it up.
-    pending_reader: Mutex<Option<RankStream>>,
+    /// The healed reader half and the resume token the acceptor sent
+    /// in its `RejoinOk`, parked here until the rank's reader thread
+    /// picks them up.
+    pending_reader: Mutex<Option<(RankStream, u64)>>,
     last_seen: Mutex<Instant>,
     /// A `Freeze` fault is in force: writes are withheld (buffered in
     /// the ring) until the rank rejoins.
@@ -1657,7 +1637,6 @@ struct ParentState {
     /// Supersteps each rank has completed (its death coordinate).
     completed: Vec<AtomicU64>,
     round: Mutex<Round>,
-    exchange_total: AtomicU64,
     reports: Mutex<Vec<Option<RankReport>>>,
     /// Death notes for ranks whose stream died before any report.
     deaths: Mutex<Vec<Option<String>>>,
@@ -1882,6 +1861,8 @@ impl ParentState {
 /// to the rank-death path — reaped exit status, death note, poison
 /// broadcast — when the process is gone or the grace window expires.
 fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) {
+    // Replayed frames this reader already read from the old stream.
+    let mut overlap = 0;
     loop {
         match read_ctl(&mut stream) {
             Ok(msg) => {
@@ -1894,14 +1875,14 @@ fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) {
                     state.lamport.fetch_add(1, Ordering::AcqRel);
                     continue;
                 }
+                if overlap > 0 {
+                    overlap -= 1;
+                    continue;
+                }
                 state.links[rank].recvd.fetch_add(1, Ordering::AcqRel);
                 match msg {
                     CtlMsg::Data { dst, frame } if dst < state.p => {
                         state.send_to(dst, &CtlMsg::Deliver { frame });
-                    }
-                    CtlMsg::ExchangeDone => {
-                        let total = state.exchange_total.fetch_add(1, Ordering::AcqRel) + 1;
-                        state.broadcast(&CtlMsg::ExchangeTotal { total });
                     }
                     CtlMsg::BarrierEnter { superstep, staged } => {
                         state.handle_barrier(rank, superstep, staged);
@@ -1948,7 +1929,15 @@ fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) {
                     return;
                 }
                 match wait_for_rejoin(state, rank) {
-                    Some(healed) => stream = healed,
+                    // The rank replays from the token the acceptor
+                    // sent, but this reader may have drained more of
+                    // the old stream since: those frames arrive again
+                    // first on the healed stream and are skipped, so
+                    // every session frame is routed exactly once.
+                    Some((healed, token)) => {
+                        overlap = state.links[rank].recvd.load(Ordering::Acquire) - token;
+                        stream = healed;
+                    }
                     None => {
                         // Rank death (or an unhealable link, which the
                         // grace expiry just converted into one by
@@ -1973,7 +1962,7 @@ fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) {
 /// generation and parks a healed stream, or the grace window expires —
 /// in which case the still-live child is SIGKILLed so the link failure
 /// becomes an honest rank death.
-fn wait_for_rejoin(state: &ParentState, rank: usize) -> Option<RankStream> {
+fn wait_for_rejoin(state: &ParentState, rank: usize) -> Option<(RankStream, u64)> {
     let link = &state.links[rank];
     if state.link_grace.is_zero() {
         return None;
@@ -2073,10 +2062,11 @@ fn handle_rejoin(state: &ParentState, mut stream: RankStream) -> io::Result<()> 
         unreachable!("validate_rejoin only accepts Rejoin");
     };
     let mut writer = stream.try_clone()?;
+    let our_token = link.recvd.load(Ordering::Acquire);
     write_ctl(
         &mut writer,
         &CtlMsg::RejoinOk {
-            resume_token: link.recvd.load(Ordering::Acquire),
+            resume_token: our_token,
         },
     )?;
     {
@@ -2108,7 +2098,7 @@ fn handle_rejoin(state: &ParentState, mut stream: RankStream) -> io::Result<()> 
         link.frozen.store(false, Ordering::Release);
     }
     stream.set_read_timeout(None)?;
-    *lock(&link.pending_reader) = Some(stream);
+    *lock(&link.pending_reader) = Some((stream, our_token));
     // Every link gets a fresh liveness stamp, not just the healed one:
     // the barrier hold stalled the peers' reader threads, so their
     // stale `last_seen` says nothing about their ranks.
@@ -2195,11 +2185,8 @@ fn add_ledger(sum: &mut CtlLedger, one: &CtlLedger) {
     sum.faults_injected += one.faults_injected;
     sum.barrier_timeouts += one.barrier_timeouts;
     sum.frames_sent += one.frames_sent;
-    sum.retransmits += one.retransmits;
-    sum.dups_dropped += one.dups_dropped;
     sum.corrupt_frames += one.corrupt_frames;
     sum.backpressure_waits += one.backpressure_waits;
-    sum.frames_lost += one.frames_lost;
 }
 
 /// Runs one attempt with every rank in its own OS process — the
@@ -2233,7 +2220,6 @@ pub(crate) fn run_process_attempt(
             count: 0,
             staged_generation: None,
         }),
-        exchange_total: AtomicU64::new(0),
         reports: Mutex::new((0..p).map(|_| None).collect()),
         deaths: Mutex::new(vec![None; p]),
         store: machine
@@ -2252,15 +2238,8 @@ pub(crate) fn run_process_attempt(
         shutdown: AtomicBool::new(false),
     };
 
-    // Superstep-0 kills: the rank never gets to run a superstep.
-    for spec in &cfg.kills {
-        if spec.attempt == attempt && spec.superstep == 0 && spec.rank < p {
-            state.kill(spec.rank);
-        }
-    }
-    // Superstep-0 link faults: severed right after the handshake, like
-    // the kills above — the rank heals before (or while) running its
-    // first superstep.
+    // Superstep-0 link faults: severed right after the handshake — the
+    // rank heals before (or while) running its first superstep.
     for fault in &cfg.link_faults {
         if fault.attempt == attempt && fault.superstep == 0 && fault.rank < p {
             state.sever(fault.rank, fault.kind);
@@ -2333,7 +2312,6 @@ pub(crate) fn run_process_attempt(
         &ledger_sum,
         state.ckpt_written.load(Ordering::Relaxed),
         state.ckpt_bytes.load(Ordering::Relaxed),
-        0,
     );
     if machine.telemetry.is_enabled() {
         let t = &machine.telemetry;
@@ -2629,16 +2607,6 @@ mod tests {
         );
         // The timeout poisoned the run — later waits fail fast.
         assert!(hub.is_poisoned());
-        drop(theirs);
-    }
-
-    #[test]
-    fn exchange_totals_are_monotonic_under_reordered_broadcasts() {
-        let (ours, theirs) = UnixStream::pair().expect("socketpair");
-        let hub = RemoteHub::new(RankStream::Unix(ours), None);
-        hub.absorb(CtlMsg::ExchangeTotal { total: 3 });
-        hub.absorb(CtlMsg::ExchangeTotal { total: 2 });
-        assert_eq!(hub.exchange_total(), 3);
         drop(theirs);
     }
 

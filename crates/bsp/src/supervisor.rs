@@ -11,10 +11,8 @@
 //! supervisor leans on this three times:
 //!
 //! * it retries failed attempts — including
-//!   [`EvalError::TransportFailure`]s, where a lossy transport's
-//!   retransmission budget ran out (the retry typically runs with the
-//!   chaos disarmed, see
-//!   [`crate::transport::LossyConfig::armed_attempts`]),
+//!   [`EvalError::TransportFailure`]s, where a dead rank process or a
+//!   frame the exchange refused ended the attempt,
 //! * when the machine checkpoints (see [`crate::checkpoint`]), a
 //!   retry *resumes* from the latest valid checkpoint instead of
 //!   restarting, replaying only the supersteps past the cut —
@@ -558,33 +556,6 @@ mod tests {
         assert_eq!(tel.counter_value("bsp.checkpoints_corrupt"), 0);
         // The resumed value matches the oracle (checked inside run).
         assert_eq!(out.outcome.supersteps, 3);
-    }
-
-    #[test]
-    fn transport_failure_is_recovered_on_the_clean_retry() {
-        use crate::transport::{LossyConfig, NetTuning, TransportConfig};
-        // Attempt 0 runs on a transport that loses every frame: the
-        // retransmit budget runs out and the attempt fails loudly with
-        // TransportFailure. `armed_attempts(1)` disarms the chaos for
-        // the retry, which runs on the clean fast path and converges.
-        let e = parse(PUT).unwrap();
-        let machine = DistMachine::new(4)
-            .with_transport(TransportConfig::Lossy(
-                LossyConfig::new(11).drop(1000).armed_attempts(1),
-            ))
-            .with_net_tuning(NetTuning {
-                retransmit_after: 2,
-                retransmit_budget: 3,
-                poll_sleep: Duration::ZERO,
-                ..NetTuning::default()
-            });
-        let out = supervisor(machine).run(&e).unwrap();
-        assert_eq!(out.attempts, 2);
-        assert!(matches!(
-            out.recovered[0],
-            EvalError::TransportFailure { .. }
-        ));
-        assert_eq!(out.outcome.value.to_string(), "<|0, 2, 4, 6|>");
     }
 
     #[test]

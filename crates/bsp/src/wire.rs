@@ -1,28 +1,28 @@
 //! The wire protocol of the distributed backend: length-prefixed,
-//! checksummed frames carrying one `put` message, one `if‥at‥`
-//! broadcast, or one acknowledgement between two ranks.
+//! checksummed frames carrying one `put` message or one `if‥at‥`
+//! broadcast between two ranks.
 //!
 //! This is the layer every transport speaks (see [`crate::transport`])
-//! and the layer the reliable-delivery protocol reasons about
-//! (DESIGN.md §10). A frame is self-delimiting and self-validating:
+//! and the layer the exchange loop checks (DESIGN.md §10). A frame is
+//! self-delimiting and self-validating:
 //!
 //! ```text
 //! frame :=
 //!     len       u32   bytes following this prefix (header + payload + trailer)
-//!     kind      u8    0 = Put data, 1 = IfAt data, 2 = Ack
+//!     kind      u8    0 = Put data, 1 = IfAt data (2 is retired)
 //!     from      u32   sending rank
 //!     superstep u64   the sender's superstep when the frame was built
 //!     seq       u64   per-(sender → receiver)-link sequence number
 //!     lamport   u64   the sender's Lamport clock when the frame was stamped
-//!     payload         Put: one encoded PortableValue · IfAt: u8 bool · Ack: empty
+//!     payload         Put: one encoded PortableValue · IfAt: u8 bool
 //!     checksum  u64   FNV-1a over every preceding byte (prefix included)
 //! ```
 //!
 //! All integers are little-endian. The decoder rejects — with an error,
 //! never a panic — truncated frames, length-prefix mismatches, checksum
 //! mismatches (any single bit flip is caught), unknown tags and
-//! trailing garbage; the reliable layer treats every rejection as a
-//! lost frame, so corruption degrades into retransmission.
+//! trailing garbage; the exchange loop fails the run on every
+//! rejection, so a corrupted frame is never mistaken for data.
 //!
 //! The [`PortableValue`] codec here is also the one checkpoint frames
 //! embed ([`crate::checkpoint`]) — one serialized form on the wire and
@@ -294,14 +294,11 @@ pub enum FramePayload {
     Put(PortableValue),
     /// The broadcast boolean of an `if‥at‥`.
     IfAt(bool),
-    /// An acknowledgement of the data frame with the same `seq` on the
-    /// reverse link; `from` is the *acknowledging* rank.
-    Ack,
 }
 
 const KIND_PUT: u8 = 0;
 const KIND_IFAT: u8 = 1;
-const KIND_ACK: u8 = 2;
+// Kind 2 (the retired acknowledgement) stays unused.
 
 /// One unit of communication between two ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -309,17 +306,14 @@ pub struct Frame {
     /// The sending rank.
     pub from: usize,
     /// The sender's superstep when the frame was built (diagnostic —
-    /// delivery and duplicate suppression key on `seq`).
+    /// delivery keys on `seq`).
     pub superstep: u64,
-    /// Per-(sender → receiver)-link sequence number. Data frames use
-    /// the sender's counter for that link; an ack echoes the sequence
-    /// number it acknowledges.
+    /// Per-(sender → receiver)-link sequence number: the sender's
+    /// counter for that link.
     pub seq: u64,
-    /// The sender's Lamport clock when the frame was *stamped* (built).
-    /// A retransmission reuses the original bytes — same stamp, same
-    /// logical message — so cross-rank causality (every receive
-    /// happens-after its send) is reconstructable from a trace of
-    /// stamps alone (DESIGN.md §12).
+    /// The sender's Lamport clock when the frame was *stamped* (built),
+    /// so cross-rank causality (every receive happens-after its send)
+    /// is reconstructable from a trace of stamps alone (DESIGN.md §12).
     pub lamport: u64,
     /// The payload.
     pub payload: FramePayload,
@@ -334,7 +328,6 @@ impl Frame {
         match &self.payload {
             FramePayload::Put(_) => out.push(KIND_PUT),
             FramePayload::IfAt(_) => out.push(KIND_IFAT),
-            FramePayload::Ack => out.push(KIND_ACK),
         }
         out.extend_from_slice(&u32::try_from(self.from).unwrap_or(u32::MAX).to_le_bytes());
         put_u64(&mut out, self.superstep);
@@ -343,7 +336,6 @@ impl Frame {
         match &self.payload {
             FramePayload::Put(v) => encode_value(&mut out, v),
             FramePayload::IfAt(b) => out.push(u8::from(*b)),
-            FramePayload::Ack => {}
         }
         let len = u32::try_from(out.len() - 4 + 8).expect("frames fit in u32");
         out[0..4].copy_from_slice(&len.to_le_bytes());
@@ -356,8 +348,7 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Any [`WireError`]; the caller treats the frame as lost (the
-    /// sender's retransmission repairs it).
+    /// Any [`WireError`]; the exchange loop fails the run on it.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
         let mut r = Reader::new(bytes);
         let claimed = u64::from(r.u32()?);
@@ -381,7 +372,6 @@ impl Frame {
         let payload = match kind {
             KIND_PUT => FramePayload::Put(decode_value(&mut r)?),
             KIND_IFAT => FramePayload::IfAt(r.u8()? != 0),
-            KIND_ACK => FramePayload::Ack,
             tag => return Err(WireError::UnknownTag(tag)),
         };
         if r.remaining() != 0 {
@@ -407,7 +397,7 @@ pub const CTL_MAGIC: u64 = u64::from_le_bytes(*b"BSMLCTL1");
 
 /// Version of the control protocol. A `Hello` carrying any other
 /// version is rejected during the handshake — never negotiated.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one control frame (64 MiB). A stream reader rejects
 /// a larger length prefix *before* allocating, so a corrupt or hostile
@@ -433,27 +423,21 @@ pub struct CtlStats {
 
 /// A snapshot of one rank's fault ledger, shipped home in a
 /// [`CtlMsg::Done`] or [`CtlMsg::Fatal`] so process-mode runs report
-/// the same reliability counters (`net.frames_sent`, `net.retransmits`,
-/// …) as in-process runs. Checkpoint counters are absent: in process
-/// mode the *parent* stages and commits cuts, and counts them itself.
+/// the same transport counters (`net.frames_sent`, …) as in-process
+/// runs. Checkpoint counters are absent: in process mode the *parent*
+/// stages and commits cuts, and counts them itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CtlLedger {
     /// Plan faults this rank fired.
     pub faults_injected: u64,
     /// Barrier/exchange deadlines this rank hit.
     pub barrier_timeouts: u64,
-    /// Frames handed to the transport (data + acks + retransmissions).
+    /// Data frames handed to the transport.
     pub frames_sent: u64,
-    /// Retransmissions of unacked data frames.
-    pub retransmits: u64,
-    /// Received frames suppressed by sequence number.
-    pub dups_dropped: u64,
     /// Received frames rejected by the wire decoder.
     pub corrupt_frames: u64,
     /// `try_send` refusals that made the sender drain and retry.
     pub backpressure_waits: u64,
-    /// Plan-injected in-flight losses swallowed by the reliable layer.
-    pub frames_lost: u64,
 }
 
 /// One message on a parent⇄child control stream.
@@ -465,10 +449,10 @@ pub struct CtlLedger {
 /// truncation, length mismatches, checksum mismatches, unknown tags
 /// and trailing garbage.
 ///
-/// Direction conventions: `Hello`/`Data`/`ExchangeDone`/`BarrierEnter`
-/// /`Fatal`/`Done`/`Pong`/`Rejoin` flow child → parent; `Welcome`/
-/// `Reject`/`Deliver`/`ExchangeTotal`/`BarrierRelease`/`Ping`/
-/// `RejoinOk` flow parent → child; `Poison` flows both ways.
+/// Direction conventions: `Hello`/`Data`/`BarrierEnter`/`Fatal`/
+/// `Done`/`Pong`/`Rejoin` flow child → parent; `Welcome`/`Reject`/
+/// `Deliver`/`BarrierRelease`/`Ping`/`RejoinOk` flow parent → child;
+/// `Poison` flows both ways.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtlMsg {
     /// First message on a new connection: the child identifies itself.
@@ -497,14 +481,6 @@ pub enum CtlMsg {
         fuel: u64,
         /// Barrier/exchange deadline in milliseconds; `0` = none.
         barrier_timeout_ms: u64,
-        /// Reliable-exchange tuning: per-peer mailbox capacity.
-        mailbox_capacity: u64,
-        /// Polls before an unacked frame is retransmitted.
-        retransmit_after: u64,
-        /// Retransmissions allowed per exchange.
-        retransmit_budget: u64,
-        /// Idle-poll sleep in microseconds.
-        poll_sleep_us: u64,
         /// Checkpoint every k supersteps; `0` = checkpointing off.
         checkpoint_interval: u64,
         /// Flight-recorder ring capacity; `0` = recorder off.
@@ -541,14 +517,6 @@ pub enum CtlMsg {
         /// The encoded frame.
         frame: Vec<u8>,
     },
-    /// Child → parent: this rank finished draining an exchange (the
-    /// socket-mode carrier of the in-process `exchanges_done` counter).
-    ExchangeDone,
-    /// Parent → child: the global count of finished exchange phases.
-    ExchangeTotal {
-        /// Total `ExchangeDone`s the parent has seen.
-        total: u64,
-    },
     /// Child → parent: this rank reached the superstep exit barrier.
     BarrierEnter {
         /// The superstep being exited.
@@ -570,7 +538,7 @@ pub enum CtlMsg {
     Fatal {
         /// The rank's structured error.
         error: EvalError,
-        /// Final reliability counters.
+        /// Final transport counters.
         ledger: CtlLedger,
         /// Events the bounded recorder discarded.
         flight_dropped: u64,
@@ -585,7 +553,7 @@ pub enum CtlMsg {
         stats: CtlStats,
         /// Fuel consumed.
         work: u64,
-        /// Final reliability counters.
+        /// Final transport counters.
         ledger: CtlLedger,
         /// Events the bounded recorder discarded.
         flight_dropped: u64,
@@ -637,8 +605,7 @@ const CTL_WELCOME: u8 = 1;
 const CTL_REJECT: u8 = 2;
 const CTL_DATA: u8 = 3;
 const CTL_DELIVER: u8 = 4;
-const CTL_EXCHANGE_DONE: u8 = 5;
-const CTL_EXCHANGE_TOTAL: u8 = 6;
+// Tags 5 and 6 (the retired exchange-completion round) stay unused.
 const CTL_BARRIER_ENTER: u8 = 7;
 const CTL_BARRIER_RELEASE: u8 = 8;
 const CTL_POISON: u8 = 9;
@@ -824,11 +791,8 @@ fn encode_ledger(out: &mut Vec<u8>, l: &CtlLedger) {
         l.faults_injected,
         l.barrier_timeouts,
         l.frames_sent,
-        l.retransmits,
-        l.dups_dropped,
         l.corrupt_frames,
         l.backpressure_waits,
-        l.frames_lost,
     ] {
         put_u64(out, v);
     }
@@ -839,11 +803,8 @@ fn decode_ledger(r: &mut Reader<'_>) -> Result<CtlLedger, WireError> {
         faults_injected: r.u64()?,
         barrier_timeouts: r.u64()?,
         frames_sent: r.u64()?,
-        retransmits: r.u64()?,
-        dups_dropped: r.u64()?,
         corrupt_frames: r.u64()?,
         backpressure_waits: r.u64()?,
-        frames_lost: r.u64()?,
     })
 }
 
@@ -903,10 +864,6 @@ impl CtlMsg {
                 program,
                 fuel,
                 barrier_timeout_ms,
-                mailbox_capacity,
-                retransmit_after,
-                retransmit_budget,
-                poll_sleep_us,
                 checkpoint_interval,
                 flight_capacity,
                 heartbeat_ms,
@@ -920,10 +877,6 @@ impl CtlMsg {
                 for v in [
                     *fuel,
                     *barrier_timeout_ms,
-                    *mailbox_capacity,
-                    *retransmit_after,
-                    *retransmit_budget,
-                    *poll_sleep_us,
                     *checkpoint_interval,
                     *flight_capacity,
                     *heartbeat_ms,
@@ -956,11 +909,6 @@ impl CtlMsg {
             CtlMsg::Deliver { frame } => {
                 out.push(CTL_DELIVER);
                 put_bytes(&mut out, frame);
-            }
-            CtlMsg::ExchangeDone => out.push(CTL_EXCHANGE_DONE),
-            CtlMsg::ExchangeTotal { total } => {
-                out.push(CTL_EXCHANGE_TOTAL);
-                put_u64(&mut out, *total);
             }
             CtlMsg::BarrierEnter { superstep, staged } => {
                 out.push(CTL_BARRIER_ENTER);
@@ -1079,10 +1027,6 @@ impl CtlMsg {
                 let program = read_string(&mut r)?;
                 let fuel = r.u64()?;
                 let barrier_timeout_ms = r.u64()?;
-                let mailbox_capacity = r.u64()?;
-                let retransmit_after = r.u64()?;
-                let retransmit_budget = r.u64()?;
-                let poll_sleep_us = r.u64()?;
                 let checkpoint_interval = r.u64()?;
                 let flight_capacity = r.u64()?;
                 let heartbeat_ms = r.u64()?;
@@ -1102,10 +1046,6 @@ impl CtlMsg {
                     program,
                     fuel,
                     barrier_timeout_ms,
-                    mailbox_capacity,
-                    retransmit_after,
-                    retransmit_budget,
-                    poll_sleep_us,
                     checkpoint_interval,
                     flight_capacity,
                     heartbeat_ms,
@@ -1125,8 +1065,6 @@ impl CtlMsg {
             CTL_DELIVER => CtlMsg::Deliver {
                 frame: read_bytes(&mut r)?.to_vec(),
             },
-            CTL_EXCHANGE_DONE => CtlMsg::ExchangeDone,
-            CTL_EXCHANGE_TOTAL => CtlMsg::ExchangeTotal { total: r.u64()? },
             CTL_BARRIER_ENTER => CtlMsg::BarrierEnter {
                 superstep: r.u64()?,
                 staged: match r.u8()? {
@@ -1254,7 +1192,7 @@ mod tests {
                 superstep: u64::MAX,
                 seq: u64::MAX,
                 lamport: u64::MAX,
-                payload: FramePayload::Ack,
+                payload: FramePayload::IfAt(false),
             },
         ] {
             assert_eq!(Frame::decode(&f.encode()), Ok(f));
@@ -1330,10 +1268,6 @@ mod tests {
                 program: "put (mkpar (fun i -> fun d -> i))".to_string(),
                 fuel: 1_000_000,
                 barrier_timeout_ms: 30_000,
-                mailbox_capacity: 256,
-                retransmit_after: 25,
-                retransmit_budget: 600,
-                poll_sleep_us: 100,
                 checkpoint_interval: 2,
                 flight_capacity: 4096,
                 heartbeat_ms: 500,
@@ -1376,8 +1310,6 @@ mod tests {
             CtlMsg::Deliver {
                 frame: sample().encode(),
             },
-            CtlMsg::ExchangeDone,
-            CtlMsg::ExchangeTotal { total: 42 },
             CtlMsg::BarrierEnter {
                 superstep: 9,
                 staged: Some(vec![9, 9, 9]),
@@ -1454,7 +1386,10 @@ mod tests {
     fn every_ctl_bit_flip_is_rejected() {
         // One representative per direction keeps the quadratic scan
         // affordable; the checksum argument is the same for all tags.
-        for msg in [CtlMsg::hello(7, 0, 4), CtlMsg::ExchangeTotal { total: 9 }] {
+        for msg in [
+            CtlMsg::hello(7, 0, 4),
+            CtlMsg::BarrierRelease { superstep: 9 },
+        ] {
             let bytes = msg.encode();
             for i in 0..bytes.len() {
                 for bit in 0..8 {

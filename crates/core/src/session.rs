@@ -23,9 +23,7 @@
 //! and subsequent phrases continue against the last good environment.
 
 use bsml_ast::{Expr, Ident};
-use bsml_bsp::{
-    BspMachine, BspParams, CheckpointPolicy, CostSummary, Execution, RunReport, TransportConfig,
-};
+use bsml_bsp::{BspMachine, BspParams, CheckpointPolicy, CostSummary, Execution, RunReport};
 use bsml_eval::{Env, EvalError, Snapshot, Value};
 use bsml_infer::{Inferencer, TypeEnv};
 use bsml_obs::{MetricsSnapshot, Telemetry};
@@ -200,7 +198,6 @@ pub struct Session {
     total: CostSummary,
     telemetry: Telemetry,
     checkpoint_policy: Option<CheckpointPolicy>,
-    transport: TransportConfig,
     execution: Execution,
     flight_capacity: Option<usize>,
 }
@@ -273,7 +270,6 @@ impl Session {
             total: CostSummary::default(),
             telemetry,
             checkpoint_policy: None,
-            transport: TransportConfig::default(),
             execution: Execution::default(),
             flight_capacity: None,
         }
@@ -298,38 +294,15 @@ impl Session {
         self.checkpoint_policy
     }
 
-    /// Configures the message transport this session *advertises* for
+    /// Configures the rank placement this session *advertises* for
     /// distributed execution, mirroring
     /// [`with_checkpoint_policy`](Session::with_checkpoint_policy):
     /// frontends that hand phrases to a `bsml_bsp::DistMachine` read
-    /// it via [`transport()`](Session::transport) and pass it to
-    /// `DistMachine::with_transport`. The default is the lossless
-    /// shared-memory fast path; a seeded
-    /// [`TransportConfig::Lossy`] subjects distributed runs to
-    /// reliable delivery over a chaotic network.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportConfig) -> Session {
-        self.transport = transport;
-        self
-    }
-
-    /// The configured distributed-execution transport.
-    #[must_use]
-    pub fn transport(&self) -> &TransportConfig {
-        &self.transport
-    }
-
-    /// Configures the rank placement this session *advertises* for
-    /// distributed execution, mirroring
-    /// [`with_transport`](Session::with_transport): frontends that
-    /// hand phrases to a `bsml_bsp::DistMachine` read it via
-    /// [`execution()`](Session::execution) and pass it to
+    /// it via [`execution()`](Session::execution) and pass it to
     /// `DistMachine::with_execution`. The default runs every rank as
     /// an OS thread in-process; [`Execution::Processes`] runs each
     /// rank as its own OS process over a Unix-domain socket, where
-    /// rank death is real and survivable. Note the transport
-    /// configuration is ignored under `Processes` — the socket
-    /// substrate is lossless.
+    /// rank death is real and survivable.
     #[must_use]
     pub fn with_execution(mut self, execution: Execution) -> Session {
         self.execution = execution;
@@ -344,9 +317,9 @@ impl Session {
 
     /// Configures the flight-recorder ring capacity this session
     /// *advertises* for distributed execution, mirroring
-    /// [`with_transport`](Session::with_transport): frontends that
-    /// hand phrases to a `bsml_bsp::DistMachine` read it via
-    /// [`flight_capacity()`](Session::flight_capacity) and pass it to
+    /// [`with_checkpoint_policy`](Session::with_checkpoint_policy):
+    /// frontends that hand phrases to a `bsml_bsp::DistMachine` read
+    /// it via [`flight_capacity()`](Session::flight_capacity) and pass it to
     /// `DistMachine::with_flight_recorder`, so failed runs leave a
     /// postmortem bundle behind. `None` (the default) defers to the
     /// machine's own `BSML_FLIGHT_CAPACITY` environment knob.
@@ -733,24 +706,6 @@ mod tests {
         assert_eq!(s.checkpoint_policy(), None);
         let s = session().with_checkpoint_policy(CheckpointPolicy::every(4));
         assert_eq!(s.checkpoint_policy().map(|p| p.interval()), Some(4));
-    }
-
-    #[test]
-    fn transport_is_configurable() {
-        use bsml_bsp::LossyConfig;
-        let s = session();
-        assert_eq!(s.transport(), &TransportConfig::SharedMem);
-        let s = session().with_transport(TransportConfig::Lossy(
-            LossyConfig::new(42).drop(100).corrupt(50),
-        ));
-        match s.transport() {
-            TransportConfig::Lossy(cfg) => {
-                assert_eq!(cfg.seed, 42);
-                assert_eq!(cfg.drop_permille, 100);
-                assert_eq!(cfg.corrupt_permille, 50);
-            }
-            other => panic!("expected a lossy transport, got {other:?}"),
-        }
     }
 
     #[test]

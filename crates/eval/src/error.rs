@@ -89,17 +89,16 @@ pub enum EvalError {
         /// What went wrong, for diagnostics.
         detail: String,
     },
-    /// The reliable message-passing transport gave up: a frame was
-    /// retransmitted up to the machine's retransmit budget and never
-    /// acknowledged (the network is lossier than the budget tolerates,
-    /// or the peer stopped servicing its mailbox). Loss *within* the
-    /// budget is repaired silently and never produces this error.
+    /// The message transport failed: an exchange received a frame it
+    /// cannot accept (undecodable, from a non-peer, surplus, or out of
+    /// sequence), or a rank process died or could not be launched.
     TransportFailure {
-        /// The processor whose exchange gave up.
+        /// The processor whose exchange failed, or the rank that died.
         rank: usize,
         /// The superstep whose communication phase failed.
         superstep: u64,
-        /// What was still outstanding when the budget ran out.
+        /// What failed: the frame the exchange refused, or how the
+        /// rank process died.
         detail: String,
     },
 }

@@ -3,10 +3,10 @@
 //! Lamport clock (DESIGN.md §12).
 //!
 //! The recorder is the black box of a distributed attempt. Every rank
-//! records what its reliable-exchange engine and barrier discipline
-//! did — frames sent/received/acked/retransmitted/corrupt-rejected,
-//! barrier enter/exit, checkpoint stage/commit, fault firings,
-//! backpressure waits — at a cost of one short mutex-protected push
+//! records what its exchange engine and barrier discipline did —
+//! frames sent/received/corrupt-rejected, barrier enter/exit,
+//! checkpoint stage/commit, fault firings, backpressure waits — at a
+//! cost of one short mutex-protected push
 //! per event. When the buffer is full the *oldest* event is evicted
 //! (and counted), so a long healthy run keeps only its recent past:
 //! exactly what a postmortem wants. On attempt failure the supervisor
@@ -61,35 +61,8 @@ pub enum FlightEvent {
         /// its send).
         sent_lamport: u64,
     },
-    /// An acknowledgement frame was sent for a received data frame.
-    AckSent {
-        /// The rank being acknowledged.
-        to: u64,
-        /// The acknowledged sequence number.
-        seq: u64,
-    },
-    /// An acknowledgement for one of our in-flight data frames
-    /// arrived.
-    AckReceived {
-        /// The acknowledging rank.
-        from: u64,
-        /// The acknowledged sequence number.
-        seq: u64,
-        /// Exchange-loop poll iterations between first transmission
-        /// and this ack (the logical round-trip time).
-        polls: u64,
-    },
-    /// An unacked data frame was retransmitted (original stamp, new
-    /// transmission).
-    FrameRetransmitted {
-        /// Destination rank.
-        to: u64,
-        /// Per-link sequence number.
-        seq: u64,
-    },
     /// The wire decoder rejected an incoming frame (checksum,
-    /// truncation, bad tag) — treated as lost, repaired by
-    /// retransmission.
+    /// truncation, bad tag) — the exchange then fails the run.
     CorruptRejected,
     /// `try_send` was refused by a full peer mailbox.
     BackpressureWait {

@@ -109,7 +109,7 @@ pub struct FlowRecord {
     /// Flow identifier — ties the start and finish events together.
     /// Unique per flow within one sink.
     pub id: u64,
-    /// Static flow name (e.g. `"put"`, `"ack"`).
+    /// Static flow name (e.g. `"put"`, `"ifat"`).
     pub name: &'static str,
     /// The sending track.
     pub from_track: TrackId,

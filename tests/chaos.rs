@@ -19,7 +19,7 @@ use bsml_bsp::checkpoint::{CheckpointPolicy, MemoryStore};
 use bsml_bsp::distributed::DistMachine;
 use bsml_bsp::faults::{FaultKind, FaultPlan};
 use bsml_bsp::supervisor::Supervisor;
-use bsml_bsp::{BspMachine, BspParams, LossyConfig, NetTuning, TransportConfig};
+use bsml_bsp::{BspMachine, BspParams};
 use bsml_obs::Telemetry;
 use bsml_syntax::parse;
 
@@ -99,22 +99,17 @@ fn chaos_cell(source: &str, supersteps: u64, p: usize, seed: u64) {
         u64::from(out.attempts - 1),
         "{ctx}"
     );
-    // Even the lossless substrate acks every data frame, so the ack
-    // round-trip histogram must be populated — it is the zero point
-    // the lossy grid's latencies are read against.
-    let acks = tel
-        .metrics()
-        .histograms
-        .get("net.ack_latency_polls")
-        .copied()
-        .unwrap_or_default();
-    assert!(
-        acks.count > 0,
-        "{ctx}: net.ack_latency_polls must be populated on a lossless run"
-    );
-    assert!(acks.max >= acks.min, "{ctx}");
     if matches!(fault, FaultKind::Stall { .. }) {
         assert_eq!(out.attempts, 1, "a 1–3 ms stall must not fail: {ctx}");
+    }
+    // A run that needed one attempt puts exactly the h-relation's data
+    // frames on the wire: one per ordered pair of ranks per superstep.
+    if out.attempts == 1 {
+        assert_eq!(
+            tel.counter_value("net.frames_sent"),
+            (p * (p - 1)) as u64 * supersteps,
+            "{ctx}"
+        );
     }
 }
 
@@ -284,200 +279,6 @@ fn checkpointed_crashes_replay_exactly_s_mod_k_supersteps() {
                 checkpoint_cell(&e, p, rank, s, k);
             }
         }
-    }
-}
-
-// --- reliable delivery under a lossy transport (DESIGN.md §10) --------
-
-/// The headline perturbation rate (permille) of the lossy grid. The
-/// CI `transport-chaos` matrix sweeps it via `CHAOS_LOSS_PERMILLE`;
-/// locally (unset) the grid runs at the acceptance bar of 20%.
-fn loss_permille() -> u16 {
-    std::env::var("CHAOS_LOSS_PERMILLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
-}
-
-/// Runs one lossy-grid cell under the supervisor (its lockstep-oracle
-/// cross-check stays on) with a deliberately short watchdog, asserts
-/// the run converged on the **first** attempt — the reliable layer,
-/// not the retry ladder, must absorb in-budget loss — and returns the
-/// telemetry for accounting assertions.
-fn lossy_cell(source: &str, p: usize, cfg: LossyConfig, ctx: &str) -> Telemetry {
-    let e = parse(source).unwrap();
-    let (expected_value, expected_supersteps) = oracle(&e, p);
-    let tel = Telemetry::enabled_logical();
-    let machine = DistMachine::new(p)
-        .with_transport(TransportConfig::Lossy(cfg))
-        .with_barrier_timeout(Duration::from_secs(5));
-    let out = Supervisor::new(machine)
-        .with_backoff(Duration::ZERO)
-        .with_telemetry(tel.clone())
-        .run(&e)
-        .unwrap_or_else(|err| panic!("{ctx}: {err}"));
-    assert_eq!(
-        out.attempts, 1,
-        "{ctx}: retransmission must absorb in-budget loss without a retry"
-    );
-    assert_eq!(out.outcome.value.to_string(), expected_value, "{ctx}");
-    assert_eq!(out.outcome.supersteps, expected_supersteps, "{ctx}");
-    tel
-}
-
-#[test]
-fn lossy_transport_grid_converges_without_retries() {
-    // The acceptance grid: program × p × seed, with every perturbation
-    // (drop, reorder, duplicate, corrupt, delay) armed at once. Each
-    // cell must terminate with the oracle's exact value and zero
-    // supervisor retries.
-    let rate = loss_permille();
-    let base = seed_base() * SEEDS_PER_BASE;
-    for &(source, _) in PROGRAMS {
-        for p in [2usize, 4] {
-            for seed in base..base + 4 {
-                let cfg = LossyConfig::new(seed ^ 0xC4A0_5EED)
-                    .drop(rate)
-                    .reorder(rate)
-                    .duplicate(rate)
-                    .corrupt(rate)
-                    .delay(rate);
-                let ctx = format!("p={p} seed={seed} rate={rate}‰");
-                lossy_cell(source, p, cfg, &ctx);
-            }
-        }
-    }
-}
-
-#[test]
-fn dropped_frames_are_retransmitted_and_accounted() {
-    // Drop-only cells, exact accounting: a frame needing N
-    // transmissions to get through was dropped N−1 times, and every
-    // arrived data transmission is acked — so across the run,
-    // injected drops never exceed retransmissions.
-    let base = seed_base() * SEEDS_PER_BASE;
-    for seed in base..base + 4 {
-        let ctx = format!("drop-only seed={seed}");
-        let tel = lossy_cell(
-            EXCHANGE_2,
-            4,
-            LossyConfig::new(seed ^ 0xD809).drop(250),
-            &ctx,
-        );
-        let lost = tel.counter_value("net.frames_lost");
-        let retransmits = tel.counter_value("net.retransmits");
-        assert!(
-            retransmits >= lost,
-            "{ctx}: {lost} frames lost but only {retransmits} retransmissions"
-        );
-        assert!(tel.counter_value("net.frames_sent") > 0, "{ctx}");
-        assert_eq!(tel.counter_value("net.corrupt_frames"), 0, "{ctx}");
-    }
-}
-
-#[test]
-fn reordering_and_delay_alone_cause_no_duplicates() {
-    // With nothing lost and a patient retransmission deadline, delayed
-    // and reordered frames are simply awaited: no retransmissions, so
-    // nothing to suppress as duplicate and nothing corrupt — the
-    // suppression counters must be exactly zero.
-    let e = parse(EXCHANGE_2).unwrap();
-    let (expected_value, _) = oracle(&e, 4);
-    let base = seed_base() * SEEDS_PER_BASE;
-    for seed in base..base + 4 {
-        let tel = Telemetry::enabled_logical();
-        let machine = DistMachine::new(4)
-            .with_transport(TransportConfig::Lossy(
-                LossyConfig::new(seed ^ 0xF00D).reorder(400).delay(400),
-            ))
-            .with_net_tuning(NetTuning {
-                // Patient: a delayed frame (it surfaces within a few
-                // polls) never looks lost, keeping the assertion exact.
-                retransmit_after: 10_000,
-                ..NetTuning::default()
-            })
-            .with_barrier_timeout(Duration::from_secs(5))
-            .with_telemetry(tel.clone());
-        let out = machine
-            .run(&e)
-            .unwrap_or_else(|err| panic!("seed={seed}: {err}"));
-        assert_eq!(out.value.to_string(), expected_value, "seed={seed}");
-        assert_eq!(tel.counter_value("net.retransmits"), 0, "seed={seed}");
-        assert_eq!(tel.counter_value("net.dups_dropped"), 0, "seed={seed}");
-        assert_eq!(tel.counter_value("net.corrupt_frames"), 0, "seed={seed}");
-        assert_eq!(tel.counter_value("net.frames_lost"), 0, "seed={seed}");
-    }
-}
-
-#[test]
-fn out_of_budget_loss_fails_loudly_and_supervisor_recovers() {
-    // Total loss exhausts the retransmit budget: the attempt fails
-    // with TransportFailure — never a hang, never a wrong answer. With
-    // the chaos armed only for attempt 0, the supervised retry runs on
-    // the clean fast path and converges.
-    let e = parse(EXCHANGE_1).unwrap();
-    let (expected_value, _) = oracle(&e, 4);
-    let machine = DistMachine::new(4)
-        .with_transport(TransportConfig::Lossy(
-            LossyConfig::new(99).drop(1000).armed_attempts(1),
-        ))
-        .with_net_tuning(NetTuning {
-            retransmit_after: 2,
-            retransmit_budget: 5,
-            poll_sleep: Duration::ZERO,
-            ..NetTuning::default()
-        })
-        .with_barrier_timeout(Duration::from_secs(10));
-    let out = Supervisor::new(machine)
-        .with_backoff(Duration::ZERO)
-        .run(&e)
-        .unwrap();
-    assert_eq!(out.attempts, 2);
-    assert!(
-        matches!(
-            out.recovered[0],
-            bsml_eval::EvalError::TransportFailure { .. }
-        ),
-        "expected a TransportFailure, got {:?}",
-        out.recovered
-    );
-    assert_eq!(out.outcome.value.to_string(), expected_value);
-}
-
-#[test]
-fn lossy_transport_composes_with_checkpoint_resume() {
-    // A crash under a lossy transport: attempt 0 heals frame loss via
-    // retransmission right up to the injected crash at superstep 3,
-    // the retry resumes from the committed generation 2 (k = 2), and
-    // the resumed attempt — chaos still armed, reseeded per attempt —
-    // replays the cut and converges through the lossy network.
-    let e = parse(EXCHANGE_5).unwrap();
-    let p = 4;
-    let (expected_value, expected_supersteps) = oracle(&e, p);
-    let base = seed_base() * SEEDS_PER_BASE;
-    for seed in base..base + 2 {
-        let ctx = format!("seed={seed}");
-        let tel = Telemetry::enabled_logical();
-        let machine = DistMachine::new(p)
-            .with_faults(FaultPlan::new().crash(2, 3))
-            .with_transport(TransportConfig::Lossy(
-                LossyConfig::new(seed ^ 0xBEEF)
-                    .drop(150)
-                    .duplicate(150)
-                    .corrupt(150),
-            ))
-            .with_barrier_timeout(Duration::from_secs(10))
-            .with_checkpoints(CheckpointPolicy::every(2), Arc::new(MemoryStore::new()));
-        let out = Supervisor::new(machine)
-            .with_backoff(Duration::ZERO)
-            .with_telemetry(tel.clone())
-            .run(&e)
-            .unwrap_or_else(|err| panic!("{ctx}: {err}"));
-        assert_eq!(out.attempts, 2, "{ctx}");
-        assert_eq!(out.outcome.resumed_from, Some(2), "{ctx}");
-        assert_eq!(out.outcome.value.to_string(), expected_value, "{ctx}");
-        assert_eq!(out.outcome.supersteps, expected_supersteps, "{ctx}");
-        assert_eq!(tel.counter_value("bsp.checkpoints_corrupt"), 0, "{ctx}");
     }
 }
 

@@ -28,11 +28,6 @@ fn event() -> impl Strategy<Value = FlightEvent> {
                 sent_lamport
             }
         ),
-        (any::<u64>(), any::<u64>()).prop_map(|(to, seq)| FlightEvent::AckSent { to, seq }),
-        (any::<u64>(), any::<u64>(), any::<u64>())
-            .prop_map(|(from, seq, polls)| FlightEvent::AckReceived { from, seq, polls }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(to, seq)| FlightEvent::FrameRetransmitted { to, seq }),
         Just(FlightEvent::CorruptRejected),
         any::<u64>().prop_map(|to| FlightEvent::BackpressureWait { to }),
         any::<u64>().prop_map(|superstep| FlightEvent::BarrierEnter { superstep }),

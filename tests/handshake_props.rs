@@ -105,15 +105,12 @@ fn ctl_stats() -> impl Strategy<Value = CtlStats> {
 }
 
 fn ctl_ledger() -> impl Strategy<Value = CtlLedger> {
-    vec(any::<u64>(), 8..9).prop_map(|v| CtlLedger {
+    vec(any::<u64>(), 5..6).prop_map(|v| CtlLedger {
         faults_injected: v[0],
         barrier_timeouts: v[1],
         frames_sent: v[2],
-        retransmits: v[3],
-        dups_dropped: v[4],
-        corrupt_frames: v[5],
-        backpressure_waits: v[6],
-        frames_lost: v[7],
+        corrupt_frames: v[3],
+        backpressure_waits: v[4],
     })
 }
 
@@ -121,7 +118,8 @@ fn flight_events() -> impl Strategy<Value = Vec<TimedFlightEvent>> {
     let event = prop_oneof![
         any::<u64>().prop_map(|superstep| FlightEvent::BarrierEnter { superstep }),
         any::<u64>().prop_map(|superstep| FlightEvent::BarrierExit { superstep }),
-        (any::<u64>(), any::<u64>()).prop_map(|(to, seq)| FlightEvent::AckSent { to, seq }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(rank, superstep)| FlightEvent::LinkDown { rank, superstep }),
     ];
     vec(
         (any::<u64>(), event).prop_map(|(lamport, event)| TimedFlightEvent { lamport, event }),
@@ -133,7 +131,7 @@ fn welcome() -> impl Strategy<Value = CtlMsg> {
     (
         TEXT,
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        vec(any::<u64>(), 6..7),
+        (any::<u64>(), any::<u64>()),
         any::<u32>(),
         vec(fault(), 0..3),
         maybe_bytes(),
@@ -142,7 +140,7 @@ fn welcome() -> impl Strategy<Value = CtlMsg> {
             |(
                 program,
                 (fuel, barrier_timeout_ms, checkpoint_interval, flight_capacity),
-                t,
+                (heartbeat_ms, link_grace_ms),
                 attempt,
                 faults,
                 resume_frame,
@@ -151,14 +149,10 @@ fn welcome() -> impl Strategy<Value = CtlMsg> {
                     program,
                     fuel,
                     barrier_timeout_ms,
-                    mailbox_capacity: t[0],
-                    retransmit_after: t[1],
-                    retransmit_budget: t[2],
-                    poll_sleep_us: t[3],
                     checkpoint_interval,
                     flight_capacity,
-                    heartbeat_ms: t[4],
-                    link_grace_ms: t[5],
+                    heartbeat_ms,
+                    link_grace_ms,
                     attempt,
                     faults,
                     resume_frame,
@@ -186,8 +180,6 @@ fn ctl_msg() -> impl Strategy<Value = CtlMsg> {
         TEXT.prop_map(|reason| CtlMsg::Reject { reason }),
         (0usize..64, vec(any::<u8>(), 0..64)).prop_map(|(dst, frame)| CtlMsg::Data { dst, frame }),
         vec(any::<u8>(), 0..64).prop_map(|frame| CtlMsg::Deliver { frame }),
-        Just(CtlMsg::ExchangeDone),
-        any::<u64>().prop_map(|total| CtlMsg::ExchangeTotal { total }),
         (any::<u64>(), maybe_bytes())
             .prop_map(|(superstep, staged)| CtlMsg::BarrierEnter { superstep, staged }),
         any::<u64>().prop_map(|superstep| CtlMsg::BarrierRelease { superstep }),

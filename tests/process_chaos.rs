@@ -7,10 +7,9 @@
 //! replayed, and a rank that never connects must surface as a
 //! handshake timeout, never a hang.
 //!
-//! One in-process assertion is dropped here: the
-//! `net.ack_latency_polls` histogram is per-rank telemetry, and rank
-//! processes run with telemetry disabled (counters still reconcile —
-//! they ship home in the `Done`/`Fatal` control frames).
+//! Rank processes run with telemetry disabled; their counters still
+//! reconcile, because they ship home in the `Done`/`Fatal` control
+//! frames.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -128,8 +127,14 @@ fn socket_runs_match_the_lockstep_oracle_and_the_thread_backend() {
         let e = parse(source).unwrap();
         for p in [2usize, 4] {
             let (expected_value, expected_supersteps) = oracle(&e, p);
-            let threads = DistMachine::new(p).run(&e).unwrap();
+            let thread_tel = Telemetry::enabled_logical();
+            let threads = DistMachine::new(p)
+                .with_telemetry(thread_tel.clone())
+                .run(&e)
+                .unwrap();
+            let proc_tel = Telemetry::enabled_logical();
             let procs = process_machine(p)
+                .with_telemetry(proc_tel.clone())
                 .run(&e)
                 .unwrap_or_else(|err| panic!("p={p}: {err}"));
             assert_eq!(procs.value.to_string(), expected_value, "p={p}");
@@ -139,6 +144,11 @@ fn socket_runs_match_the_lockstep_oracle_and_the_thread_backend() {
             assert_eq!(procs.total_words_sent, threads.total_words_sent, "p={p}");
             assert_eq!(procs.supersteps, threads.supersteps, "p={p}");
             assert_eq!(procs.work, threads.work, "p={p}");
+            // Exactly the h-relation's data frames: one per ordered
+            // pair of ranks per superstep, on both backends.
+            let frames = (p * (p - 1)) as u64 * expected_supersteps;
+            assert_eq!(thread_tel.counter_value("net.frames_sent"), frames, "p={p}");
+            assert_eq!(proc_tel.counter_value("net.frames_sent"), frames, "p={p}");
         }
     }
 }
@@ -146,8 +156,7 @@ fn socket_runs_match_the_lockstep_oracle_and_the_thread_backend() {
 // --- the chaos grid, unchanged, over the socket transport -------------
 
 /// One chaos-grid cell over sockets: identical to
-/// `tests/chaos.rs::chaos_cell` except the ack-latency histogram
-/// assertion (per-rank telemetry does not cross the process boundary).
+/// `tests/chaos.rs::chaos_cell`.
 fn chaos_cell(source: &str, supersteps: u64, p: usize, seed: u64) {
     let e = parse(source).unwrap();
     let (expected_value, expected_supersteps) = oracle(&e, p);
@@ -178,6 +187,13 @@ fn chaos_cell(source: &str, supersteps: u64, p: usize, seed: u64) {
     );
     if matches!(fault, FaultKind::Stall { .. }) {
         assert_eq!(out.attempts, 1, "a 1–3 ms stall must not fail: {ctx}");
+    }
+    if out.attempts == 1 {
+        assert_eq!(
+            tel.counter_value("net.frames_sent"),
+            (p * (p - 1)) as u64 * supersteps,
+            "{ctx}"
+        );
     }
 }
 

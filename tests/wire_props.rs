@@ -3,9 +3,9 @@
 //! serialize, frames round-trip with their headers intact, and the
 //! decoder *rejects* — never panics on, never silently accepts — every
 //! truncation and every single-bit corruption. The last property is
-//! what the reliable-delivery layer's correctness rests on: a frame
-//! damaged in flight must look *lost* (so the sender retransmits), not
-//! subtly different.
+//! what the exchange's fail-fast check rests on: a frame damaged in
+//! flight must be refused (so the run fails), not read as subtly
+//! different data.
 
 use bsml_bsp::wire::{decode_value, encode_value, Reader};
 use bsml_bsp::{Frame, FramePayload};
@@ -38,7 +38,6 @@ fn frame() -> impl Strategy<Value = Frame> {
     let payload = prop_oneof![
         portable_value().prop_map(FramePayload::Put),
         any::<bool>().prop_map(FramePayload::IfAt),
-        Just(FramePayload::Ack),
     ];
     (
         0usize..64,
@@ -79,7 +78,7 @@ proptest! {
     #[test]
     fn every_truncation_is_rejected(f in frame()) {
         // A truncated frame must come back as a decode *error* — the
-        // reliable layer then treats it as lost. No panic, no partial
+        // exchange then fails the run. No panic, no partial
         // acceptance, for any cut point including the empty slice.
         let bytes = f.encode();
         for cut in 0..bytes.len() {
