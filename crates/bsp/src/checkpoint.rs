@@ -24,13 +24,13 @@
 //! back to a full restart. A corrupted checkpoint can cost time, never
 //! correctness.
 //!
-//! Frames are serialized with a length prefix and an FNV-1a trailer
-//! checksum — the same [`crate::wire`] value codec and checksum the
-//! network transport speaks, so there is one serialized form on the
-//! wire and at rest; the file-backed store writes one file per
-//! generation under a run directory, with a commit-marker trailer, so
-//! any byte-flip is caught at load and the loader can fall down the
-//! generation ladder.
+//! Frames embed the same [`crate::wire`] value codec the network
+//! transport speaks, so there is one serialized form on the wire and
+//! at rest, and end in the shared FNV-1a trailer
+//! ([`bsml_eval::bytes::seal`]). The file-backed store writes one file
+//! per generation under a run directory, each frame behind a length
+//! prefix, with a commit-marker trailer, so any byte-flip is caught at
+//! load and the loader can fall down the generation ladder.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,11 +39,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use bsml_ast::Expr;
+use bsml_eval::bytes::{fnv1a, open, put_u64, seal, ByteReader, CodecError};
 use bsml_eval::PortableValue;
 
 use crate::storage::{Disk, StorageError};
-pub use crate::wire::fnv1a;
-use crate::wire::{decode_value, encode_value, put_u64, Reader, WireError};
+use crate::wire::{decode_value, encode_value};
 
 /// Leading magic of a serialized frame.
 const FRAME_MAGIC: u64 = 0x4253_4d4c_4652_414d; // "BSMLFRAM"
@@ -179,11 +179,11 @@ impl From<StorageError> for CheckpointError {
     }
 }
 
-impl From<WireError> for CheckpointError {
+impl From<CodecError> for CheckpointError {
     /// Codec-level failures (truncation, bad tags, count overflow)
     /// surface as [`CheckpointError::Malformed`]; checksum checking
     /// stays checkpoint-side so the error can carry its coordinates.
-    fn from(e: WireError) -> CheckpointError {
+    fn from(e: CodecError) -> CheckpointError {
         CheckpointError::Malformed(e.to_string())
     }
 }
@@ -289,8 +289,8 @@ pub fn latest_generation(store: &dyn CheckpointStore) -> Option<u64> {
 // ---------------------------------------------------------------------------
 
 impl RankFrame {
-    /// Serializes the frame: magic, header, outcome log, FNV-1a
-    /// trailer over everything preceding it.
+    /// Serializes the frame: magic, header, outcome log, sealed with
+    /// the FNV-1a trailer over everything preceding it.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
@@ -319,8 +319,7 @@ impl RankFrame {
                 }
             }
         }
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
+        seal(&mut out, 0);
         out
     }
 
@@ -335,23 +334,19 @@ impl RankFrame {
         if bytes.len() < 8 + 8 {
             return Err(CheckpointError::Malformed("frame too short".into()));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let claimed = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let mut r = Reader::new(body);
+        let mut r = ByteReader::new(&bytes[..bytes.len() - 8]);
         if r.u64()? != FRAME_MAGIC {
             return Err(CheckpointError::Malformed("bad frame magic".into()));
         }
         let fingerprint = r.u64()?;
         let rank = r.u64()? as usize;
         let superstep = r.u64()?;
-        if fnv1a(body) != claimed {
-            // Checked after the header parse so the error can carry a
-            // best-effort coordinate, but before trusting any count.
-            return Err(CheckpointError::ChecksumMismatch {
-                generation: superstep,
-                rank,
-            });
-        }
+        // Opened after the header parse so the error can carry a
+        // best-effort coordinate, but before trusting any count.
+        open(bytes).map_err(|_| CheckpointError::ChecksumMismatch {
+            generation: superstep,
+            rank,
+        })?;
         let fuel_left = r.u64()?;
         let sent_words = r.u64()?;
         let received_words = r.u64()?;
@@ -379,12 +374,7 @@ impl RankFrame {
                 }
             });
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Malformed(format!(
-                "{} trailing bytes after outcome log",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(RankFrame {
             fingerprint,
             rank,
@@ -611,7 +601,7 @@ impl FileStore {
             // generation never happened.
             return Err(CheckpointError::NotCommitted { generation });
         }
-        let mut r = Reader::new(body);
+        let mut r = ByteReader::new(body);
         if r.u64()? != FILE_MAGIC {
             return Err(CheckpointError::Malformed(
                 "bad generation-file magic".into(),
@@ -629,12 +619,7 @@ impl FileStore {
             let len = r.count()?;
             frames.push(RankFrame::decode(r.take(len)?)?);
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Malformed(format!(
-                "{} trailing bytes after last frame",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(frames)
     }
 }

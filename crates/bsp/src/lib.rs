@@ -78,4 +78,4 @@ pub use supervisor::{
     POSTMORTEM_DIR_ENV,
 };
 pub use transport::{Bind, Listener, RankStream};
-pub use wire::{Frame, FramePayload, WireError};
+pub use wire::{Frame, FramePayload};

@@ -18,11 +18,16 @@
 //!     checksum  u64   FNV-1a over every preceding byte (prefix included)
 //! ```
 //!
-//! All integers are little-endian. The decoder rejects — with an error,
-//! never a panic — truncated frames, length-prefix mismatches, checksum
-//! mismatches (any single bit flip is caught), unknown tags and
-//! trailing garbage; the exchange loop fails the run on every
-//! rejection, so a corrupted frame is never mistaken for data.
+//! All integers are little-endian. The checksum is the shared
+//! [`seal`]/[`open`] trailer of [`bsml_eval::bytes`], and the control
+//! messages ([`CtlMsg`]) use the same layout with a tagged body. The
+//! decoder checks the length prefix, then the minimum size, then the
+//! checksum, and rejects — with a [`CodecError`], never a panic —
+//! truncated frames, length-prefix mismatches, checksum mismatches (any
+//! single bit flip is caught), unknown tags, values nested deeper than
+//! [`MAX_DEPTH`] (list tails do not count) and trailing garbage; the
+//! exchange loop fails the run on every rejection, so a corrupted frame
+//! is never mistaken for data.
 //!
 //! The [`PortableValue`] codec here is also the one checkpoint frames
 //! embed ([`crate::checkpoint`]) — one serialized form on the wire and
@@ -42,175 +47,22 @@
 //! assert_eq!(Frame::decode(&f.encode()), Ok(f));
 //! ```
 
-use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use bsml_eval::bytes::{
+    open, put_bytes, put_str, put_u64, seal, ByteReader, CodecError, MAX_DEPTH,
+};
 use bsml_eval::{EvalError, PortableValue};
 use bsml_obs::TimedFlightEvent;
 
 use crate::faults::{Fault, FaultKind};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the checksum of wire and checkpoint
-/// frames.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Why a frame (or an embedded value) failed to decode. Every variant
-/// is a *rejection*: the decoder never panics on hostile bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The bytes end before the structure does.
-    Truncated,
-    /// The length prefix disagrees with the actual byte count — a
-    /// truncated tail or a corrupted prefix.
-    LengthMismatch {
-        /// Bytes the prefix claims follow it.
-        claimed: u64,
-        /// Bytes actually present after the prefix.
-        actual: u64,
-    },
-    /// The FNV-1a trailer does not match the frame's contents.
-    ChecksumMismatch,
-    /// An unknown frame-kind or value tag.
-    UnknownTag(u8),
-    /// Well-formed structure followed by garbage.
-    TrailingBytes(usize),
-    /// An embedded count larger than the bytes that could back it.
-    CountOverflow(u64),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => f.write_str("truncated frame"),
-            WireError::LengthMismatch { claimed, actual } => {
-                write!(f, "length prefix claims {claimed} byte(s), found {actual}")
-            }
-            WireError::ChecksumMismatch => f.write_str("frame checksum mismatch"),
-            WireError::UnknownTag(tag) => write!(f, "unknown wire tag {tag}"),
-            WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after frame"),
-            WireError::CountOverflow(n) => {
-                write!(f, "count {n} exceeds the remaining frame bytes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// A bounds-checked little-endian reader over a byte slice — shared by
-/// the frame decoder and the checkpoint loader.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader at the start of `bytes`.
-    #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos + 8;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// A count that must plausibly fit in the remaining bytes (each
-    /// counted item takes ≥ 1 byte) — rejects corrupted lengths before
-    /// they become giant allocations.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] or [`WireError::CountOverflow`].
-    pub fn count(&mut self) -> Result<usize, WireError> {
-        let n = self.u64()?;
-        if n as usize > self.remaining() {
-            return Err(WireError::CountOverflow(n));
-        }
-        Ok(n as usize)
-    }
-
-    /// Consumes and returns the next `len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] if fewer than `len` bytes remain.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-}
-
-/// Appends a little-endian `u64`.
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+const V_CONS: u8 = 8;
 
 /// Serializes one [`PortableValue`] (the message codec of both wire
-/// frames and checkpoint frames).
+/// frames and checkpoint frames). A list's spine is written in a loop,
+/// so a long list costs no stack.
 pub fn encode_value(out: &mut Vec<u8>, v: &PortableValue) {
     match v {
         PortableValue::Int(n) => {
@@ -237,10 +89,14 @@ pub fn encode_value(out: &mut Vec<u8>, v: &PortableValue) {
             encode_value(out, inner);
         }
         PortableValue::Nil => out.push(7),
-        PortableValue::Cons(h, t) => {
-            out.push(8);
-            encode_value(out, h);
-            encode_value(out, t);
+        PortableValue::Cons(..) => {
+            let mut cur = v;
+            while let PortableValue::Cons(h, t) = cur {
+                out.push(V_CONS);
+                encode_value(out, h);
+                cur = t;
+            }
+            encode_value(out, cur);
         }
         PortableValue::Vector(vs) => {
             out.push(9);
@@ -252,38 +108,53 @@ pub fn encode_value(out: &mut Vec<u8>, v: &PortableValue) {
     }
 }
 
-/// Deserializes one [`PortableValue`].
+/// Deserializes one [`PortableValue`], nested at most
+/// [`MAX_DEPTH`] deep (list tails do not count).
 ///
 /// # Errors
 ///
-/// Any [`WireError`] on truncated or malformed input — never a panic.
-pub fn decode_value(r: &mut Reader<'_>) -> Result<PortableValue, WireError> {
-    match r.u8()? {
-        0 => Ok(PortableValue::Int(r.i64()?)),
-        1 => Ok(PortableValue::Bool(r.u8()? != 0)),
-        2 => Ok(PortableValue::Unit),
-        3 => Ok(PortableValue::NoComm),
-        4 => Ok(PortableValue::Pair(
-            Box::new(decode_value(r)?),
-            Box::new(decode_value(r)?),
-        )),
-        5 => Ok(PortableValue::Inl(Box::new(decode_value(r)?))),
-        6 => Ok(PortableValue::Inr(Box::new(decode_value(r)?))),
-        7 => Ok(PortableValue::Nil),
-        8 => Ok(PortableValue::Cons(
-            Box::new(decode_value(r)?),
-            Box::new(decode_value(r)?),
-        )),
+/// Any [`CodecError`] on truncated, malformed or too deeply nested
+/// input — never a panic.
+pub fn decode_value(r: &mut ByteReader<'_>) -> Result<PortableValue, CodecError> {
+    decode_nested(r, 0)
+}
+
+fn decode_nested(r: &mut ByteReader<'_>, depth: usize) -> Result<PortableValue, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    let mut tag = r.u8()?;
+    // Read a list's spine in a loop: heads nest one level, tails none.
+    let mut heads = Vec::new();
+    while tag == V_CONS {
+        heads.push(decode_nested(r, depth + 1)?);
+        tag = r.u8()?;
+    }
+    let last = match tag {
+        0 => PortableValue::Int(r.i64()?),
+        1 => PortableValue::Bool(r.u8()? != 0),
+        2 => PortableValue::Unit,
+        3 => PortableValue::NoComm,
+        4 => PortableValue::Pair(
+            Box::new(decode_nested(r, depth + 1)?),
+            Box::new(decode_nested(r, depth + 1)?),
+        ),
+        5 => PortableValue::Inl(Box::new(decode_nested(r, depth + 1)?)),
+        6 => PortableValue::Inr(Box::new(decode_nested(r, depth + 1)?)),
+        7 => PortableValue::Nil,
         9 => {
             let n = r.count()?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
-                vs.push(decode_value(r)?);
+                vs.push(decode_nested(r, depth + 1)?);
             }
-            Ok(PortableValue::Vector(vs))
+            PortableValue::Vector(vs)
         }
-        tag => Err(WireError::UnknownTag(tag)),
-    }
+        tag => return Err(CodecError::BadTag { what: "value", tag }),
+    };
+    Ok(heads.into_iter().rev().fold(last, |tail, head| {
+        PortableValue::Cons(Box::new(head), Box::new(tail))
+    }))
 }
 
 /// What a frame carries.
@@ -324,7 +195,7 @@ impl Frame {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
+        out.extend_from_slice(&[0; 4]); // the length prefix
         match &self.payload {
             FramePayload::Put(_) => out.push(KIND_PUT),
             FramePayload::IfAt(_) => out.push(KIND_IFAT),
@@ -337,33 +208,16 @@ impl Frame {
             FramePayload::Put(v) => encode_value(&mut out, v),
             FramePayload::IfAt(b) => out.push(u8::from(*b)),
         }
-        let len = u32::try_from(out.len() - 4 + 8).expect("frames fit in u32");
-        out[0..4].copy_from_slice(&len.to_le_bytes());
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        seal_prefixed(out)
     }
 
     /// Parses and verifies one frame.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`]; the exchange loop fails the run on it.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader::new(bytes);
-        let claimed = u64::from(r.u32()?);
-        let actual = (bytes.len() - 4) as u64;
-        if claimed != actual {
-            return Err(WireError::LengthMismatch { claimed, actual });
-        }
-        if bytes.len() < 4 + 1 + 4 + 8 + 8 + 8 + 8 {
-            return Err(WireError::Truncated);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if fnv1a(body) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(&body[4..]);
+    /// Any [`CodecError`]; the exchange loop fails the run on it.
+    pub fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
+        let mut r = open_prefixed(bytes, 4 + 1 + 4 + 8 + 8 + 8 + 8)?;
         let kind = r.u8()?;
         let from = r.u32()? as usize;
         let superstep = r.u64()?;
@@ -372,11 +226,14 @@ impl Frame {
         let payload = match kind {
             KIND_PUT => FramePayload::Put(decode_value(&mut r)?),
             KIND_IFAT => FramePayload::IfAt(r.u8()? != 0),
-            tag => return Err(WireError::UnknownTag(tag)),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "frame kind",
+                    tag,
+                })
+            }
         };
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(Frame {
             from,
             superstep,
@@ -385,6 +242,31 @@ impl Frame {
             payload,
         })
     }
+}
+
+/// Completes a frame built behind a 4-byte placeholder: patches the
+/// `u32` length prefix (the bytes after it, trailer included) and
+/// seals everything, prefix included.
+fn seal_prefixed(mut out: Vec<u8>) -> Vec<u8> {
+    let len = u32::try_from(out.len() - 4 + 8).expect("frames fit in u32");
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    seal(&mut out, 0);
+    out
+}
+
+/// Checks a sealed `[len:u32][body][fnv1a]` frame — the length prefix
+/// first, then the minimum size `min`, then the checksum — and returns
+/// a reader over the body.
+fn open_prefixed(bytes: &[u8], min: usize) -> Result<ByteReader<'_>, CodecError> {
+    let claimed = u64::from(ByteReader::new(bytes).u32()?);
+    let actual = (bytes.len() - 4) as u64;
+    if claimed != actual {
+        return Err(CodecError::LengthMismatch { claimed, actual });
+    }
+    if bytes.len() < min {
+        return Err(CodecError::Truncated);
+    }
+    Ok(ByteReader::new(&open(bytes)?[4..]))
 }
 
 // ---------------------------------------------------------------------------
@@ -616,20 +498,6 @@ const CTL_PONG: u8 = 13;
 const CTL_REJOIN: u8 = 14;
 const CTL_REJOIN_OK: u8 = 15;
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn read_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
-    let n = r.count()?;
-    r.take(n)
-}
-
-fn read_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    Ok(String::from_utf8_lossy(read_bytes(r)?).into_owned())
-}
-
 // Errors cross the process boundary structurally: every variant the
 // distributed runtime can actually produce has a precise tag, so the
 // parent's supervisor sees the *same* error it would have seen from an
@@ -672,7 +540,7 @@ fn encode_error(out: &mut Vec<u8>, err: &EvalError) {
             out.push(ERR_TRANSPORT_FAILURE);
             put_u64(out, *rank as u64);
             put_u64(out, *superstep);
-            put_bytes(out, detail.as_bytes());
+            put_str(out, detail);
         }
         EvalError::CheckpointDiverged {
             rank,
@@ -682,23 +550,23 @@ fn encode_error(out: &mut Vec<u8>, err: &EvalError) {
             out.push(ERR_CHECKPOINT_DIVERGED);
             put_u64(out, *rank as u64);
             put_u64(out, *superstep);
-            put_bytes(out, detail.as_bytes());
+            put_str(out, detail);
         }
         EvalError::NotSerializable(what) => {
             out.push(ERR_NOT_SERIALIZABLE);
-            put_bytes(out, what.as_bytes());
+            put_str(out, what);
         }
         EvalError::DivisionByZero => out.push(ERR_DIVISION_BY_ZERO),
         EvalError::RecursionLimit => out.push(ERR_RECURSION_LIMIT),
         EvalError::NestedParallelism => out.push(ERR_NESTED_PARALLELISM),
         other => {
             out.push(ERR_RENDERED);
-            put_bytes(out, other.to_string().as_bytes());
+            put_str(out, &other.to_string());
         }
     }
 }
 
-fn decode_error(r: &mut Reader<'_>) -> Result<EvalError, WireError> {
+fn decode_error(r: &mut ByteReader<'_>) -> Result<EvalError, CodecError> {
     match r.u8()? {
         ERR_PEER_FAILURE => Ok(EvalError::PeerFailure),
         ERR_OUT_OF_FUEL => Ok(EvalError::OutOfFuel),
@@ -713,19 +581,19 @@ fn decode_error(r: &mut Reader<'_>) -> Result<EvalError, WireError> {
         ERR_TRANSPORT_FAILURE => Ok(EvalError::TransportFailure {
             rank: r.u64()? as usize,
             superstep: r.u64()?,
-            detail: read_string(r)?,
+            detail: r.str()?,
         }),
         ERR_CHECKPOINT_DIVERGED => Ok(EvalError::CheckpointDiverged {
             rank: r.u64()? as usize,
             superstep: r.u64()?,
-            detail: read_string(r)?,
+            detail: r.str()?,
         }),
-        ERR_NOT_SERIALIZABLE => Ok(EvalError::NotSerializable(read_string(r)?)),
+        ERR_NOT_SERIALIZABLE => Ok(EvalError::NotSerializable(r.str()?)),
         ERR_DIVISION_BY_ZERO => Ok(EvalError::DivisionByZero),
         ERR_RECURSION_LIMIT => Ok(EvalError::RecursionLimit),
         ERR_NESTED_PARALLELISM => Ok(EvalError::NestedParallelism),
-        ERR_RENDERED => Ok(EvalError::ScrutineeMismatch("remote rank", read_string(r)?)),
-        tag => Err(WireError::UnknownTag(tag)),
+        ERR_RENDERED => Ok(EvalError::ScrutineeMismatch("remote rank", r.str()?)),
+        tag => Err(CodecError::BadTag { what: "error", tag }),
     }
 }
 
@@ -758,7 +626,7 @@ fn encode_fault(out: &mut Vec<u8>, f: &Fault) {
     out.extend_from_slice(&f.attempt.to_le_bytes());
 }
 
-fn decode_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
+fn decode_fault(r: &mut ByteReader<'_>) -> Result<Fault, CodecError> {
     let kind = match r.u8()? {
         0 => FaultKind::Crash {
             rank: r.u64()? as usize,
@@ -778,7 +646,7 @@ fn decode_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
             superstep: r.u64()?,
             delay: Duration::from_millis(r.u64()?),
         },
-        tag => return Err(WireError::UnknownTag(tag)),
+        tag => return Err(CodecError::BadTag { what: "fault", tag }),
     };
     Ok(Fault {
         kind,
@@ -798,7 +666,7 @@ fn encode_ledger(out: &mut Vec<u8>, l: &CtlLedger) {
     }
 }
 
-fn decode_ledger(r: &mut Reader<'_>) -> Result<CtlLedger, WireError> {
+fn decode_ledger(r: &mut ByteReader<'_>) -> Result<CtlLedger, CodecError> {
     Ok(CtlLedger {
         faults_injected: r.u64()?,
         barrier_timeouts: r.u64()?,
@@ -815,13 +683,11 @@ fn encode_flight(out: &mut Vec<u8>, events: &[TimedFlightEvent]) {
     }
 }
 
-fn decode_flight(r: &mut Reader<'_>) -> Result<Vec<TimedFlightEvent>, WireError> {
+fn decode_flight(r: &mut ByteReader<'_>) -> Result<Vec<TimedFlightEvent>, CodecError> {
     let n = r.count()?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        // The event codec reports through the postmortem error type;
-        // at this layer any malformed event is simply a bad frame.
-        events.push(crate::postmortem::decode_event(r).map_err(|_| WireError::Truncated)?);
+        events.push(crate::postmortem::decode_event(r)?);
     }
     Ok(events)
 }
@@ -844,7 +710,7 @@ impl CtlMsg {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
+        out.extend_from_slice(&[0; 4]); // the length prefix
         match self {
             CtlMsg::Hello {
                 magic,
@@ -873,7 +739,7 @@ impl CtlMsg {
                 resume_frame,
             } => {
                 out.push(CTL_WELCOME);
-                put_bytes(&mut out, program.as_bytes());
+                put_str(&mut out, program);
                 for v in [
                     *fuel,
                     *barrier_timeout_ms,
@@ -899,7 +765,7 @@ impl CtlMsg {
             }
             CtlMsg::Reject { reason } => {
                 out.push(CTL_REJECT);
-                put_bytes(&mut out, reason.as_bytes());
+                put_str(&mut out, reason);
             }
             CtlMsg::Data { dst, frame } => {
                 out.push(CTL_DATA);
@@ -987,34 +853,18 @@ impl CtlMsg {
                 put_u64(&mut out, *resume_token);
             }
         }
-        let len = u32::try_from(out.len() - 4 + 8).expect("control frames fit in u32");
-        out[0..4].copy_from_slice(&len.to_le_bytes());
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        seal_prefixed(out)
     }
 
     /// Parses and verifies one control message.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] — truncation, length-prefix or checksum
-    /// mismatch, unknown tags, trailing garbage. Never panics.
-    pub fn decode(bytes: &[u8]) -> Result<CtlMsg, WireError> {
-        let mut r = Reader::new(bytes);
-        let claimed = u64::from(r.u32()?);
-        let actual = (bytes.len() - 4) as u64;
-        if claimed != actual {
-            return Err(WireError::LengthMismatch { claimed, actual });
-        }
-        if bytes.len() < 4 + 1 + 8 {
-            return Err(WireError::Truncated);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if fnv1a(body) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(&body[4..]);
+    /// Any [`CodecError`] — truncation, length-prefix or checksum
+    /// mismatch, unknown tags, a value nested deeper than
+    /// [`MAX_DEPTH`], trailing garbage. Never panics.
+    pub fn decode(bytes: &[u8]) -> Result<CtlMsg, CodecError> {
+        let mut r = open_prefixed(bytes, 4 + 1 + 8)?;
         let msg = match r.u8()? {
             CTL_HELLO => CtlMsg::Hello {
                 magic: r.u64()?,
@@ -1024,7 +874,7 @@ impl CtlMsg {
                 p: r.u64()? as usize,
             },
             CTL_WELCOME => {
-                let program = read_string(&mut r)?;
+                let program = r.str()?;
                 let fuel = r.u64()?;
                 let barrier_timeout_ms = r.u64()?;
                 let checkpoint_interval = r.u64()?;
@@ -1039,8 +889,13 @@ impl CtlMsg {
                 }
                 let resume_frame = match r.u8()? {
                     0 => None,
-                    1 => Some(read_bytes(&mut r)?.to_vec()),
-                    tag => return Err(WireError::UnknownTag(tag)),
+                    1 => Some(r.bytes()?.to_vec()),
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            what: "option",
+                            tag,
+                        })
+                    }
                 };
                 CtlMsg::Welcome {
                     program,
@@ -1055,22 +910,25 @@ impl CtlMsg {
                     resume_frame,
                 }
             }
-            CTL_REJECT => CtlMsg::Reject {
-                reason: read_string(&mut r)?,
-            },
+            CTL_REJECT => CtlMsg::Reject { reason: r.str()? },
             CTL_DATA => CtlMsg::Data {
                 dst: r.u64()? as usize,
-                frame: read_bytes(&mut r)?.to_vec(),
+                frame: r.bytes()?.to_vec(),
             },
             CTL_DELIVER => CtlMsg::Deliver {
-                frame: read_bytes(&mut r)?.to_vec(),
+                frame: r.bytes()?.to_vec(),
             },
             CTL_BARRIER_ENTER => CtlMsg::BarrierEnter {
                 superstep: r.u64()?,
                 staged: match r.u8()? {
                     0 => None,
-                    1 => Some(read_bytes(&mut r)?.to_vec()),
-                    tag => return Err(WireError::UnknownTag(tag)),
+                    1 => Some(r.bytes()?.to_vec()),
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            what: "option",
+                            tag,
+                        })
+                    }
                 },
             },
             CTL_BARRIER_RELEASE => CtlMsg::BarrierRelease {
@@ -1108,11 +966,14 @@ impl CtlMsg {
             CTL_REJOIN_OK => CtlMsg::RejoinOk {
                 resume_token: r.u64()?,
             },
-            tag => return Err(WireError::UnknownTag(tag)),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "control message",
+                    tag,
+                })
+            }
         };
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -1230,7 +1091,7 @@ mod tests {
         // The length prefix no longer matches.
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(WireError::LengthMismatch { .. })
+            Err(CodecError::LengthMismatch { .. })
         ));
     }
 
@@ -1251,13 +1112,9 @@ mod tests {
         let at = 4 + 1 + 4 + 8 + 8 + 8 + 1;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         // Re-seal the checksum so the corruption reaches the decoder.
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&bytes),
-            Err(WireError::CountOverflow(u64::MAX))
-        );
+        bytes.truncate(bytes.len() - 8);
+        seal(&mut bytes, 0);
+        assert_eq!(Frame::decode(&bytes), Err(CodecError::BadCount));
     }
 
     fn sample_ctl_msgs() -> Vec<CtlMsg> {
@@ -1435,14 +1292,14 @@ mod tests {
         for err in precise {
             let mut out = Vec::new();
             encode_error(&mut out, &err);
-            assert_eq!(decode_error(&mut Reader::new(&out)), Ok(err));
+            assert_eq!(decode_error(&mut ByteReader::new(&out)), Ok(err));
         }
         // Everything else degrades to its rendered form, never panics.
         let odd = EvalError::Unbound(bsml_ast::Ident::new("x"));
         let mut out = Vec::new();
         encode_error(&mut out, &odd);
         assert_eq!(
-            decode_error(&mut Reader::new(&out)),
+            decode_error(&mut ByteReader::new(&out)),
             Ok(EvalError::ScrutineeMismatch("remote rank", odd.to_string()))
         );
     }

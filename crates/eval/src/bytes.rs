@@ -1,5 +1,16 @@
-//! A minimal little-endian byte codec shared by the persistence
-//! layers ([`crate::persist`] here, `SessionSnapshot` in `bsml-core`).
+//! The byte layer under every persisted or transmitted format: the
+//! wire and control frames, checkpoint frames, postmortem bundles, the
+//! WAL, and the session snapshot codecs ([`crate::persist`] here,
+//! `SessionSnapshot` in `bsml-core`).
+//!
+//! * [`seal`] / [`open`] are the one checksum framing: `seal` appends
+//!   the FNV-1a of a suffix of the buffer as an 8-byte little-endian
+//!   trailer, and `open` checks that trailer and strips it. Each
+//!   format keeps its own length prefix and its own order of checks
+//!   around them.
+//! * [`ByteReader`] is the one bounds-checked reader, and
+//!   [`CodecError`] the one decode error.
+//! * [`MAX_DEPTH`] is the one nesting bound both value decoders obey.
 //!
 //! The reader is *total*: every method is bounds-checked and returns a
 //! typed [`CodecError`] instead of panicking, whatever bytes it is
@@ -8,6 +19,60 @@
 //! length can never drive an attempted multi-gigabyte allocation.
 
 use std::fmt;
+
+/// Nesting bound of the value decoders (the `PortableValue` codec of
+/// `bsml_bsp::wire` and [`crate::persist`]). A list's spine is read in
+/// a loop, so list tails do not count towards it; every other nested
+/// value, and every closure environment, does. Deep enough for any
+/// value a session or a `put` realistically builds, shallow enough
+/// that corrupt or hostile input cannot overflow a 2 MiB thread stack
+/// even in debug builds, where a decoder frame runs to a few KiB.
+pub const MAX_DEPTH: usize = 100;
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice: the checksum [`seal`] and [`open`] use,
+/// and the name hash of program fingerprints and WAL file names.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Appends the FNV-1a of `out[from..]` as a little-endian `u64`
+/// trailer.
+///
+/// # Panics
+///
+/// If `from > out.len()`.
+pub fn seal(out: &mut Vec<u8>, from: usize) {
+    let sum = fnv1a(&out[from..]);
+    put_u64(out, sum);
+}
+
+/// Checks the 8-byte FNV-1a trailer [`seal`] wrote and returns the
+/// bytes before it.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] if there is no room for a trailer, and
+/// [`CodecError::ChecksumMismatch`] if it does not match.
+pub fn open(bytes: &[u8]) -> Result<&[u8], CodecError> {
+    let split = bytes.len().checked_sub(8).ok_or(CodecError::Truncated)?;
+    let (body, trailer) = bytes.split_at(split);
+    if fnv1a(body).to_le_bytes() == trailer {
+        Ok(body)
+    } else {
+        Err(CodecError::ChecksumMismatch)
+    }
+}
 
 /// Why decoding failed. Decoders never panic on malformed input.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,6 +99,16 @@ pub enum CodecError {
     TooDeep,
     /// A back-reference to a structure the input never defined.
     DanglingRef(u64),
+    /// A length prefix disagrees with the actual byte count: a
+    /// truncated tail or a corrupted prefix.
+    LengthMismatch {
+        /// Bytes the prefix claims follow it.
+        claimed: u64,
+        /// Bytes actually present after the prefix.
+        actual: u64,
+    },
+    /// A checksum trailer does not match the bytes it covers.
+    ChecksumMismatch,
 }
 
 impl fmt::Display for CodecError {
@@ -47,6 +122,10 @@ impl fmt::Display for CodecError {
             CodecError::Unparsable(what) => write!(f, "embedded source does not parse: {what}"),
             CodecError::TooDeep => f.write_str("nesting exceeds decoder depth bound"),
             CodecError::DanglingRef(id) => write!(f, "back-reference to undefined id {id}"),
+            CodecError::LengthMismatch { claimed, actual } => {
+                write!(f, "length prefix claims {claimed} byte(s), found {actual}")
+            }
+            CodecError::ChecksumMismatch => f.write_str("checksum mismatch"),
         }
     }
 }
@@ -101,16 +180,26 @@ impl<'a> ByteReader<'a> {
         Ok(b)
     }
 
+    /// Reads a little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`].
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let end = self.pos.checked_add(8).ok_or(CodecError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a little-endian `i64`.
@@ -211,6 +300,22 @@ mod tests {
         assert_eq!(r.u64(), Err(CodecError::Truncated));
         let mut r = ByteReader::new(&[]);
         assert_eq!(r.u8(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn open_strips_what_seal_appended_and_catches_every_flip() {
+        let mut out = vec![7u8, 7];
+        put_str(&mut out, "framed");
+        seal(&mut out, 2);
+        assert_eq!(open(&out[2..]).unwrap(), &out[2..out.len() - 8]);
+        for bit in 0..(out.len() - 2) * 8 {
+            let mut bad = out[2..].to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(open(&bad), Err(CodecError::ChecksumMismatch), "bit {bit}");
+        }
+        for cut in 0..8 {
+            assert_eq!(open(&out[2..2 + cut]), Err(CodecError::Truncated));
+        }
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //!   generatable expression.
 //!
 //! Decoding is *total*: malformed bytes produce a typed
-//! [`CodecError`], never a panic — nesting is depth-bounded so corrupt
-//! input cannot overflow the stack, and counts are validated before
-//! allocation.
+//! [`CodecError`], never a panic — nesting is bounded by the shared
+//! [`MAX_DEPTH`] so corrupt input cannot overflow the stack (a list's
+//! spine is read in a loop, so list tails do not count towards it, but
+//! each closure environment costs two levels), and counts are validated
+//! before allocation. The bytes carry no checksum of their own: the
+//! WAL record that holds a session snapshot is sealed
+//! ([`crate::bytes::seal`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -31,20 +35,11 @@ use std::rc::Rc;
 
 use bsml_ast::{Ident, Op};
 
-use crate::bytes::{put_str, put_u64, ByteReader, CodecError};
+use crate::bytes::{put_str, put_u64, ByteReader, CodecError, MAX_DEPTH};
 use crate::env::Env;
 use crate::hooks::Mode;
 use crate::snapshot::Snapshot;
 use crate::value::Value;
-
-/// Decoder nesting bound. Deep enough for any session the evaluator
-/// can realistically build (the in-memory deep copy in
-/// [`crate::snapshot`] recurses on the same structure, so values
-/// anywhere near this deep already strain the stack elsewhere),
-/// shallow enough that corrupt input cannot overflow a 2 MiB thread
-/// stack even in debug builds, where a decoder frame runs to a few
-/// KiB.
-const MAX_DEPTH: usize = 100;
 
 // Value tags.
 const T_INT: u8 = 0;
@@ -173,10 +168,14 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
             encode_value(out, a, memo);
             encode_value(out, b, memo);
         }
-        Value::Cons(h, t) => {
-            out.push(T_CONS);
-            encode_value(out, h, memo);
-            encode_value(out, t, memo);
+        Value::Cons(..) => {
+            let mut cur = v;
+            while let Value::Cons(h, t) = cur {
+                out.push(T_CONS);
+                encode_value(out, h, memo);
+                cur = t;
+            }
+            encode_value(out, cur, memo);
         }
         Value::Inl(inner) => {
             out.push(T_INL);
@@ -272,7 +271,26 @@ fn decode_value(
     if depth > MAX_DEPTH {
         return Err(CodecError::TooDeep);
     }
-    let tag = r.u8()?;
+    let mut tag = r.u8()?;
+    // Read a list's spine in a loop: heads nest one level, tails none.
+    let mut heads = Vec::new();
+    while tag == T_CONS {
+        heads.push(decode_value(r, memo, depth + 1)?);
+        tag = r.u8()?;
+    }
+    let last = decode_tagged(r, tag, memo, depth)?;
+    Ok(heads
+        .into_iter()
+        .rev()
+        .fold(last, |tail, head| Value::Cons(Rc::new(head), Rc::new(tail))))
+}
+
+fn decode_tagged(
+    r: &mut ByteReader<'_>,
+    tag: u8,
+    memo: &mut DecodeMemo,
+    depth: usize,
+) -> Result<Value, CodecError> {
     match tag {
         T_INT => Ok(Value::Int(r.i64()?)),
         T_BOOL => Ok(Value::Bool(r.u8()? != 0)),
@@ -290,10 +308,6 @@ fn decode_value(
                 })
         }
         T_PAIR => Ok(Value::Pair(
-            Rc::new(decode_value(r, memo, depth + 1)?),
-            Rc::new(decode_value(r, memo, depth + 1)?),
-        )),
-        T_CONS => Ok(Value::Cons(
             Rc::new(decode_value(r, memo, depth + 1)?),
             Rc::new(decode_value(r, memo, depth + 1)?),
         )),

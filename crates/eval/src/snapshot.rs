@@ -21,6 +21,13 @@
 //!   in r := (fun y -> !r y)`). The copier breaks the cycle by
 //!   registering a placeholder cell before descending into the
 //!   contents, then back-patching.
+//! * **Environment sharing.** Every toplevel closure captures a suffix
+//!   of the session spine. The copier memoizes spine nodes by
+//!   identity, as the byte codec ([`crate::persist`]) does, so a
+//!   session with n bindings copies in O(n), not O(2ⁿ). Nodes copied
+//!   while a cell's contents are being copied stay private to that
+//!   cell: such a node may sit on a cycle through the cell, and
+//!   sharing it would let the byte codec meet it before the cell.
 //!
 //! ```
 //! use bsml_ast::Ident;
@@ -39,9 +46,16 @@ use std::rc::Rc;
 use crate::env::Env;
 use crate::value::Value;
 
-/// Memo table for reference cells, keyed by `Rc` pointer identity, so
-/// aliases stay aliases and cycles terminate.
-type CellMemo = HashMap<*const RefCell<Value>, Rc<RefCell<Value>>>;
+/// Copies made so far, keyed by the identity of the original: cells,
+/// so aliases stay aliases and cycles terminate, and environment spine
+/// nodes, so shared suffixes stay shared.
+#[derive(Default)]
+struct CopyMemo {
+    cells: HashMap<*const RefCell<Value>, Rc<RefCell<Value>>>,
+    nodes: HashMap<usize, Env>,
+    /// How many cell contents are being copied right now.
+    in_cell: usize,
+}
 
 /// An isolated deep copy of an [`Env`].
 ///
@@ -59,7 +73,7 @@ impl Snapshot {
     #[must_use]
     pub fn of_env(env: &Env) -> Snapshot {
         Snapshot {
-            env: deep_copy_env(env, &mut CellMemo::new()),
+            env: deep_copy_env(env, &mut CopyMemo::default()),
         }
     }
 
@@ -67,7 +81,7 @@ impl Snapshot {
     /// deep copy — the snapshot remains isolated).
     #[must_use]
     pub fn restore(&self) -> Env {
-        deep_copy_env(&self.env, &mut CellMemo::new())
+        deep_copy_env(&self.env, &mut CopyMemo::default())
     }
 
     /// Number of captured (possibly shadowed) bindings.
@@ -106,28 +120,42 @@ impl ValueSnapshot {
     #[must_use]
     pub fn capture(v: &Value) -> ValueSnapshot {
         ValueSnapshot {
-            value: deep_copy_value(v, &mut CellMemo::new()),
+            value: deep_copy_value(v, &mut CopyMemo::default()),
         }
     }
 
     /// Materializes a fresh value (another deep copy).
     #[must_use]
     pub fn restore(&self) -> Value {
-        deep_copy_value(&self.value, &mut CellMemo::new())
+        deep_copy_value(&self.value, &mut CopyMemo::default())
     }
 }
 
-fn deep_copy_env(env: &Env, memo: &mut CellMemo) -> Env {
-    // Rebuild outermost-first so shadowing order is preserved.
-    let bindings: Vec<_> = env.iter().collect();
-    let mut out = Env::new();
-    for (name, value) in bindings.into_iter().rev() {
-        out = out.bind(name.clone(), deep_copy_value(value, memo));
+fn deep_copy_env(env: &Env, memo: &mut CopyMemo) -> Env {
+    // Walk down to the first node already copied, then rebuild
+    // outermost-first so shadowing order is preserved.
+    let mut pending = Vec::new();
+    let mut cur = env.clone();
+    let mut out = loop {
+        let Some((name, value, tail, key)) = cur.spine_head() else {
+            break Env::new();
+        };
+        if let Some(copied) = memo.nodes.get(&key) {
+            break copied.clone();
+        }
+        pending.push((key, name.clone(), value.clone()));
+        cur = tail;
+    };
+    for (key, name, value) in pending.into_iter().rev() {
+        out = out.bind(name, deep_copy_value(&value, memo));
+        if memo.in_cell == 0 {
+            memo.nodes.insert(key, out.clone());
+        }
     }
     out
 }
 
-fn deep_copy_value(v: &Value, memo: &mut CellMemo) -> Value {
+fn deep_copy_value(v: &Value, memo: &mut CopyMemo) -> Value {
     match v {
         Value::Int(n) => Value::Int(*n),
         Value::Bool(b) => Value::Bool(*b),
@@ -159,7 +187,7 @@ fn deep_copy_value(v: &Value, memo: &mut CellMemo) -> Value {
         },
         Value::Cell { cell, origin } => {
             let key = Rc::as_ptr(cell);
-            if let Some(copied) = memo.get(&key) {
+            if let Some(copied) = memo.cells.get(&key) {
                 // An alias of a cell we already copied: preserve the
                 // aliasing in the copy.
                 return Value::Cell {
@@ -171,8 +199,10 @@ fn deep_copy_value(v: &Value, memo: &mut CellMemo) -> Value {
             // value (a cell whose contents capture the cell) hits the
             // memo instead of recursing forever; back-patch after.
             let fresh = Rc::new(RefCell::new(Value::Unit));
-            memo.insert(key, Rc::clone(&fresh));
+            memo.cells.insert(key, Rc::clone(&fresh));
+            memo.in_cell += 1;
             let contents = deep_copy_value(&cell.borrow(), memo);
+            memo.in_cell -= 1;
             *fresh.borrow_mut() = contents;
             Value::Cell {
                 cell: fresh,

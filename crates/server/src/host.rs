@@ -174,7 +174,7 @@ fn host_main(
         // server may have re-armed the tenant into one already.
         if committed && delivered {
             if let Some(w) = wal.as_mut().filter(|w| w.should_snapshot()) {
-                let _ = w.install_snapshot(&session.snapshot().to_bytes());
+                compact(w, &session, &telemetry);
             }
         }
         if !delivered {
@@ -185,8 +185,23 @@ fn host_main(
     // recovery replays zero phrases for this tenant.
     if graceful {
         if let Some(w) = wal.as_mut().filter(|w| w.unsnapshotted() > 0) {
-            let _ = w.install_snapshot(&session.snapshot().to_bytes());
+            compact(w, &session, &telemetry);
         }
+    }
+}
+
+/// Installs a snapshot of the session as the WAL's new generation, but
+/// only if recovery would accept it: a snapshot that does not decode
+/// (a session nested deeper than the codec's bound) would make
+/// recovery fall back past the pruned generations and lose the tenant.
+/// A skipped compaction leaves appends on the current generation and
+/// counts `server.compactions_skipped`.
+fn compact(wal: &mut TenantWal, session: &Session, telemetry: &Telemetry) {
+    let bytes = session.snapshot().to_bytes();
+    if SessionSnapshot::from_bytes(&bytes).is_ok() {
+        let _ = wal.install_snapshot(&bytes);
+    } else {
+        telemetry.counter_add("server.compactions_skipped", 1);
     }
 }
 

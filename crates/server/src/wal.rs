@@ -9,12 +9,13 @@
 //! checksum-framed record, fsynced before the completion is reported.
 //!
 //! **Format.** A log file is a sequence of records, each
-//! `[len:u64le][body][fnv1a(len‖body):u64le]` — the same length-
-//! prefix + FNV-1a discipline as `bsml_bsp::wire` frames and
-//! checkpoint files. Bodies are `Header` (format version + tenant
-//! name, always first), at most one `Snapshot` (a serialized
-//! [`SessionSnapshot`](bsml_core::SessionSnapshot) base state, always
-//! second), then `Commit` records with contiguous sequence numbers.
+//! `[len:u64le][body][fnv1a(len‖body):u64le]`: a length prefix, then
+//! the shared FNV-1a trailer of `bsml_eval::bytes::seal`, which every
+//! wire, checkpoint and postmortem format also ends in. Bodies are
+//! `Header` (format version + tenant name, always first), at most one
+//! `Snapshot` (a serialized [`SessionSnapshot`](bsml_core::SessionSnapshot)
+//! base state, always second), then `Commit` records with contiguous
+//! sequence numbers.
 //!
 //! **Torn-tail rule.** On recovery the file is scanned record by
 //! record; the first record that fails its checksum, fails to decode,
@@ -39,9 +40,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bsml_bsp::checkpoint::fnv1a;
 use bsml_bsp::{Disk, StorageError};
-use bsml_eval::bytes::{put_str, put_u64, ByteReader, CodecError};
+use bsml_eval::bytes::{fnv1a, open, put_bytes, put_str, put_u64, seal, ByteReader, CodecError};
 use bsml_obs::Telemetry;
 
 /// WAL format version; bump on any layout change.
@@ -93,8 +93,7 @@ impl WalRecord {
             WalRecord::Snapshot { seq, state } => {
                 out.push(R_SNAPSHOT);
                 put_u64(&mut out, *seq);
-                put_u64(&mut out, state.len() as u64);
-                out.extend_from_slice(state);
+                put_bytes(&mut out, state);
             }
             WalRecord::Commit { seq, source } => {
                 out.push(R_COMMIT);
@@ -117,14 +116,10 @@ impl WalRecord {
                 version: r.u8()?,
                 tenant: r.str()?,
             },
-            R_SNAPSHOT => {
-                let seq = r.u64()?;
-                let n = r.count()?;
-                WalRecord::Snapshot {
-                    seq,
-                    state: r.take(n)?.to_vec(),
-                }
-            }
+            R_SNAPSHOT => WalRecord::Snapshot {
+                seq: r.u64()?,
+                state: r.bytes()?.to_vec(),
+            },
             R_COMMIT => WalRecord::Commit {
                 seq: r.u64()?,
                 source: r.str()?,
@@ -145,10 +140,8 @@ impl WalRecord {
 #[must_use]
 pub fn frame_record(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 16);
-    put_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(body);
-    let sum = fnv1a(&out);
-    put_u64(&mut out, sum);
+    put_bytes(&mut out, body);
+    seal(&mut out, 0);
     out
 }
 
@@ -177,12 +170,8 @@ pub fn scan_records(bytes: &[u8]) -> (Vec<WalRecord>, usize, bool) {
         else {
             return (records, good, true);
         };
-        let framed = &rest[..total];
-        let sum = u64::from_le_bytes(framed[total - 8..].try_into().expect("8 bytes"));
-        if fnv1a(&framed[..total - 8]) != sum {
-            return (records, good, true);
-        }
-        let Ok(record) = WalRecord::decode(&framed[8..total - 8]) else {
+        let Ok(record) = open(&rest[..total]).and_then(|sealed| WalRecord::decode(&sealed[8..]))
+        else {
             return (records, good, true);
         };
         records.push(record);

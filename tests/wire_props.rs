@@ -7,9 +7,9 @@
 //! flight must be refused (so the run fails), not read as subtly
 //! different data.
 
-use bsml_bsp::wire::{decode_value, encode_value, Reader};
+use bsml_bsp::wire::{decode_value, encode_value};
 use bsml_bsp::{Frame, FramePayload};
-use bsml_eval::PortableValue;
+use bsml_eval::{ByteReader, PortableValue};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
     fn values_roundtrip_and_consume_exactly(v in portable_value()) {
         let mut bytes = Vec::new();
         encode_value(&mut bytes, &v);
-        let mut r = Reader::new(&bytes);
+        let mut r = ByteReader::new(&bytes);
         let back = decode_value(&mut r).expect("self-encoded value decodes");
         prop_assert_eq!(back, v);
         prop_assert_eq!(r.remaining(), 0, "decoder left bytes behind");
@@ -111,7 +111,7 @@ proptest! {
         // but must return, not panic — the exchange loop runs it on
         // whatever the transport delivers.
         let _ = Frame::decode(&junk);
-        let mut r = Reader::new(&junk);
+        let mut r = ByteReader::new(&junk);
         let _ = decode_value(&mut r);
     }
 }
