@@ -10,15 +10,17 @@
 //! (width-1 `Value::Vector`s). `put` and `if‥at‥` serialize values
 //! into [`PortableValue`]s, frame them on the wire protocol of
 //! [`crate::wire`], and exchange them through per-rank mailboxes
-//! behind a lossless [`crate::transport::Transport`]. Every data frame
-//! carries a per-link sequence number; a rank's exchange ends once
-//! every frame it expects has arrived with the exact next number, and
-//! any other frame fails the run at once with
-//! [`EvalError::TransportFailure`] (DESIGN.md §10). A full mailbox
-//! exerts backpressure instead of growing without bound. The final
-//! barrier of the superstep is a poisonable [`PoisonBarrier`] (a
-//! failing processor releases, rather than deadlocks, its peers), and
-//! it keeps the next superstep's frames out of this one's exchange.
+//! behind a lossless [`crate::transport::Transport`]. Only non-empty
+//! messages become frames. Each rank's per-destination frame counts
+//! travel in a *count round*, the superstep's entry synchronization;
+//! when it completes, every receiver's mailbox holds exactly the frames
+//! announced to it, and it drains them without waiting. Every data
+//! frame carries a per-link sequence number, and a missing, surplus or
+//! out-of-sequence frame fails the run at once with
+//! [`EvalError::TransportFailure`] (DESIGN.md §10). The final barrier
+//! of the superstep is a poisonable [`PoisonBarrier`] (a failing
+//! processor releases, rather than deadlocks, its peers), and it keeps
+//! the next superstep's frames out of this one's drain.
 //!
 //! **Robustness** (DESIGN.md §9): every barrier wait runs under a
 //! wall-clock watchdog ([`DEFAULT_BARRIER_TIMEOUT`]), so a stalled or
@@ -73,8 +75,8 @@ use crate::wire::{CtlLedger, CtlStats, Frame, FramePayload};
 /// [`DistMachine::with_fuel`] for genuinely long computations.
 pub const DIST_DEFAULT_FUEL: u64 = 10_000_000;
 
-/// Default watchdog timeout on every barrier wait (and on every
-/// message exchange). Generous for a shared-memory machine (barriers
+/// Default watchdog timeout on every barrier wait (the count round's
+/// included). Generous for a shared-memory machine (barriers
 /// are microseconds); its job is to convert *pathological* states — a
 /// deadlocked or runaway peer — into [`EvalError::BarrierTimeout`]
 /// rather than a hang. Override with
@@ -83,10 +85,6 @@ pub const DIST_DEFAULT_FUEL: u64 = 10_000_000;
 /// [`DistMachine::new`]), or disable with
 /// [`DistMachine::without_watchdog`].
 pub const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long an exchange poll that moved no frame sleeps before polling
-/// again.
-const POLL_SLEEP: Duration = Duration::from_micros(100);
 
 /// The environment variable overriding [`DEFAULT_BARRIER_TIMEOUT`]
 /// (milliseconds). Unparsable values fall back to the default; the
@@ -233,12 +231,6 @@ impl PoisonBarrier {
         st.poisoned = true;
         self.cv.notify_all();
     }
-
-    /// Whether a peer has failed. The exchange loop polls this so a
-    /// crash surfaces mid-communication, not only at the next barrier.
-    fn is_poisoned(&self) -> bool {
-        lock_ignore_poison(&self.state).poisoned
-    }
 }
 
 /// How one attempt's ranks synchronize: through a shared in-memory
@@ -248,11 +240,33 @@ impl PoisonBarrier {
 /// Unix socket, and "poison" is a control message instead of a flag).
 #[derive(Debug)]
 pub(crate) enum SyncBackend {
-    /// All ranks share one address space and one barrier.
-    Local(PoisonBarrier),
-    /// This rank is alone in its process; barriers and poison travel
-    /// through the hub's socket.
+    /// All ranks share one address space, one barrier, and one matrix
+    /// of send counts.
+    Local {
+        barrier: PoisonBarrier,
+        /// `counts[parity][src * p + dst]`: the frames `src` sent `dst`
+        /// in the last superstep of that parity. A rank writes its row
+        /// before the count round and reads its column after it, and
+        /// the round's barrier orders the two. The buffers alternate by
+        /// superstep parity, so the count rounds alone order every
+        /// write after the reads it could clobber: the next write into
+        /// superstep `s`'s buffer (for `s + 2`) waits behind round
+        /// `s + 1`, which every reader of `s` enters first.
+        counts: [Vec<AtomicU64>; 2],
+    },
+    /// This rank is alone in its process; the count round, barriers
+    /// and poison travel through the hub's socket.
     Remote(Arc<RemoteHub>),
+}
+
+impl SyncBackend {
+    fn local(p: usize) -> SyncBackend {
+        let matrix = || (0..p * p).map(|_| AtomicU64::new(0)).collect();
+        SyncBackend::Local {
+            barrier: PoisonBarrier::new(p),
+            counts: [matrix(), matrix()],
+        }
+    }
 }
 
 /// Per-superstep communication statistics of one processor.
@@ -285,9 +299,6 @@ struct FaultLedger {
     /// Received frames rejected by the wire decoder (checksum,
     /// truncation, bad tags) — each fails the run.
     corrupt_frames: AtomicU64,
-    /// `try_send` refusals: how often a full peer mailbox made a
-    /// sender drain its own mail and retry.
-    backpressure_waits: AtomicU64,
 }
 
 impl FaultLedger {
@@ -300,7 +311,6 @@ impl FaultLedger {
             barrier_timeouts: self.barrier_timeouts.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
         }
     }
 }
@@ -334,9 +344,6 @@ pub(crate) fn flush_counters(
     if counters.corrupt_frames > 0 {
         telemetry.counter_add("net.corrupt_frames", counters.corrupt_frames);
     }
-    if counters.backpressure_waits > 0 {
-        telemetry.counter_add("net.backpressure_waits", counters.backpressure_waits);
-    }
 }
 
 /// The checkpoint runtime shared by all ranks of one attempt.
@@ -360,7 +367,7 @@ struct Network {
     sync: SyncBackend,
     /// The substrate frames travel over (per-rank mailboxes).
     transport: Arc<dyn Transport>,
-    /// Watchdog timeout applied to every barrier wait and exchange.
+    /// Watchdog timeout applied to every count round and barrier wait.
     barrier_timeout: Option<Duration>,
     /// Faults to inject into this attempt (`None` = zero-cost).
     faults: Option<Arc<FaultPlan>>,
@@ -393,7 +400,7 @@ impl Network {
     ) -> Network {
         Network {
             p,
-            sync: SyncBackend::Local(PoisonBarrier::new(p)),
+            sync: SyncBackend::local(p),
             transport,
             barrier_timeout,
             faults,
@@ -409,16 +416,8 @@ impl Network {
     /// locally, a control message through the hub remotely.
     fn poison(&self) {
         match &self.sync {
-            SyncBackend::Local(barrier) => barrier.poison(),
+            SyncBackend::Local { barrier, .. } => barrier.poison(),
             SyncBackend::Remote(hub) => hub.poison(),
-        }
-    }
-
-    /// Whether a peer (or the parent) has declared the run dead.
-    fn is_poisoned(&self) -> bool {
-        match &self.sync {
-            SyncBackend::Local(barrier) => barrier.is_poisoned(),
-            SyncBackend::Remote(hub) => hub.is_poisoned(),
         }
     }
 }
@@ -619,7 +618,9 @@ impl SpmdDriver {
 
     fn barrier_wait_with(&self, on_complete: Option<&dyn Fn()>) -> Result<(), EvalError> {
         self.timed_barrier(|| match &self.net.sync {
-            SyncBackend::Local(barrier) => barrier.wait(self.net.barrier_timeout, on_complete),
+            SyncBackend::Local { barrier, .. } => {
+                barrier.wait(self.net.barrier_timeout, on_complete)
+            }
             // The remote backend synchronizes through the hub in
             // `superstep_exit_barrier`; a bare local wait has no
             // remote counterpart, so reaching one is a protocol bug
@@ -628,10 +629,14 @@ impl SpmdDriver {
         })
     }
 
-    /// Runs one barrier wait (any backend), timing it into the
-    /// `bsp.barrier_wait_us` histogram and re-tagging timeouts with
-    /// this rank's BSP superstep (counted in the ledger).
-    fn timed_barrier(&self, wait: impl FnOnce() -> Result<(), EvalError>) -> Result<(), EvalError> {
+    /// Runs one synchronization (a count round or a barrier wait, on
+    /// any backend), timing it into the `bsp.barrier_wait_us`
+    /// histogram and re-tagging timeouts with this rank's BSP superstep
+    /// (counted in the ledger).
+    fn timed_barrier<T>(
+        &self,
+        wait: impl FnOnce() -> Result<T, EvalError>,
+    ) -> Result<T, EvalError> {
         let result = if self.telemetry.is_enabled() {
             let before = Instant::now();
             let result = wait();
@@ -675,58 +680,22 @@ impl SpmdDriver {
         }
     }
 
-    /// Runs one exchange (`exchange_inner`), timing it into the
-    /// `bsp.barrier_wait_us` histogram.
+    /// One superstep's communication. Stamps and sends `sends` (this
+    /// rank's non-empty messages, at most one per peer), runs the count
+    /// round, and drains exactly the frames it announced. Returns the
+    /// delivered payloads by source rank; `None` where a peer sent
+    /// nothing.
     fn exchange(
         &mut self,
         superstep: u64,
         sends: Vec<(usize, FramePayload)>,
-        expect: &[bool],
-    ) -> Result<Vec<Option<FramePayload>>, EvalError> {
-        // The exchange doubles as the superstep's entry
-        // synchronization (the old design's first barrier), so the
-        // time a rank spends in it lands in the same histogram its
-        // barrier waits do — the telemetry contract stays "two timed
-        // sync phases per rank per superstep".
-        if self.telemetry.is_enabled() {
-            let before = Instant::now();
-            let result = self.exchange_inner(superstep, sends, expect);
-            let waited = u64::try_from(before.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.telemetry
-                .histogram_record("bsp.barrier_wait_us", waited);
-            result
-        } else {
-            self.exchange_inner(superstep, sends, expect)
-        }
-    }
-
-    /// Stamps and sends `sends` (this rank's data frames, at most one
-    /// per peer), draining this rank's own mailbox whenever a full
-    /// peer mailbox refuses one, and returns once every frame this
-    /// rank `expect`s has arrived with the exact next per-link
-    /// sequence number. Any other frame — one the wire decoder
-    /// rejects, one from an unknown or self sender, one on a link
-    /// nothing (more) was expected on, or one out of sequence — fails
-    /// the run at once with [`EvalError::TransportFailure`]. There is
-    /// no acknowledgement and no completion round: the superstep exit
-    /// barrier that follows every exchange keeps the next superstep's
-    /// frames out of this one (DESIGN.md §10).
-    fn exchange_inner(
-        &mut self,
-        superstep: u64,
-        sends: Vec<(usize, FramePayload)>,
-        expect: &[bool],
     ) -> Result<Vec<Option<FramePayload>>, EvalError> {
         let net = Arc::clone(&self.net);
-        let p = net.p;
-        let ledger = &net.ledger;
-        let deadline = net.barrier_timeout.map(|t| Instant::now() + t);
-
-        // Stamp each outbound frame with this rank's Lamport clock at
-        // build time — what lets the postmortem analyzer pair every
-        // receive with its send.
-        let mut outbox: Vec<(usize, Vec<u8>)> = Vec::with_capacity(sends.len());
+        let mut to = vec![0u64; net.p];
         for (dst, payload) in sends {
+            // Stamp each outbound frame with this rank's Lamport clock
+            // at build time — what lets the postmortem analyzer pair
+            // every receive with its send.
             let seq = self.send_seq[dst];
             self.send_seq[dst] += 1;
             let lamport = self.tick();
@@ -747,142 +716,149 @@ impl SpmdDriver {
                     bytes: bytes.len() as u64,
                 },
             );
-            outbox.push((dst, bytes));
-        }
-
-        let mut inbox: Vec<Option<FramePayload>> = vec![None; p];
-        let expected = expect.iter().filter(|&&e| e).count();
-        let mut awaiting = expected;
-
-        loop {
-            let mut progressed = false;
-
-            // Offer every unsent frame; a full mailbox keeps its frame
-            // for the next poll, while the drain below keeps running,
-            // so two ranks with mutually full mailboxes cannot
-            // deadlock on each other.
-            let mut refused_by = None;
-            outbox.retain(|(dst, bytes)| {
-                if net.transport.try_send(*dst, bytes) {
-                    ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    progressed = true;
-                    false
-                } else {
-                    ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-                    refused_by = Some(*dst);
-                    true
-                }
-            });
-            // At most one flight event per poll: enough for a
-            // postmortem, and a spinning sender cannot flood its ring.
-            if let Some(dst) = refused_by {
-                let lamport = self.tick();
-                self.flight_record(lamport, FlightEvent::BackpressureWait { to: dst as u64 });
+            if !net.transport.try_send(dst, &bytes) {
+                return Err(self.transport_failure(
+                    superstep,
+                    format!("the mailbox of rank {dst} refused a frame: it is full"),
+                ));
             }
+            net.ledger.frames_sent.fetch_add(1, Ordering::Relaxed);
+            to[dst] += 1;
+        }
+        let from = self.count_round(superstep, to)?;
+        self.drain(superstep, from)
+    }
 
-            // Drain this rank's whole mailbox before judging
-            // completion, so a surplus frame is caught in the exchange
-            // it arrived in.
-            while let Some(bytes) = net.transport.recv(self.rank) {
-                progressed = true;
-                let frame = match Frame::decode(&bytes) {
-                    Ok(f) => f,
-                    Err(err) => {
-                        ledger.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        let lamport = self.tick();
-                        self.flight_record(lamport, FlightEvent::CorruptRejected);
-                        return Err(
-                            self.transport_failure(superstep, format!("undecodable frame: {err}"))
-                        );
-                    }
-                };
-                let src = frame.from;
-                if src >= p || src == self.rank {
-                    return Err(self.transport_failure(
-                        superstep,
-                        format!("frame claims to come from rank {src}, which is not a peer"),
-                    ));
+    /// The count round: publishes how many frames this rank sent each
+    /// peer, waits for every rank to do the same, and returns how many
+    /// each peer sent this rank. It is the superstep's entry
+    /// synchronization, timed into `bsp.barrier_wait_us` like the exit
+    /// barrier. Every frame was handed to the transport before its
+    /// sender entered the round, so when the round returns this rank's
+    /// mailbox holds them all (DESIGN.md §10).
+    fn count_round(&self, superstep: u64, to: Vec<u64>) -> Result<Vec<u64>, EvalError> {
+        let net = &self.net;
+        match &net.sync {
+            SyncBackend::Local { barrier, counts } => {
+                let p = net.p;
+                let matrix = &counts[(superstep % 2) as usize];
+                // Relaxed suffices: the barrier's mutex orders every
+                // rank's stores before any rank's loads.
+                for (dst, n) in to.into_iter().enumerate() {
+                    matrix[self.rank * p + dst].store(n, Ordering::Relaxed);
                 }
-                if !expect[src] || inbox[src].is_some() {
-                    return Err(self.transport_failure(
-                        superstep,
-                        format!(
-                            "frame from rank {src} (seq {}) on a link nothing more was \
-                             expected on",
-                            frame.seq
-                        ),
-                    ));
-                }
-                if frame.seq != self.recv_seq[src] {
-                    return Err(self.transport_failure(
-                        superstep,
-                        format!(
-                            "frame from rank {src} carries seq {}, expected {}",
-                            frame.seq, self.recv_seq[src]
-                        ),
-                    ));
-                }
-                // Every received frame advances the Lamport clock past
-                // the sender's stamp: the receive is strictly after
-                // the send, machine-wide.
-                let stamp = self.observe(frame.lamport);
-                self.recv_seq[src] += 1;
-                awaiting -= 1;
-                self.flight_record(
-                    stamp,
-                    FlightEvent::FrameReceived {
-                        from: src as u64,
-                        seq: frame.seq,
-                        superstep: frame.superstep,
-                        sent_lamport: frame.lamport,
-                    },
-                );
-                if self.telemetry.is_enabled() {
-                    // A causal arrow from the sender's rank track to
-                    // ours, at the delivery instant (the sender's wall
-                    // clock is not observable here).
-                    let now = self.telemetry.now_us();
-                    let from_track = self.telemetry.track(&format!("p{src}")).current_track();
-                    let id = net.flow_ids.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.record_flow(
-                        id,
-                        match frame.payload {
-                            FramePayload::IfAt(_) => "ifat",
-                            FramePayload::Put(_) => "put",
-                        },
-                        from_track,
-                        self.telemetry.current_track(),
-                        now,
-                        now,
+                self.timed_barrier(|| barrier.wait(net.barrier_timeout, None))?;
+                Ok((0..p)
+                    .map(|src| matrix[src * p + self.rank].load(Ordering::Relaxed))
+                    .collect())
+            }
+            SyncBackend::Remote(hub) => {
+                self.timed_barrier(|| hub.count_round(superstep, to, net.barrier_timeout))
+            }
+        }
+    }
+
+    /// Drains this rank's mailbox after the count round, which
+    /// announced `from[src]` frames from each peer. Each frame must
+    /// decode, come from a peer with an announced frame outstanding,
+    /// and carry that link's exact next sequence number; afterwards no
+    /// announced frame may be missing. Anything else — a corrupt,
+    /// surplus, duplicate, out-of-sequence or missing frame — fails
+    /// the run at once with [`EvalError::TransportFailure`]. There is
+    /// nothing to wait for: the exit barrier that follows keeps the
+    /// next superstep's frames out (DESIGN.md §10).
+    fn drain(
+        &mut self,
+        superstep: u64,
+        mut from: Vec<u64>,
+    ) -> Result<Vec<Option<FramePayload>>, EvalError> {
+        let net = Arc::clone(&self.net);
+        let p = net.p;
+        let mut inbox: Vec<Option<FramePayload>> = vec![None; p];
+        while let Some(bytes) = net.transport.recv(self.rank) {
+            let frame = match Frame::decode(&bytes) {
+                Ok(f) => f,
+                Err(err) => {
+                    net.ledger.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                    let lamport = self.tick();
+                    self.flight_record(lamport, FlightEvent::CorruptRejected);
+                    return Err(
+                        self.transport_failure(superstep, format!("undecodable frame: {err}"))
                     );
                 }
-                inbox[src] = Some(frame.payload);
+            };
+            let src = frame.from;
+            if src >= p || src == self.rank {
+                return Err(self.transport_failure(
+                    superstep,
+                    format!("frame claims to come from rank {src}, which is not a peer"),
+                ));
             }
-
-            if awaiting == 0 && outbox.is_empty() {
-                return Ok(inbox);
+            if from[src] == 0 || inbox[src].is_some() {
+                return Err(self.transport_failure(
+                    superstep,
+                    format!(
+                        "frame from rank {src} (seq {}) on a link nothing more was \
+                         announced on",
+                        frame.seq
+                    ),
+                ));
             }
-
-            // Liveness: a crashed peer surfaces mid-exchange, and a
-            // stalled one trips the wall-clock watchdog.
-            if net.is_poisoned() {
-                return Err(EvalError::PeerFailure);
+            if frame.seq != self.recv_seq[src] {
+                return Err(self.transport_failure(
+                    superstep,
+                    format!(
+                        "frame from rank {src} carries seq {}, expected {}",
+                        frame.seq, self.recv_seq[src]
+                    ),
+                ));
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    ledger.barrier_timeouts.fetch_add(1, Ordering::Relaxed);
-                    net.poison();
-                    // This rank, plus every peer whose frame it holds.
-                    return Err(EvalError::BarrierTimeout {
-                        superstep,
-                        waiting: 1 + expected - awaiting,
-                    });
-                }
+            // Every received frame advances the Lamport clock past
+            // the sender's stamp: the receive is strictly after the
+            // send, machine-wide.
+            let stamp = self.observe(frame.lamport);
+            self.recv_seq[src] += 1;
+            from[src] -= 1;
+            self.flight_record(
+                stamp,
+                FlightEvent::FrameReceived {
+                    from: src as u64,
+                    seq: frame.seq,
+                    superstep: frame.superstep,
+                    sent_lamport: frame.lamport,
+                },
+            );
+            if self.telemetry.is_enabled() {
+                // A causal arrow from the sender's rank track to ours,
+                // at the delivery instant (the sender's wall clock is
+                // not observable here).
+                let now = self.telemetry.now_us();
+                let from_track = self.telemetry.track(&format!("p{src}")).current_track();
+                let id = net.flow_ids.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.record_flow(
+                    id,
+                    match frame.payload {
+                        FramePayload::IfAt(_) => "ifat",
+                        FramePayload::Put(_) => "put",
+                    },
+                    from_track,
+                    self.telemetry.current_track(),
+                    now,
+                    now,
+                );
             }
-            if !progressed {
-                std::thread::sleep(POLL_SLEEP);
-            }
+            inbox[src] = Some(frame.payload);
         }
+        if let Some(src) = from.iter().position(|&n| n > 0) {
+            return Err(self.transport_failure(
+                superstep,
+                format!(
+                    "rank {src} announced {} frame(s) that never arrived",
+                    from[src]
+                ),
+            ));
+        }
+        Ok(inbox)
     }
 
     /// Fails the run on a frame the exchange cannot accept: poisons
@@ -1049,7 +1025,7 @@ impl SpmdDriver {
                 let timeout = self.net.barrier_timeout;
                 self.timed_barrier(move || hub.barrier_enter(superstep, timeout))
             }
-            SyncBackend::Local(_) => match (staged, &self.net.checkpoint) {
+            SyncBackend::Local { .. } => match (staged, &self.net.checkpoint) {
                 (Some(generation), Some(ck)) => {
                     let ledger = &self.net.ledger;
                     let store = Arc::clone(&ck.store);
@@ -1223,8 +1199,8 @@ impl ParallelDriver for SpmdDriver {
         let superstep = self.inject_entry_faults()?;
         let f = self.my_component(fs, "put")?.clone();
         // Local phase: evaluate my send function for every target and
-        // serialize the messages into wire frames.
-        let mut sends: Vec<(usize, FramePayload)> = Vec::with_capacity(p.saturating_sub(1));
+        // serialize the non-empty messages into wire frames.
+        let mut sends: Vec<(usize, FramePayload)> = Vec::new();
         let mut self_payload = PortableValue::NoComm;
         for dst in 0..p {
             let v = ev.apply_fn(f.clone(), Value::Int(dst as i64), Mode::OnProc(self.rank))?;
@@ -1245,15 +1221,15 @@ impl ParallelDriver for SpmdDriver {
             if dst == self.rank {
                 // A self-message never touches the wire.
                 self_payload = payload;
-            } else {
+            } else if payload != PortableValue::NoComm {
+                // An `nc ()` message is no frame: the count round tells
+                // the receiver nothing came, and it reads `nc ()`.
                 sends.push((dst, FramePayload::Put(payload)));
             }
         }
-        // Communication phase: the exchange is also the superstep's
-        // entry synchronization (it cannot complete before every peer
-        // has arrived and delivered).
-        let expect: Vec<bool> = (0..p).map(|j| j != self.rank).collect();
-        let delivered = self.exchange(superstep, sends, &expect)?;
+        // Communication phase: the count round inside the exchange is
+        // also the superstep's entry synchronization.
+        let delivered = self.exchange(superstep, sends)?;
         let mut row: Vec<PortableValue> = Vec::with_capacity(p);
         for (j, slot) in delivered.into_iter().enumerate() {
             if j == self.rank {
@@ -1261,10 +1237,11 @@ impl ParallelDriver for SpmdDriver {
             } else {
                 match slot {
                     Some(FramePayload::Put(v)) => row.push(v),
-                    // A completed exchange delivered something other
-                    // than a put payload: a peer ran a different
-                    // primitive — SPMD replication is broken.
-                    _ => {
+                    None => row.push(PortableValue::NoComm),
+                    // A peer sent an if‥at‥ broadcast into a put: it
+                    // ran a different primitive — SPMD replication is
+                    // broken.
+                    Some(FramePayload::IfAt(_)) => {
                         self.net.poison();
                         return Err(EvalError::PeerFailure);
                     }
@@ -1317,7 +1294,7 @@ impl ParallelDriver for SpmdDriver {
             }
         };
         // The deciding rank broadcasts its boolean as one wire frame
-        // per peer; everyone else expects exactly one frame, from
+        // per peer; everyone else receives exactly one frame, from
         // `at`. (The plan's message drops target `put` h-relations;
         // the if‥at‥ broadcast is never plan-dropped.)
         let mut sends: Vec<(usize, FramePayload)> = Vec::new();
@@ -1329,16 +1306,15 @@ impl ParallelDriver for SpmdDriver {
                     .map(|dst| (dst, FramePayload::IfAt(mine))),
             );
         }
-        let expect: Vec<bool> = (0..p).map(|j| j == at && self.rank != at).collect();
-        let delivered = self.exchange(superstep, sends, &expect)?;
+        let delivered = self.exchange(superstep, sends)?;
         let chosen = if self.rank == at {
             mine
         } else {
             match delivered[at] {
                 Some(FramePayload::IfAt(b)) => b,
-                // The broadcaster delivered something else (or the
-                // completed exchange holds no frame at all): SPMD
-                // replication is broken — a peer failure.
+                // The broadcaster delivered something else (or sent
+                // nothing at all): SPMD replication is broken — a peer
+                // failure.
                 _ => {
                     self.net.poison();
                     return Err(EvalError::PeerFailure);
@@ -1808,7 +1784,7 @@ fn run_rank_inner(
     // protocol stamps form one causal order per rank.
     let clock = match &net.sync {
         SyncBackend::Remote(hub) => Arc::clone(&hub.lamport),
-        SyncBackend::Local(_) => Arc::new(AtomicU64::new(0)),
+        SyncBackend::Local { .. } => Arc::new(AtomicU64::new(0)),
     };
     let driver = SpmdDriver {
         rank,
@@ -2178,6 +2154,7 @@ mod tests {
     enum Defect {
         FlipBit,
         Duplicate,
+        Drop,
     }
 
     /// A transport that is lossless except for one defect on its
@@ -2200,10 +2177,11 @@ mod tests {
                 match self.defect {
                     Defect::FlipBit => frame[bytes.len() / 2] ^= 1,
                     Defect::Duplicate => copies = 2,
+                    Defect::Drop => copies = 0,
                 }
             }
             // Both copies land under one lock, so the receiver drains
-            // them in the same poll.
+            // them together.
             let mut mailbox = lock_ignore_poison(&self.boxes[dst]);
             for _ in 0..copies {
                 mailbox.push_back(frame.clone());
@@ -2260,5 +2238,10 @@ mod tests {
     #[test]
     fn a_duplicate_frame_fails_the_exchange_at_once() {
         assert_fails_fast(Defect::Duplicate);
+    }
+
+    #[test]
+    fn a_lost_frame_fails_the_exchange_at_once() {
+        assert_fails_fast(Defect::Drop);
     }
 }

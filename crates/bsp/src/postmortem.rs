@@ -166,9 +166,9 @@ impl From<CodecError> for PostmortemError {
 /// Event tags, in [`FlightEvent`] declaration order.
 const TAG_FRAME_SENT: u8 = 0;
 const TAG_FRAME_RECEIVED: u8 = 1;
-// Tags 2–4 (the retired ack and retransmission events) stay unused.
+// Tags 2–4 (the retired ack and retransmission events) and 6 (the
+// retired backpressure wait) stay unused.
 const TAG_CORRUPT_REJECTED: u8 = 5;
-const TAG_BACKPRESSURE_WAIT: u8 = 6;
 const TAG_BARRIER_ENTER: u8 = 7;
 const TAG_BARRIER_EXIT: u8 = 8;
 const TAG_SUPERSTEP_END: u8 = 9;
@@ -193,7 +193,6 @@ pub(crate) fn encode_event(out: &mut Vec<u8>, ev: &TimedFlightEvent) {
             sent_lamport,
         } => (TAG_FRAME_RECEIVED, [from, seq, superstep, sent_lamport], 4),
         FlightEvent::CorruptRejected => (TAG_CORRUPT_REJECTED, [0, 0, 0, 0], 0),
-        FlightEvent::BackpressureWait { to } => (TAG_BACKPRESSURE_WAIT, [to, 0, 0, 0], 1),
         FlightEvent::BarrierEnter { superstep } => (TAG_BARRIER_ENTER, [superstep, 0, 0, 0], 1),
         FlightEvent::BarrierExit { superstep } => (TAG_BARRIER_EXIT, [superstep, 0, 0, 0], 1),
         FlightEvent::SuperstepEnd {
@@ -243,7 +242,6 @@ pub(crate) fn decode_event(r: &mut ByteReader<'_>) -> Result<TimedFlightEvent, C
             sent_lamport: r.u64()?,
         },
         TAG_CORRUPT_REJECTED => FlightEvent::CorruptRejected,
-        TAG_BACKPRESSURE_WAIT => FlightEvent::BackpressureWait { to: r.u64()? },
         TAG_BARRIER_ENTER => FlightEvent::BarrierEnter {
             superstep: r.u64()?,
         },
@@ -1083,21 +1081,15 @@ mod tests {
                 RankFlightLog {
                     rank: 0,
                     dropped: 0,
-                    events: vec![
-                        TimedFlightEvent {
-                            lamport: 1,
-                            event: FlightEvent::FrameSent {
-                                to: 1,
-                                seq: 0,
-                                superstep: 0,
-                                bytes: 42,
-                            },
+                    events: vec![TimedFlightEvent {
+                        lamport: 1,
+                        event: FlightEvent::FrameSent {
+                            to: 1,
+                            seq: 0,
+                            superstep: 0,
+                            bytes: 42,
                         },
-                        TimedFlightEvent {
-                            lamport: 2,
-                            event: FlightEvent::BackpressureWait { to: 1 },
-                        },
-                    ],
+                    }],
                 },
                 RankFlightLog {
                     rank: 1,
@@ -1138,7 +1130,6 @@ mod tests {
                 sent_lamport: 4,
             },
             FlightEvent::CorruptRejected,
-            FlightEvent::BackpressureWait { to: 1 },
             FlightEvent::BarrierEnter { superstep: 1 },
             FlightEvent::BarrierExit { superstep: 1 },
             FlightEvent::SuperstepEnd {

@@ -317,10 +317,13 @@ impl ChildPostmortem {
     }
 }
 
-/// State a barrier wait blocks on: releases observed so far and the
-/// poison flag.
+/// State the count round and the barrier wait block on: the parent's
+/// latest `RecvCounts`, releases observed so far, and the poison flag.
 #[derive(Debug, Default)]
 struct BarrierProgress {
+    /// The superstep and per-source counts of a `RecvCounts` not yet
+    /// taken by its count round.
+    recv_counts: Option<(u64, Vec<u64>)>,
     releases: u64,
     poisoned: bool,
 }
@@ -374,7 +377,7 @@ impl EgressRing {
 
 /// A rank process's end of the parent's control stream: the writer
 /// half plus everything the reader thread routes off the stream
-/// (delivered frames, barrier releases, poison).
+/// (delivered frames, receive counts, barrier releases, poison).
 /// This is what [`crate::distributed::SyncBackend::Remote`] and
 /// [`SocketTransport`] talk to.
 #[derive(Debug)]
@@ -577,6 +580,36 @@ impl RemoteHub {
         *lock(&self.staged) = Some(bytes);
     }
 
+    /// The remote count round: ships this rank's per-destination frame
+    /// counts — behind every `Data` frame of the superstep, on the same
+    /// FIFO stream — and waits for the parent's `RecvCounts`. The
+    /// parent sends that only after routing every peer's frames to this
+    /// rank's stream, so when it returns the frames it announces are
+    /// already in the inbound queue.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RemoteHub::barrier_enter`].
+    pub(crate) fn count_round(
+        &self,
+        superstep: u64,
+        to: Vec<u64>,
+        timeout: Option<Duration>,
+    ) -> Result<Vec<u64>, EvalError> {
+        if self.is_poisoned() {
+            return Err(EvalError::PeerFailure);
+        }
+        if self.send(&CtlMsg::SendCounts { superstep, to }).is_err() {
+            self.poison_local();
+            return Err(EvalError::PeerFailure);
+        }
+        self.await_parent(superstep, timeout, |b| {
+            b.recv_counts
+                .take_if(|(s, _)| *s == superstep)
+                .map(|(_, from)| from)
+        })
+    }
+
     /// The remote superstep exit barrier: announce arrival (shipping
     /// any staged frame) and wait for the parent's release.
     ///
@@ -622,16 +655,35 @@ impl RemoteHub {
             self.poison_local();
             return Err(EvalError::PeerFailure);
         }
+        self.await_parent(superstep, timeout, |b| (b.releases >= target).then_some(()))?;
+        // A completed superstep is a durability point: flush the ring
+        // so a SIGKILL anywhere in the *next* superstep still leaves
+        // an analyzable bundle on disk.
+        if let Some(pm) = &self.postmortem {
+            pm.flush("", None, None);
+        }
+        Ok(())
+    }
+
+    /// Blocks until `ready` takes what this wait is for out of the
+    /// progress state, the run is poisoned, or `timeout` elapses —
+    /// which also poisons the run, so peers unwind too.
+    fn await_parent<T>(
+        &self,
+        superstep: u64,
+        timeout: Option<Duration>,
+        mut ready: impl FnMut(&mut BarrierProgress) -> Option<T>,
+    ) -> Result<T, EvalError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut b = lock(&self.barrier);
         loop {
             if b.poisoned {
                 return Err(EvalError::PeerFailure);
             }
-            if b.releases >= target {
-                break;
+            if let Some(out) = ready(&mut b) {
+                return Ok(out);
             }
-            match deadline {
+            b = match deadline {
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
@@ -647,28 +699,17 @@ impl RemoteHub {
                             waiting: 1,
                         });
                     }
-                    b = self
-                        .barrier_cv
+                    self.barrier_cv
                         .wait_timeout(b, d - now)
                         .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                        .0
                 }
-                None => {
-                    b = self
-                        .barrier_cv
-                        .wait(b)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
+                None => self
+                    .barrier_cv
+                    .wait(b)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
-        drop(b);
-        // A completed superstep is a durability point: flush the ring
-        // so a SIGKILL anywhere in the *next* superstep still leaves
-        // an analyzable bundle on disk.
-        if let Some(pm) = &self.postmortem {
-            pm.flush("", None, None);
-        }
-        Ok(())
     }
 
     /// Routes one parent→child message into the hub's state (the
@@ -676,6 +717,10 @@ impl RemoteHub {
     fn absorb(&self, msg: CtlMsg) {
         match msg {
             CtlMsg::Deliver { frame } => lock(&self.inbound).push_back(frame),
+            CtlMsg::RecvCounts { superstep, from } => {
+                lock(&self.barrier).recv_counts = Some((superstep, from));
+                self.barrier_cv.notify_all();
+            }
             CtlMsg::BarrierRelease { .. } => {
                 lock(&self.barrier).releases += 1;
                 self.barrier_cv.notify_all();
@@ -1636,6 +1681,10 @@ struct ParentState {
     children: Vec<Mutex<Child>>,
     /// Supersteps each rank has completed (its death coordinate).
     completed: Vec<AtomicU64>,
+    /// The count round currently filling: each rank's per-destination
+    /// frame counts, by sender. Like the barrier's arrivals, all `p`
+    /// rows of round `t` precede any row of round `t + 1`.
+    counts: Mutex<Vec<Option<Vec<u64>>>>,
     round: Mutex<Round>,
     reports: Mutex<Vec<Option<RankReport>>>,
     /// Death notes for ranks whose stream died before any report.
@@ -1651,12 +1700,31 @@ struct ParentState {
     counters: LinkCounters,
     /// The parent's Lamport clock, stamping heartbeats.
     lamport: AtomicU64,
-    /// Raised once every reader is home: stops the acceptor and the
-    /// heartbeat monitor.
-    shutdown: AtomicBool,
+    /// Raised once every reader is home: stands down the acceptor and
+    /// the heartbeat monitor, which wait on `shutdown_cv` between
+    /// rounds.
+    shutdown: Mutex<bool>,
+    shutdown_cv: Condvar,
 }
 
 impl ParentState {
+    /// Waits up to `timeout` for the attempt to end; returns whether
+    /// it has.
+    fn stands_down_within(&self, timeout: Duration) -> bool {
+        let down = lock(&self.shutdown);
+        *self
+            .shutdown_cv
+            .wait_timeout_while(down, timeout, |down| !*down)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+    }
+
+    /// Ends the attempt for the acceptor and the monitor, waking both.
+    fn stand_down(&self) {
+        *lock(&self.shutdown) = true;
+        self.shutdown_cv.notify_all();
+    }
+
     /// Moves one link's FSM, counting the transition.
     fn set_state(&self, rank: usize, next: LinkState) {
         let mut state = lock(&self.links[rank].state);
@@ -1772,6 +1840,31 @@ impl ParentState {
         }
     }
 
+    /// One rank's `SendCounts` for `superstep`. Its reader routed every
+    /// `Data` frame the rank sent ahead of it, so once all `p` rows are
+    /// in, every frame of the superstep is on its destination's
+    /// stream. The last arrival then sends each rank its column as
+    /// `RecvCounts`, which its FIFO stream delivers behind those
+    /// frames.
+    fn handle_counts(&self, rank: usize, superstep: u64, to: Vec<u64>) {
+        let rows = {
+            let mut rows = lock(&self.counts);
+            rows[rank] = Some(to);
+            if rows.iter().any(Option::is_none) {
+                return;
+            }
+            std::mem::replace(&mut *rows, vec![None; self.p])
+        };
+        for dst in 0..self.p {
+            let from = rows
+                .iter()
+                .flatten()
+                .map(|row| row.get(dst).copied().unwrap_or(0))
+                .collect();
+            self.send_to(dst, &CtlMsg::RecvCounts { superstep, from });
+        }
+    }
+
     /// One rank arrived at the exit barrier of `superstep`. The last
     /// arrival commits any staged generation (the consistent cut:
     /// every rank has arrived, none has been released) and broadcasts
@@ -1883,6 +1976,9 @@ fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) {
                 match msg {
                     CtlMsg::Data { dst, frame } if dst < state.p => {
                         state.send_to(dst, &CtlMsg::Deliver { frame });
+                    }
+                    CtlMsg::SendCounts { superstep, to } => {
+                        state.handle_counts(rank, superstep, to);
                     }
                     CtlMsg::BarrierEnter { superstep, staged } => {
                         state.handle_barrier(rank, superstep, staged);
@@ -1996,6 +2092,9 @@ fn wait_for_rejoin(state: &ParentState, rank: usize) -> Option<(RankStream, u64)
     }
 }
 
+/// How often the rejoin acceptor polls its nonblocking listener.
+const REJOIN_POLL: Duration = Duration::from_millis(5);
+
 /// The rejoin acceptor: keeps the coordinator's listener open for the
 /// whole attempt, validating every late connection as a `Rejoin` and
 /// healing the named link — `RejoinOk` with the parent's resume token,
@@ -2004,16 +2103,17 @@ fn wait_for_rejoin(state: &ParentState, rank: usize) -> Option<(RankStream, u64)
 /// a pending `Flap` storm severs accepted rejoins until its count is
 /// exhausted.
 fn rejoin_acceptor(state: &ParentState, listener: &dyn Listener) {
-    while !state.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    let mut pause = Duration::ZERO;
+    while !state.stands_down_within(pause) {
+        pause = match listener.accept() {
             Ok(stream) => {
                 let _ = handle_rejoin(state, stream);
+                Duration::ZERO
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+            // Nothing pending (or a failed accept): poll again in 5 ms,
+            // or stand down the moment the last reader is home.
+            Err(_) => REJOIN_POLL,
+        };
     }
 }
 
@@ -2123,15 +2223,7 @@ fn handle_rejoin(state: &ParentState, mut stream: RankStream) -> io::Result<()> 
 /// grace handles links that errored outright).
 fn link_monitor(state: &ParentState) {
     let period = state.heartbeat;
-    while !state.shutdown.load(Ordering::Acquire) {
-        // Sleep in slices so shutdown is prompt even with long periods.
-        let wake = Instant::now() + period;
-        while Instant::now() < wake {
-            if state.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20).min(period));
-        }
+    while !state.stands_down_within(period) {
         // While any link is mid-heal the fleet is deliberately parked:
         // the barrier hold can leave reader threads (and therefore
         // `last_seen` stamps) stalled through no fault of their ranks,
@@ -2186,7 +2278,6 @@ fn add_ledger(sum: &mut CtlLedger, one: &CtlLedger) {
     sum.barrier_timeouts += one.barrier_timeouts;
     sum.frames_sent += one.frames_sent;
     sum.corrupt_frames += one.corrupt_frames;
-    sum.backpressure_waits += one.backpressure_waits;
 }
 
 /// Runs one attempt with every rank in its own OS process — the
@@ -2215,6 +2306,7 @@ pub(crate) fn run_process_attempt(
         links: launch.writers.into_iter().map(Link::new).collect(),
         children: launch.children,
         completed: (0..p).map(|_| AtomicU64::new(baseline)).collect(),
+        counts: Mutex::new(vec![None; p]),
         round: Mutex::new(Round {
             arrived: vec![false; p],
             count: 0,
@@ -2235,7 +2327,8 @@ pub(crate) fn run_process_attempt(
         rejoin_budget: cfg.rejoin_budget.unwrap_or(DEFAULT_REJOIN_BUDGET),
         counters: LinkCounters::default(),
         lamport: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
+        shutdown: Mutex::new(false),
+        shutdown_cv: Condvar::new(),
     };
 
     // Superstep-0 link faults: severed right after the handshake — the
@@ -2250,8 +2343,9 @@ pub(crate) fn run_process_attempt(
     // death). Children bound their own waits with the shipped barrier
     // watchdog, and any death poisons the fleet, so the readers always
     // come home. The rejoin acceptor and the heartbeat monitor run
-    // alongside the readers for the whole attempt and stand down once
-    // every reader is home.
+    // alongside the readers for the whole attempt and are woken to
+    // stand down the moment the last reader is home, so the attempt
+    // ends with its last report, not at their next tick.
     let listener = launch.listener;
     std::thread::scope(|scope| {
         let supervision = !state.link_grace.is_zero();
@@ -2276,7 +2370,7 @@ pub(crate) fn run_process_attempt(
         for reader in readers {
             let _ = reader.join();
         }
-        state.shutdown.store(true, Ordering::Release);
+        state.stand_down();
     });
 
     // Reap whatever the death path has not already reaped (waitpid;

@@ -8,28 +8,26 @@
 //!   ([`crate::process`]).
 //!
 //! Both are lossless: an accepted frame arrives exactly once, intact
-//! and in per-link order. The exchange loop of [`crate::distributed`]
+//! and in per-link order. The exchange of [`crate::distributed`]
 //! relies on that — it checks every frame's per-link sequence number
-//! and fails the run on anything unexpected instead of repairing it
-//! (DESIGN.md §10). Loss on a real socket is repaired one layer down,
-//! by the egress-ring replay of link supervision (DESIGN.md §16).
+//! against the counts the superstep's count round announced, and fails
+//! the run on anything unexpected instead of repairing it (DESIGN.md
+//! §10). Loss on a real socket is repaired one layer down, by the
+//! egress-ring replay of link supervision (DESIGN.md §16).
 //!
 //! A transport moves opaque *bytes*; framing, checksums, and
-//! sequencing belong to [`crate::wire`] and the exchange loop.
+//! sequencing belong to [`crate::wire`] and the exchange.
 //!
-//! A [`SharedMem`] mailbox is bounded: [`Transport::try_send`] refuses
-//! rather than queues unboundedly, and the caller is expected to drain
-//! its *own* mailbox while retrying — the backpressure discipline that
-//! keeps a fast sender from overrunning a stalled peer without ever
-//! deadlocking.
+//! A [`SharedMem`] mailbox is bounded by `p − 1` frames: a rank sends
+//! each peer at most one frame per superstep, and the superstep's exit
+//! barrier keeps the next superstep's frames out until the receiver
+//! has drained this one's. A refusal is therefore a protocol
+//! violation, which the exchange reports as a transport failure.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// Frames one [`SharedMem`] mailbox holds before `try_send` refuses.
-const MAILBOX_CAPACITY: usize = 256;
 
 /// Locks a mutex, recovering from a peer's panic (the protected data
 /// are plain queues, valid regardless).
@@ -41,12 +39,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Implementations must deliver every accepted frame exactly once,
 /// unmodified, in per-link send order, and must be safe to call
-/// concurrently from all ranks. The exchange loop treats any
-/// deviation as a fatal protocol violation.
+/// concurrently from all ranks. A frame accepted before its sender
+/// enters a synchronization must be receivable once that
+/// synchronization completes. The exchange treats any deviation as a
+/// fatal protocol violation.
 pub trait Transport: fmt::Debug + Send + Sync {
     /// Offers one frame to `dst`'s mailbox. Returns `false` when the
-    /// mailbox is full (backpressure): the caller should drain its own
-    /// mailbox and retry.
+    /// mailbox is full, which the exchange treats as a protocol
+    /// violation.
     fn try_send(&self, dst: usize, bytes: &[u8]) -> bool;
 
     /// Pops the next frame from `rank`'s mailbox, if any.
@@ -61,14 +61,18 @@ pub trait Transport: fmt::Debug + Send + Sync {
 #[derive(Debug)]
 pub struct SharedMem {
     boxes: Vec<Mutex<VecDeque<Vec<u8>>>>,
+    /// Frames one mailbox holds before `try_send` refuses: `p − 1`,
+    /// one superstep's worth.
+    capacity: usize,
 }
 
 impl SharedMem {
-    /// Mailboxes for `p` ranks.
+    /// Mailboxes for `p` ranks, each holding up to `p − 1` frames.
     #[must_use]
     pub fn new(p: usize) -> SharedMem {
         SharedMem {
             boxes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
+            capacity: p.saturating_sub(1),
         }
     }
 }
@@ -76,7 +80,7 @@ impl SharedMem {
 impl Transport for SharedMem {
     fn try_send(&self, dst: usize, bytes: &[u8]) -> bool {
         let mut q = lock(&self.boxes[dst]);
-        if q.len() >= MAILBOX_CAPACITY {
+        if q.len() >= self.capacity {
             return false;
         }
         q.push_back(bytes.to_vec());
@@ -91,7 +95,7 @@ impl Transport for SharedMem {
 /// A rank *process*'s view of the machine: every frame rides the
 /// control stream to the parent, which routes it to the destination
 /// rank's stream ([`crate::process`]). Mailbox depth is bounded by the
-/// kernel socket buffers, so `try_send` never reports backpressure.
+/// kernel socket buffers, so `try_send` never refuses.
 #[derive(Debug)]
 pub(crate) struct SocketTransport {
     hub: std::sync::Arc<crate::process::RemoteHub>,
@@ -339,15 +343,16 @@ mod tests {
 
     #[test]
     fn shared_mem_is_fifo_and_bounded() {
-        let t = SharedMem::new(2);
-        for i in 0..MAILBOX_CAPACITY {
+        let p = 5;
+        let t = SharedMem::new(p);
+        for i in 0..p - 1 {
             assert!(t.try_send(1, &i.to_le_bytes()));
         }
-        // Mailbox full: backpressure, not queue growth.
+        // Mailbox full: a refusal, not queue growth.
         assert!(!t.try_send(1, b"late"));
         assert_eq!(t.recv(1), Some(0usize.to_le_bytes().to_vec()));
         assert!(t.try_send(1, b"late"));
-        for i in 1..MAILBOX_CAPACITY {
+        for i in 1..p - 1 {
             assert_eq!(t.recv(1), Some(i.to_le_bytes().to_vec()));
         }
         assert_eq!(t.recv(1).as_deref(), Some(b"late".as_slice()));

@@ -3,7 +3,7 @@
 //! broadcast between two ranks.
 //!
 //! This is the layer every transport speaks (see [`crate::transport`])
-//! and the layer the exchange loop checks (DESIGN.md §10). A frame is
+//! and the layer the exchange checks (DESIGN.md §10). A frame is
 //! self-delimiting and self-validating:
 //!
 //! ```text
@@ -26,7 +26,7 @@
 //! truncated frames, length-prefix mismatches, checksum mismatches (any
 //! single bit flip is caught), unknown tags, values nested deeper than
 //! [`MAX_DEPTH`] (list tails do not count) and trailing garbage; the
-//! exchange loop fails the run on every rejection, so a corrupted frame
+//! exchange fails the run on every rejection, so a corrupted frame
 //! is never mistaken for data.
 //!
 //! The [`PortableValue`] codec here is also the one checkpoint frames
@@ -215,7 +215,7 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Any [`CodecError`]; the exchange loop fails the run on it.
+    /// Any [`CodecError`]; the exchange fails the run on it.
     pub fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
         let mut r = open_prefixed(bytes, 4 + 1 + 4 + 8 + 8 + 8 + 8)?;
         let kind = r.u8()?;
@@ -279,7 +279,7 @@ pub const CTL_MAGIC: u64 = u64::from_le_bytes(*b"BSMLCTL1");
 
 /// Version of the control protocol. A `Hello` carrying any other
 /// version is rejected during the handshake — never negotiated.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on one control frame (64 MiB). A stream reader rejects
 /// a larger length prefix *before* allocating, so a corrupt or hostile
@@ -318,8 +318,6 @@ pub struct CtlLedger {
     pub frames_sent: u64,
     /// Received frames rejected by the wire decoder.
     pub corrupt_frames: u64,
-    /// `try_send` refusals that made the sender drain and retry.
-    pub backpressure_waits: u64,
 }
 
 /// One message on a parent⇄child control stream.
@@ -331,10 +329,10 @@ pub struct CtlLedger {
 /// truncation, length mismatches, checksum mismatches, unknown tags
 /// and trailing garbage.
 ///
-/// Direction conventions: `Hello`/`Data`/`BarrierEnter`/`Fatal`/
-/// `Done`/`Pong`/`Rejoin` flow child → parent; `Welcome`/`Reject`/
-/// `Deliver`/`BarrierRelease`/`Ping`/`RejoinOk` flow parent → child;
-/// `Poison` flows both ways.
+/// Direction conventions: `Hello`/`Data`/`SendCounts`/`BarrierEnter`/
+/// `Fatal`/`Done`/`Pong`/`Rejoin` flow child → parent; `Welcome`/
+/// `Reject`/`Deliver`/`RecvCounts`/`BarrierRelease`/`Ping`/`RejoinOk`
+/// flow parent → child; `Poison` flows both ways.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtlMsg {
     /// First message on a new connection: the child identifies itself.
@@ -398,6 +396,24 @@ pub enum CtlMsg {
     Deliver {
         /// The encoded frame.
         frame: Vec<u8>,
+    },
+    /// Child → parent: this rank's entry into the superstep's count
+    /// round, sent after every `Data` frame of the superstep.
+    SendCounts {
+        /// The superstep being exchanged.
+        superstep: u64,
+        /// Data frames this rank sent to each rank, indexed by
+        /// destination (`p` entries).
+        to: Vec<u64>,
+    },
+    /// Parent → child: the count round is complete. Every frame it
+    /// announces was delivered ahead of it on this stream.
+    RecvCounts {
+        /// The superstep being exchanged.
+        superstep: u64,
+        /// Data frames each rank sent to this one, indexed by source
+        /// (`p` entries).
+        from: Vec<u64>,
     },
     /// Child → parent: this rank reached the superstep exit barrier.
     BarrierEnter {
@@ -497,6 +513,8 @@ const CTL_PING: u8 = 12;
 const CTL_PONG: u8 = 13;
 const CTL_REJOIN: u8 = 14;
 const CTL_REJOIN_OK: u8 = 15;
+const CTL_SEND_COUNTS: u8 = 16;
+const CTL_RECV_COUNTS: u8 = 17;
 
 // Errors cross the process boundary structurally: every variant the
 // distributed runtime can actually produce has a precise tag, so the
@@ -660,7 +678,6 @@ fn encode_ledger(out: &mut Vec<u8>, l: &CtlLedger) {
         l.barrier_timeouts,
         l.frames_sent,
         l.corrupt_frames,
-        l.backpressure_waits,
     ] {
         put_u64(out, v);
     }
@@ -672,8 +689,25 @@ fn decode_ledger(r: &mut ByteReader<'_>) -> Result<CtlLedger, CodecError> {
         barrier_timeouts: r.u64()?,
         frames_sent: r.u64()?,
         corrupt_frames: r.u64()?,
-        backpressure_waits: r.u64()?,
     })
+}
+
+fn encode_counts(out: &mut Vec<u8>, superstep: u64, counts: &[u64]) {
+    put_u64(out, superstep);
+    put_u64(out, counts.len() as u64);
+    for &n in counts {
+        put_u64(out, n);
+    }
+}
+
+fn decode_counts(r: &mut ByteReader<'_>) -> Result<(u64, Vec<u64>), CodecError> {
+    let superstep = r.u64()?;
+    let n = r.count()?;
+    let mut counts = Vec::with_capacity(n);
+    for _ in 0..n {
+        counts.push(r.u64()?);
+    }
+    Ok((superstep, counts))
 }
 
 fn encode_flight(out: &mut Vec<u8>, events: &[TimedFlightEvent]) {
@@ -775,6 +809,14 @@ impl CtlMsg {
             CtlMsg::Deliver { frame } => {
                 out.push(CTL_DELIVER);
                 put_bytes(&mut out, frame);
+            }
+            CtlMsg::SendCounts { superstep, to } => {
+                out.push(CTL_SEND_COUNTS);
+                encode_counts(&mut out, *superstep, to);
+            }
+            CtlMsg::RecvCounts { superstep, from } => {
+                out.push(CTL_RECV_COUNTS);
+                encode_counts(&mut out, *superstep, from);
             }
             CtlMsg::BarrierEnter { superstep, staged } => {
                 out.push(CTL_BARRIER_ENTER);
@@ -918,6 +960,14 @@ impl CtlMsg {
             CTL_DELIVER => CtlMsg::Deliver {
                 frame: r.bytes()?.to_vec(),
             },
+            CTL_SEND_COUNTS => {
+                let (superstep, to) = decode_counts(&mut r)?;
+                CtlMsg::SendCounts { superstep, to }
+            }
+            CTL_RECV_COUNTS => {
+                let (superstep, from) = decode_counts(&mut r)?;
+                CtlMsg::RecvCounts { superstep, from }
+            }
             CTL_BARRIER_ENTER => CtlMsg::BarrierEnter {
                 superstep: r.u64()?,
                 staged: match r.u8()? {
@@ -1167,6 +1217,14 @@ mod tests {
             CtlMsg::Deliver {
                 frame: sample().encode(),
             },
+            CtlMsg::SendCounts {
+                superstep: 9,
+                to: vec![1, 0, 1, 1],
+            },
+            CtlMsg::RecvCounts {
+                superstep: 9,
+                from: vec![0, 1, 0, 2],
+            },
             CtlMsg::BarrierEnter {
                 superstep: 9,
                 staged: Some(vec![9, 9, 9]),
@@ -1245,6 +1303,14 @@ mod tests {
         // affordable; the checksum argument is the same for all tags.
         for msg in [
             CtlMsg::hello(7, 0, 4),
+            CtlMsg::SendCounts {
+                superstep: 2,
+                to: vec![1, 0, 1],
+            },
+            CtlMsg::RecvCounts {
+                superstep: 2,
+                from: vec![0, 1, 1],
+            },
             CtlMsg::BarrierRelease { superstep: 9 },
         ] {
             let bytes = msg.encode();

@@ -5,9 +5,8 @@
 //! The recorder is the black box of a distributed attempt. Every rank
 //! records what its exchange engine and barrier discipline did —
 //! frames sent/received/corrupt-rejected, barrier enter/exit,
-//! checkpoint stage/commit, fault firings, backpressure waits — at a
-//! cost of one short mutex-protected push
-//! per event. When the buffer is full the *oldest* event is evicted
+//! checkpoint stage/commit, fault firings, link loss and healing — at
+//! a cost of one short mutex-protected push per event. When the buffer is full the *oldest* event is evicted
 //! (and counted), so a long healthy run keeps only its recent past:
 //! exactly what a postmortem wants. On attempt failure the supervisor
 //! drains all ranks' recorders into a checksummed postmortem bundle;
@@ -64,11 +63,6 @@ pub enum FlightEvent {
     /// The wire decoder rejected an incoming frame (checksum,
     /// truncation, bad tag) — the exchange then fails the run.
     CorruptRejected,
-    /// `try_send` was refused by a full peer mailbox.
-    BackpressureWait {
-        /// The rank whose mailbox was full.
-        to: u64,
-    },
     /// This rank arrived at the superstep's exit barrier.
     BarrierEnter {
         /// The superstep being completed.

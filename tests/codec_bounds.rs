@@ -103,8 +103,8 @@ fn nested_done_frame(depth: usize) -> Vec<u8> {
     out.push(CTL_DONE);
     out.resize(out.len() + depth, TAG_INL);
     out.push(TAG_UNIT);
-    // stats (5), work, ledger (5), flight_dropped, empty flight.
-    out.resize(out.len() + 8 * 13, 0);
+    // stats (5), work, ledger (4), flight_dropped, empty flight.
+    out.resize(out.len() + 8 * 12, 0);
     let len = u32::try_from(out.len() - 4 + 8).expect("fits");
     out[..4].copy_from_slice(&len.to_le_bytes());
     seal(&mut out, 0);
@@ -114,7 +114,7 @@ fn nested_done_frame(depth: usize) -> Vec<u8> {
 #[test]
 fn a_deeply_nested_done_frame_is_refused_not_a_stack_overflow() {
     let bytes = nested_done_frame(1 << 20);
-    assert_eq!(bytes.len(), 1_048_694);
+    assert_eq!(bytes.len(), 1_048_686);
     let outcome = std::thread::Builder::new()
         .stack_size(8 << 20)
         .spawn(move || {

@@ -6,7 +6,11 @@
 //! shared `seal`/`open` framing, so a refactor of the byte layer
 //! cannot change a byte on the wire or on disk without failing here.
 //! The hash is a local FNV-1a ([`golden_hash`]), independent of the
-//! code under test.
+//! code under test. Control protocol v3 re-recorded the rows it moved
+//! on purpose: `ctl/hello` (the version), `ctl/fatal`, `ctl/done` and
+//! `postmortem_bundle` (the ledger's backpressure field and the
+//! backpressure flight event are gone), and the new
+//! `ctl/send_counts` and `ctl/recv_counts`.
 //!
 //! A second test holds a snapshot written by the old session codec
 //! (three toplevel functions) as a hex constant: WAL directories
@@ -30,23 +34,25 @@ use bsml_serve::{frame_record, WalRecord};
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("frame/put", 69, 0xf9b027315a6b38bf),
     ("frame/ifat", 42, 0x82811d9141bc0c6d),
-    ("ctl/hello", 49, 0x5093c9a6fd2a9659),
+    ("ctl/hello", 49, 0xd6fa930e071589ad),
     ("ctl/welcome", 227, 0x03ac99f3189ffb58),
     ("ctl/reject", 49, 0xeb23ff3bebf9827d),
     ("ctl/data", 98, 0xc1f7b6a2e029f5fb),
     ("ctl/deliver", 90, 0x009bdd97f370012e),
+    ("ctl/send_counts", 61, 0x89a616f4d4c54acb),
+    ("ctl/recv_counts", 61, 0xe7ce3029064368f8),
     ("ctl/barrier_enter", 33, 0xdb0d6ee348a2e2eb),
     ("ctl/barrier_release", 21, 0xbd59e907cd9bf1dc),
     ("ctl/poison", 13, 0x343b9cabd77555d3),
-    ("ctl/fatal", 399, 0x493a531092e52996),
-    ("ctl/done", 236, 0x5178361888c92448),
+    ("ctl/fatal", 374, 0x6675a349eda05d3e),
+    ("ctl/done", 228, 0x706805c1f5ec9d5b),
     ("ctl/ping", 21, 0xcef155fc73512a94),
     ("ctl/pong", 21, 0xb6004a165e464f79),
     ("ctl/rejoin", 45, 0xcb78da6d8d486987),
     ("ctl/rejoin_ok", 21, 0x7690ddd86fc18c97),
     ("rank_frame", 136, 0xfb74d387ec88f287),
     ("checkpoint_generation_file", 320, 0x6763a1c7d04a2061),
-    ("postmortem_bundle", 657, 0xc3cbdde07cc1ab5e),
+    ("postmortem_bundle", 623, 0x492495e65491b781),
     ("wal/header", 35, 0xcfee54837ae307ce),
     ("wal/snapshot", 38, 0x7846110afc872074),
     ("wal/commit", 42, 0x42576d577562b960),
@@ -110,7 +116,6 @@ fn flight() -> Vec<TimedFlightEvent> {
             sent_lamport: 2,
         },
         FlightEvent::CorruptRejected,
-        FlightEvent::BackpressureWait { to: 1 },
         FlightEvent::BarrierEnter { superstep: 0 },
         FlightEvent::BarrierExit { superstep: 0 },
         FlightEvent::SuperstepEnd {
@@ -212,6 +217,20 @@ fn ctl_msgs() -> Vec<(&'static str, CtlMsg)> {
             },
         ),
         (
+            "ctl/send_counts",
+            CtlMsg::SendCounts {
+                superstep: 9,
+                to: vec![1, 0, 1, 1],
+            },
+        ),
+        (
+            "ctl/recv_counts",
+            CtlMsg::RecvCounts {
+                superstep: 9,
+                from: vec![0, 1, 0, 2],
+            },
+        ),
+        (
             "ctl/barrier_enter",
             CtlMsg::BarrierEnter {
                 superstep: 9,
@@ -236,7 +255,6 @@ fn ctl_msgs() -> Vec<(&'static str, CtlMsg)> {
                     barrier_timeouts: 2,
                     frames_sent: 12,
                     corrupt_frames: 3,
-                    backpressure_waits: 4,
                 },
                 flight_dropped: 3,
                 flight: flight(),

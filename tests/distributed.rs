@@ -5,9 +5,12 @@
 //! processor, so playing them on one evaluator is faithful to real
 //! distributed execution (the paper's reference [5]).
 
+use std::path::PathBuf;
+
 use bsml_bsp::distributed::DistMachine;
-use bsml_bsp::{BspMachine, BspParams};
+use bsml_bsp::{BspMachine, BspParams, Execution, ProcessConfig};
 use bsml_eval::EvalError;
+use bsml_obs::Telemetry;
 use bsml_std::{algorithms, workloads};
 use bsml_syntax::parse;
 
@@ -139,5 +142,75 @@ fn references_are_per_rank_replicas() {
 fn distributed_matches_across_machine_sizes() {
     for p in [1, 2, 3, 5, 8] {
         cross_check("fold-plus", &workloads::fold_plus().source, p);
+    }
+}
+
+#[test]
+fn a_total_exchange_wider_than_256_ranks() {
+    // Every rank sends every peer one word in one superstep, so each
+    // mailbox holds p − 1 frames when the count round completes. The
+    // mailbox bound follows p; a fixed 256-frame bound would refuse
+    // frames here.
+    let p = 260;
+    let e = parse(
+        "apply (put (mkpar (fun j -> fun i -> j + i)),
+                mkpar (fun i -> (i + 1) mod (bsp_p ())))",
+    )
+    .unwrap();
+    let out = DistMachine::new(p).run(&e).unwrap();
+    let expected: Vec<String> = (0..p).map(|i| ((i + 1) % p + i).to_string()).collect();
+    assert_eq!(
+        out.value.to_string(),
+        format!("<|{}|>", expected.join(", "))
+    );
+    assert_eq!(out.supersteps, 1);
+    assert_eq!(out.total_words_sent, (p * (p - 1)) as u64);
+}
+
+#[test]
+fn only_non_empty_messages_become_frames() {
+    // Shifts, a direct broadcast and a logarithmic scan send most of
+    // their messages as `nc ()`. Every real message is one int, so on
+    // both distributed backends the frames on the wire must equal the
+    // words sent, while value, supersteps and words match lockstep.
+    let programs = [
+        workloads::shift(),
+        workloads::bcast_direct(1),
+        workloads::scan_plus_log(),
+    ];
+    let processes = ProcessConfig {
+        rank_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_bsml-rank"))),
+        ..ProcessConfig::default()
+    };
+    for prog in &programs {
+        let e = prog.ast();
+        for p in [4usize, 8] {
+            let lockstep = BspMachine::new(BspParams::new(p, 1, 1)).run(&e).unwrap();
+            let lockstep_words: u64 = lockstep
+                .trace
+                .iter()
+                .map(|r| r.sent.iter().sum::<u64>())
+                .sum();
+            for (backend, execution) in [
+                ("threads", Execution::InProcess),
+                ("processes", Execution::Processes(processes.clone())),
+            ] {
+                let ctx = format!("{} p={p} on {backend}", prog.name);
+                let tel = Telemetry::enabled_logical();
+                let out = DistMachine::new(p)
+                    .with_execution(execution)
+                    .with_telemetry(tel.clone())
+                    .run(&e)
+                    .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                assert_eq!(out.value.to_string(), lockstep.value.to_string(), "{ctx}");
+                assert_eq!(out.supersteps, lockstep.cost.supersteps, "{ctx}");
+                assert_eq!(out.total_words_sent, lockstep_words, "{ctx}");
+                assert_eq!(
+                    tel.counter_value("net.frames_sent"),
+                    out.total_words_sent,
+                    "{ctx}"
+                );
+            }
+        }
     }
 }

@@ -29,7 +29,6 @@ fn event() -> impl Strategy<Value = FlightEvent> {
             }
         ),
         Just(FlightEvent::CorruptRejected),
-        any::<u64>().prop_map(|to| FlightEvent::BackpressureWait { to }),
         any::<u64>().prop_map(|superstep| FlightEvent::BarrierEnter { superstep }),
         any::<u64>().prop_map(|superstep| FlightEvent::BarrierExit { superstep }),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(

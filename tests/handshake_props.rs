@@ -105,12 +105,11 @@ fn ctl_stats() -> impl Strategy<Value = CtlStats> {
 }
 
 fn ctl_ledger() -> impl Strategy<Value = CtlLedger> {
-    vec(any::<u64>(), 5..6).prop_map(|v| CtlLedger {
+    vec(any::<u64>(), 4..5).prop_map(|v| CtlLedger {
         faults_injected: v[0],
         barrier_timeouts: v[1],
         frames_sent: v[2],
         corrupt_frames: v[3],
-        backpressure_waits: v[4],
     })
 }
 
@@ -180,6 +179,10 @@ fn ctl_msg() -> impl Strategy<Value = CtlMsg> {
         TEXT.prop_map(|reason| CtlMsg::Reject { reason }),
         (0usize..64, vec(any::<u8>(), 0..64)).prop_map(|(dst, frame)| CtlMsg::Data { dst, frame }),
         vec(any::<u8>(), 0..64).prop_map(|frame| CtlMsg::Deliver { frame }),
+        (any::<u64>(), vec(any::<u64>(), 0..16))
+            .prop_map(|(superstep, to)| CtlMsg::SendCounts { superstep, to }),
+        (any::<u64>(), vec(any::<u64>(), 0..16))
+            .prop_map(|(superstep, from)| CtlMsg::RecvCounts { superstep, from }),
         (any::<u64>(), maybe_bytes())
             .prop_map(|(superstep, staged)| CtlMsg::BarrierEnter { superstep, staged }),
         any::<u64>().prop_map(|superstep| CtlMsg::BarrierRelease { superstep }),
