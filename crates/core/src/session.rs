@@ -483,21 +483,9 @@ impl Session {
         // Toplevel bindings are retained values, not hidden
         // evaluations, so no (Let)-style side condition applies
         // between phrases; the phrase itself was fully checked.
-        // Residual clauses about forgotten instantiation variables
-        // are dropped (they are independently satisfiable).
-        let mut keep = inference.ty.free_vars();
-        for v in tenv.free_vars() {
-            if !keep.contains(&v) {
-                keep.push(v);
-            }
-        }
-        let relevant = inference.solution.restrict(&keep);
-        let scheme = Scheme::generalize(
-            inference.ty.clone(),
-            relevant.to_constraint(),
-            &tenv.free_vars(),
-        )
-        .normalize();
+        let scheme =
+            Scheme::generalize(inference.ty.clone(), &inference.solution, &tenv.free_vars())
+                .normalize();
 
         // A dynamic failure is contained: the typechecked phrase is
         // reported as failed (with its scheme and the structured

@@ -21,8 +21,8 @@
 use bsml_ast::{Expr, ExprKind, Span};
 use bsml_obs::Telemetry;
 use bsml_types::{
-    basic_constraint, unify_counted, Constraint, Scheme, Solution, Subst, TyVarGen, Type,
-    UnifyStats,
+    basic_constraint, unify_counted, Constraint, Scheme, Solution, SolveStats, Subst, TyVarGen,
+    Type, UnifyStats,
 };
 
 use crate::derivation::{elide, Derivation};
@@ -202,10 +202,10 @@ impl Inferencer {
     }
 
     /// Attaches a telemetry handle. The engine then counts
-    /// `infer.unifications`, `infer.occurs_checks`, and
-    /// `infer.solver_iterations`, and wraps generalization and
-    /// instantiation in spans. A disabled handle (the default) costs
-    /// one branch per site.
+    /// `infer.unifications`, `infer.occurs_checks`,
+    /// `infer.solver_iterations` and `infer.solver_clauses`, and wraps
+    /// generalization and instantiation in spans. A disabled handle
+    /// (the default) costs one branch per site.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Inferencer {
         self.telemetry = telemetry;
@@ -265,13 +265,18 @@ impl Inferencer {
         })
     }
 
-    /// Runs the constraint solver, feeding its iteration count into
-    /// the `infer.solver_iterations` telemetry counter.
+    /// Runs the constraint solver, feeding its work counts into the
+    /// `infer.solver_iterations` and `infer.solver_clauses` telemetry
+    /// counters.
     fn solve(&self, c: &Constraint) -> Solution {
-        let mut iterations = 0;
-        let solution = c.solve_counted(&mut iterations);
-        self.telemetry
-            .counter_add("infer.solver_iterations", iterations);
+        let mut stats = SolveStats::default();
+        let solution = c.solve_counted(&mut stats);
+        if self.telemetry.is_enabled() {
+            self.telemetry
+                .counter_add("infer.solver_iterations", stats.iterations);
+            self.telemetry
+                .counter_add("infer.solver_clauses", stats.clauses);
+        }
         solution
     }
 
@@ -391,16 +396,20 @@ impl Inferencer {
                 Ok((acc.subst, ty, c, d))
             }
             // (Let) with generalization (Definition 3) and the side
-            // condition L(τ₂) ⇒ L(τ₁).
+            // condition L(τ₂) ⇒ L(τ₁). The scheme's solved constraint
+            // stands for c₁ in this judgment too, so neither a use of
+            // x nor an enclosing rule copies e₁'s constraint tree.
             ExprKind::Let(x, e1, e2) => {
                 let (s1, t1, c1, d1) = self.w(env, e1)?;
                 let env1 = env.apply_subst(&s1);
                 let scheme = {
                     let mut sp = self.telemetry.span("infer.generalize");
-                    let scheme = Scheme::generalize(t1.clone(), c1.clone(), &env1.free_vars());
+                    let solution = self.solve(&c1);
+                    let scheme = Scheme::generalize(t1.clone(), &solution, &env1.free_vars());
                     sp.set("quantified", scheme.quantified().len());
                     scheme
                 };
+                let c1 = scheme.constraint().clone();
                 let env2 = env1.extend(x.clone(), scheme);
                 let (s2, t2, c2, d2) = self.w(&env2, e2)?;
 

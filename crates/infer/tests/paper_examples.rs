@@ -88,6 +88,14 @@ fn example2_hidden_nesting_is_rejected() {
         TypeError::LocalityViolation { rule, .. } => assert_eq!(rule, "(Let)"),
         other => panic!("wrong error: {other}"),
     }
+    // Applied to a local argument, the abstraction reports Figure 8's
+    // constraint C itself, with nothing of the bound mkpar left over.
+    match rejects("(fun pid -> let this = mkpar (fun i -> i) in pid) 7") {
+        TypeError::LocalityViolation { constraint, .. } => {
+            assert_eq!(constraint.to_string(), "L(int) ⇒ L(int par)");
+        }
+        other => panic!("wrong error: {other}"),
+    }
 }
 
 #[test]
@@ -200,6 +208,19 @@ fn figures_9_and_10_derivations_render() {
     // L(int par) ⇒ L(int) — the one that solves to True here and to
     // False in Figure 10.
     assert!(rendered.contains("L(int par) ⇒ L(int)"), "{rendered}");
+    // The whole tree, byte for byte.
+    assert_eq!(
+        rendered,
+        "  (Op) ⊢ fst : [int par * int -> int par / L(int par) ⇒ L(int)]
+      (Op) ⊢ mkpar : [(int -> int) -> int par / L(int)]
+        (Var) ⊢ i : int
+      (Fun) ⊢ fun i -> i : int -> int
+    (App) ⊢ mkpar (fun i -> i) : [int par / L(int)]
+    (Const) ⊢ 1 : int
+  (Pair) ⊢ (mkpar (fun i -> i), 1) : [int par * int / L(int)]
+(App) ⊢ fst (mkpar (fun i -> i), 1) : [int par / (L(int par) ⇒ L(int)) ∧ L(int) ∧ L(int) ∧ L(int)]
+"
+    );
 }
 
 #[test]

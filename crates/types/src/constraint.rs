@@ -125,21 +125,17 @@ impl Constraint {
     /// variables, and conservatively reported as residual otherwise.
     #[must_use]
     pub fn solve(&self) -> Solution {
-        let mut iterations = 0;
-        self.solve_counted(&mut iterations)
+        self.solve_counted(&mut SolveStats::default())
     }
 
-    /// [`Constraint::solve`], adding the number of solver iterations
-    /// (unit-propagation rounds, plus truth assignments tried by the
-    /// non-Horn fallback) to `iterations`. Feeds the telemetry
-    /// counters in `bsml-infer`.
+    /// [`Constraint::solve`], accumulating work counts into `stats`.
     #[must_use]
-    pub fn solve_counted(&self, iterations: &mut u64) -> Solution {
+    pub fn solve_counted(&self, stats: &mut SolveStats) -> Solution {
         let expanded = self.expand();
         let mut clauses = Vec::new();
         match to_clauses(&expanded, &BTreeSet::new(), &mut clauses) {
-            Ok(()) => propagate(clauses, iterations),
-            Err(NonHorn) => brute_force(&expanded, iterations),
+            Ok(()) => propagate(clauses, stats),
+            Err(NonHorn) => brute_force(&expanded, stats),
         }
     }
 
@@ -217,6 +213,17 @@ impl fmt::Display for Constraint {
         }
         go(f, self, 0)
     }
+}
+
+/// Work counters filled in by [`Constraint::solve_counted`]. Deltas
+/// feed the telemetry counters in `bsml-infer`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Unit-propagation rounds, plus truth assignments tried by the
+    /// non-Horn fallback.
+    pub iterations: u64,
+    /// Horn clauses handed to unit propagation.
+    pub clauses: u64,
 }
 
 /// The head of a Horn clause.
@@ -318,9 +325,9 @@ impl Solution {
     /// the keep-set. The dropped clauses form a variable-disjoint,
     /// independently satisfiable Horn set, so the restriction is
     /// equivalent to the original with the dropped variables
-    /// (harmlessly) existentially forgotten — used when presenting
-    /// toplevel schemes, where constraints over out-of-scope
-    /// instantiation variables are noise.
+    /// (harmlessly) existentially forgotten. Definition 3
+    /// ([`Scheme::generalize`](crate::Scheme::generalize)) stores this
+    /// restriction in the schemes it builds.
     #[must_use]
     pub fn restrict(&self, keep: &[TyVar]) -> Solution {
         let Solution::Residual(clauses) = self else {
@@ -480,12 +487,13 @@ fn antecedent_atoms(c: &Constraint, out: &mut BTreeSet<TyVar>) -> AnteResult {
 
 /// Unit propagation on a Horn clause set. Each round over the clause
 /// set counts as one iteration.
-fn propagate(clauses: Vec<Clause>, iterations: &mut u64) -> Solution {
+fn propagate(clauses: Vec<Clause>, stats: &mut SolveStats) -> Solution {
+    stats.clauses += clauses.len() as u64;
     let mut facts: BTreeSet<TyVar> = BTreeSet::new();
     let mut pending: Vec<Clause> = clauses;
 
     loop {
-        *iterations += 1;
+        stats.iterations += 1;
         let mut changed = false;
         let mut next: Vec<Clause> = Vec::with_capacity(pending.len());
         for mut clause in pending {
@@ -542,7 +550,7 @@ fn propagate(clauses: Vec<Clause>, iterations: &mut u64) -> Solution {
 /// non-Horn formulas. Exact for up to 22 variables; above that the
 /// formula is reported residual via a single conservative clause
 /// carrying all its variables.
-fn brute_force(c: &Constraint, iterations: &mut u64) -> Solution {
+fn brute_force(c: &Constraint, stats: &mut SolveStats) -> Solution {
     let vars = c.free_vars();
     if vars.len() > 22 {
         // Conservative: keep the formula contingent. (Documented as
@@ -554,7 +562,7 @@ fn brute_force(c: &Constraint, iterations: &mut u64) -> Solution {
     let mut any_false = false;
     let mut assignment = BTreeMap::new();
     for bits in 0u64..(1u64 << n) {
-        *iterations += 1;
+        stats.iterations += 1;
         assignment.clear();
         for (i, v) in vars.iter().enumerate() {
             assignment.insert(*v, bits >> i & 1 == 1);
@@ -590,7 +598,7 @@ fn brute_force(c: &Constraint, iterations: &mut u64) -> Solution {
             if clauses.is_empty() {
                 clauses.push(Clause::rule(vars, Head::Absurd));
             }
-            propagate(clauses, iterations)
+            propagate(clauses, stats)
         }
     }
 }

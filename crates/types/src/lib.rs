@@ -43,7 +43,7 @@ pub mod ty;
 pub mod unify;
 
 pub use classify::TypeClass;
-pub use constraint::{Clause, Constraint, Head, Solution};
+pub use constraint::{Clause, Constraint, Head, Solution, SolveStats};
 pub use locality::{basic_constraint, locality};
 pub use scheme::Scheme;
 pub use subst::Subst;

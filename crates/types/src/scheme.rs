@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, Solution};
 use crate::subst::Subst;
 use crate::ty::{TyVar, TyVarGen, Type};
 
@@ -67,15 +67,28 @@ impl Scheme {
     }
 
     /// **Definition 3**: generalizes `[τ/C]` in an environment whose
-    /// free variables are `env_free`, quantifying
-    /// `F(τ) \ F(E)`.
+    /// free variables are `env_free`, quantifying `F(τ) \ F(E)`.
+    ///
+    /// `solution` is `Solve(C)`, and the scheme stores the part of it
+    /// connected to `F(τ) ∪ F(E)` ([`Solution::restrict`]). On the
+    /// Horn constraints the typing rules build, `Solve` is exact, and
+    /// the dropped clauses mention only variables that no later
+    /// substitution reaches, so the stored constraint rejects exactly
+    /// the instances `C` rejects (DESIGN.md §3).
     #[must_use]
-    pub fn generalize(ty: Type, constraint: Constraint, env_free: &[TyVar]) -> Scheme {
-        let vars: Vec<TyVar> = ty
-            .free_vars()
-            .into_iter()
+    pub fn generalize(ty: Type, solution: &Solution, env_free: &[TyVar]) -> Scheme {
+        let mut keep = ty.free_vars();
+        let vars: Vec<TyVar> = keep
+            .iter()
+            .copied()
             .filter(|v| !env_free.contains(v))
             .collect();
+        for v in env_free {
+            if !keep.contains(v) {
+                keep.push(*v);
+            }
+        }
+        let constraint = solution.restrict(&keep).to_constraint();
         Scheme::new(vars, ty, constraint)
     }
 
@@ -232,7 +245,6 @@ impl fmt::Display for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Solution;
 
     fn fst_scheme() -> Scheme {
         Scheme::new(
@@ -263,7 +275,7 @@ mod tests {
     #[test]
     fn generalize_respects_env() {
         let ty = Type::arrow(Type::var(0), Type::var(1));
-        let s = Scheme::generalize(ty, Constraint::True, &[TyVar(1)]);
+        let s = Scheme::generalize(ty, &Solution::True, &[TyVar(1)]);
         assert_eq!(s.quantified(), &[TyVar(0)]);
         assert_eq!(s.free_vars(), vec![TyVar(1)]);
     }

@@ -188,6 +188,48 @@ proptest! {
     }
 
     #[test]
+    fn a_restricted_solution_rejects_the_same_instances(
+        c in horn_strategy(),
+        t in ty_strategy(),
+        extra_keep in proptest::collection::vec(0..NVARS, 0..3),
+        bindings in proptest::collection::vec((0..NVARS, ty_strategy()), 0..3),
+    ) {
+        // Definition 3 in solved form: a scheme stores
+        // R = Solve(C).restrict(K) for a keep-set K ⊇ F(τ). A
+        // substitution that neither binds nor introduces a variable of
+        // C outside τ and R (as no later inference step does) must
+        // find [τ/C] and [τ/R] absurd together.
+        let mut keep = t.free_vars();
+        keep.extend(extra_keep.into_iter().map(TyVar));
+        let r = c.solve().restrict(&keep).to_constraint();
+        let mut visible = t.free_vars();
+        visible.extend(r.free_vars());
+        let unreachable: Vec<TyVar> = c
+            .free_vars()
+            .into_iter()
+            .filter(|v| !visible.contains(v))
+            .collect();
+        let reachable = |v: &TyVar| !unreachable.contains(v);
+        let phi = Subst::from_pairs(
+            bindings
+                .into_iter()
+                .map(|(v, img)| (TyVar(v), img))
+                .filter(|(v, img)| reachable(v) && img.free_vars().iter().all(reachable)),
+        );
+        let (_, phi_c) = phi.apply_constrained(&t, &c);
+        let (_, phi_r) = phi.apply_constrained(&t, &r);
+        prop_assert_eq!(
+            phi_c.solve() == Solution::False,
+            phi_r.solve() == Solution::False,
+            "τ = {}, C = {}, R = {}, φ = {:?}",
+            t,
+            c,
+            r,
+            phi
+        );
+    }
+
+    #[test]
     fn locality_expansion_matches_eval(t in ty_strategy()) {
         // L(τ) expanded and the direct eval_loc semantics agree.
         let c = Constraint::Loc(t);

@@ -4,7 +4,9 @@
 //! the same program; each *use* re-instantiates the constraint and is
 //! judged independently.
 
-use bsml_infer::infer;
+use bsml_infer::{infer, initial_env, Inferencer};
+use bsml_obs::Telemetry;
+use bsml_std::combinators::{prelude, ALL_DEFS};
 use bsml_syntax::parse;
 
 fn accepts(src: &str) -> String {
@@ -151,4 +153,32 @@ fn nested_lets_accumulate_constraints() {
          let n = 5 in
          snd (w, n)",
     );
+}
+
+/// Horn clauses handed to unit propagation while inferring the first
+/// `k` prelude definitions in front of a parallel body.
+fn solver_clauses(k: usize) -> u64 {
+    let src = prelude(&ALL_DEFS[..k], "mkpar (fun i -> i)");
+    let telemetry = Telemetry::enabled_logical();
+    Inferencer::new()
+        .with_telemetry(telemetry.clone())
+        .run(&initial_env(), &parse(&src).expect("parse"))
+        .unwrap_or_else(|e| panic!("prelude of {k} rejected: {}", e.render(&src)));
+    telemetry.counter_value("infer.solver_clauses")
+}
+
+#[test]
+fn solver_work_grows_linearly_with_the_prelude() {
+    // A let-bound scheme stores its solved constraint, so a use of the
+    // name does not copy the body's constraint tree into the solver
+    // again: the clause count grows at most in proportion to the
+    // number of definitions.
+    let base = solver_clauses(4);
+    for k in 4..=ALL_DEFS.len() {
+        let clauses = solver_clauses(k);
+        assert!(
+            4 * clauses <= k as u64 * base,
+            "{clauses} clauses for {k} definitions, over ({k}/4)·{base}"
+        );
+    }
 }

@@ -13,9 +13,10 @@
 //! 4. both evaluators agree on the result,
 //! 5. the result's shape matches the inferred type.
 
-use bsml_ast::Expr;
+use bsml_ast::build as b;
+use bsml_ast::{Expr, Op};
 use bsml_eval::{eval_closed, smallstep, Value};
-use bsml_infer::infer;
+use bsml_infer::{infer, TypeError};
 use bsml_repro::testgen::{generate, GenTy, P};
 use bsml_types::Type;
 use proptest::prelude::*;
@@ -131,5 +132,50 @@ fn fixed_seeds_cover_all_constructs() {
     for seed in 0..200 {
         check_theorem1(&generate(seed, GenTy::IntPar, 4), true);
         check_theorem1(&generate(seed, GenTy::Int, 5), false);
+    }
+}
+
+#[test]
+fn generated_code_is_rejected_where_it_would_nest_or_hide_a_vector() {
+    // The generator builds only well-typed programs, so the sweeps
+    // above never see a rejection. Each context below puts a generated
+    // program where a global value would be nested in a vector or
+    // hidden under a local result; the checker must reject exactly the
+    // global programs there, at the rule that owns the side condition.
+    type Context = (&'static str, fn(Expr) -> Expr, &'static str);
+    let contexts: [Context; 3] = [
+        ("mkpar (fun q -> e)", |e| b::mkpar(b::fun_("q", e)), "(App)"),
+        ("let h = e in 1", |e| b::let_("h", e, b::int(1)), "(Let)"),
+        (
+            "fst (1, e)",
+            |e| b::app(b::op(Op::Fst), b::pair(b::int(1), e)),
+            "(App)",
+        ),
+    ];
+    for seed in 0..200 {
+        for ty in [GenTy::IntPar, GenTy::BoolPar] {
+            let e = generate(seed, ty, 4);
+            for (shape, wrap, expected) in &contexts {
+                match infer(&wrap(e.clone())) {
+                    Err(TypeError::LocalityViolation { rule, .. }) => assert_eq!(
+                        rule, *expected,
+                        "seed {seed}, {ty:?} in `{shape}` rejected at the wrong rule\n  program: {e}"
+                    ),
+                    Err(err) => panic!("seed {seed}, {ty:?} in `{shape}`: {err}\n  program: {e}"),
+                    Ok(inf) => panic!(
+                        "seed {seed}, {ty:?} in `{shape}` accepted at {}\n  program: {e}",
+                        inf.ty
+                    ),
+                }
+            }
+        }
+        for ty in [GenTy::Int, GenTy::Bool] {
+            let e = generate(seed, ty, 5);
+            for (shape, wrap, _) in &contexts {
+                if let Err(err) = infer(&wrap(e.clone())) {
+                    panic!("seed {seed}, {ty:?} in `{shape}` rejected: {err}\n  program: {e}");
+                }
+            }
+        }
     }
 }
