@@ -19,6 +19,8 @@
 //! assert!(vec.mentions_parallelism());
 //! ```
 
+use std::sync::Arc;
+
 use crate::expr::{Const, Expr, ExprKind, Ident};
 use crate::op::Op;
 
@@ -55,7 +57,7 @@ pub fn op(o: Op) -> Expr {
 /// Function abstraction `fun x -> body`.
 #[must_use]
 pub fn fun_(x: impl AsRef<str>, body: Expr) -> Expr {
-    Expr::synth(ExprKind::Fun(Ident::new(x), Box::new(body)))
+    Expr::synth(ExprKind::Fun(Ident::new(x), Arc::new(body)))
 }
 
 /// Curried multi-argument abstraction `fun x₁ … xₙ -> body`.

@@ -104,8 +104,9 @@ pub enum ExprKind {
     Const(Const),
     /// A primitive operator in expression position.
     Op(Op),
-    /// Function abstraction `fun x -> e`.
-    Fun(Ident, Box<Expr>),
+    /// Function abstraction `fun x -> e`. The body is immutable code,
+    /// shared by every closure evaluation builds from this node.
+    Fun(Ident, Arc<Expr>),
     /// Application `e₁ e₂`.
     App(Box<Expr>, Box<Expr>),
     /// Local binding `let x = e₁ in e₂`.
@@ -206,7 +207,8 @@ impl Expr {
         use ExprKind::*;
         1 + match &self.kind {
             Var(_) | Const(_) | Op(_) | Nil => 0,
-            Fun(_, e) | Inl(e) | Inr(e) => e.depth(),
+            Fun(_, e) => e.depth(),
+            Inl(e) | Inr(e) => e.depth(),
             App(a, b) | Let(_, a, b) | Pair(a, b) | Cons(a, b) => a.depth().max(b.depth()),
             If(a, b, c) => a.depth().max(b.depth()).max(c.depth()),
             IfAt(a, b, c, d) => a.depth().max(b.depth()).max(c.depth()).max(d.depth()),
@@ -238,7 +240,8 @@ impl Expr {
         visit(self);
         match &self.kind {
             Var(_) | Const(_) | Op(_) | Nil => {}
-            Fun(_, e) | Inl(e) | Inr(e) => e.walk(visit),
+            Fun(_, e) => e.walk(visit),
+            Inl(e) | Inr(e) => e.walk(visit),
             App(a, b) | Let(_, a, b) | Pair(a, b) | Cons(a, b) => {
                 a.walk(visit);
                 b.walk(visit);
@@ -422,9 +425,9 @@ impl Expr {
                         &Expr::synth(Var(fresh.clone())),
                         std::slice::from_ref(&fresh),
                     );
-                    Fun(fresh, Box::new(renamed.subst_inner(x, v, v_free)))
+                    Fun(fresh, Arc::new(renamed.subst_inner(x, v, v_free)))
                 } else {
-                    Fun(y.clone(), Box::new(body.subst_inner(x, v, v_free)))
+                    Fun(y.clone(), Arc::new(body.subst_inner(x, v, v_free)))
                 }
             }
             App(a, b) => App(

@@ -208,7 +208,8 @@ impl Bsml {
     }
 
     /// Parses, typechecks, compiles to bytecode and runs on the
-    /// abstract machine. Faster than the tree-walking pipeline but
+    /// abstract machine. About as fast as the tree-walking pipeline
+    /// (1.1–1.25× on the benchmark program, EXPERIMENTS.md A5) and
     /// without cost instrumentation (use [`Bsml::run`] for superstep
     /// traces).
     ///

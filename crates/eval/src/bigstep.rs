@@ -285,7 +285,7 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
             ExprKind::Op(op) => Ok(Value::Prim(*op)),
             ExprKind::Fun(x, body) => Ok(Value::Closure {
                 param: x.clone(),
-                body: Rc::new((**body).clone()),
+                body: Arc::clone(body),
                 env: env.clone(),
             }),
             ExprKind::App(f, a) => {
@@ -727,6 +727,21 @@ mod tests {
             .to_string(),
             "7"
         );
+        // The closure shares its `fun` node's body instead of copying it.
+        let e = parse("(fun n -> fun x -> x + n) 3").expect("parse");
+        let ExprKind::App(f, _) = &e.kind else {
+            unreachable!()
+        };
+        let ExprKind::Fun(_, outer) = &f.kind else {
+            unreachable!()
+        };
+        let ExprKind::Fun(_, code) = &outer.kind else {
+            unreachable!()
+        };
+        let Ok(Value::Closure { body, .. }) = eval_closed(&e, 1) else {
+            panic!("expected a closure")
+        };
+        assert!(Arc::ptr_eq(&body, code), "closure body must be the AST's");
     }
 
     #[test]

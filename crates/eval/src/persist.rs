@@ -32,6 +32,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use bsml_ast::{Ident, Op};
 
@@ -338,7 +339,7 @@ fn decode_tagged(
             let env = decode_env(r, memo, depth + 1)?;
             Ok(Value::Closure {
                 param: Ident::new(&param),
-                body: Rc::new(body),
+                body: Arc::new(body),
                 env,
             })
         }
@@ -466,7 +467,7 @@ mod tests {
         let body = bsml_syntax::parse("x + y").unwrap();
         let v = Value::Closure {
             param: Ident::new("x"),
-            body: Rc::new(body),
+            body: Arc::new(body),
             env: Env::new().bind(Ident::new("y"), Value::Int(41)),
         };
         let Value::Closure { param, body, env } = roundtrip(&v) else {
@@ -499,7 +500,7 @@ mod tests {
         let cell = Value::cell(Value::Unit, Mode::Global);
         let closure = Value::Closure {
             param: Ident::new("x"),
-            body: Rc::new(bsml_ast::build::var("x")),
+            body: Arc::new(bsml_ast::build::var("x")),
             env: Env::new().bind(Ident::new("r"), cell.clone()),
         };
         let Value::Cell { cell: rc, .. } = &cell else {
@@ -529,7 +530,7 @@ mod tests {
             .bind(Ident::new("b"), Value::Int(2));
         let clos = |env: &Env| Value::Closure {
             param: Ident::new("x"),
-            body: Rc::new(bsml_ast::build::var("x")),
+            body: Arc::new(bsml_ast::build::var("x")),
             env: env.clone(),
         };
         let env = base

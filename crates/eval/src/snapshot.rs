@@ -1,13 +1,15 @@
 //! Deep, identity-free copies of evaluator state.
 //!
 //! A [`Snapshot`] captures an [`Env`] (and [`ValueSnapshot`] a single
-//! [`Value`]) by **deep copy**: every `Rc` node is rebuilt, every
-//! reference cell gets a fresh `RefCell`. Restoring therefore shares
-//! *nothing* with either the snapshot or the live state it was taken
-//! from — mutating a cell after `restore()` can never reach back into
-//! the snapshot (no `Rc` identity leaks across restore). This is what
-//! makes snapshots safe to keep around as recovery points: a
-//! checkpointed environment is immutable by construction.
+//! [`Value`]) by **deep copy**: every environment node and value node
+//! is rebuilt, every reference cell gets a fresh `RefCell`. Immutable
+//! code and names are shared: a closure's body stays the `fun` node's
+//! `Arc<Expr>`, as each `Ident` stays its `Arc<str>`, since nothing can
+//! mutate either. Mutating a cell after `restore()` can therefore never
+//! reach back into the snapshot (no cell identity leaks across
+//! restore). This is what makes snapshots safe to keep around as
+//! recovery points: a checkpointed environment is immutable by
+//! construction.
 //!
 //! Two structural properties are preserved carefully:
 //!
@@ -42,6 +44,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::env::Env;
 use crate::value::Value;
@@ -180,9 +183,9 @@ fn deep_copy_value(v: &Value, memo: &mut CopyMemo) -> Value {
         Value::Fix(inner) => Value::Fix(Rc::new(deep_copy_value(inner, memo))),
         Value::Closure { param, body, env } => Value::Closure {
             param: param.clone(),
-            // A fresh Rc over a structural clone of the body: the
-            // snapshot must not keep the live AST node alive.
-            body: Rc::new((**body).clone()),
+            // Code is immutable, so the copy shares it: no restore can
+            // observe the sharing.
+            body: Arc::clone(body),
             env: deep_copy_env(env, memo),
         },
         Value::Cell { cell, origin } => {
@@ -288,7 +291,7 @@ mod tests {
         let cell = Value::cell(Value::Unit, Mode::Global);
         let closure = Value::Closure {
             param: x(),
-            body: Rc::new(bsml_ast::build::var("x")),
+            body: Arc::new(bsml_ast::build::var("x")),
             env: Env::new().bind(Ident::new("r"), cell.clone()),
         };
         let Value::Cell { cell: rc, .. } = &cell else {
@@ -303,7 +306,7 @@ mod tests {
         // The restored knot is tied onto the fresh cell, not the
         // original.
         let contents = fresh.borrow();
-        let Value::Closure { env, .. } = &*contents else {
+        let Value::Closure { body, env, .. } = &*contents else {
             panic!("expected the closure");
         };
         let Some(Value::Cell { cell: inner, .. }) = env.lookup(&Ident::new("r")) else {
@@ -311,6 +314,11 @@ mod tests {
         };
         assert!(Rc::ptr_eq(fresh, inner), "cycle must close onto the copy");
         assert!(!Rc::ptr_eq(rc, inner), "cycle must not leak the original");
+        let original = rc.borrow();
+        let Value::Closure { body: code, .. } = &*original else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(body, code), "code must be shared, not copied");
     }
 
     #[test]

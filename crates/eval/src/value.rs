@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use bsml_ast::{Expr, Ident, Op};
 
@@ -28,8 +29,8 @@ pub enum Value {
     Closure {
         /// The parameter.
         param: Ident,
-        /// The body (shared — closures are cloned freely).
-        body: Rc<Expr>,
+        /// The body: the `fun` node's own code, shared, never copied.
+        body: Arc<Expr>,
         /// The captured environment.
         env: Env,
     },

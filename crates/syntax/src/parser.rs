@@ -17,6 +17,8 @@
 //! The BSP primitives (`mkpar`, `apply`, `put`, …) are *reserved
 //! operator names*: they parse as operators and cannot be rebound.
 
+use std::sync::Arc;
+
 use bsml_ast::{Const, Expr, ExprKind, Ident, Op, Span};
 
 use crate::error::ParseError;
@@ -128,10 +130,10 @@ impl Parser {
         }
         let span = start.join(bound.span);
         for p in params.into_iter().rev() {
-            bound = Expr::new(ExprKind::Fun(p, Box::new(bound)), span);
+            bound = Expr::new(ExprKind::Fun(p, Arc::new(bound)), span);
         }
         if recursive {
-            let lam = Expr::new(ExprKind::Fun(name.clone(), Box::new(bound)), span);
+            let lam = Expr::new(ExprKind::Fun(name.clone(), Arc::new(bound)), span);
             bound = Expr::new(
                 ExprKind::App(
                     Box::new(Expr::new(ExprKind::Op(Op::Fix), span)),
@@ -285,7 +287,7 @@ impl Parser {
         let body = self.expr()?;
         let span = start.join(body.span);
         Ok(params.into_iter().rev().fold(body, |acc, p| {
-            Expr::new(ExprKind::Fun(p, Box::new(acc)), span)
+            Expr::new(ExprKind::Fun(p, Arc::new(acc)), span)
         }))
     }
 
@@ -305,12 +307,12 @@ impl Parser {
 
         // `let f x y = e` sugar.
         for p in params.into_iter().rev() {
-            bound = Expr::new(ExprKind::Fun(p, Box::new(bound)), span);
+            bound = Expr::new(ExprKind::Fun(p, Arc::new(bound)), span);
         }
         // `let rec f … = e` desugars through the fix operator:
         // let f = fix (fun f -> …) in body.
         if recursive {
-            let lam = Expr::new(ExprKind::Fun(name.clone(), Box::new(bound)), span);
+            let lam = Expr::new(ExprKind::Fun(name.clone(), Arc::new(bound)), span);
             bound = Expr::new(
                 ExprKind::App(
                     Box::new(Expr::new(ExprKind::Op(Op::Fix), span)),
@@ -685,7 +687,7 @@ fn desugar_loop(span: Span, cond: Expr, body: Expr) -> Expr {
     ));
     let lam = at(ExprKind::Fun(
         Ident::new("_wloop"),
-        Box::new(at(ExprKind::Fun(Ident::new("_wu"), Box::new(if_)))),
+        Arc::new(at(ExprKind::Fun(Ident::new("_wu"), Arc::new(if_)))),
     ));
     let fixed = at(ExprKind::App(
         Box::new(at(ExprKind::Op(Op::Fix))),
@@ -734,7 +736,7 @@ fn desugar_for(span: Span, var: Ident, from: Expr, to: Expr, body: Expr) -> Expr
     ));
     let lam = at(ExprKind::Fun(
         Ident::new("_wloop"),
-        Box::new(at(ExprKind::Fun(var, Box::new(if_)))),
+        Arc::new(at(ExprKind::Fun(var, Arc::new(if_)))),
     ));
     let fixed = at(ExprKind::App(
         Box::new(at(ExprKind::Op(Op::Fix))),
