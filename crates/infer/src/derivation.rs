@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use bsml_types::{Constraint, Subst, Type};
+use bsml_types::{Constraint, Type};
 
 /// One node of a typing derivation: a rule application with its
 /// conclusion judgment and premises.
@@ -34,21 +34,6 @@ impl Derivation {
             ty,
             constraint,
             premises: Vec::new(),
-        }
-    }
-
-    /// Refines every judgment in the tree with the final substitution
-    /// (inference discovers instantiations top-down; applying the
-    /// final substitution makes all judgments display their ground
-    /// refinements, as the paper's figures do).
-    #[must_use]
-    pub fn apply_subst(&self, phi: &Subst) -> Derivation {
-        Derivation {
-            rule: self.rule,
-            expr: self.expr.clone(),
-            ty: phi.apply(&self.ty),
-            constraint: phi.apply_constraint(&self.constraint),
-            premises: self.premises.iter().map(|d| d.apply_subst(phi)).collect(),
         }
     }
 
@@ -214,13 +199,6 @@ mod tests {
         assert!(lines[0].contains("(+)"));
         assert!(lines[2].starts_with("(App)"));
         assert_eq!(d.size(), 3);
-    }
-
-    #[test]
-    fn apply_subst_refines_judgments() {
-        let d = leaf("x", Type::var(0));
-        let phi = Subst::singleton(bsml_types::TyVar(0), Type::Int);
-        assert_eq!(d.apply_subst(&phi).ty, Type::Int);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bsml_ast::{Const, Ident, Op};
-use bsml_types::{Constraint, Scheme, Subst, TyVar, Type};
+use bsml_types::{Constraint, Scheme, TyVar, Type};
 
 /// A typing environment `E`: identifiers to type schemes.
 #[derive(Clone, Debug, Default)]
@@ -64,35 +64,17 @@ impl TypeEnv {
         out
     }
 
-    /// Every variable mentioned anywhere in the environment,
-    /// quantified ones included (see [`Scheme::all_vars`]).
-    #[must_use]
-    pub fn all_vars(&self) -> Vec<TyVar> {
-        let mut out = Vec::new();
-        for scheme in self.map.values() {
-            for v in scheme.all_vars() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-
-    /// Point-to-point substitution on the environment (Definition 1
-    /// applied to every scheme).
-    #[must_use]
-    pub fn apply_subst(&self, phi: &Subst) -> TypeEnv {
-        if phi.is_empty() {
-            return self.clone();
-        }
-        TypeEnv {
-            map: self
-                .map
-                .iter()
-                .map(|(x, s)| (x.clone(), s.apply_subst(phi)))
-                .collect(),
-        }
+    /// One past the largest variable any scheme mentions, quantified
+    /// ones included: inference draws its fresh variables from here
+    /// on, so no link it makes reaches a quantified variable
+    /// (Definition 1's side condition).
+    pub(crate) fn var_bound(&self) -> u32 {
+        self.map
+            .values()
+            .flat_map(Scheme::all_vars)
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -215,7 +197,7 @@ pub fn initial_env() -> TypeEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsml_types::{Solution, TyVarGen};
+    use bsml_types::{Solution, Subst, TyVarGen};
 
     #[test]
     fn figure6_table_renders_as_in_the_paper() {
@@ -294,8 +276,7 @@ mod tests {
     fn env_free_vars_and_subst() {
         let env = TypeEnv::new().extend(Ident::new("x"), Scheme::mono(Type::var(3)));
         assert_eq!(env.free_vars(), vec![TyVar(3)]);
-        let env2 = env.apply_subst(&Subst::singleton(TyVar(3), Type::Int));
-        assert_eq!(env2.lookup(&Ident::new("x")).unwrap().ty(), &Type::Int);
+        assert_eq!(env.var_bound(), 4);
     }
 
     #[test]

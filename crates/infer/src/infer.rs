@@ -1,28 +1,38 @@
 //! The inference algorithm (algorithm-W shape) implementing the
-//! inductive rules of Figure 7.
+//! inductive rules of Figure 7, over one arena of union-find type
+//! variable cells per run.
 //!
 //! Every rule:
 //!
-//! 1. infers its premises threading substitutions, re-applying each
-//!    new substitution to earlier judgments **via Definition 1** (so
-//!    instantiating a variable with e.g. `int par` conjoins the
-//!    image's basic constraints),
-//! 2. conjoins the premise constraints plus its own side condition
+//! 1. infers its premises and stores each returned judgment `[τ/C]`
+//!    resolved; unification links type variables in place, so nothing
+//!    re-substitutes a stored judgment or the environment,
+//! 2. reads each stored judgment through the cells when it checks it,
+//!    applying **Definition 1** at that point: `τ` and `C` resolved,
+//!    conjoined with the basic constraints `C_τ'` of every variable of
+//!    `[τ/C]` linked since it was stored (`τ'` its resolution), so
+//!    that instantiating a variable with e.g. `int par` conjoins the
+//!    image's basic constraints,
+//! 3. conjoins the premise constraints plus its own side condition
 //!    (*(Fun)*: `C_{τ₁→τ₂}`; *(Let)*: `L(τ₂) ⇒ L(τ₁)`; *(Ifat)*:
 //!    `L(τ) ⇒ False`),
-//! 3. runs `Solve`; if the constraint is absurd the expression is
-//!    rejected with a [`TypeError::LocalityViolation`].
+//! 4. runs `Solve`; if the constraint is absurd the expression is
+//!    rejected with a [`TypeError::LocalityViolation`], and otherwise
+//!    the rule returns the constraint it checked.
 //!
 //! The §6 extensions (sums, lists) follow the same pattern; their
 //! eliminators carry the *(Let)*-style condition
 //! `L(τ_result) ⇒ L(τ_scrutinee)` since they, too, can hide the
 //! evaluation of a global value under a local result type.
+//!
+//! `w` only dispatches; each rule is a function of its own, so a level
+//! of program nesting costs one rule's stack frame.
 
-use bsml_ast::{Expr, ExprKind, Span};
+use bsml_ast::{Const, Expr, ExprKind, Ident, Op, Span};
 use bsml_obs::Telemetry;
 use bsml_types::{
-    basic_constraint, unify_counted, Constraint, Scheme, Solution, SolveStats, Subst, TyVarGen,
-    Type, UnifyStats,
+    basic_constraint, Cells, Constraint, Head, Scheme, Solution, SolveStats, TyVar, Type,
+    UnifyStats,
 };
 
 use crate::derivation::{elide, Derivation};
@@ -42,8 +52,6 @@ pub struct Inference {
     pub constraint: Constraint,
     /// `Solve`'s canonical form of the constraint.
     pub solution: Solution,
-    /// The overall substitution produced by unification.
-    pub subst: Subst,
     /// The typing derivation, when recording was requested.
     pub derivation: Option<Derivation>,
 }
@@ -108,7 +116,8 @@ pub fn infer_in(env: &TypeEnv, e: &Expr) -> Result<Inference, TypeError> {
 /// ```
 #[derive(Debug)]
 pub struct Inferencer {
-    gen: TyVarGen,
+    /// The first variable the next run may make fresh.
+    next: u32,
     record: bool,
     locality: bool,
     telemetry: Telemetry,
@@ -117,62 +126,11 @@ pub struct Inferencer {
 impl Default for Inferencer {
     fn default() -> Self {
         Inferencer {
-            gen: TyVarGen::default(),
+            next: 0,
             record: false,
             locality: true,
             telemetry: Telemetry::disabled(),
         }
-    }
-}
-
-/// Accumulator threading a substitution through judgments, applying
-/// Definition 1 each time it grows.
-struct Acc {
-    subst: Subst,
-    /// Definition 1 on (`false` = plain Damas–Milner ablation).
-    locality: bool,
-    /// `(type, constraint)` pairs of already-inferred premises.
-    items: Vec<(Type, Constraint)>,
-}
-
-impl Acc {
-    fn new(locality: bool) -> Acc {
-        Acc {
-            subst: Subst::new(),
-            locality,
-            items: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, ty: Type, c: Constraint) -> usize {
-        self.items.push((ty, c));
-        self.items.len() - 1
-    }
-
-    /// Extends the total substitution, refining every stored judgment
-    /// through Definition 1 (plain application in the ablation).
-    fn extend(&mut self, phi: &Subst) {
-        if phi.is_empty() {
-            return;
-        }
-        for (ty, c) in &mut self.items {
-            if self.locality {
-                let (t2, c2) = phi.apply_constrained(ty, c);
-                *ty = t2;
-                *c = c2;
-            } else {
-                *ty = phi.apply(ty);
-            }
-        }
-        self.subst = phi.compose(&self.subst);
-    }
-
-    fn ty(&self, i: usize) -> &Type {
-        &self.items[i].0
-    }
-
-    fn all_constraints(&self) -> Constraint {
-        Constraint::conj(self.items.iter().map(|(_, c)| c.clone()))
     }
 }
 
@@ -201,15 +159,233 @@ impl Inferencer {
         self
     }
 
-    /// Attaches a telemetry handle. The engine then counts
-    /// `infer.unifications`, `infer.occurs_checks`,
-    /// `infer.solver_iterations` and `infer.solver_clauses`, and wraps
-    /// generalization and instantiation in spans. A disabled handle
-    /// (the default) costs one branch per site.
+    /// Attaches a telemetry handle. Each run then adds its work to the
+    /// counters `infer.unifications`, `infer.occurs_checks`,
+    /// `infer.solver_iterations`, `infer.solver_clauses`,
+    /// `infer.instantiations` and `infer.generalizations`, once, when
+    /// it ends. A disabled handle (the default) costs one branch per
+    /// run.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Inferencer {
         self.telemetry = telemetry;
         self
+    }
+
+    /// Runs inference on `e` under `env`.
+    ///
+    /// # Errors
+    ///
+    /// See [`TypeError`].
+    pub fn run(&mut self, env: &TypeEnv, e: &Expr) -> Result<Inference, TypeError> {
+        // Fresh variables start past every variable of the env,
+        // quantified ones included, so they stay out of reach of all
+        // links made during this run (Definition 1).
+        let mut engine = Engine {
+            cells: Cells::starting_at(self.next.max(env.var_bound())),
+            level: 0,
+            scopes: Vec::new(),
+            env,
+            record: self.record,
+            locality: self.locality,
+            work: Work::default(),
+        };
+        let result = engine
+            .w(e)
+            .map_err(|err| *err)
+            .map(|(ty, constraint, derivation)| {
+                let solution = engine.solve(&constraint);
+                debug_assert_ne!(solution, Solution::False, "absurdity missed by rule checks");
+                Inference {
+                    ty,
+                    constraint,
+                    solution,
+                    derivation: derivation.map(|mut d| {
+                        engine.resolve_derivation(&mut d);
+                        *d
+                    }),
+                }
+            });
+        self.next = engine.cells.next_var();
+        engine.work.report(&self.telemetry);
+        result
+    }
+}
+
+/// What one rule concludes: `⊢ e : [τ/C]`, with its derivation when
+/// recording.
+type Judgment = (Type, Constraint, Option<Box<Derivation>>);
+
+/// A rule's outcome. Both sides are kept small (the derivation and the
+/// error boxed), because every level of program nesting holds a few of
+/// them on the stack.
+type Outcome = Result<Judgment, Box<TypeError>>;
+
+/// A judgment stored resolved, with the link count at that moment.
+struct Stored {
+    ty: Type,
+    c: Constraint,
+    at: u64,
+}
+
+/// Work counts of one run, reported to telemetry when it ends.
+#[derive(Default)]
+struct Work {
+    unify: UnifyStats,
+    solve: SolveStats,
+    instantiations: u64,
+    generalizations: u64,
+}
+
+impl Work {
+    fn report(&self, telemetry: &Telemetry) {
+        if !telemetry.is_enabled() {
+            return;
+        }
+        for (name, n) in [
+            ("infer.unifications", self.unify.unifications),
+            ("infer.occurs_checks", self.unify.occurs_checks),
+            ("infer.solver_iterations", self.solve.iterations),
+            ("infer.solver_clauses", self.solve.clauses),
+            ("infer.instantiations", self.instantiations),
+            ("infer.generalizations", self.generalizations),
+        ] {
+            telemetry.counter_add(name, n);
+        }
+    }
+}
+
+/// The state of one run.
+struct Engine<'a> {
+    cells: Cells,
+    /// The let-level: a let's bound expression runs one deeper.
+    level: u32,
+    /// Binders in scope, innermost last: the name, its scheme stored
+    /// resolved, and the link count when it was stored.
+    scopes: Vec<(Ident, Scheme, u64)>,
+    /// Names not bound in `scopes` are read here.
+    env: &'a TypeEnv,
+    record: bool,
+    locality: bool,
+    work: Work,
+}
+
+impl Engine<'_> {
+    fn w(&mut self, e: &Expr) -> Outcome {
+        match &e.kind {
+            ExprKind::Var(x) => self.var(e, x),
+            ExprKind::Const(k) => self.constant(e, *k),
+            ExprKind::Op(op) => self.op(e, *op),
+            ExprKind::Fun(x, body) => self.fun(e, x, body),
+            ExprKind::App(e1, e2) => self.app(e, e1, e2),
+            ExprKind::Let(x, e1, e2) => self.let_(e, x, e1, e2),
+            ExprKind::Pair(e1, e2) => self.pair(e, e1, e2),
+            ExprKind::If(e1, e2, e3) => self.if_(e, e1, e2, e3),
+            ExprKind::IfAt(e1, e2, e3, e4) => self.ifat(e, e1, e2, e3, e4),
+            ExprKind::Vector(es) => self.vector(e, es),
+            ExprKind::Inl(inner) => self.inject(e, inner, "(Inl)"),
+            ExprKind::Inr(inner) => self.inject(e, inner, "(Inr)"),
+            ExprKind::Case {
+                scrutinee,
+                left_var,
+                left_body,
+                right_var,
+                right_body,
+            } => self.case(e, scrutinee, (left_var, left_body), (right_var, right_body)),
+            ExprKind::Nil => self.nil(e),
+            ExprKind::Cons(h, t) => self.cons(e, h, t),
+            ExprKind::MatchList {
+                scrutinee,
+                nil_body,
+                head_var,
+                tail_var,
+                cons_body,
+            } => self.match_list(e, scrutinee, nil_body, (head_var, tail_var, cons_body)),
+        }
+    }
+
+    // — judgments and the cells —
+
+    fn fresh(&mut self) -> Type {
+        self.cells.fresh_ty(self.level)
+    }
+
+    fn store(&self, ty: Type, c: Constraint) -> Stored {
+        Stored {
+            ty,
+            c,
+            at: self.cells.links_made(),
+        }
+    }
+
+    /// Reads a stored judgment through the cells with Definition 1:
+    /// `[τ/C]` resolved, conjoined with `C_τ'` for each variable of
+    /// `[τ/C]` linked since it was stored, `τ'` its resolution. A
+    /// sequence of substitutions applied by Definition 1 one after the
+    /// other gives an equivalent constraint, because
+    /// `C_{φ(τ)} ≡ φ(C_τ) ∧ ⋀_{γ ∈ F(τ)} C_{φ(γ)}` (DESIGN.md §3).
+    fn read(&self, s: Stored) -> (Type, Constraint) {
+        if s.at == self.cells.links_made() {
+            return (s.ty, s.c);
+        }
+        let ty = self.cells.resolve(&s.ty);
+        let mut c = self.cells.resolve_constraint(&s.c);
+        if self.locality {
+            let mut vars = s.ty.free_vars();
+            for v in s.c.free_vars() {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            for v in vars.into_iter().filter(|v| self.cells.is_linked(*v)) {
+                let image = self.cells.resolve(&Type::Var(v));
+                c = Constraint::and(c, basic_constraint(&image));
+            }
+        }
+        (ty, c)
+    }
+
+    /// Puts `x : τ` in scope for a binder.
+    fn bind(&mut self, x: &Ident, ty: Type) {
+        let at = self.cells.links_made();
+        self.scopes.push((x.clone(), Scheme::mono(ty), at));
+    }
+
+    /// **Definition 3** at the current let-level: quantifies the
+    /// variables of `τ₁` that sit deeper, and stores the part of
+    /// `Solve(c₁)` connected to `τ₁` or to a variable at this level or
+    /// shallower (`F(E)`).
+    fn generalize(&mut self, t1: Type, c1: &Constraint) -> Scheme {
+        self.work.generalizations += 1;
+        let solution = self.solve(c1);
+        let level = self.level;
+        let mut keep = t1.free_vars();
+        let vars: Vec<TyVar> = keep
+            .iter()
+            .copied()
+            .filter(|v| self.cells.level(*v) > level)
+            .collect();
+        if let Solution::Residual(clauses) = &solution {
+            for clause in clauses {
+                let head = match clause.head {
+                    Head::Atom(v) => Some(v),
+                    Head::Absurd => None,
+                };
+                for v in clause.body.iter().copied().chain(head) {
+                    if self.cells.level(v) <= level && !keep.contains(&v) {
+                        keep.push(v);
+                    }
+                }
+            }
+        }
+        let constraint = solution.restrict(&keep).to_constraint();
+        // A kept variable the scheme does not quantify is free in the
+        // environment from now on.
+        for v in constraint.free_vars() {
+            if !vars.contains(&v) {
+                self.cells.lower(v, level);
+            }
+        }
+        Scheme::new(vars, t1, constraint)
     }
 
     /// Drops a constraint in the plain-Damas–Milner ablation.
@@ -221,28 +397,46 @@ impl Inferencer {
         }
     }
 
-    /// Runs inference on `e` under `env`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TypeError`].
-    pub fn run(&mut self, env: &TypeEnv, e: &Expr) -> Result<Inference, TypeError> {
-        // Keep fresh variables clear of anything already in the env —
-        // including quantified variables, so they stay out of reach
-        // of all substitutions built during this run (Definition 1).
-        for v in env.all_vars() {
-            self.gen.skip_past(&Type::Var(v));
+    /// Runs the constraint solver, counting its work.
+    fn solve(&mut self, c: &Constraint) -> Solution {
+        c.solve_counted(&mut self.work.solve)
+    }
+
+    /// Concludes a rule: rejects its judgment if the constraint
+    /// solves to `False`, and otherwise records the derivation node.
+    fn conclude(
+        &mut self,
+        rule: &'static str,
+        e: &Expr,
+        ty: Type,
+        c: Constraint,
+        premises: Vec<Option<Box<Derivation>>>,
+    ) -> Outcome {
+        if self.locality && self.solve(&c) == Solution::False {
+            return Err(Box::new(TypeError::LocalityViolation {
+                rule,
+                constraint: c,
+                span: e.span,
+            }));
         }
-        let (subst, ty, constraint, deriv) = self.w(env, e)?;
-        let solution = self.solve(&constraint);
-        debug_assert_ne!(solution, Solution::False, "absurdity missed by rule checks");
-        Ok(Inference {
-            ty,
-            constraint,
-            solution,
-            derivation: deriv.map(|d| d.apply_subst(&subst)),
-            subst,
-        })
+        let d = self.node(rule, e, &ty, &c, premises);
+        Ok((ty, c, d))
+    }
+
+    fn unify_at(
+        &mut self,
+        a: &Type,
+        b: &Type,
+        context: &'static str,
+        span: Span,
+    ) -> Result<(), TypeError> {
+        self.cells
+            .unify(a, b, &mut self.work.unify)
+            .map_err(|cause| TypeError::Mismatch {
+                cause,
+                context,
+                span,
+            })
     }
 
     fn node(
@@ -251,447 +445,342 @@ impl Inferencer {
         e: &Expr,
         ty: &Type,
         c: &Constraint,
-        premises: Vec<Option<Derivation>>,
-    ) -> Option<Derivation> {
+        premises: Vec<Option<Box<Derivation>>>,
+    ) -> Option<Box<Derivation>> {
         if !self.record {
             return None;
         }
-        Some(Derivation {
+        Some(Box::new(Derivation {
             rule,
             expr: elide(&e.to_string(), ELIDE_AT),
             ty: ty.clone(),
             constraint: c.clone(),
-            premises: premises.into_iter().flatten().collect(),
-        })
+            premises: premises.into_iter().flatten().map(|d| *d).collect(),
+        }))
     }
 
-    /// Runs the constraint solver, feeding its work counts into the
-    /// `infer.solver_iterations` and `infer.solver_clauses` telemetry
-    /// counters.
-    fn solve(&self, c: &Constraint) -> Solution {
-        let mut stats = SolveStats::default();
-        let solution = c.solve_counted(&mut stats);
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter_add("infer.solver_iterations", stats.iterations);
-            self.telemetry
-                .counter_add("infer.solver_clauses", stats.clauses);
-        }
-        solution
-    }
-
-    /// Rejects a judgment whose constraint solves to `False`.
-    fn check(&self, rule: &'static str, span: Span, c: &Constraint) -> Result<(), TypeError> {
-        if self.locality && self.solve(c) == Solution::False {
-            Err(TypeError::LocalityViolation {
-                rule,
-                constraint: c.clone(),
-                span,
-            })
-        } else {
-            Ok(())
+    /// Resolves every judgment of a recorded derivation through the
+    /// cells: inference discovers instantiations top-down, and the
+    /// paper's figures show each judgment at its ground refinement.
+    fn resolve_derivation(&self, d: &mut Derivation) {
+        d.ty = self.cells.resolve(&d.ty);
+        d.constraint = self.cells.resolve_constraint(&d.constraint);
+        for premise in &mut d.premises {
+            self.resolve_derivation(premise);
         }
     }
 
-    fn unify_at(
-        &self,
-        a: &Type,
-        b: &Type,
-        context: &'static str,
-        span: Span,
-    ) -> Result<Subst, TypeError> {
-        let mut stats = UnifyStats::default();
-        let result = unify_counted(a, b, &mut stats);
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter_add("infer.unifications", stats.unifications);
-            self.telemetry
-                .counter_add("infer.occurs_checks", stats.occurs_checks);
-        }
-        result.map_err(|cause| TypeError::Mismatch {
-            cause,
-            context,
-            span,
-        })
-    }
+    // — the rules —
 
-    /// Instantiates `scheme` under an `infer.instantiate` span.
-    fn instantiate(&mut self, scheme: &Scheme) -> (Type, Constraint) {
-        let mut sp = self.telemetry.span("infer.instantiate");
-        let out = scheme.instantiate(&mut self.gen);
-        sp.set("quantified", scheme.quantified().len());
-        out
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn w(
-        &mut self,
-        env: &TypeEnv,
-        e: &Expr,
-    ) -> Result<(Subst, Type, Constraint, Option<Derivation>), TypeError> {
-        let span = e.span;
-        match &e.kind {
-            // (Var): instance of the environment scheme.
-            ExprKind::Var(x) => {
-                let scheme = env.lookup(x).ok_or_else(|| TypeError::Unbound {
+    /// (Var): an instance (Definition 2) of the scheme in scope, or
+    /// else of the environment's, which was stored before any link.
+    #[inline(never)]
+    fn var(&mut self, e: &Expr, x: &Ident) -> Outcome {
+        let (scheme, at) = match self.scopes.iter().rev().find(|(y, ..)| y == x) {
+            Some((_, scheme, at)) => (scheme, *at),
+            None => {
+                let scheme = self.env.lookup(x).ok_or_else(|| TypeError::Unbound {
                     name: x.clone(),
-                    span,
+                    span: e.span,
                 })?;
-                let (ty, c) = self.instantiate(scheme);
-                let c = self.gate(c);
-                self.check("(Var)", span, &c)?;
-                let d = self.node("(Var)", e, &ty, &c, vec![]);
-                Ok((Subst::new(), ty, c, d))
+                (scheme, 0)
             }
-            // (Const)
-            ExprKind::Const(k) => {
-                let (ty, c) = self.instantiate(&const_scheme(*k));
-                let c = self.gate(c);
-                let d = self.node("(Const)", e, &ty, &c, vec![]);
-                Ok((Subst::new(), ty, c, d))
-            }
-            // (Op)
-            ExprKind::Op(op) => {
-                let (ty, c) = self.instantiate(&op_scheme(*op));
-                let c = self.gate(c);
-                self.check("(Op)", span, &c)?;
-                let d = self.node("(Op)", e, &ty, &c, vec![]);
-                Ok((Subst::new(), ty, c, d))
-            }
-            // (Fun): E + {x : [τ₁/C₁]} ⊢ e : [τ₂/C₂]
-            //        ⟹ fun x → e : [τ₁→τ₂ / C_{τ₁→τ₂} ∧ C₂]
-            ExprKind::Fun(x, body) => {
-                let alpha = self.gen.fresh_ty();
-                let env2 = env.extend(x.clone(), Scheme::mono(alpha.clone()));
-                let (s1, t2, c2, d1) = self.w(&env2, body)?;
-                let t1 = s1.apply(&alpha);
-                let ty = Type::arrow(t1, t2);
-                let c = Constraint::and(self.gate(basic_constraint(&ty)), c2);
-                self.check("(Fun)", span, &c)?;
-                let d = self.node("(Fun)", e, &ty, &c, vec![d1]);
-                Ok((s1, ty, c, d))
-            }
-            // (App)
-            ExprKind::App(e1, e2) => {
-                let (s1, t1, c1, d1) = self.w(env, e1)?;
-                let env1 = env.apply_subst(&s1);
-                let (s2, t2, c2, d2) = self.w(&env1, e2)?;
+        };
+        let (ty, c) = scheme.instantiate_with(|| self.cells.fresh(self.level));
+        self.work.instantiations += 1;
+        let (ty, c) = self.read(Stored { ty, c, at });
+        let c = self.gate(c);
+        self.conclude("(Var)", e, ty, c, vec![])
+    }
 
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                let i1 = acc.push(t1, c1);
-                acc.extend(&s2);
-                let i2 = acc.push(t2, c2);
-                let beta = self.gen.fresh_ty();
-                let ib = acc.push(beta.clone(), Constraint::True);
+    /// (Const)
+    #[inline(never)]
+    fn constant(&mut self, e: &Expr, k: Const) -> Outcome {
+        let (ty, c) = const_scheme(k).instantiate_with(|| self.cells.fresh(self.level));
+        self.work.instantiations += 1;
+        let c = self.gate(c);
+        let d = self.node("(Const)", e, &ty, &c, vec![]);
+        Ok((ty, c, d))
+    }
 
-                let arrow = Type::arrow(acc.ty(i2).clone(), beta);
-                let u = self.unify_at(acc.ty(i1), &arrow, "application", span)?;
-                acc.extend(&u);
+    /// (Op)
+    #[inline(never)]
+    fn op(&mut self, e: &Expr, op: Op) -> Outcome {
+        let (ty, c) = op_scheme(op).instantiate_with(|| self.cells.fresh(self.level));
+        self.work.instantiations += 1;
+        let c = self.gate(c);
+        self.conclude("(Op)", e, ty, c, vec![])
+    }
 
-                let ty = acc.ty(ib).clone();
-                let c = acc.all_constraints();
-                self.check("(App)", span, &c)?;
-                let d = self.node("(App)", e, &ty, &c, vec![d1, d2]);
-                Ok((acc.subst, ty, c, d))
-            }
-            // (Let) with generalization (Definition 3) and the side
-            // condition L(τ₂) ⇒ L(τ₁). The scheme's solved constraint
-            // stands for c₁ in this judgment too, so neither a use of
-            // x nor an enclosing rule copies e₁'s constraint tree.
-            ExprKind::Let(x, e1, e2) => {
-                let (s1, t1, c1, d1) = self.w(env, e1)?;
-                let env1 = env.apply_subst(&s1);
-                let scheme = {
-                    let mut sp = self.telemetry.span("infer.generalize");
-                    let solution = self.solve(&c1);
-                    let scheme = Scheme::generalize(t1.clone(), &solution, &env1.free_vars());
-                    sp.set("quantified", scheme.quantified().len());
-                    scheme
-                };
-                let c1 = scheme.constraint().clone();
-                let env2 = env1.extend(x.clone(), scheme);
-                let (s2, t2, c2, d2) = self.w(&env2, e2)?;
+    /// (Fun): E + {x : [τ₁/C₁]} ⊢ e : [τ₂/C₂]
+    ///        ⟹ fun x → e : [τ₁→τ₂ / C_{τ₁→τ₂} ∧ C₂]
+    #[inline(never)]
+    fn fun(&mut self, e: &Expr, x: &Ident, body: &Expr) -> Outcome {
+        let alpha = self.fresh();
+        self.bind(x, alpha.clone());
+        let (t2, c2, d1) = self.w(body)?;
+        self.scopes.pop();
+        let ty = Type::arrow(self.cells.resolve(&alpha), t2);
+        let c = Constraint::and(self.gate(basic_constraint(&ty)), c2);
+        self.conclude("(Fun)", e, ty, c, vec![d1])
+    }
 
-                let (t1s, c1s) = if self.locality {
-                    s2.apply_constrained(&t1, &c1)
-                } else {
-                    (s2.apply(&t1), Constraint::True)
-                };
-                let side = self.gate(Constraint::implies(
-                    Constraint::Loc(t2.clone()),
-                    Constraint::Loc(t1s),
-                ));
-                let c = Constraint::conj([c1s, c2, side]);
-                self.check("(Let)", span, &c)?;
-                let d = self.node("(Let)", e, &t2, &c, vec![d1, d2]);
-                Ok((s2.compose(&s1), t2, c, d))
-            }
-            // (Pair)
-            ExprKind::Pair(e1, e2) => {
-                let (s1, t1, c1, d1) = self.w(env, e1)?;
-                let env1 = env.apply_subst(&s1);
-                let (s2, t2, c2, d2) = self.w(&env1, e2)?;
-                let (t1s, c1s) = if self.locality {
-                    s2.apply_constrained(&t1, &c1)
-                } else {
-                    (s2.apply(&t1), Constraint::True)
-                };
-                let ty = Type::pair(t1s, t2);
-                let c = Constraint::and(c1s, c2);
-                self.check("(Pair)", span, &c)?;
-                let d = self.node("(Pair)", e, &ty, &c, vec![d1, d2]);
-                Ok((s2.compose(&s1), ty, c, d))
-            }
-            // (Ifthenelse)
-            ExprKind::If(e1, e2, e3) => {
-                let (s1, t1, c1, d1) = self.w(env, e1)?;
-                let u1 = self.unify_at(&t1, &Type::Bool, "`if` condition", e1.span)?;
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                let ic = acc.push(t1, c1);
-                acc.extend(&u1);
+    /// (App)
+    #[inline(never)]
+    fn app(&mut self, e: &Expr, e1: &Expr, e2: &Expr) -> Outcome {
+        let (t1, c1, d1) = self.w(e1)?;
+        let f = self.store(t1, c1);
+        let (t2, c2, d2) = self.w(e2)?;
+        let arg = self.store(t2, c2);
+        let beta = self.fresh();
+        let result = self.store(beta.clone(), Constraint::True);
+        self.unify_at(
+            &f.ty,
+            &Type::arrow(arg.ty.clone(), beta),
+            "application",
+            e.span,
+        )?;
+        let (_, c1) = self.read(f);
+        let (_, c2) = self.read(arg);
+        let (ty, cr) = self.read(result);
+        let c = Constraint::conj([c1, c2, cr]);
+        self.conclude("(App)", e, ty, c, vec![d1, d2])
+    }
 
-                let env1 = env.apply_subst(&acc.subst);
-                let (s2, t2, c2, d2) = self.w(&env1, e2)?;
-                acc.extend(&s2);
-                let i2 = acc.push(t2, c2);
+    /// (Let) with generalization (Definition 3) and the side
+    /// condition L(τ₂) ⇒ L(τ₁). The scheme's solved constraint
+    /// stands for c₁ in this judgment too, so neither a use of x nor
+    /// an enclosing rule copies e₁'s constraint tree.
+    #[inline(never)]
+    fn let_(&mut self, e: &Expr, x: &Ident, e1: &Expr, e2: &Expr) -> Outcome {
+        self.level += 1;
+        let (t1, c1, d1) = self.w(e1)?;
+        self.level -= 1;
+        let scheme = self.generalize(t1, &c1);
+        let at = self.cells.links_made();
+        self.scopes.push((x.clone(), scheme, at));
+        let (t2, c2, d2) = self.w(e2)?;
+        let (_, scheme, at) = self.scopes.pop().expect("the let's binder is in scope");
+        let (t1, c1) = self.read(Stored {
+            ty: scheme.ty().clone(),
+            c: scheme.constraint().clone(),
+            at,
+        });
+        let side = self.gate(Constraint::implies(
+            Constraint::Loc(t2.clone()),
+            Constraint::Loc(t1),
+        ));
+        let c = Constraint::conj([c1, c2, side]);
+        self.conclude("(Let)", e, t2, c, vec![d1, d2])
+    }
 
-                let env2 = env.apply_subst(&acc.subst);
-                let (s3, t3, c3, d3) = self.w(&env2, e3)?;
-                acc.extend(&s3);
-                let i3 = acc.push(t3, c3);
+    /// (Pair)
+    #[inline(never)]
+    fn pair(&mut self, e: &Expr, e1: &Expr, e2: &Expr) -> Outcome {
+        let (t1, c1, d1) = self.w(e1)?;
+        let first = self.store(t1, c1);
+        let (t2, c2, d2) = self.w(e2)?;
+        let (t1, c1) = self.read(first);
+        let ty = Type::pair(t1, t2);
+        let c = Constraint::and(c1, c2);
+        self.conclude("(Pair)", e, ty, c, vec![d1, d2])
+    }
 
-                let u2 = self.unify_at(acc.ty(i2), acc.ty(i3), "`if` branches", span)?;
-                acc.extend(&u2);
+    /// (Ifthenelse)
+    #[inline(never)]
+    fn if_(&mut self, e: &Expr, e1: &Expr, e2: &Expr, e3: &Expr) -> Outcome {
+        let (t1, c1, d1) = self.w(e1)?;
+        let cond = self.store(t1, c1);
+        self.unify_at(&cond.ty, &Type::Bool, "`if` condition", e1.span)?;
+        let (t2, c2, d2) = self.w(e2)?;
+        let then = self.store(t2, c2);
+        let (t3, c3, d3) = self.w(e3)?;
+        let other = self.store(t3, c3);
+        self.unify_at(&then.ty, &other.ty, "`if` branches", e.span)?;
+        let (_, c1) = self.read(cond);
+        let (ty, c2) = self.read(then);
+        let (_, c3) = self.read(other);
+        let c = Constraint::conj([c1, c2, c3]);
+        self.conclude("(Ifthenelse)", e, ty, c, vec![d1, d2, d3])
+    }
 
-                let _ = ic;
-                let ty = acc.ty(i2).clone();
-                let c = acc.all_constraints();
-                self.check("(Ifthenelse)", span, &c)?;
-                let d = self.node("(Ifthenelse)", e, &ty, &c, vec![d1, d2, d3]);
-                Ok((acc.subst, ty, c, d))
-            }
-            // (Ifat): e₁ : bool par, e₂ : int, branches : τ, plus the
-            // side condition L(τ) ⇒ False.
-            ExprKind::IfAt(e1, e2, e3, e4) => {
-                let (s1, t1, c1, d1) = self.w(env, e1)?;
-                let u1 = self.unify_at(&t1, &Type::par(Type::Bool), "`if‥at‥` vector", e1.span)?;
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                acc.push(t1, c1);
-                acc.extend(&u1);
+    /// (Ifat): e₁ : bool par, e₂ : int, branches : τ, plus the side
+    /// condition L(τ) ⇒ False.
+    #[inline(never)]
+    fn ifat(&mut self, e: &Expr, e1: &Expr, e2: &Expr, e3: &Expr, e4: &Expr) -> Outcome {
+        let (t1, c1, d1) = self.w(e1)?;
+        let vector = self.store(t1, c1);
+        let bool_par = Type::par(Type::Bool);
+        self.unify_at(&vector.ty, &bool_par, "`if‥at‥` vector", e1.span)?;
+        let (t2, c2, d2) = self.w(e2)?;
+        let pid = self.store(t2, c2);
+        self.unify_at(&pid.ty, &Type::Int, "`if‥at‥` process id", e2.span)?;
+        let (t3, c3, d3) = self.w(e3)?;
+        let then = self.store(t3, c3);
+        let (t4, c4, d4) = self.w(e4)?;
+        let other = self.store(t4, c4);
+        self.unify_at(&then.ty, &other.ty, "`if‥at‥` branches", e.span)?;
+        let (_, c1) = self.read(vector);
+        let (_, c2) = self.read(pid);
+        let (ty, c3) = self.read(then);
+        let (_, c4) = self.read(other);
+        let side = self.gate(Constraint::implies(
+            Constraint::Loc(ty.clone()),
+            Constraint::False,
+        ));
+        let c = Constraint::and(Constraint::conj([c1, c2, c3, c4]), side);
+        self.conclude("(Ifat)", e, ty, c, vec![d1, d2, d3, d4])
+    }
 
-                let env1 = env.apply_subst(&acc.subst);
-                let (s2, t2, c2, d2) = self.w(&env1, e2)?;
-                acc.extend(&s2);
-                let in_ = acc.push(t2, c2);
-                let u2 = self.unify_at(acc.ty(in_), &Type::Int, "`if‥at‥` process id", e2.span)?;
-                acc.extend(&u2);
-
-                let env2 = env.apply_subst(&acc.subst);
-                let (s3, t3, c3, d3) = self.w(&env2, e3)?;
-                acc.extend(&s3);
-                let i3 = acc.push(t3, c3);
-
-                let env3 = env.apply_subst(&acc.subst);
-                let (s4, t4, c4, d4) = self.w(&env3, e4)?;
-                acc.extend(&s4);
-                let i4 = acc.push(t4, c4);
-
-                let u3 = self.unify_at(acc.ty(i3), acc.ty(i4), "`if‥at‥` branches", span)?;
-                acc.extend(&u3);
-
-                let ty = acc.ty(i3).clone();
-                let side = self.gate(Constraint::implies(
-                    Constraint::Loc(ty.clone()),
-                    Constraint::False,
-                ));
-                let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Ifat)", span, &c)?;
-                let d = self.node("(Ifat)", e, &ty, &c, vec![d1, d2, d3, d4]);
-                Ok((acc.subst, ty, c, d))
-            }
-            // Runtime-only vectors: typed for completeness (the parser
-            // never produces them). All components share a local type.
-            ExprKind::Vector(es) => {
-                let mut acc = Acc::new(self.locality);
-                let alpha = self.gen.fresh_ty();
-                let ia = acc.push(alpha, Constraint::True);
-                let mut ds = Vec::new();
-                for comp in es {
-                    let envc = env.apply_subst(&acc.subst);
-                    let (s, t, c, d) = self.w(&envc, comp)?;
-                    acc.extend(&s);
-                    let i = acc.push(t, c);
-                    let u = self.unify_at(
-                        acc.ty(ia),
-                        acc.ty(i),
-                        "parallel vector components",
-                        comp.span,
-                    )?;
-                    acc.extend(&u);
-                    ds.push(d);
-                }
-                let elem = acc.ty(ia).clone();
-                let ty = Type::par(elem.clone());
-                let c = Constraint::and(acc.all_constraints(), self.gate(Constraint::Loc(elem)));
-                self.check("(Vector)", span, &c)?;
-                let d = self.node("(Vector)", e, &ty, &c, ds);
-                Ok((acc.subst, ty, c, d))
-            }
-            // — §6 extensions below —
-            ExprKind::Inl(inner) => {
-                let (s1, t1, c1, d1) = self.w(env, inner)?;
-                let beta = self.gen.fresh_ty();
-                let ty = Type::sum(t1, beta);
-                let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
-                self.check("(Inl)", span, &c)?;
-                let d = self.node("(Inl)", e, &ty, &c, vec![d1]);
-                Ok((s1, ty, c, d))
-            }
-            ExprKind::Inr(inner) => {
-                let (s1, t1, c1, d1) = self.w(env, inner)?;
-                let alpha = self.gen.fresh_ty();
-                let ty = Type::sum(alpha, t1);
-                let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
-                self.check("(Inr)", span, &c)?;
-                let d = self.node("(Inr)", e, &ty, &c, vec![d1]);
-                Ok((s1, ty, c, d))
-            }
-            ExprKind::Case {
-                scrutinee,
-                left_var,
-                left_body,
-                right_var,
-                right_body,
-            } => {
-                let (s1, ts, cs, d1) = self.w(env, scrutinee)?;
-                let alpha = self.gen.fresh_ty();
-                let beta = self.gen.fresh_ty();
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                let is = acc.push(ts, cs);
-                let ia = acc.push(alpha.clone(), Constraint::True);
-                let ib = acc.push(beta.clone(), Constraint::True);
-                let u1 = self.unify_at(
-                    acc.ty(is),
-                    &Type::sum(alpha, beta),
-                    "`case` scrutinee",
-                    scrutinee.span,
-                )?;
-                acc.extend(&u1);
-
-                let env_l = env
-                    .apply_subst(&acc.subst)
-                    .extend(left_var.clone(), Scheme::mono(acc.ty(ia).clone()));
-                let (s2, tl, cl, d2) = self.w(&env_l, left_body)?;
-                acc.extend(&s2);
-                let il = acc.push(tl, cl);
-
-                let env_r = env
-                    .apply_subst(&acc.subst)
-                    .extend(right_var.clone(), Scheme::mono(acc.ty(ib).clone()));
-                let (s3, tr, cr, d3) = self.w(&env_r, right_body)?;
-                acc.extend(&s3);
-                let ir = acc.push(tr, cr);
-
-                let u2 = self.unify_at(acc.ty(il), acc.ty(ir), "`case` branches", span)?;
-                acc.extend(&u2);
-
-                let ty = acc.ty(il).clone();
-                // Like (Let): a local result must not hide a global
-                // scrutinee.
-                let side = self.gate(Constraint::implies(
-                    Constraint::Loc(ty.clone()),
-                    Constraint::Loc(acc.ty(is).clone()),
-                ));
-                let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Case)", span, &c)?;
-                let d = self.node("(Case)", e, &ty, &c, vec![d1, d2, d3]);
-                Ok((acc.subst, ty, c, d))
-            }
-            ExprKind::Nil => {
-                let alpha = self.gen.fresh_ty();
-                let ty = Type::list(alpha);
-                let d = self.node("(Nil)", e, &ty, &Constraint::True, vec![]);
-                Ok((Subst::new(), ty, Constraint::True, d))
-            }
-            ExprKind::Cons(h, t) => {
-                let (s1, th, c1, d1) = self.w(env, h)?;
-                let env1 = env.apply_subst(&s1);
-                let (s2, tt, c2, d2) = self.w(&env1, t)?;
-
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                let ih = acc.push(th, c1);
-                acc.extend(&s2);
-                let it = acc.push(tt, c2);
-                let u = self.unify_at(
-                    &Type::list(acc.ty(ih).clone()),
-                    acc.ty(it),
-                    "list cell",
-                    span,
-                )?;
-                acc.extend(&u);
-
-                let ty = acc.ty(it).clone();
-                // List elements must be local (a list of vectors has
-                // statically unknown parallel width).
-                let elem = acc.ty(ih).clone();
-                let c = Constraint::and(acc.all_constraints(), self.gate(Constraint::Loc(elem)));
-                self.check("(Cons)", span, &c)?;
-                let d = self.node("(Cons)", e, &ty, &c, vec![d1, d2]);
-                Ok((acc.subst, ty, c, d))
-            }
-            ExprKind::MatchList {
-                scrutinee,
-                nil_body,
-                head_var,
-                tail_var,
-                cons_body,
-            } => {
-                let (s1, ts, cs, d1) = self.w(env, scrutinee)?;
-                let alpha = self.gen.fresh_ty();
-                let mut acc = Acc::new(self.locality);
-                acc.subst = s1;
-                let is = acc.push(ts, cs);
-                let ia = acc.push(alpha.clone(), Constraint::True);
-                let u1 = self.unify_at(
-                    acc.ty(is),
-                    &Type::list(alpha),
-                    "`match` scrutinee",
-                    scrutinee.span,
-                )?;
-                acc.extend(&u1);
-
-                let env_n = env.apply_subst(&acc.subst);
-                let (s2, tn, cn, d2) = self.w(&env_n, nil_body)?;
-                acc.extend(&s2);
-                let in_ = acc.push(tn, cn);
-
-                let elem = acc.ty(ia).clone();
-                let env_c = env
-                    .apply_subst(&acc.subst)
-                    .extend(head_var.clone(), Scheme::mono(elem.clone()))
-                    .extend(tail_var.clone(), Scheme::mono(Type::list(elem)));
-                let (s3, tc, cc, d3) = self.w(&env_c, cons_body)?;
-                acc.extend(&s3);
-                let icb = acc.push(tc, cc);
-
-                let u2 = self.unify_at(acc.ty(in_), acc.ty(icb), "`match` branches", span)?;
-                acc.extend(&u2);
-
-                let ty = acc.ty(in_).clone();
-                let side = self.gate(Constraint::implies(
-                    Constraint::Loc(ty.clone()),
-                    Constraint::Loc(acc.ty(is).clone()),
-                ));
-                let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Match)", span, &c)?;
-                let d = self.node("(Match)", e, &ty, &c, vec![d1, d2, d3]);
-                Ok((acc.subst, ty, c, d))
-            }
+    /// Runtime-only vectors: typed for completeness (the parser never
+    /// produces them). All components share a local type.
+    #[inline(never)]
+    fn vector(&mut self, e: &Expr, es: &[Expr]) -> Outcome {
+        let alpha = self.fresh();
+        let elem = self.store(alpha, Constraint::True);
+        let mut components = Vec::with_capacity(es.len());
+        let mut ds = Vec::with_capacity(es.len());
+        for comp in es {
+            let (t, c, d) = self.w(comp)?;
+            let component = self.store(t, c);
+            self.unify_at(
+                &elem.ty,
+                &component.ty,
+                "parallel vector components",
+                comp.span,
+            )?;
+            components.push(component);
+            ds.push(d);
         }
+        let (elem, mut c) = self.read(elem);
+        for component in components {
+            c = Constraint::and(c, self.read(component).1);
+        }
+        let ty = Type::par(elem.clone());
+        let c = Constraint::and(c, self.gate(Constraint::Loc(elem)));
+        self.conclude("(Vector)", e, ty, c, ds)
+    }
+
+    // — §6 extensions below —
+
+    /// (Inl) and (Inr): the other side of the sum is fresh.
+    #[inline(never)]
+    fn inject(&mut self, e: &Expr, inner: &Expr, rule: &'static str) -> Outcome {
+        let (t1, c1, d1) = self.w(inner)?;
+        let other = self.fresh();
+        let ty = if rule == "(Inl)" {
+            Type::sum(t1, other)
+        } else {
+            Type::sum(other, t1)
+        };
+        let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
+        self.conclude(rule, e, ty, c, vec![d1])
+    }
+
+    /// (Case). Each binder gets its component's type resolved when the
+    /// branch starts, like any stored judgment.
+    #[inline(never)]
+    fn case(
+        &mut self,
+        e: &Expr,
+        scrutinee: &Expr,
+        (left_var, left_body): (&Ident, &Expr),
+        (right_var, right_body): (&Ident, &Expr),
+    ) -> Outcome {
+        let (ts, cs, d1) = self.w(scrutinee)?;
+        let alpha = self.fresh();
+        let beta = self.fresh();
+        let scrut = self.store(ts, cs);
+        let left = self.store(alpha.clone(), Constraint::True);
+        let right = self.store(beta.clone(), Constraint::True);
+        let sum = Type::sum(alpha, beta);
+        self.unify_at(&scrut.ty, &sum, "`case` scrutinee", scrutinee.span)?;
+
+        self.bind(left_var, self.cells.resolve(&left.ty));
+        let (tl, cl, d2) = self.w(left_body)?;
+        self.scopes.pop();
+        let left_branch = self.store(tl, cl);
+
+        self.bind(right_var, self.cells.resolve(&right.ty));
+        let (tr, cr, d3) = self.w(right_body)?;
+        self.scopes.pop();
+        let right_branch = self.store(tr, cr);
+
+        self.unify_at(&left_branch.ty, &right_branch.ty, "`case` branches", e.span)?;
+        let (ts, cs) = self.read(scrut);
+        let (_, ca) = self.read(left);
+        let (_, cb) = self.read(right);
+        let (ty, cl) = self.read(left_branch);
+        let (_, cr) = self.read(right_branch);
+        // Like (Let): a local result must not hide a global scrutinee.
+        let side = self.gate(Constraint::implies(
+            Constraint::Loc(ty.clone()),
+            Constraint::Loc(ts),
+        ));
+        let c = Constraint::and(Constraint::conj([cs, ca, cb, cl, cr]), side);
+        self.conclude("(Case)", e, ty, c, vec![d1, d2, d3])
+    }
+
+    /// (Nil)
+    #[inline(never)]
+    fn nil(&mut self, e: &Expr) -> Outcome {
+        let ty = Type::list(self.fresh());
+        let d = self.node("(Nil)", e, &ty, &Constraint::True, vec![]);
+        Ok((ty, Constraint::True, d))
+    }
+
+    /// (Cons): list elements must be local (a list of vectors has
+    /// statically unknown parallel width).
+    #[inline(never)]
+    fn cons(&mut self, e: &Expr, h: &Expr, t: &Expr) -> Outcome {
+        let (th, c1, d1) = self.w(h)?;
+        let head = self.store(th, c1);
+        let (tt, c2, d2) = self.w(t)?;
+        let tail = self.store(tt, c2);
+        let cell = Type::list(head.ty.clone());
+        self.unify_at(&cell, &tail.ty, "list cell", e.span)?;
+        let (elem, c1) = self.read(head);
+        let (ty, c2) = self.read(tail);
+        let c = Constraint::and(Constraint::conj([c1, c2]), self.gate(Constraint::Loc(elem)));
+        self.conclude("(Cons)", e, ty, c, vec![d1, d2])
+    }
+
+    /// (Match), with the (Case) side condition.
+    #[inline(never)]
+    fn match_list(
+        &mut self,
+        e: &Expr,
+        scrutinee: &Expr,
+        nil_body: &Expr,
+        (head_var, tail_var, cons_body): (&Ident, &Ident, &Expr),
+    ) -> Outcome {
+        let (ts, cs, d1) = self.w(scrutinee)?;
+        let alpha = self.fresh();
+        let scrut = self.store(ts, cs);
+        let elem = self.store(alpha.clone(), Constraint::True);
+        let list = Type::list(alpha);
+        self.unify_at(&scrut.ty, &list, "`match` scrutinee", scrutinee.span)?;
+
+        let (tn, cn, d2) = self.w(nil_body)?;
+        let nil = self.store(tn, cn);
+
+        let elem_ty = self.cells.resolve(&elem.ty);
+        self.bind(head_var, elem_ty.clone());
+        self.bind(tail_var, Type::list(elem_ty));
+        let (tc, cc, d3) = self.w(cons_body)?;
+        self.scopes.truncate(self.scopes.len() - 2);
+        let cons = self.store(tc, cc);
+
+        self.unify_at(&nil.ty, &cons.ty, "`match` branches", e.span)?;
+        let (ts, cs) = self.read(scrut);
+        let (_, ce) = self.read(elem);
+        let (ty, cn) = self.read(nil);
+        let (_, cc) = self.read(cons);
+        let side = self.gate(Constraint::implies(
+            Constraint::Loc(ty.clone()),
+            Constraint::Loc(ts),
+        ));
+        let c = Constraint::and(Constraint::conj([cs, ce, cn, cc]), side);
+        self.conclude("(Match)", e, ty, c, vec![d1, d2, d3])
     }
 }

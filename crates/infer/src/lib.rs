@@ -5,7 +5,8 @@
 //! three axes:
 //!
 //! 1. every type introduction carries its *basic constraints* `C_τ`
-//!    (rule *(Fun)*, and Definition 1 at every substitution),
+//!    (rule *(Fun)*, and Definition 1 wherever a rule reads a judgment
+//!    whose type variables unification linked since it was stored),
 //! 2. the initial environment `TC` (Figure 6) equips the primitives
 //!    with constrained schemes (`mkpar : ∀α.[(int→α)→α par / L(α)]`,
 //!    `fst : ∀αβ.[(α*β)→α / L(α)⇒L(β)]`, …),

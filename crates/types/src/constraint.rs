@@ -101,6 +101,21 @@ impl Constraint {
         }
     }
 
+    /// The constraint with `f` applied to the type of every atom,
+    /// rebuilt through the smart constructors, so an atom pair that
+    /// `f` makes equal or trivial simplifies as it would have if built
+    /// that way.
+    #[must_use]
+    pub fn map_types<F: FnMut(&Type) -> Type>(&self, f: &mut F) -> Constraint {
+        match self {
+            Constraint::True => Constraint::True,
+            Constraint::False => Constraint::False,
+            Constraint::Loc(t) => Constraint::Loc(f(t)),
+            Constraint::And(a, b) => Constraint::and(a.map_types(f), b.map_types(f)),
+            Constraint::Implies(a, b) => Constraint::implies(a.map_types(f), b.map_types(f)),
+        }
+    }
+
     /// Expands every `L(τ)` atom with the locality rules until atoms
     /// mention type variables only.
     #[must_use]

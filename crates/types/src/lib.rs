@@ -17,8 +17,9 @@
 //!   substitution (Definition 1), instantiation (Definition 2) and
 //!   generalization (Definition 3),
 //! * [`Subst`] — substitutions on types, constraints and schemes,
-//! * [`unify()`] — first-order unification used by the inference
-//!   algorithm in `bsml-infer`.
+//! * [`unify()`] — first-order unification, the reference for
+//!   [`Cells`]: the union-find arena that the inference algorithm in
+//!   `bsml-infer` unifies in.
 //!
 //! # Example: catching a nested parallel vector by constraint solving
 //!
@@ -34,6 +35,7 @@
 //! assert_eq!(c.solve(), Solution::True);
 //! ```
 
+pub mod cells;
 pub mod classify;
 pub mod constraint;
 pub mod locality;
@@ -42,6 +44,7 @@ pub mod subst;
 pub mod ty;
 pub mod unify;
 
+pub use cells::Cells;
 pub use classify::TypeClass;
 pub use constraint::{Clause, Constraint, Head, Solution, SolveStats};
 pub use locality::{basic_constraint, locality};

@@ -145,17 +145,30 @@ impl Scheme {
     /// built later, as Definition 1 requires.
     #[must_use]
     pub fn instantiate(&self, gen: &mut TyVarGen) -> (Type, Constraint) {
+        self.instantiate_with(|| gen.fresh())
+    }
+
+    /// [`Scheme::instantiate`] drawing the fresh variables from
+    /// `fresh`, one call per quantified variable in order.
+    #[must_use]
+    pub fn instantiate_with(&self, mut fresh: impl FnMut() -> TyVar) -> (Type, Constraint) {
         if self.vars.is_empty() {
             return (self.ty.clone(), self.constraint.clone());
         }
-        let renaming = Subst::from_pairs(self.vars.iter().map(|v| (*v, gen.fresh_ty())));
+        let renaming: Vec<(TyVar, Type)> =
+            self.vars.iter().map(|v| (*v, Type::Var(fresh()))).collect();
+        let mut rename = |v: TyVar| {
+            renaming
+                .iter()
+                .find(|(q, _)| *q == v)
+                .map(|(_, t)| t.clone())
+        };
         // A pure renaming: the images are fresh variables, whose basic
         // constraints are True, so plain structural application
         // coincides with Definition 1 here.
-        (
-            renaming.apply(&self.ty),
-            renaming.apply_constraint(&self.constraint),
-        )
+        let ty = self.ty.map_vars(&mut rename);
+        let constraint = self.constraint.map_types(&mut |t| t.map_vars(&mut rename));
+        (ty, constraint)
     }
 
     /// Renames the quantified variables to the canonical sequence

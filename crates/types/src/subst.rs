@@ -82,16 +82,7 @@ impl Subst {
         if self.map.is_empty() {
             return ty.clone();
         }
-        match ty {
-            Type::Int | Type::Bool | Type::Unit => ty.clone(),
-            Type::Var(v) => self.map.get(v).cloned().unwrap_or_else(|| ty.clone()),
-            Type::Arrow(a, b) => Type::arrow(self.apply(a), self.apply(b)),
-            Type::Pair(a, b) => Type::pair(self.apply(a), self.apply(b)),
-            Type::Sum(a, b) => Type::sum(self.apply(a), self.apply(b)),
-            Type::Par(t) => Type::par(self.apply(t)),
-            Type::List(t) => Type::list(self.apply(t)),
-            Type::Ref(t) => Type::reference(self.apply(t)),
-        }
+        ty.map_vars(&mut |v| self.map.get(&v).cloned())
     }
 
     /// Applies the substitution structurally to a constraint
@@ -101,17 +92,7 @@ impl Subst {
         if self.map.is_empty() {
             return c.clone();
         }
-        match c {
-            Constraint::True => Constraint::True,
-            Constraint::False => Constraint::False,
-            Constraint::Loc(t) => Constraint::Loc(self.apply(t)),
-            Constraint::And(a, b) => {
-                Constraint::and(self.apply_constraint(a), self.apply_constraint(b))
-            }
-            Constraint::Implies(a, b) => {
-                Constraint::implies(self.apply_constraint(a), self.apply_constraint(b))
-            }
-        }
+        c.map_types(&mut |t| self.apply(t))
     }
 
     /// **Definition 1**: applies the substitution to a constrained

@@ -1,9 +1,9 @@
 //! First-order unification of simple types.
 //!
-//! Produces most general unifiers. Locality constraints are *not*
-//! checked here — the inference engine applies Definition 1 to the
-//! accumulated constraint with the returned substitution and solves
-//! it; see `bsml-infer`.
+//! Produces most general unifiers as substitutions: the reference
+//! that [`Cells::unify`](crate::Cells::unify), which the inference
+//! engine runs, links variables in place to agree with. Locality
+//! constraints are *not* checked here; see `bsml-infer`.
 
 use std::fmt;
 

@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use bsml_types::{unify, Constraint, Solution, Subst, TyVar, Type};
+use bsml_types::{
+    unify, unify_counted, Cells, Constraint, Solution, Subst, TyVar, Type, UnifyStats,
+};
 use proptest::prelude::*;
 
 const NVARS: u32 = 6;
@@ -162,6 +164,28 @@ proptest! {
             // Idempotence.
             let once = s.apply(&a);
             prop_assert_eq!(s.apply(&once), once);
+        }
+    }
+
+    #[test]
+    fn cell_unification_agrees_with_unify(a in ty_strategy(), b in ty_strategy()) {
+        // Cells link exactly the variables unify binds, in the same
+        // order: they do the same work and fail together, with the same
+        // error, and otherwise both sides resolve to the unifier
+        // applied to them.
+        let mut cells = Cells::starting_at(NVARS);
+        let (mut cell_work, mut subst_work) = (UnifyStats::default(), UnifyStats::default());
+        let linked = cells.unify(&a, &b, &mut cell_work);
+        let unified = unify_counted(&a, &b, &mut subst_work);
+        prop_assert_eq!(cell_work, subst_work);
+        match unified {
+            Ok(s) => {
+                prop_assert_eq!(linked, Ok(()));
+                let unified = s.apply(&a);
+                prop_assert_eq!(cells.resolve(&a), unified.clone());
+                prop_assert_eq!(cells.resolve(&b), unified);
+            }
+            Err(e) => prop_assert_eq!(linked, Err(e)),
         }
     }
 

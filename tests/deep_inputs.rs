@@ -1,0 +1,62 @@
+//! Deep inputs on Rust's default 2 MiB thread stack: the first rows of
+//! the deep-input grid (ROADMAP item 1).
+//!
+//! Each row is parsed and inferred on a thread spawned with exactly
+//! 2 MiB, in whatever build profile runs the test, so a debug build
+//! checks the larger debug frames. A row that overflows the stack
+//! aborts the whole test binary: overflow is not a panic. The
+//! thresholds these rows sit under are recorded in ROADMAP item 1.
+
+use bsml_infer::infer;
+use bsml_syntax::parse;
+
+/// Rust's default stack for spawned threads, which host and rank
+/// threads run user code on.
+const STACK: usize = 2 << 20;
+
+/// `0 + 1 + … + (n − 1)`: left-nested applications of `+`.
+fn sum(n: usize) -> String {
+    let terms: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+    terms.join(" + ")
+}
+
+/// `let x0 = 0 in let x1 = 1 in … x0`.
+fn lets(n: usize) -> String {
+    let binds: String = (0..n).map(|i| format!("let x{i} = {i} in ")).collect();
+    format!("{binds}x0")
+}
+
+/// `[0; 1; …; n − 1]`: a right-nested chain of conses.
+fn list(n: usize) -> String {
+    let elems: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+    format!("[{}]", elems.join("; "))
+}
+
+/// Parses and infers `source` on a fresh 2 MiB thread, rendering the
+/// type or the error.
+fn typecheck(source: String) -> Result<String, String> {
+    std::thread::Builder::new()
+        .stack_size(STACK)
+        .spawn(move || {
+            let e = parse(&source).map_err(|err| err.to_string())?;
+            infer(&e)
+                .map(|inf| inf.ty.to_string())
+                .map_err(|err| err.to_string())
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("the checker does not panic")
+}
+
+#[test]
+fn deep_inputs_typecheck_on_a_2_mib_stack() {
+    // (input, source, type)
+    let rows = [
+        ("a 200-term sum", sum(200), "int"),
+        ("300 nested lets", lets(300), "int"),
+        ("a 300-element list literal", list(300), "int list"),
+    ];
+    for (input, source, ty) in rows {
+        assert_eq!(typecheck(source), Ok(ty.to_string()), "{input}");
+    }
+}

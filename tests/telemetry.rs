@@ -198,3 +198,22 @@ fn session_events_carry_cumulative_metrics() {
     let ev = &plain.load("1 + 1").unwrap()[0];
     assert!(ev.metrics().is_none());
 }
+
+#[test]
+fn inference_counts_its_work_instead_of_recording_spans() {
+    // fst, 1 and 2 are each instantiated once; a run adds its counts
+    // once, when it ends, and records no span of its own.
+    let tel = Telemetry::enabled_logical();
+    bsml_infer::Inferencer::new()
+        .with_telemetry(tel.clone())
+        .run(&bsml_infer::initial_env(), &parse("fst (1, 2)").unwrap())
+        .unwrap();
+    let spans: Vec<&str> = tel.spans().iter().map(|s| s.name).collect();
+    assert!(
+        spans.iter().all(|name| !name.starts_with("infer.")),
+        "{spans:?}"
+    );
+    assert_eq!(tel.counter_value("infer.instantiations"), 3);
+    assert_eq!(tel.counter_value("infer.generalizations"), 0);
+    assert!(tel.counter_value("infer.unifications") > 0);
+}
