@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bsml_ast::Expr;
-use bsml_eval::{EvalError, Evaluator, FuelCell, TeeHooks, TracingHooks, Value};
+use bsml_eval::{EvalError, Evaluator, FuelCell, TeeHooks, TracingHooks, Trail, Value};
 use bsml_obs::{FieldValue, Telemetry};
 
 use crate::cost::{Barrier, CostSummary, SuperstepRecord};
@@ -107,6 +107,8 @@ pub struct BspMachine {
     /// When set, every run draws its fuel from this shared cell in
     /// scheduler-granted slices instead of the flat `fuel` budget.
     fuel_cell: Option<Arc<FuelCell>>,
+    /// When set, every run records its `:=` writes on this trail.
+    trail: Option<Trail>,
     telemetry: Telemetry,
 }
 
@@ -118,6 +120,7 @@ impl BspMachine {
             params,
             fuel: bsml_eval::bigstep::DEFAULT_FUEL,
             fuel_cell: None,
+            trail: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -137,6 +140,15 @@ impl BspMachine {
     #[must_use]
     pub fn with_fuel_cell(mut self, cell: Arc<FuelCell>) -> BspMachine {
         self.fuel_cell = Some(cell);
+        self
+    }
+
+    /// Makes every run record the cells `:=` assigns, with their old
+    /// values, on `trail`, so that a caller holding a mark on it can
+    /// undo them (see [`bsml_eval::trail`]).
+    #[must_use]
+    pub fn with_trail(mut self, trail: Trail) -> BspMachine {
+        self.trail = Some(trail);
         self
     }
 
@@ -187,11 +199,17 @@ impl BspMachine {
             if let Some(cell) = &self.fuel_cell {
                 ev = ev.with_fuel_cell(Arc::clone(cell));
             }
+            if let Some(trail) = &self.trail {
+                ev = ev.with_trail(trail.clone());
+            }
             ev.eval_with_env(env, e)?
         } else {
             let mut ev = Evaluator::with_fuel(self.params.p, &mut hooks, self.fuel);
             if let Some(cell) = &self.fuel_cell {
                 ev = ev.with_fuel_cell(Arc::clone(cell));
+            }
+            if let Some(trail) = &self.trail {
+                ev = ev.with_trail(trail.clone());
             }
             ev.eval_with_env(env, e)?
         };

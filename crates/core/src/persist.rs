@@ -1,12 +1,15 @@
-//! A byte codec for [`SessionSnapshot`] — the durable form a tenant
+//! The session format behind [`SessionSnapshot`] — the only copy of a
+//! session: what `restore` decodes, and the durable form a tenant
 //! session takes in the server's write-ahead log.
 //!
 //! The value half rides on [`bsml_eval::persist`] (which preserves
-//! cell aliasing, cycles, and environment-spine sharing); this module
-//! adds the typing environment (schemes over the paper's constrained
-//! types) and the cumulative cost, framed behind a magic number and a
-//! version byte so stale or foreign files are recognized instead of
-//! misread.
+//! cell aliasing, cycles, environment-spine sharing and shared closure
+//! code); this module adds the typing environment (schemes over the
+//! paper's constrained types) and the cumulative cost, framed behind a
+//! magic number and a version byte so stale or foreign files are
+//! recognized instead of misread. Version 2 writes the value
+//! environment with a flat spine and each closure body once; version 1
+//! bytes still decode, through the same decoder.
 //!
 //! Decoding is total: malformed bytes yield a typed
 //! [`CodecError`], never a panic — the same guarantee the WAL's
@@ -14,7 +17,8 @@
 
 use bsml_bsp::CostSummary;
 use bsml_eval::bytes::{put_str, put_u64, ByteReader, CodecError};
-use bsml_eval::Snapshot;
+use bsml_eval::persist::{env_from_bytes, env_to_bytes};
+use bsml_eval::Env;
 use bsml_infer::TypeEnv;
 use bsml_types::{Constraint, Scheme, TyVar, Type};
 
@@ -23,8 +27,8 @@ use crate::session::SessionSnapshot;
 /// `b"BSMLSNAP"` as a little-endian u64: the file-format magic.
 const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"BSMLSNAP");
 
-/// Format version; bump on any layout change.
-const SNAP_VERSION: u8 = 1;
+/// Format version; bump on any layout change. Decoding also accepts 1.
+const SNAP_VERSION: u8 = 2;
 
 /// Nesting bound for type/constraint decoding — schemes are shallow;
 /// corrupt input must not overflow the stack.
@@ -50,68 +54,81 @@ const C_AND: u8 = 3;
 const C_IMPLIES: u8 = 4;
 
 impl SessionSnapshot {
-    /// Serializes the snapshot: magic, version, typing environment,
-    /// value bindings, cumulative cost.
+    /// The snapshot's bytes: magic, version, typing environment, value
+    /// bindings, cumulative cost.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (tenv, values, total) = self.parts();
-        let mut out = Vec::new();
-        put_u64(&mut out, SNAP_MAGIC);
-        out.push(SNAP_VERSION);
-        let names: Vec<_> = tenv.domain().collect();
-        put_u64(&mut out, names.len() as u64);
-        for name in names {
-            let scheme = tenv.lookup(name).expect("name came from the domain");
-            put_str(&mut out, name.as_str());
-            encode_scheme(&mut out, scheme);
-        }
-        let value_bytes = values.to_bytes();
-        put_u64(&mut out, value_bytes.len() as u64);
-        out.extend_from_slice(&value_bytes);
-        put_u64(&mut out, total.work);
-        put_u64(&mut out, total.h_relation);
-        put_u64(&mut out, total.supersteps);
-        out
+        self.bytes.clone()
     }
 
-    /// Deserializes a snapshot.
+    /// Accepts bytes as a snapshot once they decode in full.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on any malformed input (wrong magic, unknown
     /// version, torn or corrupted bytes); never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<SessionSnapshot, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        if r.u64()? != SNAP_MAGIC {
-            return Err(CodecError::BadTag {
-                what: "snapshot magic",
-                tag: bytes.first().copied().unwrap_or(0),
-            });
-        }
-        let version = r.u8()?;
-        if version != SNAP_VERSION {
-            return Err(CodecError::BadTag {
-                what: "snapshot version",
-                tag: version,
-            });
-        }
-        let n = r.count()?;
-        let mut tenv = TypeEnv::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let scheme = decode_scheme(&mut r)?;
-            tenv = tenv.extend(bsml_ast::Ident::new(&name), scheme);
-        }
-        let value_len = r.count()?;
-        let values = Snapshot::from_bytes(r.take(value_len)?)?;
-        let total = CostSummary {
-            work: r.u64()?,
-            h_relation: r.u64()?,
-            supersteps: r.u64()?,
-        };
-        r.finish()?;
-        Ok(SessionSnapshot::from_parts(tenv, values, total))
+        let (_, venv, _) = decode(bytes)?;
+        Ok(SessionSnapshot {
+            bytes: bytes.to_vec(),
+            len: venv.len(),
+        })
     }
+}
+
+/// Encodes a session's state in the current format.
+pub(crate) fn encode(tenv: &TypeEnv, venv: &Env, total: &CostSummary) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u64(&mut out, SNAP_MAGIC);
+    out.push(SNAP_VERSION);
+    let names: Vec<_> = tenv.domain().collect();
+    put_u64(&mut out, names.len() as u64);
+    for name in names {
+        let scheme = tenv.lookup(name).expect("name came from the domain");
+        put_str(&mut out, name.as_str());
+        encode_scheme(&mut out, scheme);
+    }
+    let value_bytes = env_to_bytes(venv);
+    put_u64(&mut out, value_bytes.len() as u64);
+    out.extend_from_slice(&value_bytes);
+    put_u64(&mut out, total.work);
+    put_u64(&mut out, total.h_relation);
+    put_u64(&mut out, total.supersteps);
+    out
+}
+
+/// Decodes a session's state from bytes of either version.
+pub(crate) fn decode(bytes: &[u8]) -> Result<(TypeEnv, Env, CostSummary), CodecError> {
+    let mut r = ByteReader::new(bytes);
+    if r.u64()? != SNAP_MAGIC {
+        return Err(CodecError::BadTag {
+            what: "snapshot magic",
+            tag: bytes.first().copied().unwrap_or(0),
+        });
+    }
+    let version = r.u8()?;
+    if !(1..=SNAP_VERSION).contains(&version) {
+        return Err(CodecError::BadTag {
+            what: "snapshot version",
+            tag: version,
+        });
+    }
+    let n = r.count()?;
+    let mut tenv = TypeEnv::new();
+    for _ in 0..n {
+        let name = r.str()?;
+        let scheme = decode_scheme(&mut r)?;
+        tenv = tenv.extend(bsml_ast::Ident::new(&name), scheme);
+    }
+    let value_len = r.count()?;
+    let venv = env_from_bytes(r.take(value_len)?)?;
+    let total = CostSummary {
+        work: r.u64()?,
+        h_relation: r.u64()?,
+        supersteps: r.u64()?,
+    };
+    r.finish()?;
+    Ok((tenv, venv, total))
 }
 
 fn encode_scheme(out: &mut Vec<u8>, scheme: &Scheme) {
@@ -294,7 +311,7 @@ mod tests {
         let bytes = s.snapshot().to_bytes();
         let snap = SessionSnapshot::from_bytes(&bytes).unwrap();
         let mut fresh = Session::new(BspParams::new(4, 10, 100));
-        fresh.restore(&snap);
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.render_bindings(), s.render_bindings());
         assert_eq!(fresh.total_cost(), s.total_cost());
         // The restored session is live: polymorphic bindings still

@@ -14,17 +14,26 @@
 //! ```
 //!
 //! **Failure semantics.** *Static* failures (parse or type errors)
-//! abort the whole `load` and bind nothing — there is nothing
-//! meaningful to recover from a phrase that never typechecked.
-//! *Dynamic* failures (an evaluation error, a barrier timeout, a peer
-//! failure) degrade gracefully instead: the failing phrase yields a
+//! abort the whole `load`: it binds nothing, and the cells its earlier
+//! phrases assigned get their old contents back. *Dynamic* failures
+//! (an evaluation error, a barrier timeout, a peer failure) degrade
+//! gracefully instead: the failing phrase yields a
 //! [`SessionEvent::PhraseFailed`] carrying the structured
 //! [`EvalError`] and the [`Recovery`] taken, nothing is bound for it,
-//! and subsequent phrases continue against the last good environment.
+//! its own cell writes are undone, and subsequent phrases continue
+//! against the last good environment.
+//!
+//! **Transactions.** [`Session::begin`] opens a request that
+//! [`Session::rollback`] undoes whole — bindings, schemes, cumulative
+//! cost and every cell assigned since — and [`Session::commit`] keeps.
+//! Cells roll back through an undo trail that the `:=` rule fills
+//! ([`bsml_eval::trail`]), so neither costs a walk over the session's
+//! values. `load` runs inside such transactions itself: one for the
+//! whole load and one per phrase.
 
 use bsml_ast::{Expr, Ident};
 use bsml_bsp::{BspMachine, BspParams, CheckpointPolicy, CostSummary, Execution, RunReport};
-use bsml_eval::{Env, EvalError, Snapshot, Value};
+use bsml_eval::{CodecError, Env, EvalError, Mark, Trail, Value};
 use bsml_infer::{Inferencer, TypeEnv};
 use bsml_obs::{MetricsSnapshot, Telemetry};
 use bsml_syntax::parse_module_with;
@@ -51,10 +60,9 @@ pub struct PhraseOutput {
 /// How the session recovered from a failed phrase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Recovery {
-    /// The phrase was skipped: nothing was bound, and subsequent
-    /// phrases continue from the last good environment. (BSP
-    /// determinism makes this sound — a failed phrase has no partial
-    /// effect worth keeping.)
+    /// The phrase was skipped: nothing was bound, its cell writes were
+    /// undone, and subsequent phrases continue from the last good
+    /// environment.
     Skipped,
     /// A supervised backend retried and eventually succeeded after
     /// this many attempts.
@@ -189,10 +197,13 @@ impl std::fmt::Display for SessionEvent {
 /// environments; costs accumulate (BSP cost composition is
 /// sequential — exactly what the nesting restriction guarantees).
 /// Phrases that fail *dynamically* are contained (see the module
-/// docs): they bind nothing and the session survives them.
+/// docs): they bind nothing and the session survives them. A clone
+/// shares its cells, and the trail that undoes their writes, with the
+/// original.
 #[derive(Clone, Debug)]
 pub struct Session {
     machine: BspMachine,
+    trail: Trail,
     tenv: TypeEnv,
     venv: Env,
     total: CostSummary,
@@ -202,47 +213,39 @@ pub struct Session {
     flight_capacity: Option<usize>,
 }
 
-/// A point-in-time copy of a session's toplevel state: the typing
-/// environment, a *deep, identity-free* copy of the value bindings
-/// (see [`bsml_eval::Snapshot`] — mutating a `ref` cell after the
-/// snapshot cannot retroactively change it), and the cumulative cost.
-///
-/// Restoring rolls the session back to exactly this point; phrases
-/// loaded in between are forgotten.
+/// A point-in-time copy of a session's toplevel state, held as bytes
+/// in session format v2 ([`crate::persist`]): the typing environment,
+/// the value bindings with the contents of their cells, and the
+/// cumulative cost. Restoring decodes the bytes, so a snapshot can be
+/// restored any number of times and each restore has fresh cells.
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
-    tenv: TypeEnv,
-    values: Snapshot,
-    total: CostSummary,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) len: usize,
 }
 
 impl SessionSnapshot {
     /// How many toplevel bindings the snapshot holds.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Whether the snapshot holds no bindings.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
+}
 
-    /// Crate-internal parts view for the byte codec
-    /// ([`crate::persist`]).
-    pub(crate) fn parts(&self) -> (&TypeEnv, &Snapshot, &CostSummary) {
-        (&self.tenv, &self.values, &self.total)
-    }
-
-    /// Crate-internal assembly for the byte codec.
-    pub(crate) fn from_parts(tenv: TypeEnv, values: Snapshot, total: CostSummary) -> Self {
-        SessionSnapshot {
-            tenv,
-            values,
-            total,
-        }
-    }
+/// An open request on a [`Session`]: the state
+/// [`rollback`](Session::rollback) returns to.
+#[must_use = "a transaction is closed by commit or rollback"]
+pub struct Transaction {
+    mark: Mark,
+    tenv: TypeEnv,
+    venv: Env,
+    total: CostSummary,
 }
 
 impl Session {
@@ -263,8 +266,12 @@ impl Session {
     /// [`Telemetry::to_chrome_trace`] for a Perfetto-loadable trace.
     #[must_use]
     pub fn with_telemetry(params: BspParams, telemetry: Telemetry) -> Session {
+        let trail = Trail::new();
         Session {
-            machine: BspMachine::new(params).with_telemetry(telemetry.clone()),
+            machine: BspMachine::new(params)
+                .with_telemetry(telemetry.clone())
+                .with_trail(trail.clone()),
+            trail,
             tenv: TypeEnv::new(),
             venv: Env::new(),
             total: CostSummary::default(),
@@ -348,26 +355,53 @@ impl Session {
         self
     }
 
-    /// Captures the session's toplevel state — a deep, identity-free
-    /// copy of every binding (see [`SessionSnapshot`]).
+    /// Encodes the session's toplevel state (see [`SessionSnapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
-            tenv: self.tenv.clone(),
-            values: Snapshot::of_env(&self.venv),
-            total: self.total.clone(),
+            bytes: crate::persist::encode(&self.tenv, &self.venv, &self.total),
+            len: self.venv.len(),
         }
     }
 
     /// Rolls the session back to `snapshot`: bindings, schemes, and
-    /// cumulative cost all return to the captured point. Restoring is
-    /// itself non-destructive — the same snapshot can be restored any
-    /// number of times, and each restore produces fresh `ref` cells
-    /// (no shared mutable state between restores).
-    pub fn restore(&mut self, snapshot: &SessionSnapshot) {
-        self.tenv = snapshot.tenv.clone();
-        self.venv = snapshot.values.restore();
-        self.total = snapshot.total.clone();
+    /// cumulative cost all return to the captured point, in fresh
+    /// `ref` cells.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] if the bytes do not decode (a value nested past
+    /// the decoder's bound other than along a list's spine); the
+    /// session is then unchanged.
+    pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
+        (self.tenv, self.venv, self.total) = crate::persist::decode(&snapshot.bytes)?;
+        Ok(())
+    }
+
+    /// Opens a request transaction (see the module docs).
+    pub fn begin(&mut self) -> Transaction {
+        Transaction {
+            mark: self.trail.mark(),
+            tenv: self.tenv.clone(),
+            venv: self.venv.clone(),
+            total: self.total.clone(),
+        }
+    }
+
+    /// Keeps everything loaded since `tx` began.
+    pub fn commit(&mut self, tx: Transaction) {
+        self.trail.commit(tx.mark);
+    }
+
+    /// Returns the session to where it stood when `tx` began:
+    /// bindings, schemes, cumulative cost and the contents of every
+    /// cell assigned since. Transactions opened after `tx` and still
+    /// open (a panic can leave them so) are rolled back with it.
+    pub fn rollback(&mut self, tx: Transaction) {
+        self.trail.rollback(tx.mark);
+        self.tenv = tx.tenv;
+        self.venv = tx.venv;
+        self.total = tx.total;
     }
 
     /// The telemetry handle this session records into (disabled for
@@ -420,10 +454,11 @@ impl Session {
     /// Parses and processes a chunk of toplevel input (declarations
     /// and/or one final expression), returning one event per phrase.
     ///
-    /// On a *static* error (parse, type) nothing is bound: the
-    /// session state is unchanged (all-or-nothing per `load` call).
-    /// A *dynamic* failure is contained instead: the phrase yields a
-    /// [`SessionEvent::PhraseFailed`], binds nothing, and subsequent
+    /// On a *static* error (parse, type) the whole load rolls back:
+    /// nothing is bound and every cell its earlier phrases assigned
+    /// holds its old contents again. A *dynamic* failure is contained
+    /// instead: the phrase yields a [`SessionEvent::PhraseFailed`],
+    /// binds nothing, its cell writes are undone, and subsequent
     /// phrases continue against the last good environment.
     ///
     /// # Errors
@@ -431,45 +466,39 @@ impl Session {
     /// [`BsmlError::Parse`] or [`BsmlError::Type`]; the offending
     /// phrase is reported with its location in the input.
     pub fn load(&mut self, source: &str) -> Result<Vec<SessionEvent>, BsmlError> {
+        let tx = self.begin();
+        let result = self.load_phrases(source);
+        if result.is_ok() {
+            self.commit(tx);
+        } else {
+            self.rollback(tx);
+        }
+        result
+    }
+
+    fn load_phrases(&mut self, source: &str) -> Result<Vec<SessionEvent>, BsmlError> {
         let mut load_span = self.telemetry.span("load");
         let module = parse_module_with(source, &self.telemetry)?;
         load_span.set(
             "phrases",
             module.decls.len() + usize::from(module.body.is_some()),
         );
-        // Work on copies; commit only when no static error aborts us.
-        let mut tenv = self.tenv.clone();
-        let mut venv = self.venv.clone();
-        let mut total = self.total.clone();
         let mut events = Vec::new();
-
         for decl in &module.decls {
-            let event = self.process(&tenv, &venv, &mut total, Some(&decl.name), &decl.expr)?;
+            let event = self.process(Some(&decl.name), &decl.expr)?;
             if let SessionEvent::Phrase(output) = &event {
-                tenv = tenv.extend(decl.name.clone(), output.scheme.clone());
-                venv = venv.bind(decl.name.clone(), output.value.clone());
+                self.tenv = self.tenv.extend(decl.name.clone(), output.scheme.clone());
+                self.venv = self.venv.bind(decl.name.clone(), output.value.clone());
             }
             events.push(event);
         }
         if let Some(body) = &module.body {
-            let event = self.process(&tenv, &venv, &mut total, None, body)?;
-            events.push(event);
+            events.push(self.process(None, body)?);
         }
-
-        self.tenv = tenv;
-        self.venv = venv;
-        self.total = total;
         Ok(events)
     }
 
-    fn process(
-        &self,
-        tenv: &TypeEnv,
-        venv: &Env,
-        total: &mut CostSummary,
-        name: Option<&Ident>,
-        expr: &Expr,
-    ) -> Result<SessionEvent, BsmlError> {
+    fn process(&mut self, name: Option<&Ident>, expr: &Expr) -> Result<SessionEvent, BsmlError> {
         let mut phrase_span = self.telemetry.span("phrase");
         if let Some(name) = name {
             phrase_span.set("name", name.to_string());
@@ -478,23 +507,27 @@ impl Session {
             let _infer_span = self.telemetry.span("infer");
             Inferencer::new()
                 .with_telemetry(self.telemetry.clone())
-                .run(tenv, expr)?
+                .run(&self.tenv, expr)?
         };
         // Toplevel bindings are retained values, not hidden
         // evaluations, so no (Let)-style side condition applies
         // between phrases; the phrase itself was fully checked.
-        let scheme =
-            Scheme::generalize(inference.ty.clone(), &inference.solution, &tenv.free_vars())
-                .normalize();
+        let scheme = Scheme::generalize(
+            inference.ty.clone(),
+            &inference.solution,
+            &self.tenv.free_vars(),
+        )
+        .normalize();
 
         // A dynamic failure is contained: the typechecked phrase is
         // reported as failed (with its scheme and the structured
-        // error) and the session continues from the last good
-        // environment — determinism means nothing partial survives a
-        // failed phrase, so skipping it is the whole recovery.
-        let report: RunReport = match self.machine.run_with_env(venv, expr) {
+        // error), its cell writes are undone, and the session
+        // continues from the last good environment.
+        let mark = self.trail.mark();
+        let report: RunReport = match self.machine.run_with_env(&self.venv, expr) {
             Ok(report) => report,
             Err(error) => {
+                self.trail.rollback(mark);
                 phrase_span.set("error", error.to_string());
                 drop(phrase_span);
                 self.telemetry.counter_add("session.phrase_failures", 1);
@@ -506,7 +539,10 @@ impl Session {
                 }));
             }
         };
-        *total = CostSummary::from_records(&report.trace).then_into(total);
+        self.trail.commit(mark);
+        self.total.work += report.cost.work;
+        self.total.h_relation += report.cost.h_relation;
+        self.total.supersteps += report.cost.supersteps;
 
         drop(phrase_span);
         Ok(SessionEvent::Phrase(PhraseOutput {
@@ -519,20 +555,6 @@ impl Session {
                 .is_enabled()
                 .then(|| self.telemetry.metrics()),
         }))
-    }
-}
-
-trait ThenInto {
-    fn then_into(self, acc: &CostSummary) -> CostSummary;
-}
-
-impl ThenInto for CostSummary {
-    fn then_into(self, acc: &CostSummary) -> CostSummary {
-        CostSummary {
-            work: acc.work + self.work,
-            h_relation: acc.h_relation + self.h_relation,
-            supersteps: acc.supersteps + self.supersteps,
-        }
     }
 }
 
@@ -674,18 +696,75 @@ mod tests {
         s.load("put (mkpar (fun j -> fun i -> j))").unwrap();
         assert_eq!(s.total_cost().supersteps, cost_at_snap.supersteps + 1);
 
-        s.restore(&snap);
+        s.restore(&snap).unwrap();
         assert!(s.scheme_of("y").is_none(), "post-snapshot binding kept");
         assert_eq!(s.total_cost(), &cost_at_snap);
-        // The cell's mutation was rolled back too: the snapshot held a
-        // deep copy, not a shared Rc.
+        // The cell's mutation was rolled back too: restoring decodes
+        // the snapshot's bytes into fresh cells.
         assert_eq!(value_of(&s.load("!c").unwrap()[0]), "10");
         assert_eq!(value_of(&s.load("x").unwrap()[0]), "1");
 
         // Restoring twice yields independent cells.
         s.load("c := 77").unwrap();
-        s.restore(&snap);
+        s.restore(&snap).unwrap();
         assert_eq!(value_of(&s.load("!c").unwrap()[0]), "10");
+    }
+
+    #[test]
+    fn failed_loads_and_phrases_undo_their_cell_writes() {
+        let mut s = session();
+        s.load("let r = ref 1").unwrap();
+        // A static error rolls back the whole load, the assignment of
+        // the phrase before it included.
+        assert!(s
+            .load("let u = r := 5 ;; let bad = fst (1, mkpar (fun i -> i))")
+            .is_err());
+        assert_eq!(value_of(&s.load("!r").unwrap()[0]), "1");
+        // A failed phrase undoes its own writes.
+        let events = s.load("let v = (r := 7; 1 / 0)").unwrap();
+        match &events[0] {
+            SessionEvent::PhraseFailed(f) => assert_eq!(f.recovery, Recovery::Skipped),
+            SessionEvent::Phrase(_) => panic!("expected a failure"),
+        }
+        assert_eq!(value_of(&s.load("!r").unwrap()[0]), "1");
+    }
+
+    #[test]
+    fn a_transaction_rolls_back_what_load_committed() {
+        let mut s = session();
+        s.load("let r = ref 1 ;; let b = r").unwrap();
+        let cost = s.total_cost().clone();
+        let tx = s.begin();
+        s.load("let x = 2 ;; let u = r := 3 ;; put (mkpar (fun j -> fun i -> j))")
+            .unwrap();
+        s.rollback(tx);
+        assert!(s.scheme_of("x").is_none());
+        assert_eq!(s.total_cost(), &cost);
+        assert_eq!(value_of(&s.load("!b").unwrap()[0]), "1");
+        let tx = s.begin();
+        s.load("r := 4").unwrap();
+        s.commit(tx);
+        assert_eq!(value_of(&s.load("!b").unwrap()[0]), "4");
+    }
+
+    #[test]
+    fn a_snapshot_too_deep_to_decode_is_refused_and_changes_nothing() {
+        // Sixty closures, each capturing the one before, nest past the
+        // decoder's bound: they encode but do not decode, and restore
+        // reports it and leaves the session as it was.
+        let mut deep = session();
+        deep.load(
+            "let d = let rec mk n = if n = 0 then (fun x -> x) \
+             else (let g = mk (n - 1) in fun x -> g x) in mk 60",
+        )
+        .unwrap();
+        let snap = deep.snapshot();
+        assert!(SessionSnapshot::from_bytes(&snap.to_bytes()).is_err());
+        let mut s = session();
+        s.load("let x = 1").unwrap();
+        let before = s.snapshot().to_bytes();
+        assert!(s.restore(&snap).is_err());
+        assert_eq!(s.snapshot().to_bytes(), before);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::env::Env;
 use crate::error::EvalError;
 use crate::fuel::FuelCell;
 use crate::hooks::{EvalHooks, Mode, NoHooks};
+use crate::trail::Trail;
 use crate::value::Value;
 
 /// Default fuel: enough for every test and benchmark workload while
@@ -53,6 +54,8 @@ pub struct Evaluator<'h, H: EvalHooks> {
     /// from this shared cell (parking the thread) instead of failing
     /// with [`EvalError::OutOfFuel`]. See [`crate::fuel`].
     fuel_cell: Option<Arc<FuelCell>>,
+    /// When set, `:=` records the cells it assigns ([`crate::trail`]).
+    trail: Option<Trail>,
 }
 
 /// Default limit on non-tail recursion depth. Tail calls (recursive
@@ -115,6 +118,7 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
             hooks,
             driver: Some(driver),
             fuel_cell: None,
+            trail: None,
         }
     }
 
@@ -127,6 +131,13 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
     pub fn with_fuel_cell(mut self, cell: Arc<FuelCell>) -> Self {
         self.fuel = 0;
         self.fuel_cell = Some(cell);
+        self
+    }
+
+    /// Attaches an undo trail that `:=` records its writes on.
+    #[must_use]
+    pub fn with_trail(mut self, trail: Trail) -> Self {
+        self.trail = Some(trail);
         self
     }
 
@@ -629,7 +640,10 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
                         }
                         let new = v.as_ref().clone();
                         self.check_local(&new)?;
-                        *cell.borrow_mut() = new;
+                        let old = cell.replace(new);
+                        if let Some(trail) = &self.trail {
+                            trail.record(cell, old);
+                        }
                         Ok(Unit)
                     }
                     _ => mismatch(Pair(r, v)),

@@ -36,7 +36,7 @@ pub mod fuel;
 pub mod hooks;
 pub mod persist;
 pub mod smallstep;
-pub mod snapshot;
+pub mod trail;
 pub mod value;
 
 pub use bigstep::{eval_closed, Evaluator};
@@ -47,5 +47,5 @@ pub use error::EvalError;
 pub use fuel::{FuelCell, Quiescence};
 pub use hooks::{CountingHooks, EvalHooks, Mode, NoHooks, TeeHooks, TracingHooks};
 pub use smallstep::{run, step, StepOutcome};
-pub use snapshot::{Snapshot, ValueSnapshot};
+pub use trail::{Mark, Trail};
 pub use value::{PortableValue, Value};

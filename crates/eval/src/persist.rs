@@ -1,24 +1,26 @@
-//! A byte codec for evaluator state ([`Value`], [`Env`],
-//! [`Snapshot`]) — the foundation of the serving layer's durable
-//! session snapshots.
-//!
-//! The encoding mirrors the structural care [`crate::snapshot`] takes
-//! in memory:
+//! A byte codec for evaluator state ([`Value`], [`Env`]) — the value
+//! half of the serving layer's durable session snapshots.
 //!
 //! * **Cell aliasing and cycles.** Reference cells are numbered on
 //!   first encounter (`CellDef`) and back-referenced afterwards
 //!   (`CellRef`), with the id registered *before* descending into the
 //!   contents so a cell whose contents capture the cell itself
 //!   encodes — and decodes — as a tied knot, not an infinite loop.
-//! * **Environment sharing.** Environments are persistent spines;
-//!   every closure created at the toplevel captures a *suffix* of the
-//!   session environment. Spine nodes are memoized by identity, so a
-//!   session with n bindings and k closures encodes in O(n + k), not
-//!   O(n·k), and decoding rebuilds the same sharing.
-//! * **Closure bodies** are stored as pretty-printed source and
-//!   re-parsed on decode. `crates/syntax/tests/roundtrip.rs` holds the
-//!   property this leans on: `parse(print(e)) = e` for every
-//!   generatable expression.
+//! * **A flat spine.** Every toplevel closure captures a *suffix* of
+//!   the session's persistent environment. An environment is written
+//!   as its newest node already written, then the nodes after it,
+//!   oldest first, so nesting does not grow with the number of
+//!   functions. A node gets its id once its value is written, where
+//!   the decoder builds it: a cycle back into a node's own value,
+//!   through a cell, writes that node again, not a dangling reference.
+//! * **Code once.** A closure body is written as pretty-printed source
+//!   the first time its `Arc<Expr>` is met and by number afterwards;
+//!   decoding parses it once and shares the `Arc`. This leans on
+//!   `parse(print(e)) = e` (`crates/syntax/tests/roundtrip.rs`).
+//!
+//! The encoder writes only this layout (session format v2); the
+//! decoder also reads v1's tags (spines innermost first with explicit
+//! node ids, closures that carry their source).
 //!
 //! Decoding is *total*: malformed bytes produce a typed
 //! [`CodecError`], never a panic — nesting is bounded by the shared
@@ -34,12 +36,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use bsml_ast::{Ident, Op};
+use bsml_ast::{Expr, Ident, Op};
 
 use crate::bytes::{put_str, put_u64, ByteReader, CodecError, MAX_DEPTH};
 use crate::env::Env;
 use crate::hooks::Mode;
-use crate::snapshot::Snapshot;
 use crate::value::Value;
 
 // Value tags.
@@ -56,32 +57,39 @@ const T_INR: u8 = 9;
 const T_VECTOR: u8 = 10;
 const T_MSGTABLE: u8 = 11;
 const T_FIX: u8 = 12;
-const T_CLOSURE: u8 = 13;
+const T_CLOSURE: u8 = 13; // v1: param, source, env
 const T_CELL_DEF: u8 = 14;
 const T_CELL_REF: u8 = 15;
+const T_CLOSURE_CODE: u8 = 16; // param, source (numbered), env
+const T_CLOSURE_SHARED: u8 = 17; // param, number of a written body, env
 
-// Environment spine frame tags.
+// Environment tags.
 const E_EMPTY: u8 = 0;
-const E_BINDING: u8 = 1;
-const E_TAIL_REF: u8 = 2;
+const E_BINDING: u8 = 1; // v1: id, name, value; then the tail
+const E_TAIL_REF: u8 = 2; // v1: id of the written tail
+const E_SPINE: u8 = 3; // base (0 or id + 1), n, n × (name, value)
 
 // Mode tags.
 const M_GLOBAL: u8 = 0;
 const M_ON_PROC: u8 = 1;
 
-/// Shared encoder state: ids for cells (by `RefCell` identity) and
-/// environment spine nodes (by node identity).
+/// Shared encoder state: ids for cells (by `RefCell` identity), spine
+/// nodes (by node identity) and closure bodies (by `Arc` identity).
 #[derive(Default)]
 struct EncodeMemo {
     cells: HashMap<usize, u64>,
     nodes: HashMap<usize, u64>,
+    nodes_written: u64,
+    code: HashMap<*const Expr, u64>,
 }
 
 /// Shared decoder state: the structures each id resolved to.
 #[derive(Default)]
 struct DecodeMemo {
     cells: HashMap<u64, Rc<RefCell<Value>>>,
-    envs: HashMap<u64, Env>,
+    envs: HashMap<u64, Env>, // v1 nodes, by their written id
+    nodes: Vec<Env>,         // nodes, in the order written
+    code: Vec<Arc<Expr>>,    // bodies, in the order written
 }
 
 /// Encodes a single value.
@@ -113,7 +121,7 @@ pub fn env_to_bytes(env: &Env) -> Vec<u8> {
     out
 }
 
-/// Decodes an environment.
+/// Decodes an environment. Every decode builds fresh cells.
 ///
 /// # Errors
 ///
@@ -123,24 +131,6 @@ pub fn env_from_bytes(bytes: &[u8]) -> Result<Env, CodecError> {
     let env = decode_env(&mut r, &mut DecodeMemo::default(), 0)?;
     r.finish()?;
     Ok(env)
-}
-
-impl Snapshot {
-    /// Serializes the snapshot to bytes.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        env_to_bytes(self.env())
-    }
-
-    /// Deserializes a snapshot. The decoded environment is freshly
-    /// built, so the usual snapshot isolation guarantee holds.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on any malformed input; never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CodecError> {
-        Ok(Snapshot::from_owned_env(env_from_bytes(bytes)?))
-    }
 }
 
 fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
@@ -205,16 +195,23 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
             encode_value(out, inner, memo);
         }
         Value::Closure { param, body, env } => {
-            out.push(T_CLOSURE);
-            put_str(out, param.as_str());
-            put_str(out, &body.to_string());
+            if let Some(id) = memo.code.get(&Arc::as_ptr(body)) {
+                out.push(T_CLOSURE_SHARED);
+                put_str(out, param.as_str());
+                put_u64(out, *id);
+            } else {
+                memo.code.insert(Arc::as_ptr(body), memo.code.len() as u64);
+                out.push(T_CLOSURE_CODE);
+                put_str(out, param.as_str());
+                put_str(out, &body.to_string());
+            }
             encode_env(out, env, memo);
         }
         Value::Cell { cell, origin } => {
             let key = Rc::as_ptr(cell) as usize;
             if let Some(id) = memo.cells.get(&key) {
-                // The origin tag lives on each occurrence (exactly as
-                // the in-memory deep copy preserves it per alias).
+                // The origin tag lives on each occurrence: every alias
+                // keeps its own.
                 out.push(T_CELL_REF);
                 put_u64(out, *id);
                 encode_mode(out, *origin);
@@ -233,24 +230,31 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
 }
 
 fn encode_env(out: &mut Vec<u8>, env: &Env, memo: &mut EncodeMemo) {
+    // The nodes not written yet, innermost first, down to a written one.
+    let mut fresh = Vec::new();
     let mut cur = env.clone();
-    loop {
-        let Some((name, value, tail, key)) = cur.spine_head() else {
-            out.push(E_EMPTY);
-            return;
+    let base = loop {
+        let Some((.., tail, key)) = cur.spine_head() else {
+            break 0;
         };
         if let Some(id) = memo.nodes.get(&key) {
-            out.push(E_TAIL_REF);
-            put_u64(out, *id);
-            return;
+            break id + 1;
         }
-        let id = memo.nodes.len() as u64;
-        memo.nodes.insert(key, id);
-        out.push(E_BINDING);
-        put_u64(out, id);
+        fresh.push(std::mem::replace(&mut cur, tail));
+    };
+    if base == 0 && fresh.is_empty() {
+        out.push(E_EMPTY);
+        return;
+    }
+    out.push(E_SPINE);
+    put_u64(out, base);
+    put_u64(out, fresh.len() as u64);
+    for node in fresh.iter().rev() {
+        let (name, value, _, key) = node.spine_head().expect("a fresh node is not empty");
         put_str(out, name.as_str());
         encode_value(out, value, memo);
-        cur = tail;
+        memo.nodes.insert(key, memo.nodes_written);
+        memo.nodes_written += 1;
     }
 }
 
@@ -331,15 +335,23 @@ fn decode_tagged(
             Ok(Value::MsgTable(Rc::new(vs)))
         }
         T_FIX => Ok(Value::Fix(Rc::new(decode_value(r, memo, depth + 1)?))),
-        T_CLOSURE => {
+        T_CLOSURE | T_CLOSURE_CODE | T_CLOSURE_SHARED => {
             let param = r.str()?;
-            let source = r.str()?;
-            let body =
-                bsml_syntax::parse(&source).map_err(|e| CodecError::Unparsable(e.to_string()))?;
+            let body = if tag == T_CLOSURE_SHARED {
+                nth(&memo.code, r.u64()?)?
+            } else {
+                let source = r.str()?;
+                let body = bsml_syntax::parse(&source)
+                    .map_err(|e| CodecError::Unparsable(e.to_string()))?;
+                Arc::new(body)
+            };
+            if tag == T_CLOSURE_CODE {
+                memo.code.push(Arc::clone(&body));
+            }
             let env = decode_env(r, memo, depth + 1)?;
             Ok(Value::Closure {
                 param: Ident::new(&param),
-                body: Arc::new(body),
+                body,
                 env,
             })
         }
@@ -378,7 +390,7 @@ fn decode_env(
     if depth > MAX_DEPTH {
         return Err(CodecError::TooDeep);
     }
-    // Collect innermost-first frames until the spine terminates.
+    // v1 frames come innermost first, until the spine terminates.
     let mut frames: Vec<(u64, String, Value)> = Vec::new();
     let base = loop {
         match r.u8()? {
@@ -397,6 +409,19 @@ fn decode_env(
                 let value = decode_value(r, memo, depth + 1)?;
                 frames.push((id, name, value));
             }
+            E_SPINE if frames.is_empty() => {
+                let mut env = match r.u64()? {
+                    0 => Env::new(),
+                    base => nth(&memo.nodes, base - 1)?,
+                };
+                for _ in 0..r.count()? {
+                    let name = r.str()?;
+                    let value = decode_value(r, memo, depth + 1)?;
+                    env = env.bind(Ident::new(&name), value);
+                    memo.nodes.push(env.clone());
+                }
+                return Ok(env);
+            }
             other => {
                 return Err(CodecError::BadTag {
                     what: "environment frame",
@@ -413,6 +438,12 @@ fn decode_env(
         memo.envs.insert(id, env.clone());
     }
     Ok(env)
+}
+
+/// The `id`-th entry of a decoder table.
+fn nth<T: Clone>(table: &[T], id: u64) -> Result<T, CodecError> {
+    let entry = usize::try_from(id).ok().and_then(|i| table.get(i));
+    entry.cloned().ok_or(CodecError::DanglingRef(id))
 }
 
 fn decode_mode(r: &mut ByteReader<'_>) -> Result<Mode, CodecError> {
@@ -562,13 +593,74 @@ mod tests {
         let env = Env::new()
             .bind(Ident::new("x"), Value::Int(1))
             .bind(Ident::new("x"), Value::Int(2)); // shadowing kept
-        let snap = Snapshot::of_env(&env);
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = env_from_bytes(&env_to_bytes(&env)).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.restore().lookup(&Ident::new("x")).unwrap().to_string(),
-            "2"
+        assert_eq!(back.lookup(&Ident::new("x")).unwrap().to_string(), "2");
+    }
+
+    #[test]
+    fn a_live_cell_cycle_roundtrips_without_a_copy() {
+        // One binding `r` to a cell that holds a closure over `r`: the
+        // closure's environment is the very node being written.
+        let cell = Value::cell(Value::Unit, Mode::Global);
+        let env = Env::new().bind(Ident::new("r"), cell.clone());
+        let Value::Cell { cell: rc, .. } = &cell else {
+            unreachable!()
+        };
+        *rc.borrow_mut() = Value::Closure {
+            param: Ident::new("y"),
+            body: Arc::new(bsml_syntax::parse("!r y").unwrap()),
+            env: env.clone(),
+        };
+        let back = env_from_bytes(&env_to_bytes(&env)).expect("a live cycle decodes");
+        let Some(Value::Cell { cell: fresh, .. }) = back.lookup(&Ident::new("r")) else {
+            panic!("expected a cell");
+        };
+        let contents = fresh.borrow();
+        let Value::Closure { env: captured, .. } = &*contents else {
+            panic!("expected the closure");
+        };
+        let Some(Value::Cell { cell: inner, .. }) = captured.lookup(&Ident::new("r")) else {
+            panic!("expected the captured cell");
+        };
+        assert!(
+            Rc::ptr_eq(fresh, inner),
+            "knot must close onto the decoded cell"
         );
+        assert!(!Rc::ptr_eq(rc, fresh), "decoding builds a fresh cell");
+    }
+
+    #[test]
+    fn closure_code_is_written_once_and_shared_on_decode() {
+        let source = "if x = 0 then y else x + y * 2";
+        let body = Arc::new(bsml_syntax::parse(source).unwrap());
+        let base = Env::new().bind(Ident::new("y"), Value::Int(1));
+        let env = (0..100).fold(base.clone(), |env, i| {
+            let closure = Value::Closure {
+                param: Ident::new("x"),
+                body: Arc::clone(&body),
+                env: base.clone(),
+            };
+            env.bind(Ident::new(format!("f{i}")), closure)
+        });
+        let bytes = env_to_bytes(&env);
+        let text = body.to_string();
+        let occurrences = bytes
+            .windows(text.len())
+            .filter(|w| *w == text.as_bytes())
+            .count();
+        assert_eq!(occurrences, 1, "the body's source is written once");
+        let back = env_from_bytes(&bytes).unwrap();
+        let bodies: Vec<Arc<Expr>> = back
+            .iter()
+            .filter_map(|(_, v)| match v {
+                Value::Closure { body, .. } => Some(Arc::clone(body)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bodies.len(), 100);
+        assert!(bodies.iter().all(|b| Arc::ptr_eq(b, &bodies[0])));
+        assert_eq!(bodies[0].to_string(), text);
     }
 
     #[test]

@@ -114,9 +114,17 @@ impl Value {
     }
 
     /// `true` if a parallel vector occurs anywhere inside the value.
+    /// A list's spine is walked in a loop.
     #[must_use]
     pub fn contains_vector(&self) -> bool {
-        match self {
+        let mut cur = self;
+        while let Value::Cons(h, t) = cur {
+            if h.contains_vector() {
+                return true;
+            }
+            cur = t;
+        }
+        match cur {
             Value::Vector(_) => true,
             Value::Pair(a, b) | Value::Cons(a, b) => a.contains_vector() || b.contains_vector(),
             Value::Inl(v) | Value::Inr(v) => v.contains_vector(),
@@ -132,10 +140,16 @@ impl Value {
     /// receives/sends at most one *word*").
     ///
     /// Scalars count 1; structured values count their parts;
-    /// `nc ()` counts 0 (no message is sent, per §2 `put` spec).
+    /// `nc ()` counts 0 (no message is sent, per §2 `put` spec). A
+    /// list's spine is walked in a loop.
     #[must_use]
     pub fn size_in_words(&self) -> u64 {
-        match self {
+        let (mut words, mut cur) = (0, self);
+        while let Value::Cons(h, t) = cur {
+            words += h.size_in_words();
+            cur = t;
+        }
+        let last = match cur {
             Value::Int(_) | Value::Bool(_) | Value::Unit => 1,
             Value::NoComm => 0,
             Value::Pair(a, b) | Value::Cons(a, b) => a.size_in_words() + b.size_in_words(),
@@ -152,7 +166,8 @@ impl Value {
             // sending one across processors is almost always a bug,
             // caught by the origin check at first use.
             Value::Cell { cell, .. } => 1 + cell.borrow().size_in_words(),
-        }
+        };
+        words + last
     }
 
     /// Structural equality on first-order values.
@@ -235,10 +250,17 @@ pub enum PortableValue {
 }
 
 impl PortableValue {
-    /// Deserializes back into a runtime value.
+    /// Deserializes back into a runtime value. A list's spine is
+    /// walked in a loop.
     #[must_use]
     pub fn to_value(&self) -> Value {
-        match self {
+        let mut heads = Vec::new();
+        let mut cur = self;
+        while let PortableValue::Cons(h, t) = cur {
+            heads.push(h.to_value());
+            cur = t;
+        }
+        let last = match cur {
             PortableValue::Int(n) => Value::Int(*n),
             PortableValue::Bool(b) => Value::Bool(*b),
             PortableValue::Unit => Value::Unit,
@@ -251,20 +273,30 @@ impl PortableValue {
             PortableValue::Vector(vs) => {
                 Value::vector(vs.iter().map(PortableValue::to_value).collect())
             }
-        }
+        };
+        heads
+            .into_iter()
+            .rev()
+            .fold(last, |t, h| Value::Cons(Rc::new(h), Rc::new(t)))
     }
 }
 
 impl Value {
     /// Serializes a first-order value, or reports why it cannot
-    /// travel.
+    /// travel. A list's spine is walked in a loop.
     ///
     /// # Errors
     ///
     /// [`crate::EvalError::NotSerializable`] on functions, message
     /// tables and reference cells.
     pub fn to_portable(&self) -> Result<PortableValue, crate::EvalError> {
-        match self {
+        let mut heads = Vec::new();
+        let mut cur = self;
+        while let Value::Cons(h, t) = cur {
+            heads.push(h.to_portable()?);
+            cur = t;
+        }
+        let last = match cur {
             Value::Int(n) => Ok(PortableValue::Int(*n)),
             Value::Bool(b) => Ok(PortableValue::Bool(*b)),
             Value::Unit => Ok(PortableValue::Unit),
@@ -289,8 +321,12 @@ impl Value {
             | Value::Prim(_)
             | Value::MsgTable(_)
             | Value::Fix(_)
-            | Value::Cell { .. } => Err(crate::EvalError::NotSerializable(self.to_string())),
-        }
+            | Value::Cell { .. } => Err(crate::EvalError::NotSerializable(cur.to_string())),
+        }?;
+        Ok(heads
+            .into_iter()
+            .rev()
+            .fold(last, |t, h| PortableValue::Cons(Box::new(h), Box::new(t))))
     }
 }
 

@@ -7,14 +7,16 @@
 //! [`FuelCell`] handle cross the boundary. Workers *drive* hosts by
 //! granting fuel through the cell; they never touch the session.
 //!
-//! A host runs one request at a time, **transactionally**: it
-//! snapshots the session before `load`, and restores that snapshot on
-//! *any* failure — static error, dynamic failure, cancellation, or a
-//! panic caught at the host's `catch_unwind` boundary. Only a fully
-//! successful request commits, which is what makes the server's
-//! replay transcripts deterministic: a transcript is exactly the
-//! sources that committed, and replaying them from scratch rebuilds
-//! the same session state.
+//! A host runs one request at a time, **transactionally**: it opens a
+//! session transaction before `load` and rolls it back on *any*
+//! failure — static error, dynamic failure, cancellation, a panic
+//! caught at the host's `catch_unwind` boundary, or a failed WAL
+//! append. The rollback undoes the cells the request assigned through
+//! the session's undo trail, so it never walks the tenant's values.
+//! Only a fully successful, durably logged request commits, which is
+//! what makes the server's replay transcripts deterministic: a
+//! transcript is exactly the sources that committed, and replaying
+//! them from scratch rebuilds the same session state.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -41,14 +43,14 @@ pub(crate) struct DurableCtx {
 pub(crate) enum HostOutcome {
     /// Every phrase succeeded; the request committed.
     Done { rendered: Vec<String> },
-    /// Parse or type error; rolled back (nothing had run).
+    /// Parse or type error; rolled back.
     Static { error: String },
     /// A phrase failed dynamically; rolled back. `cancelled` is true
     /// when the failure was [`EvalError::Cancelled`] — the scheduler
     /// pulled the plug (deadline or budget), not the program.
     Failed { error: String, cancelled: bool },
     /// The evaluation panicked; the panic was contained and the
-    /// session restored.
+    /// session rolled back.
     Panicked,
     /// The phrase succeeded but its WAL append failed; the session
     /// was rolled back so nothing is reported durable that is not.
@@ -143,12 +145,8 @@ fn host_main(
     let mut session = Session::with_telemetry(params, telemetry.clone());
     let mut wal = None;
     if let Some(ctx) = durable {
-        if let Some(snap) = ctx
-            .base
-            .as_deref()
-            .and_then(|bytes| SessionSnapshot::from_bytes(bytes).ok())
-        {
-            session.restore(&snap);
+        if let Some(bytes) = ctx.base.as_deref() {
+            let _ = SessionSnapshot::from_bytes(bytes).and_then(|snap| session.restore(&snap));
         }
         wal = Some(ctx.wal);
     }
@@ -210,41 +208,33 @@ fn compact(wal: &mut TenantWal, session: &Session, telemetry: &Telemetry) {
 /// reported done; if the append fails the session rolls back and the
 /// request reports [`HostOutcome::DurabilityLost`] instead.
 fn run_one(session: &mut Session, source: &str, wal: Option<&mut TenantWal>) -> HostOutcome {
-    let before = session.snapshot();
-    let result = catch_unwind(AssertUnwindSafe(|| session.load(source)));
-    match result {
-        Err(_panic) => {
-            session.restore(&before);
-            HostOutcome::Panicked
-        }
-        Ok(Err(err)) => {
-            // Static errors are all-or-nothing in `Session::load`,
-            // but restore anyway: the transactional contract is
-            // "failure ⇒ bit-identical to never having loaded".
-            let error = render_error(&err, source);
-            session.restore(&before);
-            HostOutcome::Static { error }
-        }
-        Ok(Ok(events)) => {
-            if let Some(failure) = events.iter().find_map(|e| e.error()) {
-                let cancelled = *failure == EvalError::Cancelled;
-                let error = failure.to_string();
-                session.restore(&before);
-                HostOutcome::Failed { error, cancelled }
-            } else {
-                if let Some(w) = wal {
-                    if let Err(e) = w.append_commit(source) {
-                        session.restore(&before);
-                        return HostOutcome::DurabilityLost {
-                            error: e.to_string(),
-                        };
-                    }
-                }
-                let rendered = events.iter().map(render_event).collect();
-                HostOutcome::Done { rendered }
-            }
-        }
+    let tx = session.begin();
+    let outcome = match catch_unwind(AssertUnwindSafe(|| session.load(source))) {
+        Err(_panic) => HostOutcome::Panicked,
+        Ok(Err(err)) => HostOutcome::Static {
+            error: render_error(&err, source),
+        },
+        Ok(Ok(events)) => match events.iter().find_map(|e| e.error()) {
+            Some(failure) => HostOutcome::Failed {
+                error: failure.to_string(),
+                cancelled: *failure == EvalError::Cancelled,
+            },
+            None => match wal.map(|w| w.append_commit(source)) {
+                Some(Err(e)) => HostOutcome::DurabilityLost {
+                    error: e.to_string(),
+                },
+                _ => HostOutcome::Done {
+                    rendered: events.iter().map(render_event).collect(),
+                },
+            },
+        },
+    };
+    if matches!(outcome, HostOutcome::Done { .. }) {
+        session.commit(tx);
+    } else {
+        session.rollback(tx);
     }
+    outcome
 }
 
 fn render_error(err: &BsmlError, source: &str) -> String {

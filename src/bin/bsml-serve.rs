@@ -113,12 +113,8 @@ fn dump_state(dir: &Path, disk: Arc<Disk>) -> ExitCode {
             r.fell_back
         );
         let mut session = Session::new(machine());
-        if let Some(snap) = r
-            .base
-            .as_ref()
-            .and_then(|(_, bytes)| SessionSnapshot::from_bytes(bytes).ok())
-        {
-            session.restore(&snap);
+        if let Some((_, bytes)) = &r.base {
+            let _ = SessionSnapshot::from_bytes(bytes).and_then(|snap| session.restore(&snap));
         }
         for source in &r.commits {
             let _ = session.load(source);

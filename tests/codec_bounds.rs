@@ -9,9 +9,9 @@
 //!   overflow.
 //! * A session snapshot shares the environment spine its closures
 //!   capture, so it grows linearly with the definitions.
-//! * Compaction installs only snapshots that decode, so a tenant whose
-//!   state is nested past the bound keeps its whole log instead of
-//!   vanishing on restart.
+//! * The session format writes the spine flat, so a tenant with any
+//!   number of toplevel functions compacts, and restarts from its
+//!   snapshot without replaying a phrase.
 
 use std::path::PathBuf;
 
@@ -64,7 +64,7 @@ fn a_thousand_element_list_roundtrips_through_every_codec() {
     let bytes = session.snapshot().to_bytes();
     let snap = SessionSnapshot::from_bytes(&bytes).expect("session snapshot");
     let mut restored = Session::new(machine());
-    restored.restore(&snap);
+    restored.restore(&snap).unwrap();
     assert_eq!(restored.render_bindings(), session.render_bindings());
 
     let frame = Frame {
@@ -145,10 +145,10 @@ fn the_stdlib_session_snapshot_is_linear_and_restores() {
     );
     let snap = SessionSnapshot::from_bytes(&bytes).expect("decodes");
     let mut restored = Session::new(machine());
-    restored.restore(&snap);
+    restored.restore(&snap).unwrap();
     assert_eq!(restored.render_bindings(), session.render_bindings());
     let mut again = Session::new(machine());
-    again.restore(&session.snapshot());
+    again.restore(&session.snapshot()).unwrap();
     assert_eq!(again.render_bindings(), session.render_bindings());
 }
 
@@ -170,7 +170,7 @@ fn cells_that_capture_each_other_snapshot_and_restore() {
     let bytes = session.snapshot().to_bytes();
     let snap = SessionSnapshot::from_bytes(&bytes).expect("decodes");
     let mut restored = Session::new(machine());
-    restored.restore(&snap);
+    restored.restore(&snap).unwrap();
     assert_eq!(restored.render_bindings(), session.render_bindings());
     for s in [&mut session, &mut restored] {
         let ev = s.load("(f 3, f 4)").expect("runs");
@@ -237,15 +237,42 @@ fn a_durable_tenant_with_sixty_functions_recovers_every_commit() {
         submit_ok(&server, "funs", &format!("let f{i} x = f{} x + 1", i - 1));
     }
     let _ = server.shutdown();
-    // Past 50 functions the snapshot no longer decodes, so compaction
-    // stopped installing it and the commits stayed in the log.
-    assert!(telemetry.counter_value("server.compactions_skipped") > 0);
+    // The spine is written flat, so every snapshot decodes and the
+    // drain's snapshot holds every commit.
+    assert!(telemetry.counter_value("server.compactions_skipped") == 0);
 
     let telemetry = Telemetry::enabled_logical();
     let server = Server::start(config(), telemetry.clone());
     assert_eq!(server.tenants(), vec!["funs"]);
     assert_eq!(telemetry.counter_value("server.recoveries"), 1);
+    assert_eq!(telemetry.counter_value("server.replayed_phrases"), 0);
     assert_eq!(submit_ok(&server, "funs", "f59 1"), vec!["- : int = 60"]);
+    let _ = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_durable_tenant_with_two_hundred_functions_compacts_and_replays_nothing() {
+    // Independent functions: a chain of 200 calls would overflow the
+    // evaluator's stack on a debug build before it tested the format.
+    let dir = temp_dir("two-hundred");
+    let config = || {
+        ServerConfig::new(machine())
+            .with_durable_dir(&dir)
+            .with_snapshot_every(8)
+    };
+    let telemetry = Telemetry::enabled_logical();
+    let server = Server::start(config(), telemetry.clone());
+    for i in 0..200 {
+        submit_ok(&server, "funs", &format!("let f{i} x = x + {i}"));
+    }
+    let _ = server.shutdown();
+    assert_eq!(telemetry.counter_value("server.compactions_skipped"), 0);
+
+    let telemetry = Telemetry::enabled_logical();
+    let server = Server::start(config(), telemetry.clone());
+    assert_eq!(telemetry.counter_value("server.replayed_phrases"), 0);
+    assert_eq!(submit_ok(&server, "funs", "f199 1"), vec!["- : int = 200"]);
     let _ = server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

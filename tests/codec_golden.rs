@@ -10,12 +10,13 @@
 //! on purpose: `ctl/hello` (the version), `ctl/fatal`, `ctl/done` and
 //! `postmortem_bundle` (the ledger's backpressure field and the
 //! backpressure flight event are gone), and the new
-//! `ctl/send_counts` and `ctl/recv_counts`.
+//! `ctl/send_counts` and `ctl/recv_counts`. Session format v2 (a flat
+//! environment spine) re-recorded `session_snapshot/no_closures`.
 //!
 //! A second test holds a snapshot written by the old session codec
-//! (three toplevel functions) as a hex constant: WAL directories
-//! written before the change hold snapshots in that form, so it must
-//! keep decoding to the same bindings.
+//! (three toplevel functions, format v1) as a hex constant: WAL
+//! directories written before the change hold snapshots in that form,
+//! so it must keep decoding to the same bindings.
 
 use std::time::Duration;
 
@@ -57,7 +58,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("wal/snapshot", 38, 0x7846110afc872074),
     ("wal/commit", 42, 0x42576d577562b960),
     ("persist/aliased_cell", 63, 0xb92b9039606cc3a6),
-    ("session_snapshot/no_closures", 394, 0x5461f9bbbac3e38b),
+    ("session_snapshot/no_closures", 365, 0x4a5beab5f71bf2b0),
 ];
 
 /// 64-bit FNV-1a, written out here so the goldens do not depend on
@@ -487,7 +488,7 @@ fn a_legacy_session_snapshot_still_decodes_to_the_same_bindings() {
     assert_eq!(bytes.len(), 658);
     let snap = SessionSnapshot::from_bytes(&bytes).expect("legacy snapshot decodes");
     let mut restored = Session::new(BspParams::new(4, 10, 100));
-    restored.restore(&snap);
+    restored.restore(&snap).unwrap();
     let mut fresh = Session::new(BspParams::new(4, 10, 100));
     fresh.load(THREE_FUNCTIONS).expect("load");
     assert_eq!(restored.render_bindings(), fresh.render_bindings());

@@ -6,8 +6,13 @@
 //! checks the larger debug frames. A row that overflows the stack
 //! aborts the whole test binary: overflow is not a panic. The
 //! thresholds these rows sit under are recorded in ROADMAP item 1.
+//! One more row serves a tenant that holds a long list: session hosts
+//! run requests on a default 2 MiB thread.
 
+use bsml_bsp::BspParams;
 use bsml_infer::infer;
+use bsml_obs::Telemetry;
+use bsml_serve::{Outcome, Server, ServerConfig};
 use bsml_syntax::parse;
 
 /// Rust's default stack for spawned threads, which host and rank
@@ -59,4 +64,35 @@ fn deep_inputs_typecheck_on_a_2_mib_stack() {
     for (input, source, ty) in rows {
         assert_eq!(typecheck(source), Ok(ty.to_string()), "{input}");
     }
+}
+
+#[test]
+fn a_tenant_holding_a_ten_thousand_element_list_is_served() {
+    let server = Server::start(
+        ServerConfig::new(BspParams::new(2, 1, 10)).with_deadline(None),
+        Telemetry::disabled(),
+    );
+    let run = |tenant: &str, source: &str| match server
+        .submit(tenant, source)
+        .expect("admitted")
+        .wait()
+        .outcome
+    {
+        Outcome::Done { rendered } => rendered.join("\n"),
+        other => panic!("{source}: {other:?}"),
+    };
+    run(
+        "lists",
+        "let rec range acc n = if n = 0 then acc else range (n :: acc) (n - 1)",
+    );
+    run("lists", "let xs = range [] 10000");
+    // Each request rolls back or commits without walking `xs`.
+    assert_eq!(run("lists", "let k = 7"), "k : int = 7");
+    assert_eq!(
+        run("lists", "match xs with [] -> 0 | h :: t -> h"),
+        "- : int = 1"
+    );
+    assert_eq!(run("lists", "k + 1"), "- : int = 8");
+    assert_eq!(run("other", "2 + 2"), "- : int = 4");
+    let _ = server.shutdown();
 }

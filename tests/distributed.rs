@@ -15,11 +15,16 @@ use bsml_std::{algorithms, workloads};
 use bsml_syntax::parse;
 
 fn cross_check(name: &str, src: &str, p: usize) {
+    cross_check_on(name, src, p, Execution::InProcess);
+}
+
+fn cross_check_on(name: &str, src: &str, p: usize, execution: Execution) {
     let e = parse(src).unwrap_or_else(|err| panic!("{name}: {}", err.render(src)));
     let lockstep = BspMachine::new(BspParams::new(p, 1, 1))
         .run(&e)
         .unwrap_or_else(|err| panic!("{name} lockstep p={p}: {err}"));
     let distributed = DistMachine::new(p)
+        .with_execution(execution)
         .run(&e)
         .unwrap_or_else(|err| panic!("{name} distributed p={p}: {err}"));
 
@@ -136,6 +141,31 @@ fn references_are_per_rank_replicas() {
          mkpar (fun i -> !c + i)",
         3,
     );
+}
+
+#[test]
+fn a_put_of_a_ten_thousand_element_list_agrees_on_a_2_mib_thread() {
+    // Rank 1 sends the list to rank 0, rank 0 sends `[]` back: every
+    // walk over the message loops down its spine, so nothing aborts.
+    let src = "let rec range acc n = if n = 0 then acc else range (n :: acc) (n - 1) in
+               let rec sum acc xs = match xs with [] -> acc | h :: t -> sum (acc + h) t in
+               let xs = range [] 10000 in
+               let got = put (mkpar (fun j -> fun dst ->
+                             if dst = j then nc () else if j = 1 then xs else [])) in
+               apply (mkpar (fun i -> fun f -> sum 0 (f (1 - i))), got)";
+    let processes = ProcessConfig {
+        rank_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_bsml-rank"))),
+        ..ProcessConfig::default()
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            cross_check("put-10000", src, 2);
+            cross_check_on("put-10000", src, 2, Execution::Processes(processes));
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("both backends agree with lockstep");
 }
 
 #[test]

@@ -47,7 +47,9 @@ fn render_recovered(dir: &Path) -> Vec<(String, u64, usize, String)> {
         .map(|r| {
             let mut session = Session::new(machine());
             if let Some((_, state)) = &r.base {
-                session.restore(&SessionSnapshot::from_bytes(state).unwrap());
+                session
+                    .restore(&SessionSnapshot::from_bytes(state).unwrap())
+                    .unwrap();
             }
             for p in &r.commits {
                 let _ = session.load(p);

@@ -1,18 +1,17 @@
 //! Property: restoring a [`SessionSnapshot`] after an arbitrary
 //! prefix of failed (or contained) phrases yields a session
 //! *bit-identical* to one that never loaded them — including ref-cell
-//! state, which the snapshot captures by deep copy rather than by
-//! sharing the live `RefCell`.
+//! state, which the snapshot encodes by contents rather than by
+//! sharing the live `RefCell`. Rolling back a session transaction
+//! does the same through the undo trail, without a snapshot.
 //!
-//! "Bit-identical" is checked structurally: the `Debug` rendering of
-//! a fresh [`Session::snapshot`] covers the typing environment
-//! (ordered `BTreeMap`), the deep-copied value environment (ordered
-//! binding list), and the cumulative cost. The generated phrases are
-//! acyclic (no Landin knots), so the rendering is total and
-//! deterministic.
+//! "Bit-identical" is checked on the bytes: a fresh
+//! [`Session::snapshot`] encodes the typing environment (ordered
+//! `BTreeMap`), the value environment (ordered binding list) with
+//! the contents of its cells, and the cumulative cost.
 
 use bsml_bsp::BspParams;
-use bsml_core::Session;
+use bsml_core::{Session, SessionEvent};
 use bsml_repro::testgen::{adversarial, well_typed_source, Adversarial};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -42,12 +41,45 @@ fn load_transactionally(s: &mut Session, source: &str) {
     let before = s.snapshot();
     match s.load(source) {
         Ok(events) if events.iter().all(|e| e.error().is_none()) => {}
-        _ => s.restore(&before),
+        _ => s.restore(&before).unwrap(),
     }
+}
+
+/// The rendered value of a one-phrase load.
+fn value(s: &mut Session, src: &str) -> String {
+    let events = s.load(src).unwrap();
+    events[0].value().unwrap().to_string()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_rolled_back_transaction_restores_cells_and_keeps_aliases(
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        let mut s = session();
+        let old = seed % 100;
+        s.load(&format!("let r = ref {old}")).unwrap();
+        s.load("let b = r").unwrap();
+        s.load(&format!("let g = {}", well_typed_source(seed, 2))).unwrap();
+        let before = s.snapshot().to_bytes();
+
+        // Assign `r`, bind a name, then fail: a static error rolls the
+        // whole load back, a dynamic one only its own phrase.
+        let family = CHEAP_FAILURES[(pick as usize) % CHEAP_FAILURES.len()];
+        let src = format!("let u = r := {}\nlet t = 1\n{}", old + 1, adversarial(seed, family));
+        let tx = s.begin();
+        let outcome = s.load(&src);
+        prop_assert!(outcome.map_or(true, |events| events.iter().any(SessionEvent::is_failure)));
+        s.rollback(tx);
+
+        prop_assert_eq!(s.snapshot().to_bytes(), before);
+        prop_assert_eq!(value(&mut s, "!r"), old.to_string());
+        s.load(&format!("let w = b := {}", old + 7)).unwrap();
+        prop_assert_eq!(value(&mut s, "!r"), (old + 7).to_string());
+    }
 
     #[test]
     fn restore_after_failed_prefix_is_bit_identical(
@@ -85,7 +117,7 @@ proptest! {
         // The mutation must be visible pre-restore, or the property
         // below would pass vacuously.
         prop_assert_ne!(fingerprint(&s), clean.clone());
-        s.restore(&snap);
+        s.restore(&snap).unwrap();
         prop_assert_eq!(fingerprint(&s), clean);
     }
 
@@ -116,7 +148,7 @@ fn aliasing_survives_snapshot_and_restore() {
     s.load("let b = a").unwrap();
     let snap = s.snapshot();
     s.load("a := 5").unwrap();
-    s.restore(&snap);
+    s.restore(&snap).unwrap();
     let events = s.load("(b := 9, !a)").unwrap();
     let rendered = events[0].value().unwrap().to_string();
     assert_eq!(rendered, "((), 9)", "aliases must stay aliases");
@@ -132,7 +164,7 @@ fn restore_is_repeatable() {
     let clean = fingerprint(&s);
     for bump in [11, 12, 13] {
         s.load(&format!("r := {bump}")).unwrap();
-        s.restore(&snap);
+        s.restore(&snap).unwrap();
         assert_eq!(fingerprint(&s), clean);
     }
 }

@@ -122,7 +122,7 @@ proptest! {
         let bytes = snap.to_bytes();
         let back = SessionSnapshot::from_bytes(&bytes).unwrap();
         let mut rebuilt = Session::new(machine());
-        rebuilt.restore(&back);
+        rebuilt.restore(&back).unwrap();
         prop_assert_eq!(rebuilt.render_bindings(), session.render_bindings());
     }
 
@@ -157,7 +157,7 @@ proptest! {
         prop_assert_eq!(r.commits.len(), n - snap_at);
         let mut rebuilt = Session::new(machine());
         if let Some((_, state)) = &r.base {
-            rebuilt.restore(&SessionSnapshot::from_bytes(state).unwrap());
+            rebuilt.restore(&SessionSnapshot::from_bytes(state).unwrap()).unwrap();
         }
         for p in &r.commits {
             let _ = rebuilt.load(p);
@@ -195,7 +195,7 @@ proptest! {
                         | StorageError::TornWrite { .. }
                         | StorageError::SyncFailure { .. }
                         | StorageError::Io { .. },
-                    ) => session.restore(&before),
+                    ) => session.restore(&before).unwrap(),
                 }
                 if wal.should_snapshot() {
                     // Compaction failure is benign: the old generation
