@@ -40,10 +40,9 @@ use std::sync::{Arc, Mutex};
 
 use bsml_ast::Expr;
 use bsml_eval::bytes::{fnv1a, open, put_u64, seal, ByteReader, CodecError};
-use bsml_eval::PortableValue;
 
 use crate::storage::{Disk, StorageError};
-use crate::wire::{decode_value, encode_value};
+use crate::wire::value_bytes;
 
 /// Leading magic of a serialized frame.
 const FRAME_MAGIC: u64 = 0x4253_4d4c_4652_414d; // "BSMLFRAM"
@@ -70,8 +69,10 @@ pub enum SyncOutcome {
     /// A `put` barrier: the full delivered table (entry `j` is the
     /// message from rank `j`, self-message included).
     Put {
-        /// The delivered messages, indexed by sender.
-        delivered: Vec<PortableValue>,
+        /// The delivered messages, indexed by sender, each encoded
+        /// with [`crate::wire::encode_value`]: the bytes the exchange
+        /// carried.
+        delivered: Vec<Vec<u8>>,
     },
     /// An `if‥at‥` barrier: the broadcast boolean.
     IfAt {
@@ -309,8 +310,8 @@ impl RankFrame {
                 SyncOutcome::Put { delivered } => {
                     out.push(0);
                     put_u64(&mut out, delivered.len() as u64);
-                    for v in delivered {
-                        encode_value(&mut out, v);
+                    for message in delivered {
+                        out.extend_from_slice(message);
                     }
                 }
                 SyncOutcome::IfAt { chosen } => {
@@ -360,7 +361,7 @@ impl RankFrame {
                     let m = r.count()?;
                     let mut delivered = Vec::with_capacity(m);
                     for _ in 0..m {
-                        delivered.push(decode_value(&mut r)?);
+                        delivered.push(value_bytes(&mut r)?.to_vec());
                     }
                     SyncOutcome::Put { delivered }
                 }
@@ -721,6 +722,14 @@ impl CheckpointStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsml_eval::Value;
+    use std::rc::Rc;
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::wire::encode_value(&mut out, v).expect("a first-order value");
+        out
+    }
 
     fn frame(rank: usize, superstep: u64) -> RankFrame {
         RankFrame {
@@ -735,11 +744,8 @@ mod tests {
             outcomes: (0..superstep)
                 .map(|s| SyncOutcome::Put {
                     delivered: vec![
-                        PortableValue::Int(s as i64),
-                        PortableValue::Pair(
-                            Box::new(PortableValue::Bool(true)),
-                            Box::new(PortableValue::Nil),
-                        ),
+                        encoded(&Value::Int(s as i64)),
+                        encoded(&Value::pair(Value::Bool(true), Value::Nil)),
                     ],
                 })
                 .collect(),
@@ -751,16 +757,16 @@ mod tests {
         let f = RankFrame {
             outcomes: vec![
                 SyncOutcome::Put {
-                    delivered: vec![
-                        PortableValue::NoComm,
-                        PortableValue::Vector(vec![PortableValue::Int(-7)]),
-                        PortableValue::Cons(
-                            Box::new(PortableValue::Int(1)),
-                            Box::new(PortableValue::Nil),
-                        ),
-                        PortableValue::Inl(Box::new(PortableValue::Unit)),
-                        PortableValue::Inr(Box::new(PortableValue::Bool(false))),
-                    ],
+                    delivered: [
+                        Value::NoComm,
+                        Value::vector(vec![Value::Int(-7)]),
+                        Value::list([Value::Int(1)]),
+                        Value::Inl(Rc::new(Value::Unit)),
+                        Value::Inr(Rc::new(Value::Bool(false))),
+                    ]
+                    .iter()
+                    .map(encoded)
+                    .collect(),
                 },
                 SyncOutcome::IfAt { chosen: true },
             ],

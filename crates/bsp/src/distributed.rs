@@ -2,14 +2,15 @@
 //! processor, real message exchange, real synchronization barriers —
 //! the execution model of the original BSMLlib over MPI (and of
 //! Loulergue's "Distributed Evaluation of Functional BSP Programs",
-//! the paper's reference [5]).
+//! the paper's reference \[5\]).
 //!
 //! Every processor runs the *same* program (SPMD). Replicated
 //! (global) expressions are evaluated identically on every thread;
 //! parallel vectors exist only as each thread's own component
-//! (width-1 `Value::Vector`s). `put` and `if‥at‥` serialize values
-//! into [`PortableValue`]s, frame them on the wire protocol of
-//! [`crate::wire`], and exchange them through per-rank mailboxes
+//! (width-1 `Value::Vector`s). `put` encodes each message once
+//! ([`crate::wire::encode_value`]); `put` and `if‥at‥` frame their
+//! data on the wire protocol of [`crate::wire`] and exchange the
+//! frames through per-rank mailboxes
 //! behind a lossless [`crate::transport::Transport`]. Only non-empty
 //! messages become frames. Each rank's per-destination frame counts
 //! travel in a *count round*, the superstep's entry synchronization;
@@ -18,7 +19,7 @@
 //! frame carries a per-link sequence number, and a missing, surplus or
 //! out-of-sequence frame fails the run at once with
 //! [`EvalError::TransportFailure`] (DESIGN.md §10). The final barrier
-//! of the superstep is a poisonable [`PoisonBarrier`] (a failing
+//! of the superstep is a poisonable `PoisonBarrier` (a failing
 //! processor releases, rather than deadlocks, its peers), and it keeps
 //! the next superstep's frames out of this one's drain.
 //!
@@ -55,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use bsml_ast::Expr;
 use bsml_eval::{
-    Applier, EvalError, Evaluator, Mode, NoHooks, ParallelDriver, PortableValue, Value,
+    Applier, ByteReader, CodecError, EvalError, Evaluator, Mode, NoHooks, ParallelDriver, Value,
 };
 use bsml_obs::{FlightEvent, FlightRecorder, Telemetry};
 
@@ -63,10 +64,13 @@ use crate::checkpoint::{
     program_fingerprint, CheckpointPolicy, CheckpointStore, RankFrame, ResumePoint, SyncOutcome,
 };
 use crate::faults::{FaultKind, FaultPlan};
+use crate::machine::add_run_counters;
 use crate::postmortem::{FlightLog, RankFlightLog};
 use crate::process::RemoteHub;
 use crate::transport::{SharedMem, Transport};
-use crate::wire::{CtlLedger, CtlStats, Frame, FramePayload};
+use crate::wire::{
+    decode_value, encode_value, CtlLedger, CtlStats, Frame, FramePayload, NO_MESSAGE,
+};
 
 /// Default per-processor fuel of a [`DistMachine`]: conservative
 /// enough that a divergent SPMD program terminates with
@@ -269,16 +273,6 @@ impl SyncBackend {
     }
 }
 
-/// Per-superstep communication statistics of one processor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct CommStats {
-    sent_words: u64,
-    received_words: u64,
-    supersteps: u64,
-    puts: u64,
-    ifats: u64,
-}
-
 /// Counters for everything the fault, checkpoint, and transport
 /// layers did to one run; flushed into the `bsp.*` and `net.*`
 /// telemetry counters whether the run succeeds or fails.
@@ -435,7 +429,7 @@ struct ReplayState {
 struct SpmdDriver {
     rank: usize,
     net: Arc<Network>,
-    stats: Arc<Mutex<CommStats>>,
+    stats: Arc<Mutex<CtlStats>>,
     /// Per-rank telemetry handle (on track `p{rank}`); disabled by
     /// default.
     telemetry: Telemetry,
@@ -776,17 +770,7 @@ impl SpmdDriver {
         let p = net.p;
         let mut inbox: Vec<Option<FramePayload>> = vec![None; p];
         while let Some(bytes) = net.transport.recv(self.rank) {
-            let frame = match Frame::decode(&bytes) {
-                Ok(f) => f,
-                Err(err) => {
-                    net.ledger.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    let lamport = self.tick();
-                    self.flight_record(lamport, FlightEvent::CorruptRejected);
-                    return Err(
-                        self.transport_failure(superstep, format!("undecodable frame: {err}"))
-                    );
-                }
-            };
+            let frame = Frame::decode(&bytes).map_err(|err| self.corrupt_frame(superstep, err))?;
             let src = frame.from;
             if src >= p || src == self.rank {
                 return Err(self.transport_failure(
@@ -859,6 +843,18 @@ impl SpmdDriver {
             ));
         }
         Ok(inbox)
+    }
+
+    /// Fails the run on a frame, or a message in one, that does not
+    /// decode: counts it, records it, and fails the exchange.
+    fn corrupt_frame(&mut self, superstep: u64, err: CodecError) -> EvalError {
+        self.net
+            .ledger
+            .corrupt_frames
+            .fetch_add(1, Ordering::Relaxed);
+        let lamport = self.tick();
+        self.flight_record(lamport, FlightEvent::CorruptRejected);
+        self.transport_failure(superstep, format!("undecodable frame: {err}"))
     }
 
     /// Fails the run on a frame the exchange cannot accept: poisons
@@ -1086,7 +1082,13 @@ impl SpmdDriver {
                 ),
             ));
         }
-        let table: Vec<Value> = delivered.iter().map(PortableValue::to_value).collect();
+        let table = delivered
+            .iter()
+            .map(|message| decode_exact(message))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|err| {
+                self.diverged(superstep, format!("undecodable logged message: {err}"))
+            })?;
         {
             let mut stats = lock_ignore_poison(&self.stats);
             for (j, v) in table.iter().enumerate() {
@@ -1199,56 +1201,73 @@ impl ParallelDriver for SpmdDriver {
         let superstep = self.inject_entry_faults()?;
         let f = self.my_component(fs, "put")?.clone();
         // Local phase: evaluate my send function for every target and
-        // serialize the non-empty messages into wire frames.
+        // encode the messages; those to peers become wire frames.
         let mut sends: Vec<(usize, FramePayload)> = Vec::new();
-        let mut self_payload = PortableValue::NoComm;
+        let mut own = None;
         for dst in 0..p {
             let v = ev.apply_fn(f.clone(), Value::Int(dst as i64), Mode::OnProc(self.rank))?;
             ev.ensure_local(&v)?;
-            let words = v.size_in_words();
             if dst != self.rank {
-                lock_ignore_poison(&self.stats).sent_words += words;
+                lock_ignore_poison(&self.stats).sent_words += v.size_in_words();
             }
-            let portable = v.to_portable().inspect_err(|_| self.net.poison())?;
+            // `nc ()` is no message: nothing is encoded and no frame
+            // sent; the count round tells the receiver nothing came,
+            // and it reads `nc ()`.
+            let message = if matches!(v, Value::NoComm) {
+                None
+            } else {
+                let mut bytes = Vec::new();
+                encode_value(&mut bytes, &v).inspect_err(|_| self.net.poison())?;
+                Some(bytes)
+            };
             // A plan-dropped message was *sent* (the sender paid for
             // it) but never arrives: the receiver sees `nc ()`, and
             // only the supervisor's oracle cross-check can tell.
-            let payload = if self.drops_message(dst, superstep) {
-                PortableValue::NoComm
-            } else {
-                portable
-            };
-            if dst == self.rank {
-                // A self-message never touches the wire.
-                self_payload = payload;
-            } else if payload != PortableValue::NoComm {
-                // An `nc ()` message is no frame: the count round tells
-                // the receiver nothing came, and it reads `nc ()`.
-                sends.push((dst, FramePayload::Put(payload)));
+            if self.drops_message(dst, superstep) {
+                continue;
+            }
+            match message {
+                // A self-message never touches the wire: this rank
+                // keeps the value it encoded.
+                Some(bytes) if dst == self.rank => own = Some((v, bytes)),
+                Some(bytes) => sends.push((dst, FramePayload::Put(bytes))),
+                None => {}
             }
         }
         // Communication phase: the count round inside the exchange is
         // also the superstep's entry synchronization.
         let delivered = self.exchange(superstep, sends)?;
-        let mut row: Vec<PortableValue> = Vec::with_capacity(p);
+        // Each received message is decoded once, here. The encodings
+        // are kept only when a checkpoint frame will want them.
+        let mut table = Vec::with_capacity(p);
+        let mut row = self.record.as_ref().map(|_| Vec::with_capacity(p));
         for (j, slot) in delivered.into_iter().enumerate() {
-            if j == self.rank {
-                row.push(std::mem::replace(&mut self_payload, PortableValue::NoComm));
-            } else {
-                match slot {
-                    Some(FramePayload::Put(v)) => row.push(v),
-                    None => row.push(PortableValue::NoComm),
-                    // A peer sent an if‥at‥ broadcast into a put: it
-                    // ran a different primitive — SPMD replication is
-                    // broken.
-                    Some(FramePayload::IfAt(_)) => {
-                        self.net.poison();
-                        return Err(EvalError::PeerFailure);
-                    }
+            let message = match slot {
+                _ if j == self.rank => own.take(),
+                Some(FramePayload::Put(bytes)) => {
+                    let v =
+                        decode_exact(&bytes).map_err(|err| self.corrupt_frame(superstep, err))?;
+                    Some((v, bytes))
                 }
+                None => None,
+                // A peer sent an if‥at‥ broadcast into a put: it
+                // ran a different primitive — SPMD replication is
+                // broken.
+                Some(FramePayload::IfAt(_)) => {
+                    self.net.poison();
+                    return Err(EvalError::PeerFailure);
+                }
+            };
+            if let Some(row) = &mut row {
+                row.push(
+                    message
+                        .as_ref()
+                        .map_or(NO_MESSAGE, |(_, bytes)| bytes)
+                        .to_vec(),
+                );
             }
+            table.push(message.map_or(Value::NoComm, |(v, _)| v));
         }
-        let table: Vec<Value> = row.iter().map(PortableValue::to_value).collect();
         {
             let mut stats = lock_ignore_poison(&self.stats);
             for (j, v) in table.iter().enumerate() {
@@ -1260,13 +1279,9 @@ impl ParallelDriver for SpmdDriver {
             stats.puts += 1;
         }
         self.note_superstep_end(superstep, ev.fuel_left());
-        // The serialized delivered row is kept only when a checkpoint
-        // frame will want it.
-        let staged = if self.record.is_some() {
-            self.record_and_stage(SyncOutcome::Put { delivered: row }, ev.fuel_left())
-        } else {
-            None
-        };
+        let staged = row.and_then(|delivered| {
+            self.record_and_stage(SyncOutcome::Put { delivered }, ev.fuel_left())
+        });
         // The exit barrier separates supersteps — and the last arriver
         // commits this superstep's checkpoint, if any.
         self.superstep_exit_barrier(staged, superstep)?;
@@ -1363,7 +1378,7 @@ pub struct DistOutcome {
 /// How a [`DistMachine`] places its `p` ranks.
 ///
 /// One of these exists per machine, so the size gap between the
-/// unit-like `InProcess` and the full [`ProcessConfig`] is not worth
+/// unit-like `InProcess` and the full [`crate::ProcessConfig`] is not worth
 /// boxing away at every construction site.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, Default)]
@@ -1617,7 +1632,6 @@ impl DistMachine {
             checkpoint,
             flight,
         ));
-        let resumed_from = resume.as_ref().map(|rp| rp.superstep);
         let result = self.run_threads(e, &net, resume);
 
         // Account for the fault, checkpoint and transport layers
@@ -1645,14 +1659,7 @@ impl DistMachine {
                 })
                 .collect(),
         });
-        (
-            result.map(|mut out| {
-                out.resumed_from = resumed_from;
-                out
-            }),
-            furthest,
-            flight_log,
-        )
+        (result, furthest, flight_log)
     }
 
     fn run_threads(
@@ -1663,81 +1670,87 @@ impl DistMachine {
     ) -> Result<DistOutcome, EvalError> {
         let program = Arc::new(e.clone());
         let fuel = self.fuel;
+        let resumed_from = resume.as_ref().map(|rp| rp.superstep);
         let mut seeds: Vec<Option<RankFrame>> = match resume {
             Some(rp) => rp.frames.into_iter().map(Some).collect(),
             None => (0..self.p).map(|_| None).collect(),
         };
 
-        let results: Vec<Result<(PortableValue, CommStats, u64), EvalError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.p)
-                    .map(|rank| {
-                        let net = Arc::clone(net);
-                        let program = Arc::clone(&program);
-                        let telemetry = self.telemetry.track(&format!("p{rank}"));
-                        let seed = seeds[rank].take();
-                        let flight = net.flight.as_ref().map(|recs| Arc::clone(&recs[rank]));
-                        scope.spawn(move || {
-                            run_rank(rank, net, &program, fuel, telemetry, seed, flight)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // A panic that somehow escaped the rank's unwind
-                    // guard is still a peer failure, not our abort.
-                    .map(|h| h.join().unwrap_or(Err(EvalError::PeerFailure)))
-                    .collect()
-            });
-
-        // Prefer a real error over PeerFailure echoes.
-        if results.iter().any(|r| r.is_err()) {
-            let mut first_peer_failure = None;
-            for r in &results {
-                match r {
-                    Err(EvalError::PeerFailure) => {
-                        first_peer_failure = Some(EvalError::PeerFailure);
-                    }
-                    Err(real) => return Err(real.clone()),
-                    Ok(_) => {}
-                }
-            }
-            return Err(first_peer_failure.expect("some error exists"));
-        }
-
-        let oks: Vec<(PortableValue, CommStats, u64)> =
-            results.into_iter().map(|r| r.expect("checked")).collect();
-
-        // Every rank must have seen the same number of barriers.
-        let supersteps = oks[0].1.supersteps;
-        assert!(
-            oks.iter().all(|(_, s, _)| s.supersteps == supersteps),
-            "ranks disagree on superstep count — SPMD replication broken"
-        );
-        let total_words_sent = oks.iter().map(|(_, s, _)| s.sent_words).sum();
-        let work = oks.iter().map(|(_, _, w)| *w).collect();
-
-        if self.telemetry.is_enabled() {
-            // SPMD replication: barrier counts are identical on every
-            // rank (asserted above), so charge them once, not p times —
-            // matching the lockstep machine's accounting.
-            let s = oks[0].1;
-            self.telemetry.counter_add("bsp.supersteps", s.supersteps);
-            self.telemetry.counter_add("bsp.puts", s.puts);
-            self.telemetry.counter_add("bsp.ifats", s.ifats);
-            self.telemetry
-                .counter_add("bsp.words_sent", total_words_sent);
-        }
-
-        let value = assemble(oks.iter().map(|(v, _, _)| v))?;
-        Ok(DistOutcome {
-            value,
-            supersteps,
-            total_words_sent,
-            work,
-            resumed_from: None,
-        })
+        let results: Vec<RankResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.p)
+                .map(|rank| {
+                    let net = Arc::clone(net);
+                    let program = Arc::clone(&program);
+                    let telemetry = self.telemetry.track(&format!("p{rank}"));
+                    let seed = seeds[rank].take();
+                    let flight = net.flight.as_ref().map(|recs| Arc::clone(&recs[rank]));
+                    scope
+                        .spawn(move || run_rank(rank, net, &program, fuel, telemetry, seed, flight))
+                })
+                .collect();
+            handles
+                .into_iter()
+                // A panic that somehow escaped the rank's unwind
+                // guard is still a peer failure, not our abort.
+                .map(|h| h.join().unwrap_or(Err(EvalError::PeerFailure)))
+                .collect()
+        });
+        finish_attempt(&self.telemetry, results, resumed_from)
     }
+}
+
+/// One rank's end of an attempt: its result encoded with
+/// [`encode_value`], its communication totals and the fuel it used.
+pub(crate) type RankResult = Result<(Vec<u8>, CtlStats, u64), EvalError>;
+
+/// Turns the per-rank results of one attempt into its outcome, for
+/// both backends: a real error beats the [`EvalError::PeerFailure`]
+/// echoes of released peers, every rank must have seen the same
+/// number of supersteps, the `bsp.*` counters are charged, and the
+/// results are assembled.
+pub(crate) fn finish_attempt(
+    telemetry: &Telemetry,
+    results: Vec<RankResult>,
+    resumed_from: Option<u64>,
+) -> Result<DistOutcome, EvalError> {
+    let mut oks = Vec::with_capacity(results.len());
+    let mut peer_failure = false;
+    for result in results {
+        match result {
+            Ok(ok) => oks.push(ok),
+            Err(EvalError::PeerFailure) => peer_failure = true,
+            Err(real) => return Err(real),
+        }
+    }
+    if peer_failure {
+        return Err(EvalError::PeerFailure);
+    }
+    let stats = oks[0].1;
+    assert!(
+        oks.iter().all(|(_, s, _)| s.supersteps == stats.supersteps),
+        "ranks disagree on superstep count — SPMD replication broken"
+    );
+    let total_words_sent = oks.iter().map(|(_, s, _)| s.sent_words).sum();
+    if telemetry.is_enabled() {
+        // SPMD replication: barrier counts are identical on every
+        // rank (asserted above), so charge them once, not p times —
+        // matching the lockstep machine's accounting.
+        add_run_counters(
+            telemetry,
+            stats.supersteps,
+            stats.puts,
+            stats.ifats,
+            total_words_sent,
+        );
+    }
+    let encodings: Vec<&[u8]> = oks.iter().map(|(v, _, _)| v.as_slice()).collect();
+    Ok(DistOutcome {
+        value: assemble(&encodings)?,
+        supersteps: stats.supersteps,
+        total_words_sent,
+        work: oks.iter().map(|(_, _, w)| *w).collect(),
+        resumed_from,
+    })
 }
 
 /// One processor's run: the evaluation itself runs under an unwind
@@ -1753,7 +1766,7 @@ fn run_rank(
     telemetry: Telemetry,
     replay: Option<RankFrame>,
     flight: Option<Arc<FlightRecorder>>,
-) -> Result<(PortableValue, CommStats, u64), EvalError> {
+) -> RankResult {
     let guard_net = Arc::clone(&net);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_rank_inner(rank, net, program, fuel, telemetry, replay, flight)
@@ -1775,8 +1788,8 @@ fn run_rank_inner(
     telemetry: Telemetry,
     replay: Option<RankFrame>,
     flight: Option<Arc<FlightRecorder>>,
-) -> Result<(PortableValue, CommStats, u64), EvalError> {
-    let stats = Arc::new(Mutex::new(CommStats::default()));
+) -> RankResult {
+    let stats = Arc::new(Mutex::new(CtlStats::default()));
     let record = net.checkpoint.as_ref().map(|_| Vec::new());
     let p = net.p;
     // Process mode shares the control hub's Lamport clock, so the
@@ -1807,9 +1820,10 @@ fn run_rank_inner(
     let work = fuel - ev.fuel_left();
     match result {
         Ok(v) => {
-            let portable = v.to_portable().inspect_err(|_| net.poison())?;
+            let mut bytes = Vec::new();
+            encode_value(&mut bytes, &v).inspect_err(|_| net.poison())?;
             let final_stats = *lock_ignore_poison(&stats);
-            Ok((portable, final_stats, work))
+            Ok((bytes, final_stats, work))
         }
         Err(err) => {
             net.poison();
@@ -1821,9 +1835,9 @@ fn run_rank_inner(
 /// Runs one rank of a multi-process attempt inside a rank process:
 /// builds a [`Network`] whose synchronization backend is the parent's
 /// control stream (via `hub`) and whose data plane is `transport`,
-/// then executes the ordinary [`run_rank`] loop. Returns wire-portable
-/// statistics plus the rank's counter ledger so the child can ship
-/// both home in its `Done`/`Fatal` control message.
+/// then executes the ordinary [`run_rank`] loop. Returns the rank's
+/// result plus its counter ledger so the child can ship both home in
+/// its `Done`/`Fatal` control message.
 ///
 /// Telemetry is disabled in rank processes — the parent owns the
 /// session's [`Telemetry`] and flushes the shipped [`CtlLedger`]s
@@ -1844,7 +1858,7 @@ pub(crate) fn run_remote_rank(
     checkpoint: Option<(u64, Arc<dyn CheckpointStore>, u64)>,
     flight: Option<Arc<FlightRecorder>>,
     replay: Option<RankFrame>,
-) -> (Result<(PortableValue, CtlStats, u64), EvalError>, CtlLedger) {
+) -> (RankResult, CtlLedger) {
     let net = Arc::new(Network {
         p,
         sync: SyncBackend::Remote(hub),
@@ -1874,48 +1888,39 @@ pub(crate) fn run_remote_rank(
         replay,
         flight,
     );
-    let ledger = net.ledger.counters();
-    (
-        result.map(|(v, stats, work)| {
-            (
-                v,
-                CtlStats {
-                    sent_words: stats.sent_words,
-                    received_words: stats.received_words,
-                    supersteps: stats.supersteps,
-                    puts: stats.puts,
-                    ifats: stats.ifats,
-                },
-                work,
-            )
-        }),
-        ledger,
-    )
+    (result, net.ledger.counters())
+}
+
+/// Decodes a buffer that holds exactly one encoded value.
+fn decode_exact(bytes: &[u8]) -> Result<Value, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let v = decode_value(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
 /// Reassembles per-rank results: width-1 vectors become one `p`-wide
-/// vector; identical replicated values pass through.
-pub(crate) fn assemble<'a>(
-    per_rank: impl Iterator<Item = &'a PortableValue>,
-) -> Result<Value, EvalError> {
-    let per_rank: Vec<&PortableValue> = per_rank.collect();
-    let all_width1 = per_rank
+/// vector; a replicated value passes when every rank's encoding of it
+/// is the same, byte for byte.
+fn assemble(per_rank: &[&[u8]]) -> Result<Value, EvalError> {
+    let mut values = per_rank
         .iter()
-        .all(|v| matches!(v, PortableValue::Vector(c) if c.len() == 1));
-    if all_width1 {
-        let comps: Vec<Value> = per_rank
-            .iter()
-            .map(|v| match v {
-                PortableValue::Vector(c) => c[0].to_value(),
-                _ => unreachable!(),
-            })
-            .collect();
-        return Ok(Value::vector(comps));
-    }
-    // Replicated result: all ranks must agree.
-    let first = per_rank[0];
-    if per_rank.iter().all(|v| *v == first) {
-        Ok(first.to_value())
+        .map(|bytes| decode_exact(bytes))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|err| {
+            EvalError::ScrutineeMismatch("distributed result", format!("undecodable result: {err}"))
+        })?;
+    let components: Option<Vec<Value>> = values
+        .iter()
+        .map(|v| match v {
+            Value::Vector(c) if c.len() == 1 => Some(c[0].clone()),
+            _ => None,
+        })
+        .collect();
+    if let Some(components) = components {
+        Ok(Value::vector(components))
+    } else if per_rank.iter().all(|bytes| *bytes == per_rank[0]) {
+        Ok(values.swap_remove(0))
     } else {
         Err(EvalError::ScrutineeMismatch(
             "distributed result",
@@ -2149,10 +2154,84 @@ mod tests {
         assert_eq!(barrier_timeout_from_env(), DEFAULT_BARRIER_TIMEOUT);
     }
 
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_value(&mut out, v).expect("a first-order value");
+        out
+    }
+
+    fn finished(results: Vec<RankResult>) -> Result<DistOutcome, EvalError> {
+        finish_attempt(&Telemetry::disabled(), results, None)
+    }
+
+    #[test]
+    fn a_real_error_beats_peer_failure_echoes_in_any_rank_order() {
+        let stats = CtlStats::default();
+        let ranks = [
+            Err(EvalError::PeerFailure),
+            Err(EvalError::DivisionByZero),
+            Ok((encoded(&Value::Unit), stats, 1)),
+            Err(EvalError::PeerFailure),
+        ];
+        for shift in 0..ranks.len() {
+            let mut results = ranks.to_vec();
+            results.rotate_left(shift);
+            assert_eq!(finished(results).unwrap_err(), EvalError::DivisionByZero);
+        }
+        let echoes = vec![
+            Ok((encoded(&Value::Unit), stats, 1)),
+            Err(EvalError::PeerFailure),
+        ];
+        assert_eq!(finished(echoes).unwrap_err(), EvalError::PeerFailure);
+    }
+
+    #[test]
+    fn width_one_vectors_assemble_into_a_p_wide_vector() {
+        let results = (0..3)
+            .map(|i| {
+                let stats = CtlStats {
+                    supersteps: 2,
+                    sent_words: i,
+                    ..CtlStats::default()
+                };
+                Ok((
+                    encoded(&Value::vector(vec![Value::Int(i as i64)])),
+                    stats,
+                    10 + i,
+                ))
+            })
+            .collect();
+        let out = finished(results).unwrap();
+        assert_eq!(out.value.to_string(), "<|0, 1, 2|>");
+        assert_eq!((out.supersteps, out.total_words_sent), (2, 3));
+        assert_eq!(out.work, vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn replicated_results_must_encode_alike() {
+        let stats = CtlStats::default();
+        let same = vec![
+            Ok((encoded(&Value::list([Value::Int(1)])), stats, 1)),
+            Ok((encoded(&Value::list([Value::Int(1)])), stats, 1)),
+        ];
+        assert_eq!(finished(same).unwrap().value.to_string(), "[1]");
+        let differ = vec![
+            Ok((encoded(&Value::list([Value::Int(1)])), stats, 1)),
+            Ok((encoded(&Value::list([Value::Int(2)])), stats, 1)),
+        ];
+        assert!(matches!(
+            finished(differ),
+            Err(EvalError::ScrutineeMismatch("distributed result", _))
+        ));
+    }
+
     /// What [`Defective`] does to the first frame it carries.
     #[derive(Clone, Copy, Debug)]
     enum Defect {
         FlipBit,
+        /// Replaces the message with bytes that do not decode, under
+        /// a valid checksum.
+        BadMessage,
         Duplicate,
         Drop,
     }
@@ -2176,6 +2255,11 @@ mod tests {
                 *first_dst = Some(dst);
                 match self.defect {
                     Defect::FlipBit => frame[bytes.len() / 2] ^= 1,
+                    Defect::BadMessage => {
+                        let mut f = Frame::decode(bytes).expect("a sound frame");
+                        f.payload = FramePayload::Put(vec![0xff]);
+                        frame = f.encode();
+                    }
                     Defect::Duplicate => copies = 2,
                     Defect::Drop => copies = 0,
                 }
@@ -2196,8 +2280,9 @@ mod tests {
 
     /// Runs a one-superstep exchange on two ranks over a [`Defective`]
     /// transport under a 10 s watchdog, and checks that the receiver
-    /// of the damaged frame fails the run at once.
-    fn assert_fails_fast(defect: Defect) {
+    /// of the damaged frame fails the run at once. Returns the failure's
+    /// detail and the count of corrupt frames.
+    fn assert_fails_fast(defect: Defect) -> (String, u64) {
         let e = parse("put (mkpar (fun j -> fun i -> j))").unwrap();
         let transport = Arc::new(Defective {
             defect,
@@ -2218,21 +2303,36 @@ mod tests {
         let result = machine.run_threads(&e, &net, None);
         let elapsed = start.elapsed();
         let receiver = lock_ignore_poison(&transport.first_dst).expect("a frame was sent");
-        match result {
+        let detail = match result {
             Err(EvalError::TransportFailure {
-                rank, superstep, ..
-            }) => assert_eq!((rank, superstep), (receiver, 0), "{defect:?}"),
+                rank,
+                superstep,
+                detail,
+            }) => {
+                assert_eq!((rank, superstep), (receiver, 0), "{defect:?}");
+                detail
+            }
             other => panic!("{defect:?}: expected a TransportFailure, got {other:?}"),
-        }
+        };
         assert!(
             elapsed < Duration::from_secs(5),
             "{defect:?}: took {elapsed:?} under a 10 s watchdog"
         );
+        (detail, net.ledger.counters().corrupt_frames)
     }
 
     #[test]
     fn a_corrupt_frame_fails_the_exchange_at_once() {
-        assert_fails_fast(Defect::FlipBit);
+        let (detail, corrupt) = assert_fails_fast(Defect::FlipBit);
+        assert_eq!(detail, "undecodable frame: checksum mismatch");
+        assert_eq!(corrupt, 1);
+    }
+
+    #[test]
+    fn an_undecodable_message_fails_the_exchange_like_a_corrupt_frame() {
+        let (detail, corrupt) = assert_fails_fast(Defect::BadMessage);
+        assert_eq!(detail, "undecodable frame: unknown value tag 255");
+        assert_eq!(corrupt, 1);
     }
 
     #[test]

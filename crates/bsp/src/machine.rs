@@ -271,11 +271,23 @@ impl BspMachine {
             words_sent += rec.sent.iter().sum::<u64>();
             t += rec.cost().time(&self.params).max(1);
         }
-        self.telemetry.counter_add("bsp.supersteps", puts + ifats);
-        self.telemetry.counter_add("bsp.puts", puts);
-        self.telemetry.counter_add("bsp.ifats", ifats);
-        self.telemetry.counter_add("bsp.words_sent", words_sent);
+        add_run_counters(&self.telemetry, puts + ifats, puts, ifats, words_sent);
     }
+}
+
+/// Adds one run's totals to the `bsp.*` counters, the same way on the
+/// lockstep machine and on both distributed backends.
+pub(crate) fn add_run_counters(
+    telemetry: &Telemetry,
+    supersteps: u64,
+    puts: u64,
+    ifats: u64,
+    words_sent: u64,
+) {
+    telemetry.counter_add("bsp.supersteps", supersteps);
+    telemetry.counter_add("bsp.puts", puts);
+    telemetry.counter_add("bsp.ifats", ifats);
+    telemetry.counter_add("bsp.words_sent", words_sent);
 }
 
 /// Display name of a barrier kind in telemetry fields.

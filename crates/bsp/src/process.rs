@@ -40,21 +40,22 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bsml_ast::Expr;
-use bsml_eval::{EvalError, PortableValue};
+use bsml_eval::EvalError;
 use bsml_obs::{FlightEvent, FlightRecorder, TimedFlightEvent};
 
 use crate::checkpoint::{
     program_fingerprint, CheckpointError, CheckpointStore, RankFrame, ResumePoint,
 };
 use crate::distributed::{
-    assemble, flush_counters, run_remote_rank, DistMachine, DistOutcome, DEFAULT_FLIGHT_CAPACITY,
+    finish_attempt, flush_counters, run_remote_rank, DistMachine, DistOutcome, RankResult,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use crate::faults::{FaultPlan, LinkFault, LinkFaultKind};
 use crate::postmortem::{error_coordinate, FlightLog, PostmortemBundle, RankFlightLog};
 use crate::supervisor::POSTMORTEM_DIR_ENV;
 use crate::transport::{Bind, Listener, RankStream, SocketTransport, Transport};
 use crate::wire::{
-    read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, MAX_CTL_FRAME, PROTOCOL_VERSION,
+    read_ctl, write_ctl, CtlLedger, CtlMsg, CTL_MAGIC, MAX_CTL_FRAME, PROTOCOL_VERSION,
 };
 
 /// The environment variable overriding the connect/handshake deadline
@@ -1582,7 +1583,7 @@ fn launch_ranks(
 
 /// What one rank shipped home in its `Done` or `Fatal`.
 struct RankReport {
-    result: Result<(PortableValue, CtlStats, u64), EvalError>,
+    result: RankResult,
     ledger: CtlLedger,
     flight_dropped: u64,
     flight: Vec<TimedFlightEvent>,
@@ -2465,61 +2466,14 @@ pub(crate) fn run_process_attempt(
         );
     }
 
-    // Then mirror `run_threads`: prefer a real error over the
-    // `PeerFailure` echoes of poisoned bystanders.
-    let results: Vec<Result<(PortableValue, CtlStats, u64), EvalError>> = reports
+    // Then finish like `run_threads`; a rank with no report counts as
+    // a `PeerFailure` echo.
+    let results = reports
         .into_iter()
         .map(|r| r.map_or(Err(EvalError::PeerFailure), |report| report.result))
         .collect();
-    if results.iter().any(Result::is_err) {
-        let mut first_peer_failure = None;
-        for r in &results {
-            match r {
-                Err(EvalError::PeerFailure) => {
-                    first_peer_failure = Some(EvalError::PeerFailure);
-                }
-                Err(real) => return (Err(real.clone()), furthest, flight_log),
-                Ok(_) => {}
-            }
-        }
-        return (
-            Err(first_peer_failure.expect("some error exists")),
-            furthest,
-            flight_log,
-        );
-    }
-    let oks: Vec<(PortableValue, CtlStats, u64)> =
-        results.into_iter().map(|r| r.expect("checked")).collect();
-    let supersteps = oks[0].1.supersteps;
-    assert!(
-        oks.iter().all(|(_, s, _)| s.supersteps == supersteps),
-        "ranks disagree on superstep count — SPMD replication broken"
-    );
-    let total_words_sent = oks.iter().map(|(_, s, _)| s.sent_words).sum();
-    let work = oks.iter().map(|(_, _, w)| *w).collect();
-    if machine.telemetry.is_enabled() {
-        let s = oks[0].1;
-        machine
-            .telemetry
-            .counter_add("bsp.supersteps", s.supersteps);
-        machine.telemetry.counter_add("bsp.puts", s.puts);
-        machine.telemetry.counter_add("bsp.ifats", s.ifats);
-        machine
-            .telemetry
-            .counter_add("bsp.words_sent", total_words_sent);
-    }
-    let value = match assemble(oks.iter().map(|(v, _, _)| v)) {
-        Ok(v) => v,
-        Err(err) => return (Err(err), furthest, flight_log),
-    };
     (
-        Ok(DistOutcome {
-            value,
-            supersteps,
-            total_words_sent,
-            work,
-            resumed_from,
-        }),
+        finish_attempt(&machine.telemetry, results, resumed_from),
         furthest,
         flight_log,
     )

@@ -14,7 +14,7 @@
 //!     superstep u64   the sender's superstep when the frame was built
 //!     seq       u64   per-(sender → receiver)-link sequence number
 //!     lamport   u64   the sender's Lamport clock when the frame was stamped
-//!     payload         Put: one encoded PortableValue · IfAt: u8 bool
+//!     payload         Put: one encoded value · IfAt: u8 bool
 //!     checksum  u64   FNV-1a over every preceding byte (prefix included)
 //! ```
 //!
@@ -24,102 +24,141 @@
 //! decoder checks the length prefix, then the minimum size, then the
 //! checksum, and rejects — with a [`CodecError`], never a panic —
 //! truncated frames, length-prefix mismatches, checksum mismatches (any
-//! single bit flip is caught), unknown tags, values nested deeper than
-//! [`MAX_DEPTH`] (list tails do not count) and trailing garbage; the
-//! exchange fails the run on every rejection, so a corrupted frame
-//! is never mistaken for data.
+//! single bit flip is caught), unknown tags and trailing garbage. A
+//! `Put` payload stays bytes until the receiving `put` decodes it with
+//! [`decode_value`], which also rejects values nested deeper than
+//! [`MAX_DEPTH`] (list tails do not count); the exchange fails the run
+//! on every rejection, so a corrupted frame is never mistaken for data.
 //!
-//! The [`PortableValue`] codec here is also the one checkpoint frames
-//! embed ([`crate::checkpoint`]) — one serialized form on the wire and
-//! at rest.
+//! The value codec here ([`encode_value`] / [`decode_value`], over a
+//! first-order [`Value`]) is the one form a value takes between ranks:
+//! in a frame, in a checkpoint row ([`crate::checkpoint`]) and in a
+//! rank's result. [`encode_value`] enforces the decoder's depth bound,
+//! so a rank never sends bytes its peer or parent must reject.
 //!
 //! ```
-//! use bsml_bsp::wire::{Frame, FramePayload};
-//! use bsml_eval::PortableValue;
+//! use bsml_bsp::wire::{decode_value, encode_value, Frame, FramePayload};
+//! use bsml_eval::{ByteReader, Value};
 //!
+//! let mut message = Vec::new();
+//! encode_value(&mut message, &Value::Int(-3))?;
 //! let f = Frame {
 //!     from: 2,
 //!     superstep: 7,
 //!     seq: 42,
 //!     lamport: 19,
-//!     payload: FramePayload::Put(PortableValue::Int(-3)),
+//!     payload: FramePayload::Put(message),
 //! };
-//! assert_eq!(Frame::decode(&f.encode()), Ok(f));
+//! let back = Frame::decode(&f.encode())?;
+//! assert_eq!(back, f);
+//! let FramePayload::Put(bytes) = back.payload else { unreachable!() };
+//! assert_eq!(decode_value(&mut ByteReader::new(&bytes))?.to_string(), "-3");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::io::{self, Read, Write};
+use std::rc::Rc;
 use std::time::Duration;
 
 use bsml_eval::bytes::{
     open, put_bytes, put_str, put_u64, seal, ByteReader, CodecError, MAX_DEPTH,
 };
-use bsml_eval::{EvalError, PortableValue};
+use bsml_eval::{EvalError, Value};
 use bsml_obs::TimedFlightEvent;
 
 use crate::faults::{Fault, FaultKind};
 
 const V_CONS: u8 = 8;
 
-/// Serializes one [`PortableValue`] (the message codec of both wire
-/// frames and checkpoint frames). A list's spine is written in a loop,
-/// so a long list costs no stack.
-pub fn encode_value(out: &mut Vec<u8>, v: &PortableValue) {
+/// The encoding of `nc ()`: what a rank records for a peer that sent
+/// it nothing.
+pub(crate) const NO_MESSAGE: &[u8] = &[3];
+
+/// Serializes one first-order [`Value`]: a `put` message, a checkpoint
+/// row entry or a rank's result. A list's spine is written in a loop,
+/// so a long list costs no stack. On an error, `out` holds a partial
+/// encoding that the caller drops.
+///
+/// # Errors
+///
+/// [`EvalError::NotSerializable`] on a closure, a primitive, a
+/// fixpoint, a message table or a reference cell, and on a value
+/// nested deeper than [`MAX_DEPTH`], counted as [`decode_value`]
+/// counts: every encoding this writes decodes.
+pub fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<(), EvalError> {
+    encode_nested(out, v, 0)
+}
+
+fn encode_nested(out: &mut Vec<u8>, v: &Value, depth: usize) -> Result<(), EvalError> {
+    if depth > MAX_DEPTH {
+        return Err(EvalError::NotSerializable(format!(
+            "<nested deeper than {MAX_DEPTH}>"
+        )));
+    }
     match v {
-        PortableValue::Int(n) => {
+        Value::Int(n) => {
             out.push(0);
             out.extend_from_slice(&n.to_le_bytes());
         }
-        PortableValue::Bool(b) => {
+        Value::Bool(b) => {
             out.push(1);
             out.push(u8::from(*b));
         }
-        PortableValue::Unit => out.push(2),
-        PortableValue::NoComm => out.push(3),
-        PortableValue::Pair(a, b) => {
+        Value::Unit => out.push(2),
+        Value::NoComm => out.extend_from_slice(NO_MESSAGE),
+        Value::Pair(a, b) => {
             out.push(4);
-            encode_value(out, a);
-            encode_value(out, b);
+            encode_nested(out, a, depth + 1)?;
+            encode_nested(out, b, depth + 1)?;
         }
-        PortableValue::Inl(inner) => {
+        Value::Inl(inner) => {
             out.push(5);
-            encode_value(out, inner);
+            encode_nested(out, inner, depth + 1)?;
         }
-        PortableValue::Inr(inner) => {
+        Value::Inr(inner) => {
             out.push(6);
-            encode_value(out, inner);
+            encode_nested(out, inner, depth + 1)?;
         }
-        PortableValue::Nil => out.push(7),
-        PortableValue::Cons(..) => {
+        Value::Nil => out.push(7),
+        Value::Cons(..) => {
+            // Write a list's spine in a loop: heads nest one level,
+            // tails none.
             let mut cur = v;
-            while let PortableValue::Cons(h, t) = cur {
+            while let Value::Cons(h, t) = cur {
                 out.push(V_CONS);
-                encode_value(out, h);
+                encode_nested(out, h, depth + 1)?;
                 cur = t;
             }
-            encode_value(out, cur);
+            encode_nested(out, cur, depth)?;
         }
-        PortableValue::Vector(vs) => {
+        Value::Vector(vs) => {
             out.push(9);
             put_u64(out, vs.len() as u64);
-            for c in vs {
-                encode_value(out, c);
+            for c in vs.iter() {
+                encode_nested(out, c, depth + 1)?;
             }
         }
+        Value::Closure { .. }
+        | Value::Prim(_)
+        | Value::MsgTable(_)
+        | Value::Fix(_)
+        | Value::Cell { .. } => return Err(EvalError::NotSerializable(v.to_string())),
     }
+    Ok(())
 }
 
-/// Deserializes one [`PortableValue`], nested at most
-/// [`MAX_DEPTH`] deep (list tails do not count).
+/// Deserializes one [`Value`], nested at most [`MAX_DEPTH`] deep
+/// (list tails do not count).
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] on truncated, malformed or too deeply nested
 /// input — never a panic.
-pub fn decode_value(r: &mut ByteReader<'_>) -> Result<PortableValue, CodecError> {
+pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, CodecError> {
     decode_nested(r, 0)
 }
 
-fn decode_nested(r: &mut ByteReader<'_>, depth: usize) -> Result<PortableValue, CodecError> {
+fn decode_nested(r: &mut ByteReader<'_>, depth: usize) -> Result<Value, CodecError> {
     if depth > MAX_DEPTH {
         return Err(CodecError::TooDeep);
     }
@@ -131,38 +170,44 @@ fn decode_nested(r: &mut ByteReader<'_>, depth: usize) -> Result<PortableValue, 
         tag = r.u8()?;
     }
     let last = match tag {
-        0 => PortableValue::Int(r.i64()?),
-        1 => PortableValue::Bool(r.u8()? != 0),
-        2 => PortableValue::Unit,
-        3 => PortableValue::NoComm,
-        4 => PortableValue::Pair(
-            Box::new(decode_nested(r, depth + 1)?),
-            Box::new(decode_nested(r, depth + 1)?),
-        ),
-        5 => PortableValue::Inl(Box::new(decode_nested(r, depth + 1)?)),
-        6 => PortableValue::Inr(Box::new(decode_nested(r, depth + 1)?)),
-        7 => PortableValue::Nil,
+        0 => Value::Int(r.i64()?),
+        1 => Value::Bool(r.u8()? != 0),
+        2 => Value::Unit,
+        3 => Value::NoComm,
+        4 => Value::pair(decode_nested(r, depth + 1)?, decode_nested(r, depth + 1)?),
+        5 => Value::Inl(Rc::new(decode_nested(r, depth + 1)?)),
+        6 => Value::Inr(Rc::new(decode_nested(r, depth + 1)?)),
+        7 => Value::Nil,
         9 => {
             let n = r.count()?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
                 vs.push(decode_nested(r, depth + 1)?);
             }
-            PortableValue::Vector(vs)
+            Value::vector(vs)
         }
         tag => return Err(CodecError::BadTag { what: "value", tag }),
     };
-    Ok(heads.into_iter().rev().fold(last, |tail, head| {
-        PortableValue::Cons(Box::new(head), Box::new(tail))
-    }))
+    Ok(heads
+        .into_iter()
+        .rev()
+        .fold(last, |tail, head| Value::Cons(Rc::new(head), Rc::new(tail))))
+}
+
+/// Reads one embedded value and returns its bytes. Decoding it is how
+/// its end is found, so every tag and depth check runs.
+pub(crate) fn value_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CodecError> {
+    let mut start = r.clone();
+    decode_value(r)?;
+    start.take(start.remaining() - r.remaining())
 }
 
 /// What a frame carries.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FramePayload {
-    /// One `put` message (already serialized by the sender's local
-    /// phase).
-    Put(PortableValue),
+    /// One `put` message, encoded by the sender's local phase with
+    /// [`encode_value`] and decoded by the receiving `put`.
+    Put(Vec<u8>),
     /// The broadcast boolean of an `if‥at‥`.
     IfAt(bool),
 }
@@ -205,7 +250,7 @@ impl Frame {
         put_u64(&mut out, self.seq);
         put_u64(&mut out, self.lamport);
         match &self.payload {
-            FramePayload::Put(v) => encode_value(&mut out, v),
+            FramePayload::Put(message) => out.extend_from_slice(message),
             FramePayload::IfAt(b) => out.push(u8::from(*b)),
         }
         seal_prefixed(out)
@@ -224,7 +269,8 @@ impl Frame {
         let seq = r.u64()?;
         let lamport = r.u64()?;
         let payload = match kind {
-            KIND_PUT => FramePayload::Put(decode_value(&mut r)?),
+            // The message is the rest of the frame.
+            KIND_PUT => FramePayload::Put(r.take(r.remaining())?.to_vec()),
             KIND_IFAT => FramePayload::IfAt(r.u8()? != 0),
             tag => {
                 return Err(CodecError::BadTag {
@@ -445,8 +491,8 @@ pub enum CtlMsg {
     },
     /// Child → parent: this rank finished.
     Done {
-        /// The rank's local result (already portable).
-        value: PortableValue,
+        /// The rank's local result, encoded with [`encode_value`].
+        value: Vec<u8>,
         /// Communication totals for telemetry.
         stats: CtlStats,
         /// Fuel consumed.
@@ -855,7 +901,7 @@ impl CtlMsg {
                 flight,
             } => {
                 out.push(CTL_DONE);
-                encode_value(&mut out, value);
+                out.extend_from_slice(value);
                 for v in [
                     stats.sent_words,
                     stats.received_words,
@@ -992,7 +1038,7 @@ impl CtlMsg {
                 flight: decode_flight(&mut r)?,
             },
             CTL_DONE => CtlMsg::Done {
-                value: decode_value(&mut r)?,
+                value: value_bytes(&mut r)?.to_vec(),
                 stats: CtlStats {
                     sent_words: r.u64()?,
                     received_words: r.u64()?,
@@ -1071,19 +1117,22 @@ pub fn read_ctl<R: Read>(r: &mut R) -> io::Result<CtlMsg> {
 mod tests {
     use super::*;
 
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_value(&mut out, v).expect("a first-order value");
+        out
+    }
+
     fn sample() -> Frame {
         Frame {
             from: 3,
             superstep: 11,
             seq: 207,
             lamport: 1009,
-            payload: FramePayload::Put(PortableValue::Pair(
-                Box::new(PortableValue::Int(-42)),
-                Box::new(PortableValue::Cons(
-                    Box::new(PortableValue::NoComm),
-                    Box::new(PortableValue::Nil),
-                )),
-            )),
+            payload: FramePayload::Put(encoded(&Value::pair(
+                Value::Int(-42),
+                Value::list([Value::NoComm]),
+            ))),
         }
     }
 
@@ -1148,23 +1197,30 @@ mod tests {
     #[test]
     fn count_overflow_does_not_allocate() {
         // A Vector claiming u64::MAX components must be rejected by
-        // the count guard, not by the allocator.
-        let f = Frame {
-            from: 1,
-            superstep: 0,
-            seq: 0,
-            lamport: 0,
-            payload: FramePayload::Put(PortableValue::Vector(vec![PortableValue::Unit])),
-        };
-        let mut bytes = f.encode();
-        // The vector count sits after prefix(4) + kind(1) + from(4) +
-        // superstep(8) + seq(8) + lamport(8) + value tag(1).
-        let at = 4 + 1 + 4 + 8 + 8 + 8 + 1;
-        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        // Re-seal the checksum so the corruption reaches the decoder.
-        bytes.truncate(bytes.len() - 8);
-        seal(&mut bytes, 0);
-        assert_eq!(Frame::decode(&bytes), Err(CodecError::BadCount));
+        // the count guard, not by the allocator. The count sits after
+        // the value tag.
+        let mut bytes = encoded(&Value::vector(vec![Value::Unit]));
+        bytes[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(decode_value(&mut r).map(|_| ()), Err(CodecError::BadCount));
+    }
+
+    #[test]
+    fn values_past_the_depth_bound_are_not_encoded() {
+        let nest = |n: usize| (0..n).fold(Value::Unit, |v, _| Value::Inl(Rc::new(v)));
+        let bytes = encoded(&nest(MAX_DEPTH));
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            decode_value(&mut r).map(|v| v.to_string()),
+            Ok(nest(MAX_DEPTH).to_string())
+        );
+        let err = encode_value(&mut Vec::new(), &nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::NotSerializable(format!("<nested deeper than {MAX_DEPTH}>"))
+        );
+        // List tails do not count: a long list encodes.
+        encoded(&Value::list((0..10 * MAX_DEPTH as i64).map(Value::Int)));
     }
 
     fn sample_ctl_msgs() -> Vec<CtlMsg> {
@@ -1249,10 +1305,7 @@ mod tests {
                 }],
             },
             CtlMsg::Done {
-                value: PortableValue::Pair(
-                    Box::new(PortableValue::Int(-7)),
-                    Box::new(PortableValue::Bool(true)),
-                ),
+                value: encoded(&Value::pair(Value::Int(-7), Value::Bool(true))),
                 stats: CtlStats {
                     sent_words: 10,
                     received_words: 10,

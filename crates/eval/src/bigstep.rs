@@ -10,6 +10,7 @@
 //! [`EvalError::NestedParallelism`]. Well-typed programs (accepted by
 //! `bsml-infer`) never trigger it — that is Theorem 1.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -598,7 +599,11 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
             //     only and is unreachable from anywhere else.
             Op::Ref => {
                 self.check_local(&arg)?;
-                Ok(Value::cell(arg, mode))
+                let cell = Rc::new(RefCell::new(arg));
+                if let Some(trail) = &self.trail {
+                    trail.note_fresh(&cell);
+                }
+                Ok(Cell { cell, origin: mode })
             }
             Op::Deref => match arg {
                 Cell { cell, origin } => {

@@ -20,10 +20,11 @@
 
 use std::fmt;
 
-/// Nesting bound of the value decoders (the `PortableValue` codec of
+/// Nesting bound of the value decoders (the message codec of
 /// `bsml_bsp::wire` and [`crate::persist`]). A list's spine is read in
 /// a loop, so list tails do not count towards it; every other nested
-/// value, and every closure environment, does. Deep enough for any
+/// value, and every closure environment, does. The message encoder
+/// refuses what its decoder would. Deep enough for any
 /// value a session or a `put` realistically builds, shallow enough
 /// that corrupt or hostile input cannot overflow a 2 MiB thread stack
 /// even in debug builds, where a decoder frame runs to a few KiB.
@@ -149,8 +150,9 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// A bounds-checked little-endian reader.
-#[derive(Debug)]
+/// A bounds-checked little-endian reader. A clone reads on from the
+/// same position independently.
+#[derive(Clone, Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -48,4 +48,4 @@ pub use fuel::{FuelCell, Quiescence};
 pub use hooks::{CountingHooks, EvalHooks, Mode, NoHooks, TeeHooks, TracingHooks};
 pub use smallstep::{run, step, StepOutcome};
 pub use trail::{Mark, Trail};
-pub use value::{PortableValue, Value};
+pub use value::Value;

@@ -5,10 +5,13 @@
 //! §6 `ref` cell. While a [`Mark`] is open, that rule records the cell
 //! and its old value the first time it assigns the cell after the
 //! innermost open mark, so a loop that assigns one cell a million
-//! times keeps one entry. Rolling back to a mark writes the recorded
+//! times keeps one entry. A cell the `ref` rule creates inside the
+//! innermost mark is never recorded there: no rollback to that mark
+//! can reach it. Rolling back to a mark writes the recorded
 //! values back, newest first; committing keeps the writes. Outside any
 //! mark nothing is recorded. This is the trail of Warren's Abstract
-//! Machine, which undoes bindings on backtracking (Aït-Kaci, 1991).
+//! Machine, which undoes bindings on backtracking and skips those
+//! newer than the choice point (Aït-Kaci, 1991).
 //!
 //! ```
 //! use bsml_ast::Ident;
@@ -89,6 +92,15 @@ impl Trail {
         }
     }
 
+    /// Called by `ref` with the cell it created: the cell counts as
+    /// recorded in the innermost open mark, so `:=` never trails it
+    /// there.
+    pub(crate) fn note_fresh(&self, cell: &Rc<RefCell<Value>>) {
+        if let Some((_, seen)) = self.0.borrow_mut().marks.last_mut() {
+            seen.insert(Rc::as_ptr(cell));
+        }
+    }
+
     /// Called by `:=` after it wrote `cell`, with the value it replaced.
     pub(crate) fn record(&self, cell: &Rc<RefCell<Value>>, old: Value) {
         let s = &mut *self.0.borrow_mut();
@@ -134,6 +146,32 @@ mod tests {
         assert_eq!(trail.0.borrow().entries.len(), 1);
         trail.rollback(mark);
         assert_eq!(r(&env), "ref 1");
+    }
+
+    #[test]
+    fn cells_born_inside_the_mark_are_not_recorded() {
+        let (trail, env) = (Trail::new(), cell_env());
+        let mark = trail.mark();
+        let src = "let rec go n = if n = 0 then () else (let c = ref 0 in c := n; go (n - 1)) in
+                   r := 2; go 10000";
+        run(&trail, &env, src);
+        assert_eq!(r(&env), "ref 2");
+        // The one entry is the older cell `r`.
+        assert_eq!(trail.0.borrow().entries.len(), 1);
+        trail.rollback(mark);
+        assert_eq!(r(&env), "ref 1");
+    }
+
+    #[test]
+    fn a_cell_born_in_an_outer_mark_is_recorded_in_an_inner_one() {
+        let trail = Trail::new();
+        let outer = trail.mark();
+        let env = Env::new().bind(Ident::new("c"), run(&trail, &Env::new(), "ref 1"));
+        let inner = trail.mark();
+        run(&trail, &env, "c := 2");
+        trail.rollback(inner);
+        assert_eq!(env.lookup(&Ident::new("c")).unwrap().to_string(), "ref 1");
+        trail.commit(outer);
     }
 
     #[test]

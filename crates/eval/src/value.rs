@@ -218,118 +218,6 @@ impl Value {
     }
 }
 
-/// A first-order value in serialized (thread-safe) form — what can
-/// actually travel between processors of the distributed machine.
-///
-/// Functions, delivered-message tables and reference cells have no
-/// portable form, exactly like OCaml values under marshalling
-/// restrictions in the original BSMLlib.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PortableValue {
-    /// An integer.
-    Int(i64),
-    /// A boolean.
-    Bool(bool),
-    /// Unit.
-    Unit,
-    /// `nc ()`.
-    NoComm,
-    /// A pair.
-    Pair(Box<PortableValue>, Box<PortableValue>),
-    /// Left injection.
-    Inl(Box<PortableValue>),
-    /// Right injection.
-    Inr(Box<PortableValue>),
-    /// The empty list.
-    Nil,
-    /// A list cell.
-    Cons(Box<PortableValue>, Box<PortableValue>),
-    /// A parallel vector (only ever at the top of a *result*, never
-    /// inside a message — components are local values).
-    Vector(Vec<PortableValue>),
-}
-
-impl PortableValue {
-    /// Deserializes back into a runtime value. A list's spine is
-    /// walked in a loop.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        let mut heads = Vec::new();
-        let mut cur = self;
-        while let PortableValue::Cons(h, t) = cur {
-            heads.push(h.to_value());
-            cur = t;
-        }
-        let last = match cur {
-            PortableValue::Int(n) => Value::Int(*n),
-            PortableValue::Bool(b) => Value::Bool(*b),
-            PortableValue::Unit => Value::Unit,
-            PortableValue::NoComm => Value::NoComm,
-            PortableValue::Pair(a, b) => Value::pair(a.to_value(), b.to_value()),
-            PortableValue::Inl(v) => Value::Inl(Rc::new(v.to_value())),
-            PortableValue::Inr(v) => Value::Inr(Rc::new(v.to_value())),
-            PortableValue::Nil => Value::Nil,
-            PortableValue::Cons(h, t) => Value::Cons(Rc::new(h.to_value()), Rc::new(t.to_value())),
-            PortableValue::Vector(vs) => {
-                Value::vector(vs.iter().map(PortableValue::to_value).collect())
-            }
-        };
-        heads
-            .into_iter()
-            .rev()
-            .fold(last, |t, h| Value::Cons(Rc::new(h), Rc::new(t)))
-    }
-}
-
-impl Value {
-    /// Serializes a first-order value, or reports why it cannot
-    /// travel. A list's spine is walked in a loop.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::EvalError::NotSerializable`] on functions, message
-    /// tables and reference cells.
-    pub fn to_portable(&self) -> Result<PortableValue, crate::EvalError> {
-        let mut heads = Vec::new();
-        let mut cur = self;
-        while let Value::Cons(h, t) = cur {
-            heads.push(h.to_portable()?);
-            cur = t;
-        }
-        let last = match cur {
-            Value::Int(n) => Ok(PortableValue::Int(*n)),
-            Value::Bool(b) => Ok(PortableValue::Bool(*b)),
-            Value::Unit => Ok(PortableValue::Unit),
-            Value::NoComm => Ok(PortableValue::NoComm),
-            Value::Pair(a, b) => Ok(PortableValue::Pair(
-                Box::new(a.to_portable()?),
-                Box::new(b.to_portable()?),
-            )),
-            Value::Inl(v) => Ok(PortableValue::Inl(Box::new(v.to_portable()?))),
-            Value::Inr(v) => Ok(PortableValue::Inr(Box::new(v.to_portable()?))),
-            Value::Nil => Ok(PortableValue::Nil),
-            Value::Cons(h, t) => Ok(PortableValue::Cons(
-                Box::new(h.to_portable()?),
-                Box::new(t.to_portable()?),
-            )),
-            Value::Vector(vs) => Ok(PortableValue::Vector(
-                vs.iter()
-                    .map(Value::to_portable)
-                    .collect::<Result<_, _>>()?,
-            )),
-            Value::Closure { .. }
-            | Value::Prim(_)
-            | Value::MsgTable(_)
-            | Value::Fix(_)
-            | Value::Cell { .. } => Err(crate::EvalError::NotSerializable(cur.to_string())),
-        }?;
-        Ok(heads
-            .into_iter()
-            .rev()
-            .fold(last, |t, h| PortableValue::Cons(Box::new(h), Box::new(t))))
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

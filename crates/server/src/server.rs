@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Workers never hold a session — sessions are `Rc`-based and live on
-//! dedicated host threads ([`crate::host`]). A worker *drives* a
+//! dedicated host threads (the private `host` module). A worker *drives* a
 //! tenant: it credits the tenant's deficit with one quantum, then
 //! feeds the host fuel one slice at a time until the request
 //! finishes, the deficit runs dry (preemption: the tenant goes to the

@@ -2,11 +2,11 @@
 //!
 //! The paper's introduction sets the project goal: *"This environment
 //! will contain a byte-code compiler for BSML"*, building on the
-//! parallel abstract machine of reference [5] (itself descended from
-//! the Data-Parallel Categorical Abstract Machine of reference [3]).
+//! parallel abstract machine of reference \[5\] (itself descended from
+//! the Data-Parallel Categorical Abstract Machine of reference \[3\]).
 //! This crate is that substrate:
 //!
-//! * [`compile`] lowers mini-BSML expressions to flat [`Instr`]
+//! * [`compile()`] lowers mini-BSML expressions to flat [`Instr`]
 //!   sequences with de Bruijn variable resolution (no names at run
 //!   time),
 //! * [`Vm`] executes the bytecode with proper tail calls (recursive

@@ -16,12 +16,12 @@
 use std::path::PathBuf;
 
 use bsml_bsp::checkpoint::{RankFrame, SyncOutcome};
-use bsml_bsp::wire::{read_ctl, CtlMsg, Frame, FramePayload};
+use bsml_bsp::wire::{encode_value, read_ctl, CtlMsg, Frame, FramePayload};
 use bsml_bsp::BspParams;
 use bsml_core::{Session, SessionSnapshot};
 use bsml_eval::bytes::{seal, CodecError, MAX_DEPTH};
 use bsml_eval::persist::{value_from_bytes, value_to_bytes};
-use bsml_eval::{PortableValue, Value};
+use bsml_eval::Value;
 use bsml_obs::Telemetry;
 use bsml_serve::{Outcome, Server, ServerConfig};
 
@@ -29,10 +29,14 @@ fn machine() -> BspParams {
     BspParams::new(4, 2, 10)
 }
 
-fn portable_list(n: i64) -> PortableValue {
-    (1..=n).rev().fold(PortableValue::Nil, |tail, i| {
-        PortableValue::Cons(Box::new(PortableValue::Int(i)), Box::new(tail))
-    })
+fn encoded(v: &Value) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_value(&mut bytes, v).expect("a first-order value");
+    bytes
+}
+
+fn encoded_list(n: i64) -> Vec<u8> {
+    encoded(&Value::list((1..=n).map(Value::Int)))
 }
 
 fn rendered_list(n: i64) -> String {
@@ -72,7 +76,7 @@ fn a_thousand_element_list_roundtrips_through_every_codec() {
         superstep: 2,
         seq: 3,
         lamport: 4,
-        payload: FramePayload::Put(portable_list(n)),
+        payload: FramePayload::Put(encoded_list(n)),
     };
     assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
 
@@ -86,7 +90,7 @@ fn a_thousand_element_list_roundtrips_through_every_codec() {
         puts: 1,
         ifats: 0,
         outcomes: vec![SyncOutcome::Put {
-            delivered: vec![portable_list(n), PortableValue::NoComm],
+            delivered: vec![encoded_list(n), encoded(&Value::NoComm)],
         }],
     };
     assert_eq!(RankFrame::decode(&rank_frame.encode()), Ok(rank_frame));

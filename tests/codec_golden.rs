@@ -18,16 +18,17 @@
 //! directories written before the change hold snapshots in that form,
 //! so it must keep decoding to the same bindings.
 
+use std::rc::Rc;
 use std::time::Duration;
 
 use bsml_bsp::checkpoint::{CheckpointStore, FileStore, RankFrame, SyncOutcome};
 use bsml_bsp::postmortem::{FlightLog, PostmortemBundle, RankFlightLog};
-use bsml_bsp::wire::{CtlLedger, CtlMsg, CtlStats, Frame, FramePayload};
+use bsml_bsp::wire::{encode_value, CtlLedger, CtlMsg, CtlStats, Frame, FramePayload};
 use bsml_bsp::{BspParams, Fault, FaultKind};
 use bsml_core::{Session, SessionSnapshot};
 use bsml_eval::hooks::Mode;
 use bsml_eval::persist::value_to_bytes;
-use bsml_eval::{EvalError, PortableValue, Value};
+use bsml_eval::{EvalError, Value};
 use bsml_obs::{FlightEvent, TimedFlightEvent};
 use bsml_serve::{frame_record, WalRecord};
 
@@ -72,24 +73,20 @@ fn golden_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-fn boxed(v: PortableValue) -> Box<PortableValue> {
-    Box::new(v)
+fn encoded(v: &Value) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_value(&mut bytes, v).expect("a first-order value");
+    bytes
 }
 
-fn sample_value() -> PortableValue {
-    PortableValue::Pair(
-        boxed(PortableValue::Int(-42)),
-        boxed(PortableValue::Cons(
-            boxed(PortableValue::Inl(boxed(PortableValue::NoComm))),
-            boxed(PortableValue::Cons(
-                boxed(PortableValue::Vector(vec![
-                    PortableValue::Bool(true),
-                    PortableValue::Inr(boxed(PortableValue::Unit)),
-                ])),
-                boxed(PortableValue::Nil),
-            )),
-        )),
-    )
+fn sample_value() -> Vec<u8> {
+    encoded(&Value::pair(
+        Value::Int(-42),
+        Value::list([
+            Value::Inl(Rc::new(Value::NoComm)),
+            Value::vector(vec![Value::Bool(true), Value::Inr(Rc::new(Value::Unit))]),
+        ]),
+    ))
 }
 
 fn put_frame() -> Frame {
@@ -305,7 +302,7 @@ fn rank_frame(rank: usize) -> RankFrame {
         ifats: 1,
         outcomes: vec![
             SyncOutcome::Put {
-                delivered: vec![sample_value(), PortableValue::Int(rank as i64)],
+                delivered: vec![sample_value(), encoded(&Value::Int(rank as i64))],
             },
             SyncOutcome::IfAt { chosen: true },
         ],

@@ -118,16 +118,126 @@ fn distributed_errors_propagate_not_deadlock() {
     assert_eq!(err, EvalError::DivisionByZero);
 }
 
+/// `n` nested `inl`s around `()`.
+fn nested_inl(n: usize) -> String {
+    format!("{}(){}", "inl (".repeat(n), ")".repeat(n))
+}
+
 #[test]
 fn unserializable_messages_are_rejected() {
-    // Sending a closure through put: no portable form.
-    let e = parse("put (mkpar (fun j -> fun d -> fun x -> x + j))").unwrap();
-    let err = DistMachine::new(2).run(&e).unwrap_err();
-    assert!(matches!(err, EvalError::NotSerializable(_)), "got {err}");
-    // The lockstep machine, living in one address space, allows it —
-    // a documented difference (OCaml marshalling has the same split).
-    let lockstep = BspMachine::new(BspParams::new(2, 1, 1)).run(&e);
-    assert!(lockstep.is_ok());
+    // (row, source, the `NotSerializable` text on threads and on
+    // processes, or `None` for the lockstep value).
+    let rows: Vec<(&str, String, Option<&str>)> = vec![
+        // Each kind with no serialized form, once as a message …
+        (
+            "message closure",
+            "put (mkpar (fun j -> fun d -> fun x -> x + j))".into(),
+            Some("<fun x>"),
+        ),
+        (
+            "message primitive",
+            "put (mkpar (fun j -> fun d -> fst))".into(),
+            Some("fst"),
+        ),
+        (
+            "message fixpoint",
+            "put (mkpar (fun j -> fun d -> fix (fun f -> f)))".into(),
+            Some("<fix>"),
+        ),
+        (
+            "message table",
+            "let r = put (mkpar (fun j -> fun d -> j)) in
+             put (apply (mkpar (fun j -> fun t -> fun d -> t), r))"
+                .into(),
+            Some("<delivered-messages>"),
+        ),
+        (
+            "message cell",
+            "put (mkpar (fun j -> fun d -> ref j))".into(),
+            Some("ref 0"),
+        ),
+        // … and once as a result.
+        (
+            "result closure",
+            "mkpar (fun i -> fun x -> x + i)".into(),
+            Some("<fun x>"),
+        ),
+        (
+            "result primitive",
+            "mkpar (fun i -> fst)".into(),
+            Some("fst"),
+        ),
+        (
+            "result fixpoint",
+            "mkpar (fun i -> fix (fun f -> f))".into(),
+            Some("<fix>"),
+        ),
+        (
+            "result table",
+            "put (mkpar (fun j -> fun d -> j))".into(),
+            Some("<delivered-messages>"),
+        ),
+        (
+            "result cell",
+            "mkpar (fun i -> ref i)".into(),
+            Some("ref 0"),
+        ),
+        // The decoder's depth bound (100) is enforced where a value is
+        // written, so the sender refuses what its peer or parent could
+        // not read. A result's vector counts one level.
+        (
+            "message 101 deep",
+            format!(
+                "let r = put (mkpar (fun j -> fun d -> {})) in mkpar (fun i -> i)",
+                nested_inl(101)
+            ),
+            Some("<nested deeper than 100>"),
+        ),
+        (
+            "message 100 deep",
+            format!(
+                "let r = put (mkpar (fun j -> fun d -> {})) in mkpar (fun i -> i)",
+                nested_inl(100)
+            ),
+            None,
+        ),
+        (
+            "result 100 deep",
+            format!("mkpar (fun i -> {})", nested_inl(100)),
+            Some("<nested deeper than 100>"),
+        ),
+        (
+            "result 99 deep",
+            format!("mkpar (fun i -> {})", nested_inl(99)),
+            None,
+        ),
+    ];
+    let processes = Execution::Processes(ProcessConfig {
+        rank_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_bsml-rank"))),
+        ..ProcessConfig::default()
+    });
+    for (row, src, refused) in &rows {
+        let e = parse(src).unwrap_or_else(|err| panic!("{row}: {}", err.render(src)));
+        // The lockstep machine, living in one address space, accepts
+        // every row — a documented difference (OCaml marshalling has
+        // the same split).
+        let lockstep = BspMachine::new(BspParams::new(2, 1, 1))
+            .run(&e)
+            .unwrap_or_else(|err| panic!("{row} lockstep: {err}"))
+            .value
+            .to_string();
+        let want = match refused {
+            Some(text) => Err(EvalError::NotSerializable((*text).to_string())),
+            None => Ok(lockstep),
+        };
+        for execution in [Execution::InProcess, processes.clone()] {
+            let got = DistMachine::new(2)
+                .with_execution(execution)
+                .run(&e)
+                .map(|out| out.value.to_string());
+            assert_eq!(got, want, "{row}");
+        }
+    }
 }
 
 #[test]

@@ -15,10 +15,10 @@ use std::io::{self, Read};
 use bsml_bsp::process::validate_hello;
 use bsml_bsp::validate_rejoin;
 use bsml_bsp::wire::{
-    read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, PROTOCOL_VERSION,
+    encode_value, read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, PROTOCOL_VERSION,
 };
 use bsml_bsp::{Fault, FaultKind};
-use bsml_eval::{EvalError, PortableValue};
+use bsml_eval::{EvalError, Value};
 use bsml_obs::{FlightEvent, TimedFlightEvent};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -31,18 +31,23 @@ fn maybe_bytes() -> impl Strategy<Value = Option<Vec<u8>>> {
     prop_oneof![Just(None), vec(any::<u8>(), 0..48).prop_map(Some),]
 }
 
-fn portable_value() -> impl Strategy<Value = PortableValue> {
+/// Encoded first-order values.
+fn value_bytes() -> impl Strategy<Value = Vec<u8>> {
     let leaf = prop_oneof![
-        any::<i64>().prop_map(PortableValue::Int),
-        any::<bool>().prop_map(PortableValue::Bool),
-        Just(PortableValue::Unit),
+        any::<i64>().prop_map(Value::Int),
+        any::<bool>().prop_map(Value::Bool),
+        Just(Value::Unit),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| PortableValue::Pair(Box::new(a), Box::new(b))),
-            vec(inner, 0..3).prop_map(PortableValue::Vector),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Value::pair(a, b)),
+            vec(inner, 0..3).prop_map(Value::vector),
         ]
+    })
+    .prop_map(|v| {
+        let mut bytes = Vec::new();
+        encode_value(&mut bytes, &v).expect("a first-order value");
+        bytes
     })
 }
 
@@ -207,7 +212,7 @@ fn ctl_msg() -> impl Strategy<Value = CtlMsg> {
             }
         ),
         (
-            portable_value(),
+            value_bytes(),
             ctl_stats(),
             any::<u64>(),
             ctl_ledger(),

@@ -1,5 +1,5 @@
-//! Property tests for the wire protocol (DESIGN.md §10): the
-//! [`PortableValue`] codec round-trips every value the evaluator can
+//! Property tests for the wire protocol (DESIGN.md §10): the value
+//! codec round-trips every first-order value the evaluator can
 //! serialize, frames round-trip with their headers intact, and the
 //! decoder *rejects* — never panics on, never silently accepts — every
 //! truncation and every single-bit corruption. The last property is
@@ -7,36 +7,42 @@
 //! flight must be refused (so the run fails), not read as subtly
 //! different data.
 
+use std::rc::Rc;
+
 use bsml_bsp::wire::{decode_value, encode_value};
 use bsml_bsp::{Frame, FramePayload};
-use bsml_eval::{ByteReader, PortableValue};
+use bsml_eval::{ByteReader, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn portable_value() -> impl Strategy<Value = PortableValue> {
+fn first_order_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
-        any::<i64>().prop_map(PortableValue::Int),
-        any::<bool>().prop_map(PortableValue::Bool),
-        Just(PortableValue::Unit),
-        Just(PortableValue::NoComm),
-        Just(PortableValue::Nil),
+        any::<i64>().prop_map(Value::Int),
+        any::<bool>().prop_map(Value::Bool),
+        Just(Value::Unit),
+        Just(Value::NoComm),
+        Just(Value::Nil),
     ];
     leaf.prop_recursive(4, 48, 4, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| PortableValue::Pair(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|v| PortableValue::Inl(Box::new(v))),
-            inner.clone().prop_map(|v| PortableValue::Inr(Box::new(v))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(h, t)| PortableValue::Cons(Box::new(h), Box::new(t))),
-            vec(inner, 0..4).prop_map(PortableValue::Vector),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Value::pair(a, b)),
+            inner.clone().prop_map(|v| Value::Inl(Rc::new(v))),
+            inner.clone().prop_map(|v| Value::Inr(Rc::new(v))),
+            (inner.clone(), inner.clone()).prop_map(|(h, t)| Value::Cons(Rc::new(h), Rc::new(t))),
+            vec(inner, 0..4).prop_map(Value::vector),
         ]
     })
 }
 
+fn encoded(v: &Value) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_value(&mut bytes, v).expect("a first-order value");
+    bytes
+}
+
 fn frame() -> impl Strategy<Value = Frame> {
     let payload = prop_oneof![
-        portable_value().prop_map(FramePayload::Put),
+        first_order_value().prop_map(|v| FramePayload::Put(encoded(&v))),
         any::<bool>().prop_map(FramePayload::IfAt),
     ];
     (
@@ -59,12 +65,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
-    fn values_roundtrip_and_consume_exactly(v in portable_value()) {
-        let mut bytes = Vec::new();
-        encode_value(&mut bytes, &v);
+    fn values_roundtrip_and_consume_exactly(v in first_order_value()) {
+        let bytes = encoded(&v);
         let mut r = ByteReader::new(&bytes);
         let back = decode_value(&mut r).expect("self-encoded value decodes");
-        prop_assert_eq!(back, v);
+        prop_assert_eq!(back.try_eq(&v), Some(true));
+        prop_assert_eq!(back.to_string(), v.to_string());
         prop_assert_eq!(r.remaining(), 0, "decoder left bytes behind");
     }
 
