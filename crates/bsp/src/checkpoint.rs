@@ -41,13 +41,15 @@ use std::sync::{Arc, Mutex};
 use bsml_ast::Expr;
 use bsml_eval::bytes::{fnv1a, open, put_u64, seal, ByteReader, CodecError};
 
+use crate::lock;
 use crate::storage::{Disk, StorageError};
 use crate::wire::value_bytes;
 
 /// Leading magic of a serialized frame.
 const FRAME_MAGIC: u64 = 0x4253_4d4c_4652_414d; // "BSMLFRAM"
-/// Leading magic of a generation file.
-const FILE_MAGIC: u64 = 0x4253_4d4c_434b_5031; // "BSMLCKP1"
+/// Leading magic of a generation file. Version 2 holds messages in the
+/// session codec's tags; a version-1 file is refused as malformed.
+const FILE_MAGIC: u64 = 0x4253_4d4c_434b_5032; // "BSMLCKP2"
 /// Trailing commit marker of a generation file — its presence *is*
 /// the commit: a file without it was interrupted mid-write and is
 /// treated as never having existed.
@@ -70,8 +72,8 @@ pub enum SyncOutcome {
     /// message from rank `j`, self-message included).
     Put {
         /// The delivered messages, indexed by sender, each encoded
-        /// with [`crate::wire::encode_value`]: the bytes the exchange
-        /// carried.
+        /// with [`bsml_eval::persist::encode_value`]: the bytes the
+        /// exchange carried.
         delivered: Vec<Vec<u8>>,
     },
     /// An `if‥at‥` barrier: the broadcast boolean.
@@ -459,10 +461,6 @@ impl MemoryStore {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl CheckpointStore for MemoryStore {
     fn stage(&self, frame: &RankFrame) -> Result<u64, CheckpointError> {
         let bytes = frame.encode();
@@ -727,7 +725,7 @@ mod tests {
 
     fn encoded(v: &Value) -> Vec<u8> {
         let mut out = Vec::new();
-        crate::wire::encode_value(&mut out, v).expect("a first-order value");
+        bsml_eval::persist::encode_value(&mut out, v).expect("a first-order value");
         out
     }
 
@@ -906,6 +904,32 @@ mod tests {
         assert_eq!(
             store.load(1, 1, 0xF00D),
             Err(CheckpointError::NotCommitted { generation: 1 })
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_generation_with_the_version_1_magic_is_malformed() {
+        let dir = std::env::temp_dir().join(format!(
+            "bsml-ckpt-magic-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let store = FileStore::open(&dir).unwrap();
+        store.stage(&frame(0, 1)).unwrap();
+        store.commit(1, 1).unwrap();
+        let path = store.generation_path(1);
+        let mut bytes = fs::read(&path).unwrap();
+        // A version-1 file holds messages in other tags: it must not
+        // be read as this version's.
+        bytes[..8].copy_from_slice(&0x4253_4d4c_434b_5031_u64.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            store.load(1, 1, 0xF00D),
+            Err(CheckpointError::Malformed(
+                "bad generation-file magic".into()
+            ))
         );
         let _ = fs::remove_dir_all(&dir);
     }

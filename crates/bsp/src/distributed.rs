@@ -8,7 +8,7 @@
 //! (global) expressions are evaluated identically on every thread;
 //! parallel vectors exist only as each thread's own component
 //! (width-1 `Value::Vector`s). `put` encodes each message once
-//! ([`crate::wire::encode_value`]); `put` and `if‥at‥` frame their
+//! ([`bsml_eval::persist::encode_value`]); `put` and `if‥at‥` frame their
 //! data on the wire protocol of [`crate::wire`] and exchange the
 //! frames through per-rank mailboxes
 //! behind a lossless [`crate::transport::Transport`]. Only non-empty
@@ -51,10 +51,11 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bsml_ast::Expr;
+use bsml_eval::persist::{decode_value, encode_value, NO_MESSAGE};
 use bsml_eval::{
     Applier, ByteReader, CodecError, EvalError, Evaluator, Mode, NoHooks, ParallelDriver, Value,
 };
@@ -64,13 +65,12 @@ use crate::checkpoint::{
     program_fingerprint, CheckpointPolicy, CheckpointStore, RankFrame, ResumePoint, SyncOutcome,
 };
 use crate::faults::{FaultKind, FaultPlan};
+use crate::lock;
 use crate::machine::add_run_counters;
 use crate::postmortem::{FlightLog, RankFlightLog};
 use crate::process::RemoteHub;
 use crate::transport::{SharedMem, Transport};
-use crate::wire::{
-    decode_value, encode_value, CtlLedger, CtlStats, Frame, FramePayload, NO_MESSAGE,
-};
+use crate::wire::{CtlLedger, CtlStats, Frame, FramePayload};
 
 /// Default per-processor fuel of a [`DistMachine`]: conservative
 /// enough that a divergent SPMD program terminates with
@@ -123,12 +123,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 /// (malformed values are counted under `config.bad_env_values`).
 fn flight_capacity_from_env() -> Option<usize> {
     bsml_obs::env::parse_knob_opt(FLIGHT_CAPACITY_ENV, &Telemetry::disabled())
-}
-
-/// Locks a mutex whose protected data stays valid across a peer
-/// panic (plain counters): poisoning is ignored, the guard recovered.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A synchronization barrier that can be *poisoned*: when one
@@ -231,7 +225,7 @@ impl PoisonBarrier {
     }
 
     fn poison(&self) {
-        let mut st = lock_ignore_poison(&self.state);
+        let mut st = lock(&self.state);
         st.poisoned = true;
         self.cv.notify_all();
     }
@@ -466,7 +460,7 @@ impl SpmdDriver {
     /// The superstep this rank is currently entering (completed
     /// barriers so far) — the coordinate fault plans are keyed on.
     fn superstep(&self) -> u64 {
-        lock_ignore_poison(&self.stats).supersteps
+        lock(&self.stats).supersteps
     }
 
     /// Advances the Lamport clock for a local event and returns the
@@ -499,7 +493,7 @@ impl SpmdDriver {
         if self.flight.is_none() {
             return;
         }
-        let stats = *lock_ignore_poison(&self.stats);
+        let stats = *lock(&self.stats);
         let work = self.fuel_mark.saturating_sub(fuel_left);
         let sent_words = stats.sent_words - self.sent_mark;
         let received_words = stats.received_words - self.recv_mark;
@@ -911,7 +905,7 @@ impl SpmdDriver {
     /// recorded — fuel and every statistic. Any mismatch means the
     /// checkpoint does not describe this program's execution.
     fn finish_replayed_superstep(&mut self, fuel_left: u64) -> Result<(), EvalError> {
-        let stats = *lock_ignore_poison(&self.stats);
+        let stats = *lock(&self.stats);
         self.net
             .ledger
             .furthest_superstep
@@ -966,7 +960,7 @@ impl SpmdDriver {
             let ck = self.net.checkpoint.as_ref()?;
             (ck.interval, ck.fingerprint, Arc::clone(&ck.store))
         };
-        let stats = *lock_ignore_poison(&self.stats);
+        let stats = *lock(&self.stats);
         self.net
             .ledger
             .furthest_superstep
@@ -1070,7 +1064,7 @@ impl SpmdDriver {
             let v = ev.apply_fn(f.clone(), Value::Int(dst as i64), Mode::OnProc(self.rank))?;
             ev.ensure_local(&v)?;
             if dst != self.rank {
-                lock_ignore_poison(&self.stats).sent_words += v.size_in_words();
+                lock(&self.stats).sent_words += v.size_in_words();
             }
         }
         if delivered.len() != p {
@@ -1090,7 +1084,7 @@ impl SpmdDriver {
                 self.diverged(superstep, format!("undecodable logged message: {err}"))
             })?;
         {
-            let mut stats = lock_ignore_poison(&self.stats);
+            let mut stats = lock(&self.stats);
             for (j, v) in table.iter().enumerate() {
                 if j != self.rank {
                     stats.received_words += v.size_in_words();
@@ -1141,7 +1135,7 @@ impl SpmdDriver {
             }
         }
         {
-            let mut stats = lock_ignore_poison(&self.stats);
+            let mut stats = lock(&self.stats);
             if self.rank == at {
                 stats.sent_words += (self.net.p - 1) as u64;
             } else {
@@ -1208,7 +1202,7 @@ impl ParallelDriver for SpmdDriver {
             let v = ev.apply_fn(f.clone(), Value::Int(dst as i64), Mode::OnProc(self.rank))?;
             ev.ensure_local(&v)?;
             if dst != self.rank {
-                lock_ignore_poison(&self.stats).sent_words += v.size_in_words();
+                lock(&self.stats).sent_words += v.size_in_words();
             }
             // `nc ()` is no message: nothing is encoded and no frame
             // sent; the count round tells the receiver nothing came,
@@ -1269,7 +1263,7 @@ impl ParallelDriver for SpmdDriver {
             table.push(message.map_or(Value::NoComm, |(v, _)| v));
         }
         {
-            let mut stats = lock_ignore_poison(&self.stats);
+            let mut stats = lock(&self.stats);
             for (j, v) in table.iter().enumerate() {
                 if j != self.rank {
                     stats.received_words += v.size_in_words();
@@ -1314,7 +1308,7 @@ impl ParallelDriver for SpmdDriver {
         // the if‥at‥ broadcast is never plan-dropped.)
         let mut sends: Vec<(usize, FramePayload)> = Vec::new();
         if self.rank == at {
-            lock_ignore_poison(&self.stats).sent_words += (p - 1) as u64;
+            lock(&self.stats).sent_words += (p - 1) as u64;
             sends.extend(
                 (0..p)
                     .filter(|&dst| dst != self.rank)
@@ -1337,7 +1331,7 @@ impl ParallelDriver for SpmdDriver {
             }
         };
         {
-            let mut stats = lock_ignore_poison(&self.stats);
+            let mut stats = lock(&self.stats);
             if self.rank != at {
                 stats.received_words += 1;
             }
@@ -1822,7 +1816,7 @@ fn run_rank_inner(
         Ok(v) => {
             let mut bytes = Vec::new();
             encode_value(&mut bytes, &v).inspect_err(|_| net.poison())?;
-            let final_stats = *lock_ignore_poison(&stats);
+            let final_stats = *lock(&stats);
             Ok((bytes, final_stats, work))
         }
         Err(err) => {
@@ -1957,7 +1951,7 @@ mod tests {
             barrier.wait(Some(Duration::from_secs(5)), None),
             Err(EvalError::PeerFailure)
         );
-        assert_eq!(lock_ignore_poison(&barrier.state).waiting, 0);
+        assert_eq!(lock(&barrier.state).waiting, 0);
     }
 
     #[test]
@@ -1990,7 +1984,7 @@ mod tests {
         // Generations only distinguish adjacent episodes; reuse
         // across u64 wraparound must keep synchronizing correctly.
         let barrier = Arc::new(PoisonBarrier::new(2));
-        lock_ignore_poison(&barrier.state).generation = u64::MAX - 1;
+        lock(&barrier.state).generation = u64::MAX - 1;
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let b = Arc::clone(&barrier);
@@ -2003,7 +1997,7 @@ mod tests {
             }
         });
         // 4 episodes from u64::MAX - 1: wrapped past 0 to 3.
-        let st = lock_ignore_poison(&barrier.state);
+        let st = lock(&barrier.state);
         assert_eq!(st.generation, 2);
         assert!(!st.poisoned);
     }
@@ -2250,7 +2244,7 @@ mod tests {
         fn try_send(&self, dst: usize, bytes: &[u8]) -> bool {
             let mut frame = bytes.to_vec();
             let mut copies = 1;
-            let mut first_dst = lock_ignore_poison(&self.first_dst);
+            let mut first_dst = lock(&self.first_dst);
             if first_dst.is_none() {
                 *first_dst = Some(dst);
                 match self.defect {
@@ -2266,7 +2260,7 @@ mod tests {
             }
             // Both copies land under one lock, so the receiver drains
             // them together.
-            let mut mailbox = lock_ignore_poison(&self.boxes[dst]);
+            let mut mailbox = lock(&self.boxes[dst]);
             for _ in 0..copies {
                 mailbox.push_back(frame.clone());
             }
@@ -2274,7 +2268,7 @@ mod tests {
         }
 
         fn recv(&self, rank: usize) -> Option<Vec<u8>> {
-            lock_ignore_poison(&self.boxes[rank]).pop_front()
+            lock(&self.boxes[rank]).pop_front()
         }
     }
 
@@ -2302,7 +2296,7 @@ mod tests {
         let start = Instant::now();
         let result = machine.run_threads(&e, &net, None);
         let elapsed = start.elapsed();
-        let receiver = lock_ignore_poison(&transport.first_dst).expect("a frame was sent");
+        let receiver = lock(&transport.first_dst).expect("a frame was sent");
         let detail = match result {
             Err(EvalError::TransportFailure {
                 rank,

@@ -68,9 +68,8 @@ pub use postmortem::{
     RankFlightLog, SuperstepObservation,
 };
 pub use process::{
-    validate_rejoin, KillSpec, ProcessConfig, HANDSHAKE_TIMEOUT_ENV, HEARTBEAT_MS_ENV,
-    LINK_GRACE_MS_ENV, RANK_BIN_ENV, RANK_FINGERPRINT_ENV, RANK_ID_ENV, RANK_P_ENV,
-    RANK_SOCKET_ENV,
+    validate_rejoin, KillSpec, ProcessConfig, RANK_BIN_ENV, RANK_FINGERPRINT_ENV, RANK_ID_ENV,
+    RANK_P_ENV, RANK_SOCKET_ENV,
 };
 pub use storage::{Disk, StorageError, StorageFault, StorageFaultKind, StorageOp, StoragePlan};
 pub use supervisor::{
@@ -79,3 +78,10 @@ pub use supervisor::{
 };
 pub use transport::{Bind, Listener, RankStream};
 pub use wire::{Frame, FramePayload};
+
+/// Locks a mutex, recovering the guard if a holder panicked: every
+/// mutex in this crate guards counters, queues, maps or logs that stay
+/// valid across a peer's panic.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -5,14 +5,14 @@
 //! Topology is a star: the parent binds a listener (Unix-domain by
 //! default, TCP via [`ProcessConfig::bind`]), spawns `p` copies of the
 //! `bsml-rank` binary, handshakes each connection (magic + protocol
-//! version + program fingerprint + rank id + `p`, under
-//! [`HANDSHAKE_TIMEOUT_ENV`]), and then routes every data-plane frame
-//! and every synchronization message over the per-child control
-//! streams ([`crate::wire::CtlMsg`]). Rank death is detected as
-//! socket EOF and confirmed with `waitpid` ([`std::process::Child`]),
-//! then mapped to the failed (rank, superstep) coordinate as
-//! [`EvalError::TransportFailure`] — which is exactly the error class
-//! the [`crate::Supervisor`] already retries with
+//! version + program fingerprint + rank id + `p`, within
+//! [`ProcessConfig::handshake_timeout`]), and then routes every
+//! data-plane frame and every synchronization message over the
+//! per-child control streams ([`crate::wire::CtlMsg`]). Rank death is
+//! detected as socket EOF and confirmed with `waitpid`
+//! ([`std::process::Child`]), then mapped to the failed (rank,
+//! superstep) coordinate as [`EvalError::TransportFailure`] — which is
+//! exactly the error class the [`crate::Supervisor`] already retries with
 //! checkpoint resume, so respawn-and-resume needs no new supervisor
 //! machinery: the whole fleet is respawned and resumed from the
 //! newest committed generation, demoting to a full restart on
@@ -20,10 +20,11 @@
 //!
 //! Links themselves are *supervised* resources (DESIGN.md §16): every
 //! rank↔coordinator stream carries application heartbeats
-//! ([`CtlMsg::Ping`]/[`CtlMsg::Pong`] under [`HEARTBEAT_MS_ENV`]) and
-//! walks a per-link state machine `Healthy → Suspect → Disconnected →
-//! Rejoining`. A rank whose *socket* dies while its *process* lives
-//! reconnects within [`LINK_GRACE_MS_ENV`], re-handshakes with
+//! ([`CtlMsg::Ping`]/[`CtlMsg::Pong`] every
+//! [`ProcessConfig::heartbeat`]) and walks a per-link state machine
+//! `Healthy → Suspect → Disconnected → Rejoining`. A rank whose
+//! *socket* dies while its *process* lives reconnects within
+//! [`ProcessConfig::link_grace`], re-handshakes with
 //! [`CtlMsg::Rejoin`], and both sides replay the frames the other
 //! never received from bounded per-link egress buffers — healing a
 //! transient partition without discarding a single superstep. Only
@@ -36,7 +37,7 @@ use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bsml_ast::Expr;
@@ -51,6 +52,7 @@ use crate::distributed::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 use crate::faults::{FaultPlan, LinkFault, LinkFaultKind};
+use crate::lock;
 use crate::postmortem::{error_coordinate, FlightLog, PostmortemBundle, RankFlightLog};
 use crate::supervisor::POSTMORTEM_DIR_ENV;
 use crate::transport::{Bind, Listener, RankStream, SocketTransport, Transport};
@@ -58,73 +60,28 @@ use crate::wire::{
     read_ctl, write_ctl, CtlLedger, CtlMsg, CTL_MAGIC, MAX_CTL_FRAME, PROTOCOL_VERSION,
 };
 
-/// The environment variable overriding the connect/handshake deadline
-/// (milliseconds). The companion of
-/// [`crate::distributed::BARRIER_TIMEOUT_ENV`]: that knob bounds how
-/// long a *running* rank waits at a barrier, this one bounds how long
-/// the parent waits for a spawned rank to connect and identify itself.
-/// Unset or unparsable values fall back to
-/// [`DEFAULT_HANDSHAKE_TIMEOUT`]; a never-connecting rank therefore
-/// always fails with [`EvalError::TransportFailure`], never a hang.
-pub const HANDSHAKE_TIMEOUT_ENV: &str = "BSML_HANDSHAKE_TIMEOUT_MS";
-
-/// Handshake deadline when [`HANDSHAKE_TIMEOUT_ENV`] is unset:
-/// generous against a loaded CI machine, far below any test timeout.
+/// The connect/handshake deadline when
+/// [`ProcessConfig::handshake_timeout`] is unset: generous against a
+/// loaded CI machine, far below any test timeout. A never-connecting
+/// rank therefore always fails with [`EvalError::TransportFailure`],
+/// never a hang.
 pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The handshake deadline: the [`HANDSHAKE_TIMEOUT_ENV`] override when
-/// set and parsable, else [`DEFAULT_HANDSHAKE_TIMEOUT`] (malformed
-/// values are counted under `config.bad_env_values`).
-fn handshake_timeout_from_env() -> Duration {
-    bsml_obs::env::duration_ms_knob(
-        HANDSHAKE_TIMEOUT_ENV,
-        DEFAULT_HANDSHAKE_TIMEOUT,
-        &bsml_obs::Telemetry::disabled(),
-    )
-}
-
-/// The environment variable setting the link heartbeat period
-/// (milliseconds): how often the parent pings every live rank link
-/// ([`CtlMsg::Ping`]/[`CtlMsg::Pong`]). `0` disables heartbeats *and*
-/// the silence detection that depends on them — links then fail only
-/// on hard socket errors. Unset or unparsable values fall back to
-/// [`DEFAULT_HEARTBEAT`].
-pub const HEARTBEAT_MS_ENV: &str = "BSML_HEARTBEAT_MS";
-
-/// Heartbeat period when [`HEARTBEAT_MS_ENV`] is unset.
+/// The link heartbeat period when [`ProcessConfig::heartbeat`] is
+/// unset: how often the parent pings every live rank link
+/// ([`CtlMsg::Ping`]/[`CtlMsg::Pong`]).
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(500);
 
-/// The environment variable setting the link grace window
-/// (milliseconds): how long a severed link may stay down before the
-/// parent gives up on a rejoin and escalates to the rank-death path
-/// (and how long a silent link may go without traffic before the child
-/// treats it as severed). `0` disables link healing entirely: the
-/// first socket error is final, exactly the pre-supervision behavior.
-/// Unset or unparsable values fall back to [`DEFAULT_LINK_GRACE`].
-pub const LINK_GRACE_MS_ENV: &str = "BSML_LINK_GRACE_MS";
-
-/// Grace window when [`LINK_GRACE_MS_ENV`] is unset.
+/// The link grace window when [`ProcessConfig::link_grace`] is unset:
+/// how long a severed link may stay down before the parent gives up on
+/// a rejoin and escalates to the rank-death path (and how long a
+/// silent link may go without traffic before the child treats it as
+/// severed).
 pub const DEFAULT_LINK_GRACE: Duration = Duration::from_millis(5000);
 
 /// Rejoin attempts the parent accepts per link per attempt before it
 /// answers [`CtlMsg::Reject`] (see [`ProcessConfig::rejoin_budget`]).
 pub const DEFAULT_REJOIN_BUDGET: u32 = 16;
-
-fn heartbeat_from_env() -> Duration {
-    bsml_obs::env::duration_ms_knob(
-        HEARTBEAT_MS_ENV,
-        DEFAULT_HEARTBEAT,
-        &bsml_obs::Telemetry::disabled(),
-    )
-}
-
-fn link_grace_from_env() -> Duration {
-    bsml_obs::env::duration_ms_knob(
-        LINK_GRACE_MS_ENV,
-        DEFAULT_LINK_GRACE,
-        &bsml_obs::Telemetry::disabled(),
-    )
-}
 
 /// Overrides where the parent looks for the rank-runner binary when
 /// [`ProcessConfig::rank_binary`] is unset (the last resort is a
@@ -172,9 +129,8 @@ pub struct ProcessConfig {
     /// The rank-runner binary. `None` falls back to [`RANK_BIN_ENV`],
     /// then to a `bsml-rank` sibling of the current executable.
     pub rank_binary: Option<PathBuf>,
-    /// Connect/handshake deadline. `None` reads
-    /// [`HANDSHAKE_TIMEOUT_ENV`] (default
-    /// [`DEFAULT_HANDSHAKE_TIMEOUT`]).
+    /// Connect/handshake deadline. `None` means
+    /// [`DEFAULT_HANDSHAKE_TIMEOUT`].
     pub handshake_timeout: Option<Duration>,
     /// Ranks to SIGKILL at specific (superstep, attempt) coordinates.
     pub kills: Vec<KillSpec>,
@@ -189,11 +145,12 @@ pub struct ProcessConfig {
     /// Link severs to inject at specific (rank, superstep, attempt)
     /// coordinates — the partition-chaos counterpart of `kills`.
     pub link_faults: Vec<LinkFault>,
-    /// Heartbeat period. `None` reads [`HEARTBEAT_MS_ENV`] (default
-    /// [`DEFAULT_HEARTBEAT`]).
+    /// Heartbeat period; zero disables heartbeats *and* the silence
+    /// detection that depends on them, so links then fail only on hard
+    /// socket errors. `None` means [`DEFAULT_HEARTBEAT`].
     pub heartbeat: Option<Duration>,
-    /// Link grace window. `None` reads [`LINK_GRACE_MS_ENV`] (default
-    /// [`DEFAULT_LINK_GRACE`]).
+    /// Link grace window; zero disables link healing, so the first
+    /// socket error is final. `None` means [`DEFAULT_LINK_GRACE`].
     pub link_grace: Option<Duration>,
     /// Accepted rejoin attempts per link per attempt before the parent
     /// rejects further reconnects and lets the rank die (demoting the
@@ -209,12 +166,6 @@ impl ProcessConfig {
         self.bind = Some(bind);
         self
     }
-}
-
-/// Locks a mutex, recovering the guard if a holder panicked (all
-/// protected data here are plain counters and queues).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,7 +976,7 @@ fn rank_process() -> Result<i32, String> {
     // The handshake deadline guards the child too: a parent that
     // accepts but never welcomes must not hang the process.
     stream
-        .set_read_timeout(Some(handshake_timeout_from_env()))
+        .set_read_timeout(Some(DEFAULT_HANDSHAKE_TIMEOUT))
         .map_err(|e| format!("socket timeout: {e}"))?;
     write_ctl(&mut stream, &CtlMsg::hello(fingerprint, rank, p))
         .map_err(|e| format!("send hello: {e}"))?;
@@ -1385,9 +1336,7 @@ fn launch_ranks(
     resume: Option<&ResumePoint>,
 ) -> Result<Launch, EvalError> {
     let p = machine.p;
-    let handshake = cfg
-        .handshake_timeout
-        .unwrap_or_else(handshake_timeout_from_env);
+    let handshake = cfg.handshake_timeout.unwrap_or(DEFAULT_HANDSHAKE_TIMEOUT);
     let (dir, created_dir) = match &cfg.socket_dir {
         Some(d) => (d.clone(), false),
         None => (
@@ -1422,8 +1371,8 @@ fn launch_ranks(
         return Err(fail(0, format!("listener mode: {err}")));
     }
     let binary = discover_rank_binary(cfg)?;
-    let heartbeat = cfg.heartbeat.unwrap_or_else(heartbeat_from_env);
-    let link_grace = cfg.link_grace.unwrap_or_else(link_grace_from_env);
+    let heartbeat = cfg.heartbeat.unwrap_or(DEFAULT_HEARTBEAT);
+    let link_grace = cfg.link_grace.unwrap_or(DEFAULT_LINK_GRACE);
 
     let mut children: Vec<Child> = Vec::with_capacity(p);
     for rank in 0..p {
@@ -2486,18 +2435,6 @@ mod tests {
     use std::os::unix::net::UnixStream;
 
     #[test]
-    fn handshake_timeout_env_knob() {
-        std::env::set_var(HANDSHAKE_TIMEOUT_ENV, "45000");
-        assert_eq!(handshake_timeout_from_env(), Duration::from_millis(45000));
-        std::env::set_var(HANDSHAKE_TIMEOUT_ENV, " 250 ");
-        assert_eq!(handshake_timeout_from_env(), Duration::from_millis(250));
-        std::env::set_var(HANDSHAKE_TIMEOUT_ENV, "soon");
-        assert_eq!(handshake_timeout_from_env(), DEFAULT_HANDSHAKE_TIMEOUT);
-        std::env::remove_var(HANDSHAKE_TIMEOUT_ENV);
-        assert_eq!(handshake_timeout_from_env(), DEFAULT_HANDSHAKE_TIMEOUT);
-    }
-
-    #[test]
     fn hello_validation_accepts_the_genuine_article() {
         let taken = vec![false, false, false];
         let hello = CtlMsg::hello(0xF00D, 2, 3);
@@ -2656,20 +2593,6 @@ mod tests {
         // The timeout poisoned the run — later waits fail fast.
         assert!(hub.is_poisoned());
         drop(theirs);
-    }
-
-    #[test]
-    fn heartbeat_and_grace_env_knobs() {
-        std::env::set_var(HEARTBEAT_MS_ENV, "125");
-        assert_eq!(heartbeat_from_env(), Duration::from_millis(125));
-        std::env::set_var(HEARTBEAT_MS_ENV, "pulse");
-        assert_eq!(heartbeat_from_env(), DEFAULT_HEARTBEAT);
-        std::env::remove_var(HEARTBEAT_MS_ENV);
-        assert_eq!(heartbeat_from_env(), DEFAULT_HEARTBEAT);
-        std::env::set_var(LINK_GRACE_MS_ENV, "2750");
-        assert_eq!(link_grace_from_env(), Duration::from_millis(2750));
-        std::env::remove_var(LINK_GRACE_MS_ENV);
-        assert_eq!(link_grace_from_env(), DEFAULT_LINK_GRACE);
     }
 
     #[test]

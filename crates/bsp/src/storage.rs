@@ -25,6 +25,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::lock;
+
 /// Which [`Disk`] operation a fault arms against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageOp {
@@ -276,10 +278,7 @@ impl Disk {
     /// Consults the plan: does a fault fire on this occurrence of
     /// `op`? Each fault fires at most once.
     fn armed(&self, op: StorageOp) -> Option<StorageFaultKind> {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut st = lock(&self.state);
         let n = st.counts[op_index(op)];
         st.counts[op_index(op)] += 1;
         for (i, f) in st.plan.faults.iter().enumerate() {

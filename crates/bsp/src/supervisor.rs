@@ -70,6 +70,7 @@ use bsml_obs::Telemetry;
 use crate::checkpoint::{program_fingerprint, CheckpointError, ResumePoint};
 use crate::distributed::{DistMachine, DistOutcome, DEFAULT_FLIGHT_CAPACITY};
 use crate::faults::SplitMix64;
+use crate::lock;
 use crate::machine::{BspMachine, BspParams};
 use crate::postmortem::{error_coordinate, FlightLog, PostmortemBundle};
 
@@ -119,19 +120,15 @@ impl RecordingSleeper {
     }
 
     /// Every delay requested so far, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous recording panicked (poisoned lock).
     #[must_use]
     pub fn slept(&self) -> Vec<Duration> {
-        self.slept.lock().unwrap().clone()
+        lock(&self.slept).clone()
     }
 }
 
 impl Sleeper for RecordingSleeper {
     fn sleep(&self, d: Duration) {
-        self.slept.lock().unwrap().push(d);
+        lock(&self.slept).push(d);
     }
 }
 

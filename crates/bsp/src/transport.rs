@@ -26,14 +26,10 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Locks a mutex, recovering from a peer's panic (the protected data
-/// are plain queues, valid regardless).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::lock;
 
 /// A point-to-point byte-frame carrier between `p` ranks.
 ///

@@ -14,7 +14,7 @@
 //!     superstep u64   the sender's superstep when the frame was built
 //!     seq       u64   per-(sender → receiver)-link sequence number
 //!     lamport   u64   the sender's Lamport clock when the frame was stamped
-//!     payload         Put: one encoded value · IfAt: u8 bool
+//!     payload         Put: one message · IfAt: u8 bool
 //!     checksum  u64   FNV-1a over every preceding byte (prefix included)
 //! ```
 //!
@@ -24,20 +24,21 @@
 //! decoder checks the length prefix, then the minimum size, then the
 //! checksum, and rejects — with a [`CodecError`], never a panic —
 //! truncated frames, length-prefix mismatches, checksum mismatches (any
-//! single bit flip is caught), unknown tags and trailing garbage. A
-//! `Put` payload stays bytes until the receiving `put` decodes it with
-//! [`decode_value`], which also rejects values nested deeper than
-//! [`MAX_DEPTH`] (list tails do not count); the exchange fails the run
-//! on every rejection, so a corrupted frame is never mistaken for data.
+//! single bit flip is caught), unknown tags and trailing garbage.
 //!
-//! The value codec here ([`encode_value`] / [`decode_value`], over a
-//! first-order [`Value`]) is the one form a value takes between ranks:
-//! in a frame, in a checkpoint row ([`crate::checkpoint`]) and in a
-//! rank's result. [`encode_value`] enforces the decoder's depth bound,
-//! so a rank never sends bytes its peer or parent must reject.
+//! This module defines no value encoding. A message — in a frame, in
+//! a checkpoint row ([`crate::checkpoint`]) and as a rank's result —
+//! is the message form of the one value codec,
+//! [`bsml_eval::persist`]: its encoder refuses what is not first-order
+//! or is nested deeper than [`bsml_eval::bytes::MAX_DEPTH`], so a rank
+//! never sends bytes its peer or parent must reject, and its decoder
+//! refuses every other tag. A `Put` payload stays bytes until the
+//! receiving `put` decodes it; the exchange fails the run on every
+//! rejection, so a corrupted frame is never mistaken for data.
 //!
 //! ```
-//! use bsml_bsp::wire::{decode_value, encode_value, Frame, FramePayload};
+//! use bsml_bsp::wire::{Frame, FramePayload};
+//! use bsml_eval::persist::{decode_value, encode_value};
 //! use bsml_eval::{ByteReader, Value};
 //!
 //! let mut message = Vec::new();
@@ -57,148 +58,20 @@
 //! ```
 
 use std::io::{self, Read, Write};
-use std::rc::Rc;
 use std::time::Duration;
 
-use bsml_eval::bytes::{
-    open, put_bytes, put_str, put_u64, seal, ByteReader, CodecError, MAX_DEPTH,
-};
-use bsml_eval::{EvalError, Value};
+use bsml_eval::bytes::{open, put_bytes, put_str, put_u64, seal, ByteReader, CodecError};
+use bsml_eval::{persist, EvalError};
 use bsml_obs::TimedFlightEvent;
 
 use crate::faults::{Fault, FaultKind};
 
-const V_CONS: u8 = 8;
-
-/// The encoding of `nc ()`: what a rank records for a peer that sent
-/// it nothing.
-pub(crate) const NO_MESSAGE: &[u8] = &[3];
-
-/// Serializes one first-order [`Value`]: a `put` message, a checkpoint
-/// row entry or a rank's result. A list's spine is written in a loop,
-/// so a long list costs no stack. On an error, `out` holds a partial
-/// encoding that the caller drops.
-///
-/// # Errors
-///
-/// [`EvalError::NotSerializable`] on a closure, a primitive, a
-/// fixpoint, a message table or a reference cell, and on a value
-/// nested deeper than [`MAX_DEPTH`], counted as [`decode_value`]
-/// counts: every encoding this writes decodes.
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<(), EvalError> {
-    encode_nested(out, v, 0)
-}
-
-fn encode_nested(out: &mut Vec<u8>, v: &Value, depth: usize) -> Result<(), EvalError> {
-    if depth > MAX_DEPTH {
-        return Err(EvalError::NotSerializable(format!(
-            "<nested deeper than {MAX_DEPTH}>"
-        )));
-    }
-    match v {
-        Value::Int(n) => {
-            out.push(0);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Unit => out.push(2),
-        Value::NoComm => out.extend_from_slice(NO_MESSAGE),
-        Value::Pair(a, b) => {
-            out.push(4);
-            encode_nested(out, a, depth + 1)?;
-            encode_nested(out, b, depth + 1)?;
-        }
-        Value::Inl(inner) => {
-            out.push(5);
-            encode_nested(out, inner, depth + 1)?;
-        }
-        Value::Inr(inner) => {
-            out.push(6);
-            encode_nested(out, inner, depth + 1)?;
-        }
-        Value::Nil => out.push(7),
-        Value::Cons(..) => {
-            // Write a list's spine in a loop: heads nest one level,
-            // tails none.
-            let mut cur = v;
-            while let Value::Cons(h, t) = cur {
-                out.push(V_CONS);
-                encode_nested(out, h, depth + 1)?;
-                cur = t;
-            }
-            encode_nested(out, cur, depth)?;
-        }
-        Value::Vector(vs) => {
-            out.push(9);
-            put_u64(out, vs.len() as u64);
-            for c in vs.iter() {
-                encode_nested(out, c, depth + 1)?;
-            }
-        }
-        Value::Closure { .. }
-        | Value::Prim(_)
-        | Value::MsgTable(_)
-        | Value::Fix(_)
-        | Value::Cell { .. } => return Err(EvalError::NotSerializable(v.to_string())),
-    }
-    Ok(())
-}
-
-/// Deserializes one [`Value`], nested at most [`MAX_DEPTH`] deep
-/// (list tails do not count).
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated, malformed or too deeply nested
-/// input — never a panic.
-pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, CodecError> {
-    decode_nested(r, 0)
-}
-
-fn decode_nested(r: &mut ByteReader<'_>, depth: usize) -> Result<Value, CodecError> {
-    if depth > MAX_DEPTH {
-        return Err(CodecError::TooDeep);
-    }
-    let mut tag = r.u8()?;
-    // Read a list's spine in a loop: heads nest one level, tails none.
-    let mut heads = Vec::new();
-    while tag == V_CONS {
-        heads.push(decode_nested(r, depth + 1)?);
-        tag = r.u8()?;
-    }
-    let last = match tag {
-        0 => Value::Int(r.i64()?),
-        1 => Value::Bool(r.u8()? != 0),
-        2 => Value::Unit,
-        3 => Value::NoComm,
-        4 => Value::pair(decode_nested(r, depth + 1)?, decode_nested(r, depth + 1)?),
-        5 => Value::Inl(Rc::new(decode_nested(r, depth + 1)?)),
-        6 => Value::Inr(Rc::new(decode_nested(r, depth + 1)?)),
-        7 => Value::Nil,
-        9 => {
-            let n = r.count()?;
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                vs.push(decode_nested(r, depth + 1)?);
-            }
-            Value::vector(vs)
-        }
-        tag => return Err(CodecError::BadTag { what: "value", tag }),
-    };
-    Ok(heads
-        .into_iter()
-        .rev()
-        .fold(last, |tail, head| Value::Cons(Rc::new(head), Rc::new(tail))))
-}
-
-/// Reads one embedded value and returns its bytes. Decoding it is how
-/// its end is found, so every tag and depth check runs.
+/// Reads one embedded message ([`bsml_eval::persist`]'s message form)
+/// and returns its bytes. Decoding it is how its end is found, so every
+/// tag and depth check runs.
 pub(crate) fn value_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CodecError> {
     let mut start = r.clone();
-    decode_value(r)?;
+    persist::decode_value(r)?;
     start.take(start.remaining() - r.remaining())
 }
 
@@ -206,7 +79,7 @@ pub(crate) fn value_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CodecE
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FramePayload {
     /// One `put` message, encoded by the sender's local phase with
-    /// [`encode_value`] and decoded by the receiving `put`.
+    /// [`persist::encode_value`] and decoded by the receiving `put`.
     Put(Vec<u8>),
     /// The broadcast boolean of an `if‥at‥`.
     IfAt(bool),
@@ -325,7 +198,7 @@ pub const CTL_MAGIC: u64 = u64::from_le_bytes(*b"BSMLCTL1");
 
 /// Version of the control protocol. A `Hello` carrying any other
 /// version is rejected during the handshake — never negotiated.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one control frame (64 MiB). A stream reader rejects
 /// a larger length prefix *before* allocating, so a corrupt or hostile
@@ -491,7 +364,8 @@ pub enum CtlMsg {
     },
     /// Child → parent: this rank finished.
     Done {
-        /// The rank's local result, encoded with [`encode_value`].
+        /// The rank's local result, encoded with
+        /// [`persist::encode_value`].
         value: Vec<u8>,
         /// Communication totals for telemetry.
         stats: CtlStats,
@@ -950,7 +824,7 @@ impl CtlMsg {
     ///
     /// Any [`CodecError`] — truncation, length-prefix or checksum
     /// mismatch, unknown tags, a value nested deeper than
-    /// [`MAX_DEPTH`], trailing garbage. Never panics.
+    /// [`bsml_eval::bytes::MAX_DEPTH`], trailing garbage. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<CtlMsg, CodecError> {
         let mut r = open_prefixed(bytes, 4 + 1 + 8)?;
         let msg = match r.u8()? {
@@ -1116,6 +990,10 @@ pub fn read_ctl<R: Read>(r: &mut R) -> io::Result<CtlMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsml_eval::bytes::MAX_DEPTH;
+    use bsml_eval::persist::{decode_value, encode_value};
+    use bsml_eval::Value;
+    use std::rc::Rc;
 
     fn encoded(v: &Value) -> Vec<u8> {
         let mut out = Vec::new();

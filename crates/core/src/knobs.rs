@@ -142,27 +142,6 @@ pub fn registry() -> Vec<Knob> {
             internal: false,
         },
         Knob {
-            name: bsml_bsp::HANDSHAKE_TIMEOUT_ENV,
-            kind: KnobKind::DurationMs,
-            default: "10000",
-            doc: "Per-rank process handshake deadline",
-            internal: false,
-        },
-        Knob {
-            name: bsml_bsp::HEARTBEAT_MS_ENV,
-            kind: KnobKind::DurationMs,
-            default: "500",
-            doc: "Coordinator→rank heartbeat period (0 disables link supervision)",
-            internal: false,
-        },
-        Knob {
-            name: bsml_bsp::LINK_GRACE_MS_ENV,
-            kind: KnobKind::DurationMs,
-            default: "5000",
-            doc: "Silence budget before a rank link is declared dead (0 disables rejoin)",
-            internal: false,
-        },
-        Knob {
             name: bsml_bsp::POSTMORTEM_DIR_ENV,
             kind: KnobKind::Path,
             default: "—",

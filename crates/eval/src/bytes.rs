@@ -10,7 +10,7 @@
 //!   around them.
 //! * [`ByteReader`] is the one bounds-checked reader, and
 //!   [`CodecError`] the one decode error.
-//! * [`MAX_DEPTH`] is the one nesting bound both value decoders obey.
+//! * [`MAX_DEPTH`] is the nesting bound of the one value decoder.
 //!
 //! The reader is *total*: every method is bounds-checked and returns a
 //! typed [`CodecError`] instead of panicking, whatever bytes it is
@@ -20,11 +20,11 @@
 
 use std::fmt;
 
-/// Nesting bound of the value decoders (the message codec of
-/// `bsml_bsp::wire` and [`crate::persist`]). A list's spine is read in
-/// a loop, so list tails do not count towards it; every other nested
-/// value, and every closure environment, does. The message encoder
-/// refuses what its decoder would. Deep enough for any
+/// Nesting bound of the one value decoder, [`crate::persist`], in
+/// both its forms. A list's spine is read in a loop, so list tails do
+/// not count towards it; every other nested value, and every closure
+/// environment, does. The message form's encoder refuses what the
+/// decoder would. Deep enough for any
 /// value a session or a `put` realistically builds, shallow enough
 /// that corrupt or hostile input cannot overflow a 2 MiB thread stack
 /// even in debug builds, where a decoder frame runs to a few KiB.

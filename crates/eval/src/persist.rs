@@ -1,5 +1,21 @@
-//! A byte codec for evaluator state ([`Value`], [`Env`]) — the value
-//! half of the serving layer's durable session snapshots.
+//! The one byte codec for evaluator values ([`Value`], [`Env`]), over
+//! one tag table, in two forms.
+//!
+//! * **Session form** ([`value_to_bytes`], [`env_to_bytes`]): every
+//!   value, closures and cells included — the value half of the
+//!   serving layer's durable session snapshots.
+//! * **Message form** ([`encode_value`], [`decode_value`]): the form a
+//!   value takes when it crosses a thread or process boundary — a
+//!   `put` message, a checkpoint row entry, a rank's result. A message
+//!   holds only first-order values (int, bool, unit, `nc ()`, nil,
+//!   pairs, sums, lists and vectors), and a first-order value has the
+//!   same bytes in both forms. The encoder refuses everything else,
+//!   and anything nested past [`MAX_DEPTH`], with
+//!   [`EvalError::NotSerializable`], so a rank never sends bytes its
+//!   peer must reject; the decoder answers any other tag with
+//!   [`CodecError::BadTag`] before reading further.
+//!
+//! The session form adds three things:
 //!
 //! * **Cell aliasing and cycles.** Reference cells are numbered on
 //!   first encounter (`CellDef`) and back-referenced afterwards
@@ -28,7 +44,7 @@
 //! spine is read in a loop, so list tails do not count towards it, but
 //! each closure environment costs two levels), and counts are validated
 //! before allocation. The bytes carry no checksum of their own: the
-//! WAL record that holds a session snapshot is sealed
+//! frame, checkpoint file or WAL record that holds them is sealed
 //! ([`crate::bytes::seal`]).
 
 use std::cell::RefCell;
@@ -40,10 +56,12 @@ use bsml_ast::{Expr, Ident, Op};
 
 use crate::bytes::{put_str, put_u64, ByteReader, CodecError, MAX_DEPTH};
 use crate::env::Env;
+use crate::error::EvalError;
 use crate::hooks::Mode;
 use crate::value::Value;
 
-// Value tags.
+// Value tags. Tags 0–4 and 6–10 are the first-order values a message
+// may hold.
 const T_INT: u8 = 0;
 const T_BOOL: u8 = 1;
 const T_UNIT: u8 = 2;
@@ -73,41 +91,83 @@ const E_SPINE: u8 = 3; // base (0 or id + 1), n, n × (name, value)
 const M_GLOBAL: u8 = 0;
 const M_ON_PROC: u8 = 1;
 
-/// Shared encoder state: ids for cells (by `RefCell` identity), spine
-/// nodes (by node identity) and closure bodies (by `Arc` identity).
+/// The encoding of `nc ()`: what a rank records for a peer that sent
+/// it nothing.
+pub const NO_MESSAGE: &[u8] = &[T_NOCOMM];
+
+/// Shared encoder state: the form being written, and ids for cells
+/// (by `RefCell` identity), spine nodes (by node identity) and closure
+/// bodies (by `Arc` identity).
 #[derive(Default)]
 struct EncodeMemo {
+    message: bool,
     cells: HashMap<usize, u64>,
     nodes: HashMap<usize, u64>,
     nodes_written: u64,
     code: HashMap<*const Expr, u64>,
 }
 
-/// Shared decoder state: the structures each id resolved to.
+/// Shared decoder state: the form being read, and the structures each
+/// id resolved to.
 #[derive(Default)]
 struct DecodeMemo {
+    message: bool,
     cells: HashMap<u64, Rc<RefCell<Value>>>,
     envs: HashMap<u64, Env>, // v1 nodes, by their written id
     nodes: Vec<Env>,         // nodes, in the order written
     code: Vec<Arc<Expr>>,    // bodies, in the order written
 }
 
-/// Encodes a single value.
+/// Encodes a message: appends one first-order value to `out`. A
+/// list's spine is written in a loop, so a long list costs no stack.
+/// On an error, `out` holds a partial encoding that the caller drops.
+///
+/// # Errors
+///
+/// [`EvalError::NotSerializable`] on a closure, a primitive, a
+/// fixpoint, a message table or a reference cell, and on a value
+/// nested deeper than [`MAX_DEPTH`], counted as [`decode_value`]
+/// counts: every encoding this writes decodes.
+pub fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<(), EvalError> {
+    let mut memo = EncodeMemo {
+        message: true,
+        ..EncodeMemo::default()
+    };
+    encode(out, v, &mut memo, 0)
+}
+
+/// Decodes one message, nested at most [`MAX_DEPTH`] deep (list tails
+/// do not count).
+///
+/// # Errors
+///
+/// [`CodecError::BadTag`] on a tag that is not a first-order value's,
+/// and any other [`CodecError`] on truncated, malformed or too deeply
+/// nested input — never a panic.
+pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, CodecError> {
+    let mut memo = DecodeMemo {
+        message: true,
+        ..DecodeMemo::default()
+    };
+    decode(r, &mut memo, 0)
+}
+
+/// Encodes a single value in the session form.
 #[must_use]
 pub fn value_to_bytes(v: &Value) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(&mut out, v, &mut EncodeMemo::default());
+    encode(&mut out, v, &mut EncodeMemo::default(), 0).expect("the session form refuses nothing");
     out
 }
 
-/// Decodes a single value.
+/// Decodes a single value in the session form.
 ///
 /// # Errors
 ///
 /// [`CodecError`] on any malformed input; never panics.
 pub fn value_from_bytes(bytes: &[u8]) -> Result<Value, CodecError> {
     let mut r = ByteReader::new(bytes);
-    let v = decode_value(&mut r, &mut DecodeMemo::default(), 0)?;
+    let v = decode(&mut r, &mut DecodeMemo::default(), 0)?;
     r.finish()?;
     Ok(v)
 }
@@ -117,7 +177,8 @@ pub fn value_from_bytes(bytes: &[u8]) -> Result<Value, CodecError> {
 #[must_use]
 pub fn env_to_bytes(env: &Env) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_env(&mut out, env, &mut EncodeMemo::default());
+    encode_env(&mut out, env, &mut EncodeMemo::default(), 0)
+        .expect("the session form refuses nothing");
     out
 }
 
@@ -133,7 +194,18 @@ pub fn env_from_bytes(bytes: &[u8]) -> Result<Env, CodecError> {
     Ok(env)
 }
 
-fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
+/// Writes `v`, nested `depth` deep. Only the message form can fail.
+fn encode(
+    out: &mut Vec<u8>,
+    v: &Value,
+    memo: &mut EncodeMemo,
+    depth: usize,
+) -> Result<(), EvalError> {
+    if memo.message && depth > MAX_DEPTH {
+        return Err(EvalError::NotSerializable(format!(
+            "<nested deeper than {MAX_DEPTH}>"
+        )));
+    }
     match v {
         Value::Int(n) => {
             out.push(T_INT);
@@ -146,6 +218,39 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
         Value::Unit => out.push(T_UNIT),
         Value::NoComm => out.push(T_NOCOMM),
         Value::Nil => out.push(T_NIL),
+        Value::Pair(a, b) => {
+            out.push(T_PAIR);
+            encode(out, a, memo, depth + 1)?;
+            encode(out, b, memo, depth + 1)?;
+        }
+        Value::Cons(..) => {
+            // Write a list's spine in a loop: heads nest one level,
+            // tails none.
+            let mut cur = v;
+            while let Value::Cons(h, t) = cur {
+                out.push(T_CONS);
+                encode(out, h, memo, depth + 1)?;
+                cur = t;
+            }
+            encode(out, cur, memo, depth)?;
+        }
+        Value::Inl(inner) => {
+            out.push(T_INL);
+            encode(out, inner, memo, depth + 1)?;
+        }
+        Value::Inr(inner) => {
+            out.push(T_INR);
+            encode(out, inner, memo, depth + 1)?;
+        }
+        Value::Vector(vs) => {
+            out.push(T_VECTOR);
+            put_u64(out, vs.len() as u64);
+            for c in vs.iter() {
+                encode(out, c, memo, depth + 1)?;
+            }
+        }
+        // Everything below is session state, not a message.
+        _ if memo.message => return Err(EvalError::NotSerializable(v.to_string())),
         Value::Prim(op) => {
             out.push(T_PRIM);
             let idx = Op::ALL
@@ -154,45 +259,16 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
                 .expect("every Op appears in Op::ALL");
             out.push(idx as u8);
         }
-        Value::Pair(a, b) => {
-            out.push(T_PAIR);
-            encode_value(out, a, memo);
-            encode_value(out, b, memo);
-        }
-        Value::Cons(..) => {
-            let mut cur = v;
-            while let Value::Cons(h, t) = cur {
-                out.push(T_CONS);
-                encode_value(out, h, memo);
-                cur = t;
-            }
-            encode_value(out, cur, memo);
-        }
-        Value::Inl(inner) => {
-            out.push(T_INL);
-            encode_value(out, inner, memo);
-        }
-        Value::Inr(inner) => {
-            out.push(T_INR);
-            encode_value(out, inner, memo);
-        }
-        Value::Vector(vs) => {
-            out.push(T_VECTOR);
-            put_u64(out, vs.len() as u64);
-            for c in vs.iter() {
-                encode_value(out, c, memo);
-            }
-        }
         Value::MsgTable(t) => {
             out.push(T_MSGTABLE);
             put_u64(out, t.len() as u64);
             for c in t.iter() {
-                encode_value(out, c, memo);
+                encode(out, c, memo, depth + 1)?;
             }
         }
         Value::Fix(inner) => {
             out.push(T_FIX);
-            encode_value(out, inner, memo);
+            encode(out, inner, memo, depth + 1)?;
         }
         Value::Closure { param, body, env } => {
             if let Some(id) = memo.code.get(&Arc::as_ptr(body)) {
@@ -205,7 +281,7 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
                 put_str(out, param.as_str());
                 put_str(out, &body.to_string());
             }
-            encode_env(out, env, memo);
+            encode_env(out, env, memo, depth + 1)?;
         }
         Value::Cell { cell, origin } => {
             let key = Rc::as_ptr(cell) as usize;
@@ -215,7 +291,7 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
                 out.push(T_CELL_REF);
                 put_u64(out, *id);
                 encode_mode(out, *origin);
-                return;
+                return Ok(());
             }
             let id = memo.cells.len() as u64;
             // Register before descending so a cyclic cell hits the
@@ -224,12 +300,18 @@ fn encode_value(out: &mut Vec<u8>, v: &Value, memo: &mut EncodeMemo) {
             out.push(T_CELL_DEF);
             put_u64(out, id);
             encode_mode(out, *origin);
-            encode_value(out, &cell.borrow(), memo);
+            encode(out, &cell.borrow(), memo, depth + 1)?;
         }
     }
+    Ok(())
 }
 
-fn encode_env(out: &mut Vec<u8>, env: &Env, memo: &mut EncodeMemo) {
+fn encode_env(
+    out: &mut Vec<u8>,
+    env: &Env,
+    memo: &mut EncodeMemo,
+    depth: usize,
+) -> Result<(), EvalError> {
     // The nodes not written yet, innermost first, down to a written one.
     let mut fresh = Vec::new();
     let mut cur = env.clone();
@@ -244,7 +326,7 @@ fn encode_env(out: &mut Vec<u8>, env: &Env, memo: &mut EncodeMemo) {
     };
     if base == 0 && fresh.is_empty() {
         out.push(E_EMPTY);
-        return;
+        return Ok(());
     }
     out.push(E_SPINE);
     put_u64(out, base);
@@ -252,10 +334,11 @@ fn encode_env(out: &mut Vec<u8>, env: &Env, memo: &mut EncodeMemo) {
     for node in fresh.iter().rev() {
         let (name, value, _, key) = node.spine_head().expect("a fresh node is not empty");
         put_str(out, name.as_str());
-        encode_value(out, value, memo);
+        encode(out, value, memo, depth + 1)?;
         memo.nodes.insert(key, memo.nodes_written);
         memo.nodes_written += 1;
     }
+    Ok(())
 }
 
 fn encode_mode(out: &mut Vec<u8>, mode: Mode) {
@@ -268,7 +351,7 @@ fn encode_mode(out: &mut Vec<u8>, mode: Mode) {
     }
 }
 
-fn decode_value(
+fn decode(
     r: &mut ByteReader<'_>,
     memo: &mut DecodeMemo,
     depth: usize,
@@ -280,7 +363,7 @@ fn decode_value(
     // Read a list's spine in a loop: heads nest one level, tails none.
     let mut heads = Vec::new();
     while tag == T_CONS {
-        heads.push(decode_value(r, memo, depth + 1)?);
+        heads.push(decode(r, memo, depth + 1)?);
         tag = r.u8()?;
     }
     let last = decode_tagged(r, tag, memo, depth)?;
@@ -302,6 +385,22 @@ fn decode_tagged(
         T_UNIT => Ok(Value::Unit),
         T_NOCOMM => Ok(Value::NoComm),
         T_NIL => Ok(Value::Nil),
+        T_PAIR => Ok(Value::Pair(
+            Rc::new(decode(r, memo, depth + 1)?),
+            Rc::new(decode(r, memo, depth + 1)?),
+        )),
+        T_INL => Ok(Value::Inl(Rc::new(decode(r, memo, depth + 1)?))),
+        T_INR => Ok(Value::Inr(Rc::new(decode(r, memo, depth + 1)?))),
+        T_VECTOR => {
+            let n = r.count()?;
+            let mut vs = Vec::with_capacity(n);
+            for _ in 0..n {
+                vs.push(decode(r, memo, depth + 1)?);
+            }
+            Ok(Value::vector(vs))
+        }
+        // Everything below is session state, not a message.
+        _ if memo.message => Err(CodecError::BadTag { what: "value", tag }),
         T_PRIM => {
             let idx = r.u8()? as usize;
             Op::ALL
@@ -312,29 +411,15 @@ fn decode_tagged(
                     tag: idx as u8,
                 })
         }
-        T_PAIR => Ok(Value::Pair(
-            Rc::new(decode_value(r, memo, depth + 1)?),
-            Rc::new(decode_value(r, memo, depth + 1)?),
-        )),
-        T_INL => Ok(Value::Inl(Rc::new(decode_value(r, memo, depth + 1)?))),
-        T_INR => Ok(Value::Inr(Rc::new(decode_value(r, memo, depth + 1)?))),
-        T_VECTOR => {
-            let n = r.count()?;
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                vs.push(decode_value(r, memo, depth + 1)?);
-            }
-            Ok(Value::vector(vs))
-        }
         T_MSGTABLE => {
             let n = r.count()?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
-                vs.push(decode_value(r, memo, depth + 1)?);
+                vs.push(decode(r, memo, depth + 1)?);
             }
             Ok(Value::MsgTable(Rc::new(vs)))
         }
-        T_FIX => Ok(Value::Fix(Rc::new(decode_value(r, memo, depth + 1)?))),
+        T_FIX => Ok(Value::Fix(Rc::new(decode(r, memo, depth + 1)?))),
         T_CLOSURE | T_CLOSURE_CODE | T_CLOSURE_SHARED => {
             let param = r.str()?;
             let body = if tag == T_CLOSURE_SHARED {
@@ -362,7 +447,7 @@ fn decode_tagged(
             // back-references it; patch the contents in afterwards.
             let cell = Rc::new(RefCell::new(Value::Unit));
             memo.cells.insert(id, Rc::clone(&cell));
-            let contents = decode_value(r, memo, depth + 1)?;
+            let contents = decode(r, memo, depth + 1)?;
             *cell.borrow_mut() = contents;
             Ok(Value::Cell { cell, origin })
         }
@@ -406,7 +491,7 @@ fn decode_env(
             E_BINDING => {
                 let id = r.u64()?;
                 let name = r.str()?;
-                let value = decode_value(r, memo, depth + 1)?;
+                let value = decode(r, memo, depth + 1)?;
                 frames.push((id, name, value));
             }
             E_SPINE if frames.is_empty() => {
@@ -416,7 +501,7 @@ fn decode_env(
                 };
                 for _ in 0..r.count()? {
                     let name = r.str()?;
-                    let value = decode_value(r, memo, depth + 1)?;
+                    let value = decode(r, memo, depth + 1)?;
                     env = env.bind(Ident::new(&name), value);
                     memo.nodes.push(env.clone());
                 }

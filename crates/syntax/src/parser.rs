@@ -291,40 +291,48 @@ impl Parser {
         }))
     }
 
+    /// A chain of `let … in` headers is read in a loop and its body
+    /// parsed once, so nested lets cost no parser stack; the tree is
+    /// then built from the innermost let outwards.
     fn let_(&mut self) -> Result<Expr, ParseError> {
-        let start = self.expect(&TokenKind::Let)?.span;
-        let recursive = self.eat(&TokenKind::Rec);
-        let name = self.expect_binder()?;
-        let mut params = Vec::new();
-        while matches!(self.peek(), TokenKind::Ident(_)) {
-            params.push(self.expect_binder()?);
+        let mut headers = Vec::new();
+        while self.peek() == &TokenKind::Let {
+            let start = self.expect(&TokenKind::Let)?.span;
+            let recursive = self.eat(&TokenKind::Rec);
+            let name = self.expect_binder()?;
+            let mut params = Vec::new();
+            while matches!(self.peek(), TokenKind::Ident(_)) {
+                params.push(self.expect_binder()?);
+            }
+            self.expect(&TokenKind::Equal)?;
+            let bound = self.expr()?;
+            self.expect(&TokenKind::In)?;
+            headers.push((start, recursive, name, params, bound));
         }
-        self.expect(&TokenKind::Equal)?;
-        let mut bound = self.expr()?;
-        self.expect(&TokenKind::In)?;
-        let body = self.expr()?;
-        let span = start.join(body.span);
-
-        // `let f x y = e` sugar.
-        for p in params.into_iter().rev() {
-            bound = Expr::new(ExprKind::Fun(p, Arc::new(bound)), span);
+        // A body that is itself a `let` was read as one more header: as
+        // a body, it would have taken every `;` after it all the same.
+        let mut body = self.expr()?;
+        for (start, recursive, name, params, mut bound) in headers.into_iter().rev() {
+            let span = start.join(body.span);
+            // `let f x y = e` sugar.
+            for p in params.into_iter().rev() {
+                bound = Expr::new(ExprKind::Fun(p, Arc::new(bound)), span);
+            }
+            // `let rec f … = e` desugars through the fix operator:
+            // let f = fix (fun f -> …) in body.
+            if recursive {
+                let lam = Expr::new(ExprKind::Fun(name.clone(), Arc::new(bound)), span);
+                bound = Expr::new(
+                    ExprKind::App(
+                        Box::new(Expr::new(ExprKind::Op(Op::Fix), span)),
+                        Box::new(lam),
+                    ),
+                    span,
+                );
+            }
+            body = Expr::new(ExprKind::Let(name, Box::new(bound), Box::new(body)), span);
         }
-        // `let rec f … = e` desugars through the fix operator:
-        // let f = fix (fun f -> …) in body.
-        if recursive {
-            let lam = Expr::new(ExprKind::Fun(name.clone(), Arc::new(bound)), span);
-            bound = Expr::new(
-                ExprKind::App(
-                    Box::new(Expr::new(ExprKind::Op(Op::Fix), span)),
-                    Box::new(lam),
-                ),
-                span,
-            );
-        }
-        Ok(Expr::new(
-            ExprKind::Let(name, Box::new(bound), Box::new(body)),
-            span,
-        ))
+        Ok(body)
     }
 
     fn if_(&mut self) -> Result<Expr, ParseError> {

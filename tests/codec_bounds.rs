@@ -16,11 +16,11 @@
 use std::path::PathBuf;
 
 use bsml_bsp::checkpoint::{RankFrame, SyncOutcome};
-use bsml_bsp::wire::{encode_value, read_ctl, CtlMsg, Frame, FramePayload};
+use bsml_bsp::wire::{read_ctl, CtlMsg, Frame, FramePayload};
 use bsml_bsp::BspParams;
 use bsml_core::{Session, SessionSnapshot};
 use bsml_eval::bytes::{seal, CodecError, MAX_DEPTH};
-use bsml_eval::persist::{value_from_bytes, value_to_bytes};
+use bsml_eval::persist::{encode_value, value_from_bytes, value_to_bytes};
 use bsml_eval::Value;
 use bsml_obs::Telemetry;
 use bsml_serve::{Outcome, Server, ServerConfig};
@@ -101,7 +101,7 @@ fn a_thousand_element_list_roundtrips_through_every_codec() {
 /// overflow the stack on drop.
 fn nested_done_frame(depth: usize) -> Vec<u8> {
     const CTL_DONE: u8 = 11;
-    const TAG_INL: u8 = 5;
+    const TAG_INL: u8 = 8;
     const TAG_UNIT: u8 = 2;
     let mut out = vec![0; 4];
     out.push(CTL_DONE);

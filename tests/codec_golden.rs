@@ -12,6 +12,12 @@
 //! backpressure flight event are gone), and the new
 //! `ctl/send_counts` and `ctl/recv_counts`. Session format v2 (a flat
 //! environment spine) re-recorded `session_snapshot/no_closures`.
+//! Control protocol v4 writes messages in the session codec's tags
+//! (`bsml_eval::persist`'s message form), which re-recorded the seven
+//! rows that carry one or name the version: `frame/put`, `ctl/hello`,
+//! `ctl/data`, `ctl/deliver`, `ctl/done`, `rank_frame` and
+//! `checkpoint_generation_file` (also its new file magic). Every
+//! length stayed the same.
 //!
 //! A second test holds a snapshot written by the old session codec
 //! (three toplevel functions, format v1) as a hex constant: WAL
@@ -23,37 +29,37 @@ use std::time::Duration;
 
 use bsml_bsp::checkpoint::{CheckpointStore, FileStore, RankFrame, SyncOutcome};
 use bsml_bsp::postmortem::{FlightLog, PostmortemBundle, RankFlightLog};
-use bsml_bsp::wire::{encode_value, CtlLedger, CtlMsg, CtlStats, Frame, FramePayload};
+use bsml_bsp::wire::{CtlLedger, CtlMsg, CtlStats, Frame, FramePayload};
 use bsml_bsp::{BspParams, Fault, FaultKind};
 use bsml_core::{Session, SessionSnapshot};
 use bsml_eval::hooks::Mode;
-use bsml_eval::persist::value_to_bytes;
+use bsml_eval::persist::{encode_value, value_to_bytes};
 use bsml_eval::{EvalError, Value};
 use bsml_obs::{FlightEvent, TimedFlightEvent};
 use bsml_serve::{frame_record, WalRecord};
 
 /// (sample, encoded length, FNV-1a of the encoding).
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("frame/put", 69, 0xf9b027315a6b38bf),
+    ("frame/put", 69, 0x501557703fa35935),
     ("frame/ifat", 42, 0x82811d9141bc0c6d),
-    ("ctl/hello", 49, 0xd6fa930e071589ad),
+    ("ctl/hello", 49, 0x25484691e4d32074),
     ("ctl/welcome", 227, 0x03ac99f3189ffb58),
     ("ctl/reject", 49, 0xeb23ff3bebf9827d),
-    ("ctl/data", 98, 0xc1f7b6a2e029f5fb),
-    ("ctl/deliver", 90, 0x009bdd97f370012e),
+    ("ctl/data", 98, 0x8983a11c7a1cc884),
+    ("ctl/deliver", 90, 0x62c95f80c5ed19bc),
     ("ctl/send_counts", 61, 0x89a616f4d4c54acb),
     ("ctl/recv_counts", 61, 0xe7ce3029064368f8),
     ("ctl/barrier_enter", 33, 0xdb0d6ee348a2e2eb),
     ("ctl/barrier_release", 21, 0xbd59e907cd9bf1dc),
     ("ctl/poison", 13, 0x343b9cabd77555d3),
     ("ctl/fatal", 374, 0x6675a349eda05d3e),
-    ("ctl/done", 228, 0x706805c1f5ec9d5b),
+    ("ctl/done", 228, 0x50ce8b812bd825ca),
     ("ctl/ping", 21, 0xcef155fc73512a94),
     ("ctl/pong", 21, 0xb6004a165e464f79),
     ("ctl/rejoin", 45, 0xcb78da6d8d486987),
     ("ctl/rejoin_ok", 21, 0x7690ddd86fc18c97),
-    ("rank_frame", 136, 0xfb74d387ec88f287),
-    ("checkpoint_generation_file", 320, 0x6763a1c7d04a2061),
+    ("rank_frame", 136, 0xf1d1946adbfd7230),
+    ("checkpoint_generation_file", 320, 0xcf60cdedbd665afc),
     ("postmortem_bundle", 623, 0x492495e65491b781),
     ("wal/header", 35, 0xcfee54837ae307ce),
     ("wal/snapshot", 38, 0x7846110afc872074),

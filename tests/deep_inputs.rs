@@ -6,9 +6,11 @@
 //! checks the larger debug frames. A row that overflows the stack
 //! aborts the whole test binary: overflow is not a panic. The
 //! thresholds these rows sit under are recorded in ROADMAP item 1.
-//! One more row serves a tenant that holds a long list: session hosts
+//! A parse-only row reads a chain of 5,000 lets, which the parser
+//! reads in a loop. One more row serves a tenant that holds a long list: session hosts
 //! run requests on a default 2 MiB thread.
 
+use bsml_ast::ExprKind;
 use bsml_bsp::BspParams;
 use bsml_infer::infer;
 use bsml_obs::Telemetry;
@@ -64,6 +66,26 @@ fn deep_inputs_typecheck_on_a_2_mib_stack() {
     for (input, source, ty) in rows {
         assert_eq!(typecheck(source), Ok(ty.to_string()), "{input}");
     }
+}
+
+#[test]
+fn five_thousand_nested_lets_parse_on_a_2_mib_stack() {
+    let depth = std::thread::Builder::new()
+        .stack_size(STACK)
+        .spawn(|| {
+            let e = parse(&lets(5000)).expect("the chain parses");
+            let mut depth = 0;
+            let mut cur = &e;
+            while let ExprKind::Let(_, _, body) = &cur.kind {
+                depth += 1;
+                cur = body;
+            }
+            depth
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("the parser does not panic");
+    assert_eq!(depth, 5000);
 }
 
 #[test]

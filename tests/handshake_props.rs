@@ -15,9 +15,10 @@ use std::io::{self, Read};
 use bsml_bsp::process::validate_hello;
 use bsml_bsp::validate_rejoin;
 use bsml_bsp::wire::{
-    encode_value, read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, PROTOCOL_VERSION,
+    read_ctl, write_ctl, CtlLedger, CtlMsg, CtlStats, CTL_MAGIC, PROTOCOL_VERSION,
 };
 use bsml_bsp::{Fault, FaultKind};
+use bsml_eval::persist::encode_value;
 use bsml_eval::{EvalError, Value};
 use bsml_obs::{FlightEvent, TimedFlightEvent};
 use proptest::collection::vec;

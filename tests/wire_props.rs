@@ -1,17 +1,21 @@
-//! Property tests for the wire protocol (DESIGN.md §10): the value
-//! codec round-trips every first-order value the evaluator can
-//! serialize, frames round-trip with their headers intact, and the
+//! Property tests for the wire protocol (DESIGN.md §10): a message is
+//! the session codec's encoding of a first-order value, byte for byte,
+//! and round-trips; the message decoder refuses every tag only session
+//! state has; frames round-trip with their headers intact, and the
 //! decoder *rejects* — never panics on, never silently accepts — every
 //! truncation and every single-bit corruption. The last property is
 //! what the exchange's fail-fast check rests on: a frame damaged in
 //! flight must be refused (so the run fails), not read as subtly
 //! different data.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use bsml_bsp::wire::{decode_value, encode_value};
+use bsml_ast::{Ident, Op};
 use bsml_bsp::{Frame, FramePayload};
-use bsml_eval::{ByteReader, Value};
+use bsml_eval::persist::{decode_value, encode_value, value_to_bytes};
+use bsml_eval::{ByteReader, CodecError, Env, Mode, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -38,6 +42,30 @@ fn encoded(v: &Value) -> Vec<u8> {
     let mut bytes = Vec::new();
     encode_value(&mut bytes, v).expect("a first-order value");
     bytes
+}
+
+/// The session encodings of the values a message may not hold, each
+/// starting at the refused value's tag: a closure and a cell as first
+/// met and as met again (a shared body, a back-reference), a
+/// primitive, a fixpoint and a message table, each around `v`.
+fn session_only_encodings(v: &Value, op: usize) -> Vec<Vec<u8>> {
+    let closure = Value::Closure {
+        param: Ident::new("x"),
+        body: Arc::new(bsml_syntax::parse("x + y").expect("parses")),
+        env: Env::new().bind(Ident::new("y"), v.clone()),
+    };
+    let cell = Value::cell(v.clone(), Mode::Global);
+    let mut out = Vec::new();
+    for shared in [closure, cell] {
+        let first = value_to_bytes(&shared);
+        let twice = value_to_bytes(&Value::pair(shared.clone(), shared));
+        out.push(twice[1 + first.len()..].to_vec());
+        out.push(first);
+    }
+    out.push(value_to_bytes(&Value::Prim(Op::ALL[op % Op::ALL.len()])));
+    out.push(value_to_bytes(&Value::Fix(Rc::new(v.clone()))));
+    out.push(value_to_bytes(&Value::MsgTable(Rc::new(vec![v.clone()]))));
+    out
 }
 
 fn frame() -> impl Strategy<Value = Frame> {
@@ -72,6 +100,25 @@ proptest! {
         prop_assert_eq!(back.try_eq(&v), Some(true));
         prop_assert_eq!(back.to_string(), v.to_string());
         prop_assert_eq!(r.remaining(), 0, "decoder left bytes behind");
+    }
+
+    #[test]
+    fn a_message_is_its_session_encoding(v in first_order_value()) {
+        prop_assert_eq!(encoded(&v), value_to_bytes(&v));
+    }
+
+    #[test]
+    fn the_message_decoder_refuses_every_session_only_tag(
+        v in first_order_value(),
+        op in any::<usize>(),
+    ) {
+        let encodings = session_only_encodings(&v, op);
+        let tags: BTreeSet<u8> = encodings.iter().map(|bytes| bytes[0]).collect();
+        prop_assert_eq!(tags.len(), 7, "seven distinct session-only tags");
+        for bytes in encodings {
+            let got = decode_value(&mut ByteReader::new(&bytes)).map(|_| ());
+            prop_assert_eq!(got, Err(CodecError::BadTag { what: "value", tag: bytes[0] }));
+        }
     }
 
     #[test]
