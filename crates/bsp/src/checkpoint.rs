@@ -281,12 +281,6 @@ pub trait CheckpointStore: fmt::Debug + Send + Sync {
     fn clear(&self);
 }
 
-/// The latest committed generation of a store, if any.
-#[must_use]
-pub fn latest_generation(store: &dyn CheckpointStore) -> Option<u64> {
-    store.generations().last().copied()
-}
-
 // ---------------------------------------------------------------------------
 // Frame codec (value serialization shared with crate::wire)
 // ---------------------------------------------------------------------------

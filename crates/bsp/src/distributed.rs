@@ -86,8 +86,7 @@ pub const DIST_DEFAULT_FUEL: u64 = 10_000_000;
 /// rather than a hang. Override with
 /// [`DistMachine::with_barrier_timeout`] or the
 /// `BSML_BARRIER_TIMEOUT_MS` environment variable (read at
-/// [`DistMachine::new`]), or disable with
-/// [`DistMachine::without_watchdog`].
+/// [`DistMachine::new`]).
 pub const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The environment variable overriding [`DEFAULT_BARRIER_TIMEOUT`]
@@ -1470,15 +1469,6 @@ impl DistMachine {
         self
     }
 
-    /// Disables the barrier watchdog entirely (waits may then hang on
-    /// a truly stalled peer — only for environments with their own
-    /// supervision).
-    #[must_use]
-    pub fn without_watchdog(mut self) -> DistMachine {
-        self.barrier_timeout = None;
-        self
-    }
-
     /// Attaches a deterministic fault-injection plan (chaos testing).
     /// Fault-free machines pay nothing: the plan is behind an
     /// `Option` checked once per synchronization.
@@ -1520,14 +1510,6 @@ impl DistMachine {
     #[must_use]
     pub fn with_flight_recorder(mut self, capacity: usize) -> DistMachine {
         self.flight = Some(capacity);
-        self
-    }
-
-    /// Disables the flight recorder (overriding
-    /// `BSML_FLIGHT_CAPACITY`).
-    #[must_use]
-    pub fn without_flight_recorder(mut self) -> DistMachine {
-        self.flight = None;
         self
     }
 

@@ -1,6 +1,7 @@
 //! The cost-charging [`EvalHooks`] implementation.
 
 use bsml_eval::{EvalHooks, Mode, Value};
+use bsml_obs::Telemetry;
 
 use crate::cost::{Barrier, SuperstepRecord};
 
@@ -10,12 +11,23 @@ use crate::cost::{Barrier, SuperstepRecord};
 /// Global (replicated) reduction steps charge one unit of work to
 /// *every* processor — BSML is SPMD: each processor evaluates the
 /// global expression identically (paper §2). Local steps inside a
-/// vector component charge only that component's processor.
+/// vector component charge only that component's processor. Each step
+/// is counted once, a global one on one counter and a local one on its
+/// processor's, and a superstep's `w_i` is formed as global plus
+/// local when it closes.
 #[derive(Clone, Debug)]
 pub struct BspCostHooks {
     p: usize,
+    /// Global steps of the open superstep.
+    global: u64,
+    /// The open superstep; its `work` holds local steps only.
     current: SuperstepRecord,
     finished: Vec<SuperstepRecord>,
+    /// Global and local steps of the closed supersteps.
+    global_steps: u64,
+    local_steps: u64,
+    /// `mkpar` and `apply` operations.
+    async_ops: u64,
 }
 
 impl BspCostHooks {
@@ -24,8 +36,12 @@ impl BspCostHooks {
     pub fn new(p: usize) -> BspCostHooks {
         BspCostHooks {
             p,
+            global: 0,
             current: fresh_record(p),
             finished: Vec::new(),
+            global_steps: 0,
+            local_steps: 0,
+            async_ops: 0,
         }
     }
 
@@ -33,13 +49,50 @@ impl BspCostHooks {
     /// full trace.
     #[must_use]
     pub fn finish(mut self) -> Vec<SuperstepRecord> {
-        self.current.barrier = Barrier::ProgramEnd;
-        self.finished.push(self.current);
+        self.close_superstep(Barrier::ProgramEnd);
         self.finished
+    }
+
+    /// Adds the run so far to the `eval.*` counters that
+    /// [`crate::BspMachine::with_telemetry`] lists, skipping zero
+    /// counts.
+    pub(crate) fn add_eval_counters(&self, telemetry: &Telemetry) {
+        let global = self.global_steps + self.global;
+        let local = self.local_steps + self.current.work.iter().sum::<u64>();
+        let (mut puts, mut ifats, mut put_words) = (0, 0, 0);
+        for rec in &self.finished {
+            match rec.barrier {
+                Barrier::Put => {
+                    puts += 1;
+                    put_words += rec.sent.iter().sum::<u64>();
+                }
+                Barrier::IfAt => ifats += 1,
+                Barrier::ProgramEnd => {}
+            }
+        }
+        for (name, value) in [
+            ("eval.fuel_ticks", global + local),
+            ("eval.steps.global", global),
+            ("eval.steps.local", local),
+            ("eval.puts", puts),
+            ("eval.ifats", ifats),
+            ("eval.async_ops", self.async_ops),
+            ("eval.put_words", put_words),
+        ] {
+            if value > 0 {
+                telemetry.counter_add(name, value);
+            }
+        }
     }
 
     fn close_superstep(&mut self, barrier: Barrier) {
         let mut done = std::mem::replace(&mut self.current, fresh_record(self.p));
+        self.global_steps += self.global;
+        for w in &mut done.work {
+            self.local_steps += *w;
+            *w += self.global;
+        }
+        self.global = 0;
         done.barrier = barrier;
         self.finished.push(done);
     }
@@ -57,12 +110,9 @@ fn fresh_record(p: usize) -> SuperstepRecord {
 impl EvalHooks for BspCostHooks {
     fn on_step(&mut self, mode: Mode) {
         match mode {
-            // Replicated global work: every processor performs it.
-            Mode::Global => {
-                for w in &mut self.current.work {
-                    *w += 1;
-                }
-            }
+            // Replicated global work, charged to every processor when
+            // the superstep closes.
+            Mode::Global => self.global += 1,
             Mode::OnProc(i) => {
                 if let Some(w) = self.current.work.get_mut(i) {
                     *w += 1;
@@ -108,6 +158,10 @@ impl EvalHooks for BspCostHooks {
             }
         }
         self.close_superstep(Barrier::IfAt);
+    }
+
+    fn on_async_parallel(&mut self) {
+        self.async_ops += 1;
     }
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bsml_ast::Expr;
-use bsml_eval::{EvalError, Evaluator, FuelCell, TeeHooks, TracingHooks, Trail, Value};
+use bsml_eval::{EvalError, Evaluator, FuelCell, Trail, Value};
 use bsml_obs::{FieldValue, Telemetry};
 
 use crate::cost::{Barrier, CostSummary, SuperstepRecord};
@@ -157,7 +157,13 @@ impl BspMachine {
     /// processor per superstep, on per-processor tracks `p0…`, with
     /// `w` / `h_plus` / `h_minus` / `barrier` fields taken verbatim
     /// from the [`RunReport`] — and bumps the `bsp.supersteps`,
-    /// `bsp.puts`, `bsp.ifats`, and `bsp.words_sent` counters.
+    /// `bsp.puts`, `bsp.ifats`, and `bsp.words_sent` counters. Every
+    /// run, a failed one too, adds its evaluator counts:
+    /// `eval.fuel_ticks` (every reduction step), `eval.steps.global`
+    /// and `eval.steps.local` (the same steps split by
+    /// [`bsml_eval::Mode`]), `eval.puts`, `eval.ifats`,
+    /// `eval.async_ops`, and `eval.put_words` (the words `put` moved
+    /// between distinct processors).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> BspMachine {
         self.telemetry = telemetry;
@@ -189,30 +195,17 @@ impl BspMachine {
     pub fn run_with_env(&self, env: &bsml_eval::Env, e: &Expr) -> Result<RunReport, EvalError> {
         let mut run_span = self.telemetry.span("bsp.run");
         let mut hooks = BspCostHooks::new(self.params.p);
-        let value = if self.telemetry.is_enabled() {
-            // One evaluator pass feeds both cost accounting and the
-            // `eval.*` telemetry counters (flushed when `tracing`
-            // drops).
-            let mut tracing = TracingHooks::new(self.telemetry.clone());
-            let mut tee = TeeHooks::new(&mut hooks, &mut tracing);
-            let mut ev = Evaluator::with_fuel(self.params.p, &mut tee, self.fuel);
-            if let Some(cell) = &self.fuel_cell {
-                ev = ev.with_fuel_cell(Arc::clone(cell));
-            }
-            if let Some(trail) = &self.trail {
-                ev = ev.with_trail(trail.clone());
-            }
-            ev.eval_with_env(env, e)?
-        } else {
-            let mut ev = Evaluator::with_fuel(self.params.p, &mut hooks, self.fuel);
-            if let Some(cell) = &self.fuel_cell {
-                ev = ev.with_fuel_cell(Arc::clone(cell));
-            }
-            if let Some(trail) = &self.trail {
-                ev = ev.with_trail(trail.clone());
-            }
-            ev.eval_with_env(env, e)?
-        };
+        let mut ev = Evaluator::with_fuel(self.params.p, &mut hooks, self.fuel);
+        if let Some(cell) = &self.fuel_cell {
+            ev = ev.with_fuel_cell(Arc::clone(cell));
+        }
+        if let Some(trail) = &self.trail {
+            ev = ev.with_trail(trail.clone());
+        }
+        let result = ev.eval_with_env(env, e);
+        // A failed run counts the work it did too.
+        hooks.add_eval_counters(&self.telemetry);
+        let value = result?;
         let trace = hooks.finish();
         let cost = CostSummary::from_records(&trace);
         if run_span.is_active() {

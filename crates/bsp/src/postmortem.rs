@@ -641,15 +641,6 @@ impl SuperstepObservation {
             max as f64 * reporting.len() as f64 / sum as f64
         }
     }
-
-    /// The observed wire bytes per payload word (an effective `g`, in
-    /// bytes): `bytes_on_wire / h_relation`, 0 when nothing moved.
-    #[must_use]
-    pub fn effective_g_bytes(&self) -> u64 {
-        self.bytes_on_wire
-            .checked_div(self.h_relation())
-            .unwrap_or(0)
-    }
 }
 
 /// Where (and on what) the attempt died.

@@ -179,15 +179,13 @@ pub struct Supervisor {
     backoff: Duration,
     jitter_seed: u64,
     sleeper: Arc<dyn Sleeper>,
-    oracle_check: bool,
     telemetry: Telemetry,
     postmortem_dir: Option<PathBuf>,
 }
 
 impl Supervisor {
     /// Supervises `machine` with [`DEFAULT_MAX_ATTEMPTS`],
-    /// [`DEFAULT_BACKOFF`], a real [`ThreadSleeper`], and the oracle
-    /// check enabled.
+    /// [`DEFAULT_BACKOFF`] and a real [`ThreadSleeper`].
     #[must_use]
     pub fn new(machine: DistMachine) -> Supervisor {
         let postmortem_dir = bsml_obs::env::path_knob(POSTMORTEM_DIR_ENV);
@@ -205,7 +203,6 @@ impl Supervisor {
             backoff: DEFAULT_BACKOFF,
             jitter_seed: 0,
             sleeper: Arc::new(ThreadSleeper),
-            oracle_check: true,
             telemetry: Telemetry::disabled(),
             postmortem_dir,
         }
@@ -242,16 +239,6 @@ impl Supervisor {
     #[must_use]
     pub fn with_sleeper(mut self, sleeper: Arc<dyn Sleeper>) -> Supervisor {
         self.sleeper = sleeper;
-        self
-    }
-
-    /// Enables/disables the lockstep-oracle cross-check on success.
-    /// On by default; disable only when the program is known to
-    /// behave differently on the two backends (e.g. it communicates
-    /// closures, which only the lockstep machine allows).
-    #[must_use]
-    pub fn with_oracle_check(mut self, check: bool) -> Supervisor {
-        self.oracle_check = check;
         self
     }
 
@@ -295,20 +282,14 @@ impl Supervisor {
         // Determinism (§5, Thm. 2) means the oracle's verdict is THE
         // verdict: if the program fails on the lockstep machine it
         // fails on every faithful backend, and retrying is pointless.
-        let oracle = if self.oracle_check {
-            // The lockstep machine plays all p processors on ONE fuel
-            // pool, so give it p× the distributed per-rank budget —
-            // never under-fueled relative to the supervised machine,
-            // still bounded on divergent programs.
-            let oracle_fuel = self.machine.fuel().saturating_mul(self.machine.p() as u64);
-            Some(
-                BspMachine::new(BspParams::new(self.machine.p(), 1, 1))
-                    .with_fuel(oracle_fuel)
-                    .run(e)?,
-            )
-        } else {
-            None
-        };
+        // The lockstep machine plays all p processors on ONE fuel pool,
+        // so give it p× the distributed per-rank budget — never
+        // under-fueled relative to the supervised machine, still
+        // bounded on divergent programs.
+        let oracle_fuel = self.machine.fuel().saturating_mul(self.machine.p() as u64);
+        let oracle = BspMachine::new(BspParams::new(self.machine.p(), 1, 1))
+            .with_fuel(oracle_fuel)
+            .run(e)?;
 
         let checkpointing = self.machine.checkpoints().is_some();
         let mut recovered = Vec::new();
@@ -342,34 +323,32 @@ impl Supervisor {
                 self.machine.run_attempt_with_resume(e, attempt, resume);
             furthest = furthest.max(reached);
             match result {
-                Ok(out) => match &oracle {
-                    Some(report) if !agrees(report, &out) => {
-                        // The recorded outcomes behind any checkpoint
-                        // of this run are suspect too — never resume
-                        // from them.
-                        full_restart_only = true;
-                        let err = EvalError::ScrutineeMismatch(
-                            "supervised replay",
-                            format!(
-                                "attempt {attempt} diverged from the lockstep oracle: \
-                                 got {} in {} superstep(s), expected {} in {}",
-                                out.value, out.supersteps, report.value, report.cost.supersteps
-                            ),
-                        );
-                        // A silent corruption deserves a black box as
-                        // much as a loud crash does.
-                        postmortems.extend(self.write_postmortem(e, attempt, &err, flight));
-                        recovered.push(err);
-                    }
-                    _ => {
-                        return Ok(SupervisedOutcome {
-                            outcome: out,
-                            attempts: attempt + 1,
-                            recovered,
-                            postmortems,
-                        });
-                    }
-                },
+                Ok(out) if agrees(&oracle, &out) => {
+                    return Ok(SupervisedOutcome {
+                        outcome: out,
+                        attempts: attempt + 1,
+                        recovered,
+                        postmortems,
+                    });
+                }
+                Ok(out) => {
+                    // The recorded outcomes behind any checkpoint of
+                    // this run are suspect too — never resume from
+                    // them.
+                    full_restart_only = true;
+                    let err = EvalError::ScrutineeMismatch(
+                        "supervised replay",
+                        format!(
+                            "attempt {attempt} diverged from the lockstep oracle: \
+                             got {} in {} superstep(s), expected {} in {}",
+                            out.value, out.supersteps, oracle.value, oracle.cost.supersteps
+                        ),
+                    );
+                    // A silent corruption deserves a black box as much
+                    // as a loud crash does.
+                    postmortems.extend(self.write_postmortem(e, attempt, &err, flight));
+                    recovered.push(err);
+                }
                 Err(err) => {
                     postmortems.extend(self.write_postmortem(e, attempt, &err, flight));
                     if resumed || matches!(err, EvalError::CheckpointDiverged { .. }) {

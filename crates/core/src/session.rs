@@ -16,12 +16,12 @@
 //! **Failure semantics.** *Static* failures (parse or type errors)
 //! abort the whole `load`: it binds nothing, and the cells its earlier
 //! phrases assigned get their old contents back. *Dynamic* failures
-//! (an evaluation error, a barrier timeout, a peer failure) degrade
-//! gracefully instead: the failing phrase yields a
-//! [`SessionEvent::PhraseFailed`] carrying the structured
-//! [`EvalError`] and the [`Recovery`] taken, nothing is bound for it,
-//! its own cell writes are undone, and subsequent phrases continue
-//! against the last good environment.
+//! (an evaluation error such as division by zero, fuel exhaustion or
+//! cancellation through a fuel cell) degrade gracefully instead: the
+//! failing phrase yields a [`SessionEvent::PhraseFailed`] carrying the
+//! structured [`EvalError`], nothing is bound for it, its own cell
+//! writes are undone, and subsequent phrases continue against the last
+//! good environment.
 //!
 //! **Transactions.** [`Session::begin`] opens a request that
 //! [`Session::rollback`] undoes whole — bindings, schemes, cumulative
@@ -32,10 +32,10 @@
 //! whole load and one per phrase.
 
 use bsml_ast::{Expr, Ident};
-use bsml_bsp::{BspMachine, BspParams, CheckpointPolicy, CostSummary, Execution, RunReport};
+use bsml_bsp::{BspMachine, BspParams, CostSummary, RunReport};
 use bsml_eval::{CodecError, Env, EvalError, Mark, Trail, Value};
 use bsml_infer::{Inferencer, TypeEnv};
-use bsml_obs::{MetricsSnapshot, Telemetry};
+use bsml_obs::Telemetry;
 use bsml_syntax::parse_module_with;
 use bsml_types::Scheme;
 
@@ -52,35 +52,6 @@ pub struct PhraseOutput {
     pub value: Value,
     /// The BSP cost of evaluating this phrase.
     pub cost: CostSummary,
-    /// Cumulative telemetry metrics as of this phrase (sessions built
-    /// with [`Session::with_telemetry`] only).
-    metrics: Option<MetricsSnapshot>,
-}
-
-/// How the session recovered from a failed phrase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Recovery {
-    /// The phrase was skipped: nothing was bound, its cell writes were
-    /// undone, and subsequent phrases continue from the last good
-    /// environment.
-    Skipped,
-    /// A supervised backend retried and eventually succeeded after
-    /// this many attempts.
-    Recovered {
-        /// Total attempts made (≥ 2).
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for Recovery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Recovery::Skipped => f.write_str("phrase skipped, session continues"),
-            Recovery::Recovered { attempts } => {
-                write!(f, "recovered after {attempts} attempts")
-            }
-        }
-    }
 }
 
 /// A phrase that typechecked but failed at runtime.
@@ -92,8 +63,6 @@ pub struct PhraseFailure {
     pub scheme: Scheme,
     /// The structured runtime error.
     pub error: EvalError,
-    /// What the session did about it.
-    pub recovery: Recovery,
 }
 
 /// What one toplevel phrase produced: a value, or a contained
@@ -102,8 +71,9 @@ pub struct PhraseFailure {
 pub enum SessionEvent {
     /// The phrase evaluated to a value.
     Phrase(PhraseOutput),
-    /// The phrase failed dynamically; the session degraded gracefully
-    /// (see [`PhraseFailure::recovery`]).
+    /// The phrase failed dynamically and was skipped: nothing was
+    /// bound, its cell writes were undone, and subsequent phrases
+    /// continue from the last good environment.
     PhraseFailed(PhraseFailure),
 }
 
@@ -159,18 +129,6 @@ impl SessionEvent {
     pub fn is_failure(&self) -> bool {
         matches!(self, SessionEvent::PhraseFailed(_))
     }
-
-    /// The cumulative telemetry metrics (counters and histogram
-    /// summaries) as of the end of this phrase. `None` unless the
-    /// session was built with [`Session::with_telemetry`] (or the
-    /// phrase failed).
-    #[must_use]
-    pub fn metrics(&self) -> Option<&MetricsSnapshot> {
-        match self {
-            SessionEvent::Phrase(p) => p.metrics.as_ref(),
-            SessionEvent::PhraseFailed(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Display for SessionEvent {
@@ -185,7 +143,7 @@ impl std::fmt::Display for SessionEvent {
                     Some(name) => write!(f, "val {name} : {} = <failed: {}>", p.scheme, p.error)?,
                     None => write!(f, "- : {} = <failed: {}>", p.scheme, p.error)?,
                 }
-                write!(f, " ({})", p.recovery)
+                f.write_str(" (phrase skipped, session continues)")
             }
         }
     }
@@ -208,9 +166,6 @@ pub struct Session {
     venv: Env,
     total: CostSummary,
     telemetry: Telemetry,
-    checkpoint_policy: Option<CheckpointPolicy>,
-    execution: Execution,
-    flight_capacity: Option<usize>,
 }
 
 /// A point-in-time copy of a session's toplevel state, held as bytes
@@ -257,8 +212,7 @@ impl Session {
 
     /// A session whose whole pipeline records into `telemetry`: each
     /// `load` wraps its phrases in spans (`load` → `phrase` → `parse`
-    /// / `infer` / `bsp.run` → per-processor `superstep`s), each
-    /// [`SessionEvent`] carries the cumulative metrics snapshot, and
+    /// / `infer` / `bsp.run` → per-processor `superstep`s), and
     /// contained runtime failures bump `session.phrase_failures`.
     ///
     /// Export the collected data through
@@ -276,70 +230,7 @@ impl Session {
             venv: Env::new(),
             total: CostSummary::default(),
             telemetry,
-            checkpoint_policy: None,
-            execution: Execution::default(),
-            flight_capacity: None,
         }
-    }
-
-    /// Configures the checkpoint policy this session *advertises* for
-    /// distributed execution: frontends that hand phrases to a
-    /// `bsml_bsp::DistMachine` read it via
-    /// [`checkpoint_policy()`](Session::checkpoint_policy) and pass it
-    /// to `DistMachine::with_checkpoints`. `None` (the default) means
-    /// checkpointing stays off — the distributed hot path then
-    /// allocates no store and takes no extra locks.
-    #[must_use]
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Session {
-        self.checkpoint_policy = Some(policy);
-        self
-    }
-
-    /// The configured checkpoint policy, if any.
-    #[must_use]
-    pub fn checkpoint_policy(&self) -> Option<CheckpointPolicy> {
-        self.checkpoint_policy
-    }
-
-    /// Configures the rank placement this session *advertises* for
-    /// distributed execution, mirroring
-    /// [`with_checkpoint_policy`](Session::with_checkpoint_policy):
-    /// frontends that hand phrases to a `bsml_bsp::DistMachine` read
-    /// it via [`execution()`](Session::execution) and pass it to
-    /// `DistMachine::with_execution`. The default runs every rank as
-    /// an OS thread in-process; [`Execution::Processes`] runs each
-    /// rank as its own OS process over a Unix-domain socket, where
-    /// rank death is real and survivable.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Session {
-        self.execution = execution;
-        self
-    }
-
-    /// The configured distributed-execution rank placement.
-    #[must_use]
-    pub fn execution(&self) -> &Execution {
-        &self.execution
-    }
-
-    /// Configures the flight-recorder ring capacity this session
-    /// *advertises* for distributed execution, mirroring
-    /// [`with_checkpoint_policy`](Session::with_checkpoint_policy):
-    /// frontends that hand phrases to a `bsml_bsp::DistMachine` read
-    /// it via [`flight_capacity()`](Session::flight_capacity) and pass it to
-    /// `DistMachine::with_flight_recorder`, so failed runs leave a
-    /// postmortem bundle behind. `None` (the default) defers to the
-    /// machine's own `BSML_FLIGHT_CAPACITY` environment knob.
-    #[must_use]
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Session {
-        self.flight_capacity = Some(capacity);
-        self
-    }
-
-    /// The advertised flight-recorder capacity, if any.
-    #[must_use]
-    pub fn flight_capacity(&self) -> Option<usize> {
-        self.flight_capacity
     }
 
     /// Makes every phrase evaluation draw fuel from a shared
@@ -535,7 +426,6 @@ impl Session {
                     name: name.cloned(),
                     scheme,
                     error,
-                    recovery: Recovery::Skipped,
                 }));
             }
         };
@@ -550,10 +440,6 @@ impl Session {
             scheme,
             value: report.value,
             cost: report.cost,
-            metrics: self
-                .telemetry
-                .is_enabled()
-                .then(|| self.telemetry.metrics()),
         }))
     }
 }
@@ -652,10 +538,6 @@ mod tests {
         assert!(events[0].cost().is_none());
         assert_eq!(s.total_cost(), &before);
         assert_eq!(tel.counter_value("session.phrase_failures"), 1);
-        match &events[0] {
-            SessionEvent::PhraseFailed(f) => assert_eq!(f.recovery, Recovery::Skipped),
-            SessionEvent::Phrase(_) => panic!("expected a failure"),
-        }
     }
 
     #[test]
@@ -722,10 +604,7 @@ mod tests {
         assert_eq!(value_of(&s.load("!r").unwrap()[0]), "1");
         // A failed phrase undoes its own writes.
         let events = s.load("let v = (r := 7; 1 / 0)").unwrap();
-        match &events[0] {
-            SessionEvent::PhraseFailed(f) => assert_eq!(f.recovery, Recovery::Skipped),
-            SessionEvent::Phrase(_) => panic!("expected a failure"),
-        }
+        assert!(events[0].is_failure());
         assert_eq!(value_of(&s.load("!r").unwrap()[0]), "1");
     }
 
@@ -765,34 +644,6 @@ mod tests {
         let before = s.snapshot().to_bytes();
         assert!(s.restore(&snap).is_err());
         assert_eq!(s.snapshot().to_bytes(), before);
-    }
-
-    #[test]
-    fn checkpoint_policy_is_configurable() {
-        let s = session();
-        assert_eq!(s.checkpoint_policy(), None);
-        let s = session().with_checkpoint_policy(CheckpointPolicy::every(4));
-        assert_eq!(s.checkpoint_policy().map(|p| p.interval()), Some(4));
-    }
-
-    #[test]
-    fn execution_is_configurable() {
-        use bsml_bsp::ProcessConfig;
-        let s = session();
-        assert!(matches!(s.execution(), Execution::InProcess));
-        let s = session().with_execution(Execution::Processes(ProcessConfig::default()));
-        match s.execution() {
-            Execution::Processes(cfg) => assert!(cfg.kills.is_empty()),
-            other => panic!("expected process placement, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn flight_capacity_is_configurable() {
-        let s = session();
-        assert_eq!(s.flight_capacity(), None);
-        let s = session().with_flight_capacity(512);
-        assert_eq!(s.flight_capacity(), Some(512));
     }
 
     #[test]

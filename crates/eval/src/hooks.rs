@@ -5,8 +5,6 @@
 //! synchronization at `put` / `if‥at‥` — the three cost terms
 //! `W + H·g + S·l` of the BSP model (paper §2).
 
-use bsml_obs::Telemetry;
-
 use crate::value::Value;
 
 /// Where a reduction step is happening.
@@ -117,145 +115,6 @@ impl EvalHooks for CountingHooks {
     }
 }
 
-/// Hooks that bridge evaluator events into a [`Telemetry`] sink.
-///
-/// Counts are accumulated locally and flushed to the sink's metrics
-/// registry as `eval.*` counters on [`TracingHooks::flush`] (or drop),
-/// so per-step overhead stays a few integer adds even when telemetry
-/// is enabled. Flushed counters:
-///
-/// * `eval.fuel_ticks` — every reduction step (the fuel meter),
-/// * `eval.steps.global` / `eval.steps.local` — the same ticks split
-///   by [`Mode`],
-/// * `eval.puts`, `eval.ifats`, `eval.async_ops` — primitive counts,
-/// * `eval.put_words` — words moved by `put` exchanges.
-#[derive(Debug)]
-pub struct TracingHooks {
-    telemetry: Telemetry,
-    global_steps: u64,
-    local_steps: u64,
-    puts: u64,
-    ifats: u64,
-    async_ops: u64,
-    put_words: u64,
-}
-
-impl TracingHooks {
-    /// Tracing hooks feeding `telemetry`.
-    #[must_use]
-    pub fn new(telemetry: Telemetry) -> TracingHooks {
-        TracingHooks {
-            telemetry,
-            global_steps: 0,
-            local_steps: 0,
-            puts: 0,
-            ifats: 0,
-            async_ops: 0,
-            put_words: 0,
-        }
-    }
-
-    /// Writes the accumulated counts to the sink and resets them.
-    pub fn flush(&mut self) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let ticks = self.global_steps + self.local_steps;
-        for (name, value) in [
-            ("eval.fuel_ticks", ticks),
-            ("eval.steps.global", self.global_steps),
-            ("eval.steps.local", self.local_steps),
-            ("eval.puts", self.puts),
-            ("eval.ifats", self.ifats),
-            ("eval.async_ops", self.async_ops),
-            ("eval.put_words", self.put_words),
-        ] {
-            if value > 0 {
-                self.telemetry.counter_add(name, value);
-            }
-        }
-        self.global_steps = 0;
-        self.local_steps = 0;
-        self.puts = 0;
-        self.ifats = 0;
-        self.async_ops = 0;
-        self.put_words = 0;
-    }
-}
-
-impl Drop for TracingHooks {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// Forwards every callback to two underlying hooks, so one evaluator
-/// pass can feed both (e.g. BSP cost accounting and telemetry).
-#[derive(Debug)]
-pub struct TeeHooks<'a, A: EvalHooks, B: EvalHooks> {
-    first: &'a mut A,
-    second: &'a mut B,
-}
-
-impl<'a, A: EvalHooks, B: EvalHooks> TeeHooks<'a, A, B> {
-    /// Hooks relaying to `first` then `second`, in that order.
-    pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
-        TeeHooks { first, second }
-    }
-}
-
-impl<A: EvalHooks, B: EvalHooks> EvalHooks for TeeHooks<'_, A, B> {
-    fn on_step(&mut self, mode: Mode) {
-        self.first.on_step(mode);
-        self.second.on_step(mode);
-    }
-
-    fn on_put(&mut self, messages: &[Vec<Value>]) {
-        self.first.on_put(messages);
-        self.second.on_put(messages);
-    }
-
-    fn on_ifat(&mut self, at: usize, chosen: bool) {
-        self.first.on_ifat(at, chosen);
-        self.second.on_ifat(at, chosen);
-    }
-
-    fn on_async_parallel(&mut self) {
-        self.first.on_async_parallel();
-        self.second.on_async_parallel();
-    }
-}
-
-impl EvalHooks for TracingHooks {
-    fn on_step(&mut self, mode: Mode) {
-        match mode {
-            Mode::Global => self.global_steps += 1,
-            Mode::OnProc(_) => self.local_steps += 1,
-        }
-    }
-
-    fn on_put(&mut self, messages: &[Vec<Value>]) {
-        self.puts += 1;
-        // Same accounting as the BSP cost hooks: self-messages stay in
-        // local memory and do not count toward the h-relation.
-        for (j, row) in messages.iter().enumerate() {
-            for (i, v) in row.iter().enumerate() {
-                if i != j {
-                    self.put_words += v.size_in_words();
-                }
-            }
-        }
-    }
-
-    fn on_ifat(&mut self, _at: usize, _chosen: bool) {
-        self.ifats += 1;
-    }
-
-    fn on_async_parallel(&mut self) {
-        self.async_ops += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,52 +140,6 @@ mod tests {
         assert_eq!(h.async_ops, 2);
         // Async ops are communication-free: no superstep is charged.
         assert_eq!(h.supersteps(), 0);
-    }
-
-    #[test]
-    fn tracing_hooks_flush_into_telemetry() {
-        let tel = Telemetry::enabled_logical();
-        let mut h = TracingHooks::new(tel.clone());
-        h.on_step(Mode::Global);
-        h.on_step(Mode::OnProc(0));
-        h.on_step(Mode::OnProc(1));
-        // p0 sends one int to p1; the self-message does not count.
-        h.on_put(&[
-            vec![Value::Int(7), Value::Int(8)],
-            vec![Value::NoComm, Value::NoComm],
-        ]);
-        h.on_ifat(0, true);
-        h.on_async_parallel();
-        // Nothing is visible before the flush…
-        assert_eq!(tel.counter_value("eval.fuel_ticks"), 0);
-        h.flush();
-        assert_eq!(tel.counter_value("eval.fuel_ticks"), 3);
-        assert_eq!(tel.counter_value("eval.steps.global"), 1);
-        assert_eq!(tel.counter_value("eval.steps.local"), 2);
-        assert_eq!(tel.counter_value("eval.puts"), 1);
-        assert_eq!(tel.counter_value("eval.ifats"), 1);
-        assert_eq!(tel.counter_value("eval.async_ops"), 1);
-        assert_eq!(tel.counter_value("eval.put_words"), 1);
-        // …and the flush resets the local accumulators.
-        h.flush();
-        assert_eq!(tel.counter_value("eval.puts"), 1);
-    }
-
-    #[test]
-    fn tracing_hooks_flush_on_drop() {
-        let tel = Telemetry::enabled_logical();
-        {
-            let mut h = TracingHooks::new(tel.clone());
-            h.on_step(Mode::Global);
-        }
-        assert_eq!(tel.counter_value("eval.fuel_ticks"), 1);
-    }
-
-    #[test]
-    fn disabled_tracing_hooks_are_harmless() {
-        let mut h = TracingHooks::new(Telemetry::disabled());
-        h.on_step(Mode::Global);
-        h.flush();
     }
 
     #[test]

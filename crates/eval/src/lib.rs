@@ -45,7 +45,7 @@ pub use driver::{Applier, GlobalDriver, ParallelDriver};
 pub use env::Env;
 pub use error::EvalError;
 pub use fuel::{FuelCell, Quiescence};
-pub use hooks::{CountingHooks, EvalHooks, Mode, NoHooks, TeeHooks, TracingHooks};
+pub use hooks::{CountingHooks, EvalHooks, Mode, NoHooks};
 pub use smallstep::{run, step, StepOutcome};
 pub use trail::{Mark, Trail};
 pub use value::Value;

@@ -161,12 +161,6 @@ impl Type {
         Type::Var(TyVar(n))
     }
 
-    /// `true` for the base types `int`, `bool`, `unit`.
-    #[must_use]
-    pub fn is_base(&self) -> bool {
-        matches!(self, Type::Int | Type::Bool | Type::Unit)
-    }
-
     /// `true` if the type syntactically contains a `par` constructor.
     #[must_use]
     pub fn contains_par(&self) -> bool {

@@ -174,6 +174,59 @@ fn lockstep_and_distributed_telemetry_totals_agree() {
     assert_eq!(waits.count, (p as u64) * 2 * out.supersteps);
 }
 
+/// Runs `src` on a fresh lockstep machine and sink, and checks whether
+/// it succeeds and every counter it leaves there, by name.
+fn assert_lockstep_counters(src: &str, succeeds: bool, expected: &[(&str, u64)]) {
+    let tel = Telemetry::enabled_logical();
+    let result = BspMachine::new(BspParams::new(4, 1, 1))
+        .with_telemetry(tel.clone())
+        .run(&parse(src).unwrap());
+    assert_eq!(result.is_ok(), succeeds, "{result:?}");
+    let counters = tel.metrics().counters;
+    let got: Vec<(&str, u64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn lockstep_runs_count_evaluator_work_once() {
+    // A put and an if‥at‥: the evaluator's counts beside the trace's.
+    // `eval.put_words` counts words between distinct processors;
+    // `bsp.words_sent` adds the if‥at‥ broadcast's p − 1.
+    assert_lockstep_counters(
+        "let v = put (mkpar (fun j -> fun i -> j + i)) in
+         if mkpar (fun i -> i = 1) at 1
+         then apply (mkpar (fun i -> fun f -> f 0), v)
+         else mkpar (fun i -> 0)",
+        true,
+        &[
+            ("bsp.ifats", 1),
+            ("bsp.puts", 1),
+            ("bsp.supersteps", 2),
+            ("bsp.words_sent", 15),
+            ("eval.async_ops", 4),
+            ("eval.fuel_ticks", 138),
+            ("eval.ifats", 1),
+            ("eval.put_words", 12),
+            ("eval.puts", 1),
+            ("eval.steps.global", 18),
+            ("eval.steps.local", 120),
+        ],
+    );
+    // Processor 2 divides by zero. The failed run still counts the
+    // work it did, skips the counts that stayed zero, and adds no
+    // `bsp.*` counter.
+    assert_lockstep_counters(
+        "let x = 1 + 2 in apply (mkpar (fun i -> fun y -> y / (i - 2)), mkpar (fun i -> x))",
+        false,
+        &[
+            ("eval.async_ops", 3),
+            ("eval.fuel_ticks", 50),
+            ("eval.steps.global", 15),
+            ("eval.steps.local", 35),
+        ],
+    );
+}
+
 #[test]
 fn disabled_session_records_nothing() {
     let mut s = Session::new(BspParams::new(2, 1, 10));
@@ -187,16 +240,15 @@ fn disabled_session_records_nothing() {
 fn session_events_carry_cumulative_metrics() {
     let tel = Telemetry::enabled_logical();
     let mut s = Session::with_telemetry(BspParams::new(2, 1, 10), tel);
-    let first = &s.load("put (mkpar (fun j -> fun i -> j))").unwrap()[0];
-    let first_puts = first.metrics().expect("telemetry on").counters["eval.puts"];
-    assert_eq!(first_puts, 1);
-    let second = &s.load("put (mkpar (fun j -> fun i -> j))").unwrap()[0];
-    assert_eq!(second.metrics().unwrap().counters["eval.puts"], 2);
+    s.load("put (mkpar (fun j -> fun i -> j))").unwrap();
+    assert_eq!(s.telemetry().metrics().counters["eval.puts"], 1);
+    s.load("put (mkpar (fun j -> fun i -> j))").unwrap();
+    assert_eq!(s.telemetry().metrics().counters["eval.puts"], 2);
 
-    // Sessions without telemetry expose no snapshot.
+    // Sessions without telemetry hold no counter.
     let mut plain = Session::new(BspParams::new(2, 1, 10));
-    let ev = &plain.load("1 + 1").unwrap()[0];
-    assert!(ev.metrics().is_none());
+    plain.load("1 + 1").unwrap();
+    assert!(plain.telemetry().metrics().counters.is_empty());
 }
 
 #[test]
