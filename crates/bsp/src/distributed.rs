@@ -164,11 +164,7 @@ impl PoisonBarrier {
     /// A poisoned *mutex* (a peer panicked inside the critical
     /// section) is treated like a poisoned barrier: the state may be
     /// inconsistent, so the only safe report is a peer failure.
-    fn wait(
-        &self,
-        timeout: Option<Duration>,
-        on_complete: Option<&dyn Fn()>,
-    ) -> Result<(), EvalError> {
+    fn wait(&self, timeout: Duration, on_complete: Option<&dyn Fn()>) -> Result<(), EvalError> {
         let Ok(mut st) = self.state.lock() else {
             return Err(EvalError::PeerFailure);
         };
@@ -189,32 +185,22 @@ impl PoisonBarrier {
             return Ok(());
         }
         let gen = st.generation;
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = Instant::now() + timeout;
         while st.generation == gen && !st.poisoned {
-            match deadline {
-                None => {
-                    st = match self.cv.wait(st) {
-                        Ok(g) => g,
-                        Err(_) => return Err(EvalError::PeerFailure),
-                    };
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        let waiting = st.waiting;
-                        st.poisoned = true;
-                        self.cv.notify_all();
-                        return Err(EvalError::BarrierTimeout {
-                            superstep: gen,
-                            waiting,
-                        });
-                    }
-                    st = match self.cv.wait_timeout(st, d - now) {
-                        Ok((g, _)) => g,
-                        Err(_) => return Err(EvalError::PeerFailure),
-                    };
-                }
+            let now = Instant::now();
+            if now >= deadline {
+                let waiting = st.waiting;
+                st.poisoned = true;
+                self.cv.notify_all();
+                return Err(EvalError::BarrierTimeout {
+                    superstep: gen,
+                    waiting,
+                });
             }
+            st = match self.cv.wait_timeout(st, deadline - now) {
+                Ok((g, _)) => g,
+                Err(_) => return Err(EvalError::PeerFailure),
+            };
         }
         if st.poisoned {
             Err(EvalError::PeerFailure)
@@ -355,7 +341,7 @@ struct Network {
     /// The substrate frames travel over (per-rank mailboxes).
     transport: Arc<dyn Transport>,
     /// Watchdog timeout applied to every count round and barrier wait.
-    barrier_timeout: Option<Duration>,
+    barrier_timeout: Duration,
     /// Faults to inject into this attempt (`None` = zero-cost).
     faults: Option<Arc<FaultPlan>>,
     /// Which retry attempt this network serves (plans arm faults
@@ -379,7 +365,7 @@ impl Network {
     fn new(
         p: usize,
         transport: Arc<dyn Transport>,
-        barrier_timeout: Option<Duration>,
+        barrier_timeout: Duration,
         faults: Option<Arc<FaultPlan>>,
         attempt: u32,
         checkpoint: Option<NetCheckpoint>,
@@ -1396,7 +1382,7 @@ pub struct DistMachine {
     pub(crate) p: usize,
     pub(crate) fuel: u64,
     pub(crate) telemetry: Telemetry,
-    pub(crate) barrier_timeout: Option<Duration>,
+    pub(crate) barrier_timeout: Duration,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) checkpoints: Option<(CheckpointPolicy, Arc<dyn CheckpointStore>)>,
     pub(crate) flight: Option<usize>,
@@ -1418,7 +1404,7 @@ impl DistMachine {
             p,
             fuel: DIST_DEFAULT_FUEL,
             telemetry: Telemetry::disabled(),
-            barrier_timeout: Some(barrier_timeout_from_env()),
+            barrier_timeout: barrier_timeout_from_env(),
             faults: None,
             checkpoints: None,
             flight: flight_capacity_from_env(),
@@ -1465,7 +1451,7 @@ impl DistMachine {
     /// Overrides the watchdog timeout applied to every barrier wait.
     #[must_use]
     pub fn with_barrier_timeout(mut self, timeout: Duration) -> DistMachine {
-        self.barrier_timeout = Some(timeout);
+        self.barrier_timeout = timeout;
         self
     }
 
@@ -1828,7 +1814,7 @@ pub(crate) fn run_remote_rank(
     transport: Arc<dyn Transport>,
     program: &Expr,
     fuel: u64,
-    barrier_timeout: Option<Duration>,
+    barrier_timeout: Duration,
     faults: Option<Arc<FaultPlan>>,
     attempt: u32,
     checkpoint: Option<(u64, Arc<dyn CheckpointStore>, u64)>,
@@ -1914,7 +1900,7 @@ mod tests {
     fn poison_barrier_releases_waiters() {
         let barrier = Arc::new(PoisonBarrier::new(2));
         let b2 = Arc::clone(&barrier);
-        let waiter = std::thread::spawn(move || b2.wait(None, None));
+        let waiter = std::thread::spawn(move || b2.wait(DEFAULT_BARRIER_TIMEOUT, None));
         // Give the waiter time to block, then poison instead of join.
         std::thread::sleep(std::time::Duration::from_millis(20));
         barrier.poison();
@@ -1928,9 +1914,12 @@ mod tests {
         // disturb the waiting count): it sees the poison immediately.
         let barrier = PoisonBarrier::new(3);
         barrier.poison();
-        assert_eq!(barrier.wait(None, None), Err(EvalError::PeerFailure));
         assert_eq!(
-            barrier.wait(Some(Duration::from_secs(5)), None),
+            barrier.wait(DEFAULT_BARRIER_TIMEOUT, None),
+            Err(EvalError::PeerFailure)
+        );
+        assert_eq!(
+            barrier.wait(Duration::from_secs(5), None),
             Err(EvalError::PeerFailure)
         );
         assert_eq!(lock(&barrier.state).waiting, 0);
@@ -1947,7 +1936,7 @@ mod tests {
                 let waiters: Vec<_> = (0..2)
                     .map(|_| {
                         let b = Arc::clone(&barrier);
-                        scope.spawn(move || b.wait(Some(Duration::from_secs(5)), None))
+                        scope.spawn(move || b.wait(Duration::from_secs(5), None))
                     })
                     .collect();
                 for _ in 0..2 {
@@ -1972,8 +1961,7 @@ mod tests {
                 let b = Arc::clone(&barrier);
                 scope.spawn(move || {
                     for _ in 0..4 {
-                        b.wait(Some(Duration::from_secs(5)), None)
-                            .expect("no poison");
+                        b.wait(Duration::from_secs(5), None).expect("no poison");
                     }
                 });
             }
@@ -1988,14 +1976,17 @@ mod tests {
     fn poison_barrier_timeout_surfaces_and_poisons() {
         let barrier = PoisonBarrier::new(2);
         let err = barrier
-            .wait(Some(Duration::from_millis(10)), None)
+            .wait(Duration::from_millis(10), None)
             .expect_err("nobody else is coming");
         assert!(
             matches!(err, EvalError::BarrierTimeout { waiting: 1, .. }),
             "got {err:?}"
         );
         // The timeout poisoned the barrier: everyone else is released.
-        assert_eq!(barrier.wait(None, None), Err(EvalError::PeerFailure));
+        assert_eq!(
+            barrier.wait(DEFAULT_BARRIER_TIMEOUT, None),
+            Err(EvalError::PeerFailure)
+        );
     }
 
     #[test]
@@ -2006,7 +1997,7 @@ mod tests {
             let b = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    b.wait(None, None)?;
+                    b.wait(DEFAULT_BARRIER_TIMEOUT, None)?;
                 }
                 Ok::<(), EvalError>(())
             }));

@@ -51,21 +51,6 @@ pub fn shift(p: usize, s: u64) -> Cost {
     Cost::new(1, h, u64::from(p > 1))
 }
 
-/// Direct parallel prefix (scan): one total-exchange superstep then
-/// local folds: `p + (p−1)·s·g + l` like the direct broadcast.
-#[must_use]
-pub fn scan_direct(p: usize, s: u64) -> Cost {
-    Cost::new(2 * p as u64, (p as u64 - 1) * s, 1)
-}
-
-/// Logarithmic parallel prefix: `⌈log₂ p⌉` supersteps of `s`-word
-/// 1-relations.
-#[must_use]
-pub fn scan_log(p: usize, s: u64) -> Cost {
-    let rounds = ceil_log2(p);
-    Cost::new(rounds, s * rounds, rounds)
-}
-
 /// `⌈log₂ p⌉` (0 for `p ≤ 1`).
 #[must_use]
 pub fn ceil_log2(p: usize) -> u64 {
@@ -165,8 +150,6 @@ mod tests {
     #[test]
     fn total_exchange_and_scan() {
         assert_eq!(total_exchange(4, 2).h_relation, 6);
-        assert_eq!(scan_log(8, 1).supersteps, 3);
-        assert_eq!(scan_direct(8, 1).supersteps, 1);
         assert_eq!(shift(4, 3), Cost::new(1, 3, 1));
     }
 }

@@ -186,15 +186,6 @@ pub fn equation_1() -> CostExpr {
     CostExpr::P + p_minus_1() * CostExpr::N * CostExpr::G + CostExpr::L
 }
 
-/// The logarithmic broadcast:
-/// `⌈log₂ p⌉ + ⌈log₂ p⌉·n·g + ⌈log₂ p⌉·l`.
-#[must_use]
-pub fn log_bcast() -> CostExpr {
-    CostExpr::CeilLog2P
-        + CostExpr::CeilLog2P * CostExpr::N * CostExpr::G
-        + CostExpr::CeilLog2P * CostExpr::L
-}
-
 /// The one-superstep cyclic shift: `1 + n·g + l`.
 #[must_use]
 pub fn shift() -> CostExpr {
@@ -229,15 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn log_bcast_agrees_with_the_concrete_formula() {
-        for p in [1usize, 2, 5, 16] {
-            let sym = log_bcast().eval(&params(p as u64, 4, 7, 13));
-            let conc = formulas::bcast_log(p, 4).time_gl(7, 13);
-            assert_eq!(sym, conc, "p={p}");
-        }
-    }
-
-    #[test]
     fn composition_is_additive() {
         // Two shifts cost twice one shift — symbolically.
         let twice = shift().then(shift());
@@ -265,8 +247,8 @@ mod tests {
         assert_eq!(e.to_string(), "(p + n)·g");
         assert_eq!(shift().to_string(), "1 + n·g + l");
         assert_eq!(
-            log_bcast().to_string(),
-            "⌈log₂ p⌉ + ⌈log₂ p⌉·n·g + ⌈log₂ p⌉·l"
+            (CostExpr::CeilLog2P * CostExpr::N * CostExpr::G).to_string(),
+            "⌈log₂ p⌉·n·g"
         );
     }
 

@@ -198,7 +198,9 @@ pub const CTL_MAGIC: u64 = u64::from_le_bytes(*b"BSMLCTL1");
 
 /// Version of the control protocol. A `Hello` carrying any other
 /// version is rejected during the handshake — never negotiated.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Version 5 names the program's fingerprint in every `Welcome`, so a
+/// rank that serves many runs checks each program it is sent.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on one control frame (64 MiB). A stream reader rejects
 /// a larger length prefix *before* allocating, so a corrupt or hostile
@@ -270,15 +272,21 @@ pub enum CtlMsg {
         /// The machine width the child was spawned for.
         p: usize,
     },
-    /// The parent accepts the rank and ships it everything it needs to
-    /// run: the program text and the full execution configuration.
+    /// The parent starts one run on the rank and ships it everything
+    /// the run needs: the program text and the full execution
+    /// configuration. A rank serves one run per `Welcome`, on the same
+    /// stream, until the parent closes it.
     Welcome {
         /// The program, pretty-printed; the child re-parses it and
-        /// verifies the fingerprint round-trips.
+        /// verifies that it hashes to `fingerprint`.
         program: String,
+        /// The program's `checkpoint::program_fingerprint`, which a
+        /// `Rejoin` during this run must name.
+        fingerprint: u64,
         /// Fuel for this rank's evaluator.
         fuel: u64,
-        /// Barrier/exchange deadline in milliseconds; `0` = none.
+        /// Barrier/exchange deadline in milliseconds; `0` is a deadline
+        /// already passed.
         barrier_timeout_ms: u64,
         /// Checkpoint every k supersteps; `0` = checkpointing off.
         checkpoint_interval: u64,
@@ -682,6 +690,7 @@ impl CtlMsg {
             }
             CtlMsg::Welcome {
                 program,
+                fingerprint,
                 fuel,
                 barrier_timeout_ms,
                 checkpoint_interval,
@@ -695,6 +704,7 @@ impl CtlMsg {
                 out.push(CTL_WELCOME);
                 put_str(&mut out, program);
                 for v in [
+                    *fingerprint,
                     *fuel,
                     *barrier_timeout_ms,
                     *checkpoint_interval,
@@ -837,6 +847,7 @@ impl CtlMsg {
             },
             CTL_WELCOME => {
                 let program = r.str()?;
+                let fingerprint = r.u64()?;
                 let fuel = r.u64()?;
                 let barrier_timeout_ms = r.u64()?;
                 let checkpoint_interval = r.u64()?;
@@ -861,6 +872,7 @@ impl CtlMsg {
                 };
                 CtlMsg::Welcome {
                     program,
+                    fingerprint,
                     fuel,
                     barrier_timeout_ms,
                     checkpoint_interval,
@@ -1107,6 +1119,7 @@ mod tests {
             CtlMsg::hello(0xdead_beef, 3, 8),
             CtlMsg::Welcome {
                 program: "put (mkpar (fun i -> fun d -> i))".to_string(),
+                fingerprint: 0x0123_4567_89ab_cdef,
                 fuel: 1_000_000,
                 barrier_timeout_ms: 30_000,
                 checkpoint_interval: 2,

@@ -1,7 +1,11 @@
 //! The EXPERIMENTS.md A6 measurement: one workload, three execution
 //! substrates (lockstep simulator, thread-per-rank shared memory,
 //! process-per-rank over a Unix socket), swept over p — so the cost
-//! of real process isolation is a number, not a vibe.
+//! of real process isolation is a number, not a vibe. Process mode is
+//! timed cold (a fresh `ProcessConfig` per run, so every run launches
+//! its rank fleet) and warm (one config cloned per run, so runs reuse
+//! the idle fleet). A second table times a program with no superstep,
+//! which is all launch (cold) or all fixed cost per run (warm).
 //!
 //! ```console
 //! $ cargo build --release --bin bsml-rank   # the worker the launcher spawns
@@ -14,6 +18,7 @@
 
 use std::time::{Duration, Instant};
 
+use bsml_ast::Expr;
 use bsml_bsp::{BspMachine, BspParams, DistMachine, Execution, ProcessConfig};
 use bsml_syntax::parse;
 
@@ -32,17 +37,20 @@ const EXCHANGE_5: &str = "
     let v4 = apply (sum, next v3) in
     apply (sum, next v4)";
 
-const ITERS: usize = 5;
+/// A program with no superstep: each backend's fixed cost per run.
+const ZERO_SUPERSTEPS: &str = "mkpar (fun i -> i)";
 
 fn median(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
     xs[xs.len() / 2]
 }
 
-fn time<F: FnMut() -> String>(mut f: F) -> (String, Duration) {
-    let mut value = String::new();
-    let mut samples = Vec::with_capacity(ITERS);
-    for _ in 0..ITERS {
+/// The median of `iters` runs of `f`, after one warm-up run, and the
+/// value the runs returned.
+fn time<F: FnMut() -> String>(iters: usize, mut f: F) -> (String, Duration) {
+    let mut value = f();
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
         let t0 = Instant::now();
         value = f();
         samples.push(t0.elapsed());
@@ -50,34 +58,60 @@ fn time<F: FnMut() -> String>(mut f: F) -> (String, Duration) {
     (value, median(samples))
 }
 
+fn on_processes(p: usize, cfg: ProcessConfig, e: &Expr) -> String {
+    DistMachine::new(p)
+        .with_execution(Execution::Processes(cfg))
+        .run(e)
+        .expect("process run")
+        .value
+        .to_string()
+}
+
 fn main() {
     let e = parse(EXCHANGE_5).expect("workload parses");
-    println!("p   lockstep    threads     processes   (median of {ITERS}, value cross-checked)");
+    println!("five chained total exchanges (median of 5, value cross-checked)");
+    println!("p   lockstep    threads     procs cold  procs warm");
     for p in [2usize, 4, 8, 16] {
-        let (lock_v, lockstep) = time(|| {
+        let (lock_v, lockstep) = time(5, || {
             BspMachine::new(BspParams::new(p, 1, 1))
                 .run(&e)
                 .expect("lockstep run")
                 .value
                 .to_string()
         });
-        let (thr_v, threads) = time(|| {
+        let (thr_v, threads) = time(5, || {
             DistMachine::new(p)
                 .run(&e)
                 .expect("thread run")
                 .value
                 .to_string()
         });
-        let (proc_v, processes) = time(|| {
+        // Cold: a fresh config per run, so every run launches its
+        // fleet. Warm: clones of one config share the fleet.
+        let (cold_v, cold) = time(5, || on_processes(p, ProcessConfig::default(), &e));
+        let warm_cfg = ProcessConfig::default();
+        let (warm_v, warm) = time(5, || on_processes(p, warm_cfg.clone(), &e));
+        assert_eq!(lock_v, thr_v, "p={p}: thread backend diverged");
+        assert_eq!(lock_v, cold_v, "p={p}: process backend diverged");
+        assert_eq!(lock_v, warm_v, "p={p}: warm process backend diverged");
+        println!("{p:<3} {lockstep:<11?} {threads:<11?} {cold:<11?} {warm:<11?}");
+    }
+
+    let e = parse(ZERO_SUPERSTEPS).expect("program parses");
+    println!();
+    println!("{ZERO_SUPERSTEPS} (median of 21)");
+    println!("p   threads     procs cold  procs warm");
+    for p in [4usize, 8, 16] {
+        let (_, threads) = time(21, || {
             DistMachine::new(p)
-                .with_execution(Execution::Processes(ProcessConfig::default()))
                 .run(&e)
-                .expect("process run")
+                .expect("thread run")
                 .value
                 .to_string()
         });
-        assert_eq!(lock_v, thr_v, "p={p}: thread backend diverged");
-        assert_eq!(lock_v, proc_v, "p={p}: process backend diverged");
-        println!("{p:<3} {lockstep:<11?} {threads:<11?} {processes:<11?}");
+        let (_, cold) = time(21, || on_processes(p, ProcessConfig::default(), &e));
+        let warm_cfg = ProcessConfig::default();
+        let (_, warm) = time(21, || on_processes(p, warm_cfg.clone(), &e));
+        println!("{p:<3} {threads:<11?} {cold:<11?} {warm:<11?}");
     }
 }

@@ -17,7 +17,9 @@
 //! rows that carry one or name the version: `frame/put`, `ctl/hello`,
 //! `ctl/data`, `ctl/deliver`, `ctl/done`, `rank_frame` and
 //! `checkpoint_generation_file` (also its new file magic). Every
-//! length stayed the same.
+//! length stayed the same. Control protocol v5 names the program's
+//! fingerprint in `Welcome`, which re-recorded `ctl/hello` (the
+//! version) and `ctl/welcome` (8 bytes longer).
 //!
 //! A second test holds a snapshot written by the old session codec
 //! (three toplevel functions, format v1) as a hex constant: WAL
@@ -42,8 +44,8 @@ use bsml_serve::{frame_record, WalRecord};
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("frame/put", 69, 0x501557703fa35935),
     ("frame/ifat", 42, 0x82811d9141bc0c6d),
-    ("ctl/hello", 49, 0x25484691e4d32074),
-    ("ctl/welcome", 227, 0x03ac99f3189ffb58),
+    ("ctl/hello", 49, 0x5dfad6bf1e43b868),
+    ("ctl/welcome", 235, 0xa334d71b80d98dc1),
     ("ctl/reject", 49, 0xeb23ff3bebf9827d),
     ("ctl/data", 98, 0x8983a11c7a1cc884),
     ("ctl/deliver", 90, 0x62c95f80c5ed19bc),
@@ -159,6 +161,7 @@ fn ctl_msgs() -> Vec<(&'static str, CtlMsg)> {
             "ctl/welcome",
             CtlMsg::Welcome {
                 program: "put (mkpar (fun i -> fun d -> i))".to_string(),
+                fingerprint: 0x0123_4567_89ab_cdef,
                 fuel: 1_000_000,
                 barrier_timeout_ms: 30_000,
                 checkpoint_interval: 2,

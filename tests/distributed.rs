@@ -6,6 +6,7 @@
 //! distributed execution (the paper's reference [5]).
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use bsml_bsp::distributed::DistMachine;
 use bsml_bsp::{BspMachine, BspParams, Execution, ProcessConfig};
@@ -352,5 +353,36 @@ fn only_non_empty_messages_become_frames() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_zero_barrier_timeout_is_a_deadline_already_passed_on_both_backends() {
+    // The first rank into the count round of the one `put` waits with
+    // a deadline that has already passed: it times out alone, on
+    // threads and in a rank process alike.
+    let e = parse(
+        "let r = put (mkpar (fun j -> fun i -> j)) in apply (mkpar (fun i -> fun t -> t 0), r)",
+    )
+    .unwrap();
+    let processes = Execution::Processes(ProcessConfig {
+        rank_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_bsml-rank"))),
+        ..ProcessConfig::default()
+    });
+    for execution in [Execution::InProcess, processes] {
+        let ctx = format!("{execution:?}");
+        let got = DistMachine::new(2)
+            .with_execution(execution)
+            .with_barrier_timeout(Duration::ZERO)
+            .run(&e)
+            .map(|out| out.value.to_string());
+        assert_eq!(
+            got,
+            Err(EvalError::BarrierTimeout {
+                superstep: 0,
+                waiting: 1
+            }),
+            "{ctx}"
+        );
     }
 }

@@ -136,7 +136,7 @@ fn welcome() -> impl Strategy<Value = CtlMsg> {
     (
         TEXT,
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
         any::<u32>(),
         vec(fault(), 0..3),
         maybe_bytes(),
@@ -145,13 +145,14 @@ fn welcome() -> impl Strategy<Value = CtlMsg> {
             |(
                 program,
                 (fuel, barrier_timeout_ms, checkpoint_interval, flight_capacity),
-                (heartbeat_ms, link_grace_ms),
+                (fingerprint, heartbeat_ms, link_grace_ms),
                 attempt,
                 faults,
                 resume_frame,
             )| {
                 CtlMsg::Welcome {
                     program,
+                    fingerprint,
                     fuel,
                     barrier_timeout_ms,
                     checkpoint_interval,
