@@ -177,13 +177,6 @@ impl Op {
         matches!(self, Op::Mkpar | Op::Apply | Op::Put)
     }
 
-    /// `true` if the operator ends a BSP superstep (requires
-    /// communication and a synchronization barrier).
-    #[must_use]
-    pub fn is_synchronizing(self) -> bool {
-        matches!(self, Op::Put)
-    }
-
     /// Looks an operator up by its prefix surface name.
     ///
     /// # Example
@@ -233,13 +226,6 @@ mod tests {
         assert!(Op::Put.is_parallel());
         let seq = Op::ALL.iter().filter(|o| !o.is_parallel()).count();
         assert_eq!(seq, Op::ALL.len() - 3);
-    }
-
-    #[test]
-    fn only_put_synchronizes() {
-        for op in Op::ALL {
-            assert_eq!(op.is_synchronizing(), op == Op::Put);
-        }
     }
 
     #[test]

@@ -126,13 +126,6 @@ impl FuelCell {
         self.lock().drawn
     }
 
-    /// `true` once [`FuelCell::cancel`] was called (and not yet
-    /// reset).
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.lock().cancelled
-    }
-
     /// Draws all currently granted fuel, parking the calling thread
     /// until some is available. Called by the evaluator only.
     ///
@@ -233,9 +226,7 @@ mod tests {
         assert_eq!(t.join().unwrap(), Err(EvalError::Cancelled));
         // Sticky until reset.
         assert_eq!(cell.request(), Err(EvalError::Cancelled));
-        assert!(cell.is_cancelled());
         cell.reset();
-        assert!(!cell.is_cancelled());
         cell.grant(1);
         assert_eq!(cell.request().unwrap(), 1);
     }

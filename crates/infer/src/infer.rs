@@ -20,6 +20,15 @@
 //!    rejected with a [`TypeError::LocalityViolation`], and otherwise
 //!    the rule returns the constraint it checked.
 //!
+//! A judgment carries its constraint in solved form: the residual
+//! clauses `Solve` left of the constraint its rule checked. A rule
+//! checks the conjunction of its premises' residuals, read through the
+//! cells as [`Clauses`] (ground atoms drop out as they are read), with
+//! its own new clauses, and propagates over that set alone. The tree
+//! the paper displays is built only when a derivation is recorded, and
+//! for the constraint a rejection reports: [`Inferencer::run`] runs a
+//! rejected phrase again, recording, to build it (DESIGN.md §3).
+//!
 //! The §6 extensions (sums, lists) follow the same pattern; their
 //! eliminators carry the *(Let)*-style condition
 //! `L(τ_result) ⇒ L(τ_scrutinee)` since they, too, can hide the
@@ -31,8 +40,8 @@
 use bsml_ast::{Const, Expr, ExprKind, Ident, Op, Span};
 use bsml_obs::Telemetry;
 use bsml_types::{
-    basic_constraint, Cells, Constraint, Head, Scheme, Solution, SolveStats, TyVar, Type,
-    UnifyStats,
+    basic_constraint, Cells, Clause, Clauses, Constraint, Scheme, Solution, SolveStats, TyVar,
+    Type, UnifyStats,
 };
 
 use crate::derivation::{elide, Derivation};
@@ -47,12 +56,11 @@ const ELIDE_AT: usize = 60;
 pub struct Inference {
     /// The inferred simple type.
     pub ty: Type,
-    /// The accumulated constraint (not `False` — that would have been
-    /// an error).
-    pub constraint: Constraint,
-    /// `Solve`'s canonical form of the constraint.
+    /// `Solve`'s canonical form of the constraint the root rule
+    /// checked (not `False` — that would have been an error).
     pub solution: Solution,
-    /// The typing derivation, when recording was requested.
+    /// The typing derivation, when recording was requested. Each node
+    /// shows its constraint as the rules build it.
     pub derivation: Option<Derivation>,
 }
 
@@ -162,8 +170,10 @@ impl Inferencer {
     /// Attaches a telemetry handle. Each run then adds its work to the
     /// counters `infer.unifications`, `infer.occurs_checks`,
     /// `infer.solver_iterations`, `infer.solver_clauses`,
-    /// `infer.instantiations` and `infer.generalizations`, once, when
-    /// it ends. A disabled handle (the default) costs one branch per
+    /// `infer.solver_atoms`, `infer.instantiations` and
+    /// `infer.generalizations`, once, when it ends; a rejected phrase
+    /// counts both of its runs (the second builds the tree its error
+    /// reports). A disabled handle (the default) costs one branch per
     /// run.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Inferencer {
@@ -180,51 +190,72 @@ impl Inferencer {
         // Fresh variables start past every variable of the env,
         // quantified ones included, so they stay out of reach of all
         // links made during this run (Definition 1).
+        let first = self.next.max(env.var_bound());
+        let mut work = Work::default();
+        let mut result = self.run_from(first, self.record, env, e, &mut work);
+        if !self.record && matches!(result, Err(TypeError::LocalityViolation { .. })) {
+            // Only a rejected phrase pays for the tree its error
+            // reports: the same run again, recording, builds it.
+            result = self.run_from(first, true, env, e, &mut work);
+        }
+        work.report(&self.telemetry);
+        result
+    }
+
+    /// One run of the engine, making fresh variables from `first` on.
+    fn run_from(
+        &mut self,
+        first: u32,
+        record: bool,
+        env: &TypeEnv,
+        e: &Expr,
+        work: &mut Work,
+    ) -> Result<Inference, TypeError> {
         let mut engine = Engine {
-            cells: Cells::starting_at(self.next.max(env.var_bound())),
+            cells: Cells::starting_at(first),
             level: 0,
             scopes: Vec::new(),
             env,
-            record: self.record,
+            record,
             locality: self.locality,
-            work: Work::default(),
+            work: std::mem::take(work),
         };
-        let result = engine
-            .w(e)
-            .map_err(|err| *err)
-            .map(|(ty, constraint, derivation)| {
-                let solution = engine.solve(&constraint);
-                debug_assert_ne!(solution, Solution::False, "absurdity missed by rule checks");
-                Inference {
-                    ty,
-                    constraint,
-                    solution,
-                    derivation: derivation.map(|mut d| {
-                        engine.resolve_derivation(&mut d);
-                        *d
-                    }),
-                }
-            });
+        let result = engine.w(e).map_err(|err| *err).map(|j| Inference {
+            ty: j.ty,
+            solution: j.c,
+            derivation: j.d.map(|mut d| {
+                engine.resolve_derivation(&mut d);
+                *d
+            }),
+        });
         self.next = engine.cells.next_var();
-        engine.work.report(&self.telemetry);
+        *work = engine.work;
         result
     }
 }
 
-/// What one rule concludes: `⊢ e : [τ/C]`, with its derivation when
-/// recording.
-type Judgment = (Type, Constraint, Option<Box<Derivation>>);
+/// What one rule concludes: `⊢ e : [τ/C]`, with `C` in solved form
+/// (the residual of the constraint the rule checked) and, when
+/// recording, the derivation, whose root shows `C` as the rules build
+/// it. A judgment is stored as concluded, resolved, with the link count
+/// at that moment.
+struct Judgment {
+    ty: Type,
+    c: Solution,
+    d: Option<Box<Derivation>>,
+    at: u64,
+}
 
 /// A rule's outcome. Both sides are kept small (the derivation and the
 /// error boxed), because every level of program nesting holds a few of
 /// them on the stack.
 type Outcome = Result<Judgment, Box<TypeError>>;
 
-/// A judgment stored resolved, with the link count at that moment.
-struct Stored {
-    ty: Type,
-    c: Constraint,
-    at: u64,
+/// A rule's constraint while the rule builds it: the clauses its check
+/// propagates over and, when recording, the tree it shows.
+struct Check {
+    clauses: Clauses,
+    tree: Option<Constraint>,
 }
 
 /// Work counts of one run, reported to telemetry when it ends.
@@ -246,6 +277,7 @@ impl Work {
             ("infer.occurs_checks", self.unify.occurs_checks),
             ("infer.solver_iterations", self.solve.iterations),
             ("infer.solver_clauses", self.solve.clauses),
+            ("infer.solver_atoms", self.solve.atoms),
             ("infer.instantiations", self.instantiations),
             ("infer.generalizations", self.generalizations),
         ] {
@@ -309,39 +341,127 @@ impl Engine<'_> {
         self.cells.fresh_ty(self.level)
     }
 
-    fn store(&self, ty: Type, c: Constraint) -> Stored {
-        Stored {
-            ty,
-            c,
-            at: self.cells.links_made(),
+    /// `[τ/C]` concluded now, `C` solved.
+    fn judgment(&self, ty: Type, c: Solution, d: Option<Box<Derivation>>) -> Judgment {
+        let at = self.cells.links_made();
+        Judgment { ty, c, d, at }
+    }
+
+    /// A rule's check before it conjoins anything: `True`.
+    fn check(&self) -> Check {
+        Check {
+            clauses: Clauses::default(),
+            tree: self.record.then_some(Constraint::True),
         }
     }
 
-    /// Reads a stored judgment through the cells with Definition 1:
-    /// `[τ/C]` resolved, conjoined with `C_τ'` for each variable of
-    /// `[τ/C]` linked since it was stored, `τ'` its resolution. A
-    /// sequence of substitutions applied by Definition 1 one after the
-    /// other gives an equivalent constraint, because
-    /// `C_{φ(τ)} ≡ φ(C_τ) ∧ ⋀_{γ ∈ F(τ)} C_{φ(γ)}` (DESIGN.md §3).
-    fn read(&self, s: Stored) -> (Type, Constraint) {
-        if s.at == self.cells.links_made() {
-            return (s.ty, s.c);
-        }
-        let ty = self.cells.resolve(&s.ty);
-        let mut c = self.cells.resolve_constraint(&s.c);
-        if self.locality {
-            let mut vars = s.ty.free_vars();
-            for v in s.c.free_vars() {
-                if !vars.contains(&v) {
-                    vars.push(v);
+    /// Reads stored judgments into a rule's check, in order, through
+    /// the cells with Definition 1: each `[τ/C]` resolved, conjoined
+    /// with `C_τ'` for each variable of `[τ/C]` linked since it was
+    /// stored, `τ'` its resolution. A sequence of substitutions applied
+    /// by Definition 1 one after the other gives an equivalent
+    /// constraint, because `C_{φ(τ)} ≡ φ(C_τ) ∧ ⋀_{γ ∈ F(τ)} C_{φ(γ)}`
+    /// (DESIGN.md §3).
+    ///
+    /// The clauses read the residual `C` and the tree reads `C` as
+    /// built, each with the variables it mentions.
+    fn read<'s>(&self, check: &mut Check, stored: impl IntoIterator<Item = &'s Judgment>) {
+        for s in stored {
+            let unchanged = s.at == self.cells.links_made();
+            if self.locality {
+                check.clauses.and_solved(&s.c, &self.cells);
+                if !unchanged {
+                    let mut vars = s.ty.free_vars();
+                    if let Solution::Residual(clauses) = &s.c {
+                        vars.extend(clauses.iter().flat_map(Clause::vars));
+                    }
+                    self.linked_basics(vars, &mut check.clauses);
                 }
             }
-            for v in vars.into_iter().filter(|v| self.cells.is_linked(*v)) {
-                let image = self.cells.resolve(&Type::Var(v));
-                c = Constraint::and(c, basic_constraint(&image));
+            if let Some(tree) = check.tree.take() {
+                let shown = s.d.as_ref().map_or(&Constraint::True, |d| &d.constraint);
+                let read = self.read_tree(&s.ty, shown, unchanged);
+                check.tree = Some(Constraint::and(tree, read));
             }
         }
-        (ty, c)
+    }
+
+    /// [`Engine::read`] of a scheme's instance `[τ/C]`, stored at link
+    /// count `at`: both sides read `C` as it is. Returns `τ` resolved.
+    fn read_scheme(&self, ty: &Type, c: &Constraint, at: u64, check: &mut Check) -> Type {
+        let unchanged = at == self.cells.links_made();
+        if self.locality {
+            check.clauses.and(c, &self.cells);
+            if !unchanged {
+                let mut vars = ty.free_vars();
+                vars.extend(c.free_vars());
+                self.linked_basics(vars, &mut check.clauses);
+            }
+        }
+        if let Some(tree) = check.tree.take() {
+            let read = self.read_tree(ty, c, unchanged);
+            check.tree = Some(Constraint::and(tree, read));
+        }
+        self.cells.resolve(ty)
+    }
+
+    /// Conjoins `C_τ'` once for each of `vars` linked, `τ'` its
+    /// resolution.
+    fn linked_basics(&self, mut vars: Vec<TyVar>, clauses: &mut Clauses) {
+        vars.retain(|v| self.cells.is_linked(*v));
+        vars.sort_unstable();
+        vars.dedup();
+        for v in vars {
+            clauses.and_basic(&Type::Var(v), &self.cells);
+        }
+    }
+
+    /// The tree a read shows: `C` resolved, conjoined with `C_τ'` for
+    /// each variable of `τ` and `C` linked since, in the order they
+    /// occur.
+    fn read_tree(&self, ty: &Type, c: &Constraint, unchanged: bool) -> Constraint {
+        if !self.locality {
+            return Constraint::True;
+        }
+        if unchanged {
+            return c.clone();
+        }
+        let mut read = self.cells.resolve_constraint(c);
+        let mut vars = ty.free_vars();
+        for v in c.free_vars() {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        for v in vars.into_iter().filter(|v| self.cells.is_linked(*v)) {
+            let image = self.cells.resolve(&Type::Var(v));
+            read = Constraint::and(read, basic_constraint(&image));
+        }
+        read
+    }
+
+    /// Conjoins a constraint the rule adds itself, unless locality is
+    /// off (the plain Damas–Milner ablation).
+    fn side(&self, check: &mut Check, c: Constraint) {
+        if !self.locality {
+            return;
+        }
+        check.clauses.and(&c, &self.cells);
+        if let Some(tree) = check.tree.take() {
+            check.tree = Some(Constraint::and(tree, c));
+        }
+    }
+
+    /// Conjoins the basic constraints `C_τ` of a type the rule
+    /// introduces, unless locality is off.
+    fn side_basic(&self, check: &mut Check, ty: &Type) {
+        if !self.locality {
+            return;
+        }
+        check.clauses.and_basic(ty, &self.cells);
+        if let Some(tree) = check.tree.take() {
+            check.tree = Some(Constraint::and(tree, basic_constraint(ty)));
+        }
     }
 
     /// Puts `x : τ` in scope for a binder.
@@ -351,12 +471,11 @@ impl Engine<'_> {
     }
 
     /// **Definition 3** at the current let-level: quantifies the
-    /// variables of `τ₁` that sit deeper, and stores the part of
-    /// `Solve(c₁)` connected to `τ₁` or to a variable at this level or
+    /// variables of `τ₁` that sit deeper, and stores the part of the
+    /// solved `c₁` connected to `τ₁` or to a variable at this level or
     /// shallower (`F(E)`).
-    fn generalize(&mut self, t1: Type, c1: &Constraint) -> Scheme {
+    fn generalize(&mut self, t1: Type, c1: &Solution) -> Scheme {
         self.work.generalizations += 1;
-        let solution = self.solve(c1);
         let level = self.level;
         let mut keep = t1.free_vars();
         let vars: Vec<TyVar> = keep
@@ -364,20 +483,14 @@ impl Engine<'_> {
             .copied()
             .filter(|v| self.cells.level(*v) > level)
             .collect();
-        if let Solution::Residual(clauses) = &solution {
-            for clause in clauses {
-                let head = match clause.head {
-                    Head::Atom(v) => Some(v),
-                    Head::Absurd => None,
-                };
-                for v in clause.body.iter().copied().chain(head) {
-                    if self.cells.level(v) <= level && !keep.contains(&v) {
-                        keep.push(v);
-                    }
+        if let Solution::Residual(clauses) = c1 {
+            for v in clauses.iter().flat_map(Clause::vars) {
+                if self.cells.level(v) <= level && !keep.contains(&v) {
+                    keep.push(v);
                 }
             }
         }
-        let constraint = solution.restrict(&keep).to_constraint();
+        let constraint = c1.restrict(&keep).to_constraint();
         // A kept variable the scheme does not quantify is free in the
         // environment from now on.
         for v in constraint.free_vars() {
@@ -388,39 +501,40 @@ impl Engine<'_> {
         Scheme::new(vars, t1, constraint)
     }
 
-    /// Drops a constraint in the plain-Damas–Milner ablation.
-    fn gate(&self, c: Constraint) -> Constraint {
-        if self.locality {
-            c
-        } else {
-            Constraint::True
-        }
-    }
-
-    /// Runs the constraint solver, counting its work.
-    fn solve(&mut self, c: &Constraint) -> Solution {
-        c.solve_counted(&mut self.work.solve)
-    }
-
-    /// Concludes a rule: rejects its judgment if the constraint
-    /// solves to `False`, and otherwise records the derivation node.
+    /// Concludes a rule: solves its check, rejects the judgment if
+    /// that is `False`, and otherwise returns it with the residual and
+    /// the derivation node.
     fn conclude(
         &mut self,
         rule: &'static str,
         e: &Expr,
         ty: Type,
-        c: Constraint,
+        check: Check,
         premises: Vec<Option<Box<Derivation>>>,
     ) -> Outcome {
-        if self.locality && self.solve(&c) == Solution::False {
+        let c = if self.locality {
+            check.clauses.solve_counted(&mut self.work.solve)
+        } else {
+            Solution::True
+        };
+        if let Some(tree) = &check.tree {
+            debug_assert_eq!(
+                tree.solve() == Solution::False,
+                c == Solution::False,
+                "{rule}: the clauses and Solve of {tree} disagree"
+            );
+        }
+        if c == Solution::False {
             return Err(Box::new(TypeError::LocalityViolation {
                 rule,
-                constraint: c,
+                // Unless recording, there is no tree: `Inferencer::run`
+                // runs a rejected phrase again, recording, to report it.
+                constraint: check.tree.unwrap_or(Constraint::False),
                 span: e.span,
             }));
         }
-        let d = self.node(rule, e, &ty, &c, premises);
-        Ok((ty, c, d))
+        let d = self.node(rule, e, &ty, check.tree, premises);
+        Ok(self.judgment(ty, c, d))
     }
 
     fn unify_at(
@@ -439,22 +553,22 @@ impl Engine<'_> {
             })
     }
 
+    /// The derivation node of a rule when recording (`tree` is then
+    /// its constraint as built).
     fn node(
         &self,
         rule: &'static str,
         e: &Expr,
         ty: &Type,
-        c: &Constraint,
+        tree: Option<Constraint>,
         premises: Vec<Option<Box<Derivation>>>,
     ) -> Option<Box<Derivation>> {
-        if !self.record {
-            return None;
-        }
+        let constraint = tree?;
         Some(Box::new(Derivation {
             rule,
             expr: elide(&e.to_string(), ELIDE_AT),
             ty: ty.clone(),
-            constraint: c.clone(),
+            constraint,
             premises: premises.into_iter().flatten().map(|d| *d).collect(),
         }))
     }
@@ -488,19 +602,18 @@ impl Engine<'_> {
         };
         let (ty, c) = scheme.instantiate_with(|| self.cells.fresh(self.level));
         self.work.instantiations += 1;
-        let (ty, c) = self.read(Stored { ty, c, at });
-        let c = self.gate(c);
-        self.conclude("(Var)", e, ty, c, vec![])
+        let mut check = self.check();
+        let ty = self.read_scheme(&ty, &c, at, &mut check);
+        self.conclude("(Var)", e, ty, check, vec![])
     }
 
     /// (Const)
     #[inline(never)]
     fn constant(&mut self, e: &Expr, k: Const) -> Outcome {
-        let (ty, c) = const_scheme(k).instantiate_with(|| self.cells.fresh(self.level));
+        let (ty, _) = const_scheme(k).instantiate_with(|| self.cells.fresh(self.level));
         self.work.instantiations += 1;
-        let c = self.gate(c);
-        let d = self.node("(Const)", e, &ty, &c, vec![]);
-        Ok((ty, c, d))
+        let d = self.node("(Const)", e, &ty, self.check().tree, vec![]);
+        Ok(self.judgment(ty, Solution::True, d))
     }
 
     /// (Op)
@@ -508,8 +621,9 @@ impl Engine<'_> {
     fn op(&mut self, e: &Expr, op: Op) -> Outcome {
         let (ty, c) = op_scheme(op).instantiate_with(|| self.cells.fresh(self.level));
         self.work.instantiations += 1;
-        let c = self.gate(c);
-        self.conclude("(Op)", e, ty, c, vec![])
+        let mut check = self.check();
+        self.side(&mut check, c);
+        self.conclude("(Op)", e, ty, check, vec![])
     }
 
     /// (Fun): E + {x : [τ₁/C₁]} ⊢ e : [τ₂/C₂]
@@ -518,33 +632,32 @@ impl Engine<'_> {
     fn fun(&mut self, e: &Expr, x: &Ident, body: &Expr) -> Outcome {
         let alpha = self.fresh();
         self.bind(x, alpha.clone());
-        let (t2, c2, d1) = self.w(body)?;
+        let body = self.w(body)?;
         self.scopes.pop();
-        let ty = Type::arrow(self.cells.resolve(&alpha), t2);
-        let c = Constraint::and(self.gate(basic_constraint(&ty)), c2);
-        self.conclude("(Fun)", e, ty, c, vec![d1])
+        let ty = Type::arrow(self.cells.resolve(&alpha), body.ty.clone());
+        let mut check = self.check();
+        self.side_basic(&mut check, &ty);
+        self.read(&mut check, [&body]);
+        self.conclude("(Fun)", e, ty, check, vec![body.d])
     }
 
     /// (App)
     #[inline(never)]
     fn app(&mut self, e: &Expr, e1: &Expr, e2: &Expr) -> Outcome {
-        let (t1, c1, d1) = self.w(e1)?;
-        let f = self.store(t1, c1);
-        let (t2, c2, d2) = self.w(e2)?;
-        let arg = self.store(t2, c2);
+        let f = self.w(e1)?;
+        let arg = self.w(e2)?;
         let beta = self.fresh();
-        let result = self.store(beta.clone(), Constraint::True);
+        let result = self.judgment(beta.clone(), Solution::True, None);
         self.unify_at(
             &f.ty,
             &Type::arrow(arg.ty.clone(), beta),
             "application",
             e.span,
         )?;
-        let (_, c1) = self.read(f);
-        let (_, c2) = self.read(arg);
-        let (ty, cr) = self.read(result);
-        let c = Constraint::conj([c1, c2, cr]);
-        self.conclude("(App)", e, ty, c, vec![d1, d2])
+        let mut check = self.check();
+        self.read(&mut check, [&f, &arg, &result]);
+        let ty = self.cells.resolve(&result.ty);
+        self.conclude("(App)", e, ty, check, vec![f.d, arg.d])
     }
 
     /// (Let) with generalization (Definition 3) and the side
@@ -554,82 +667,73 @@ impl Engine<'_> {
     #[inline(never)]
     fn let_(&mut self, e: &Expr, x: &Ident, e1: &Expr, e2: &Expr) -> Outcome {
         self.level += 1;
-        let (t1, c1, d1) = self.w(e1)?;
+        let bound = self.w(e1)?;
         self.level -= 1;
-        let scheme = self.generalize(t1, &c1);
+        let scheme = self.generalize(bound.ty, &bound.c);
         let at = self.cells.links_made();
         self.scopes.push((x.clone(), scheme, at));
-        let (t2, c2, d2) = self.w(e2)?;
+        let body = self.w(e2)?;
         let (_, scheme, at) = self.scopes.pop().expect("the let's binder is in scope");
-        let (t1, c1) = self.read(Stored {
-            ty: scheme.ty().clone(),
-            c: scheme.constraint().clone(),
-            at,
-        });
-        let side = self.gate(Constraint::implies(
-            Constraint::Loc(t2.clone()),
-            Constraint::Loc(t1),
-        ));
-        let c = Constraint::conj([c1, c2, side]);
-        self.conclude("(Let)", e, t2, c, vec![d1, d2])
+        let mut check = self.check();
+        let t1 = self.read_scheme(scheme.ty(), scheme.constraint(), at, &mut check);
+        self.read(&mut check, [&body]);
+        let t2 = self.cells.resolve(&body.ty);
+        self.side(
+            &mut check,
+            Constraint::implies(Constraint::Loc(t2.clone()), Constraint::Loc(t1)),
+        );
+        self.conclude("(Let)", e, t2, check, vec![bound.d, body.d])
     }
 
     /// (Pair)
     #[inline(never)]
     fn pair(&mut self, e: &Expr, e1: &Expr, e2: &Expr) -> Outcome {
-        let (t1, c1, d1) = self.w(e1)?;
-        let first = self.store(t1, c1);
-        let (t2, c2, d2) = self.w(e2)?;
-        let (t1, c1) = self.read(first);
-        let ty = Type::pair(t1, t2);
-        let c = Constraint::and(c1, c2);
-        self.conclude("(Pair)", e, ty, c, vec![d1, d2])
+        let first = self.w(e1)?;
+        let second = self.w(e2)?;
+        let mut check = self.check();
+        self.read(&mut check, [&first, &second]);
+        let ty = Type::pair(
+            self.cells.resolve(&first.ty),
+            self.cells.resolve(&second.ty),
+        );
+        self.conclude("(Pair)", e, ty, check, vec![first.d, second.d])
     }
 
     /// (Ifthenelse)
     #[inline(never)]
     fn if_(&mut self, e: &Expr, e1: &Expr, e2: &Expr, e3: &Expr) -> Outcome {
-        let (t1, c1, d1) = self.w(e1)?;
-        let cond = self.store(t1, c1);
+        let cond = self.w(e1)?;
         self.unify_at(&cond.ty, &Type::Bool, "`if` condition", e1.span)?;
-        let (t2, c2, d2) = self.w(e2)?;
-        let then = self.store(t2, c2);
-        let (t3, c3, d3) = self.w(e3)?;
-        let other = self.store(t3, c3);
+        let then = self.w(e2)?;
+        let other = self.w(e3)?;
         self.unify_at(&then.ty, &other.ty, "`if` branches", e.span)?;
-        let (_, c1) = self.read(cond);
-        let (ty, c2) = self.read(then);
-        let (_, c3) = self.read(other);
-        let c = Constraint::conj([c1, c2, c3]);
-        self.conclude("(Ifthenelse)", e, ty, c, vec![d1, d2, d3])
+        let mut check = self.check();
+        self.read(&mut check, [&cond, &then, &other]);
+        let ty = self.cells.resolve(&then.ty);
+        self.conclude("(Ifthenelse)", e, ty, check, vec![cond.d, then.d, other.d])
     }
 
     /// (Ifat): e₁ : bool par, e₂ : int, branches : τ, plus the side
     /// condition L(τ) ⇒ False.
     #[inline(never)]
     fn ifat(&mut self, e: &Expr, e1: &Expr, e2: &Expr, e3: &Expr, e4: &Expr) -> Outcome {
-        let (t1, c1, d1) = self.w(e1)?;
-        let vector = self.store(t1, c1);
+        let vector = self.w(e1)?;
         let bool_par = Type::par(Type::Bool);
         self.unify_at(&vector.ty, &bool_par, "`if‥at‥` vector", e1.span)?;
-        let (t2, c2, d2) = self.w(e2)?;
-        let pid = self.store(t2, c2);
+        let pid = self.w(e2)?;
         self.unify_at(&pid.ty, &Type::Int, "`if‥at‥` process id", e2.span)?;
-        let (t3, c3, d3) = self.w(e3)?;
-        let then = self.store(t3, c3);
-        let (t4, c4, d4) = self.w(e4)?;
-        let other = self.store(t4, c4);
+        let then = self.w(e3)?;
+        let other = self.w(e4)?;
         self.unify_at(&then.ty, &other.ty, "`if‥at‥` branches", e.span)?;
-        let (_, c1) = self.read(vector);
-        let (_, c2) = self.read(pid);
-        let (ty, c3) = self.read(then);
-        let (_, c4) = self.read(other);
-        let side = self.gate(Constraint::implies(
-            Constraint::Loc(ty.clone()),
-            Constraint::False,
-        ));
-        let c = Constraint::and(Constraint::conj([c1, c2, c3, c4]), side);
-        self.conclude("(Ifat)", e, ty, c, vec![d1, d2, d3, d4])
+        let mut check = self.check();
+        self.read(&mut check, [&vector, &pid, &then, &other]);
+        let ty = self.cells.resolve(&then.ty);
+        self.side(
+            &mut check,
+            Constraint::implies(Constraint::Loc(ty.clone()), Constraint::False),
+        );
+        let premises = vec![vector.d, pid.d, then.d, other.d];
+        self.conclude("(Ifat)", e, ty, check, premises)
     }
 
     /// Runtime-only vectors: typed for completeness (the parser never
@@ -637,12 +741,10 @@ impl Engine<'_> {
     #[inline(never)]
     fn vector(&mut self, e: &Expr, es: &[Expr]) -> Outcome {
         let alpha = self.fresh();
-        let elem = self.store(alpha, Constraint::True);
+        let elem = self.judgment(alpha, Solution::True, None);
         let mut components = Vec::with_capacity(es.len());
-        let mut ds = Vec::with_capacity(es.len());
         for comp in es {
-            let (t, c, d) = self.w(comp)?;
-            let component = self.store(t, c);
+            let component = self.w(comp)?;
             self.unify_at(
                 &elem.ty,
                 &component.ty,
@@ -650,15 +752,14 @@ impl Engine<'_> {
                 comp.span,
             )?;
             components.push(component);
-            ds.push(d);
         }
-        let (elem, mut c) = self.read(elem);
-        for component in components {
-            c = Constraint::and(c, self.read(component).1);
-        }
+        let mut check = self.check();
+        self.read(&mut check, std::iter::once(&elem).chain(&components));
+        let elem = self.cells.resolve(&elem.ty);
         let ty = Type::par(elem.clone());
-        let c = Constraint::and(c, self.gate(Constraint::Loc(elem)));
-        self.conclude("(Vector)", e, ty, c, ds)
+        self.side(&mut check, Constraint::Loc(elem));
+        let premises = components.into_iter().map(|c| c.d).collect();
+        self.conclude("(Vector)", e, ty, check, premises)
     }
 
     // — §6 extensions below —
@@ -666,15 +767,17 @@ impl Engine<'_> {
     /// (Inl) and (Inr): the other side of the sum is fresh.
     #[inline(never)]
     fn inject(&mut self, e: &Expr, inner: &Expr, rule: &'static str) -> Outcome {
-        let (t1, c1, d1) = self.w(inner)?;
+        let inner = self.w(inner)?;
         let other = self.fresh();
         let ty = if rule == "(Inl)" {
-            Type::sum(t1, other)
+            Type::sum(inner.ty.clone(), other)
         } else {
-            Type::sum(other, t1)
+            Type::sum(other, inner.ty.clone())
         };
-        let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
-        self.conclude(rule, e, ty, c, vec![d1])
+        let mut check = self.check();
+        self.side_basic(&mut check, &ty);
+        self.read(&mut check, [&inner]);
+        self.conclude(rule, e, ty, check, vec![inner.d])
     }
 
     /// (Case). Each binder gets its component's type resolved when the
@@ -687,62 +790,62 @@ impl Engine<'_> {
         (left_var, left_body): (&Ident, &Expr),
         (right_var, right_body): (&Ident, &Expr),
     ) -> Outcome {
-        let (ts, cs, d1) = self.w(scrutinee)?;
+        let scrut = self.w(scrutinee)?;
         let alpha = self.fresh();
         let beta = self.fresh();
-        let scrut = self.store(ts, cs);
-        let left = self.store(alpha.clone(), Constraint::True);
-        let right = self.store(beta.clone(), Constraint::True);
+        let left = self.judgment(alpha.clone(), Solution::True, None);
+        let right = self.judgment(beta.clone(), Solution::True, None);
         let sum = Type::sum(alpha, beta);
         self.unify_at(&scrut.ty, &sum, "`case` scrutinee", scrutinee.span)?;
 
         self.bind(left_var, self.cells.resolve(&left.ty));
-        let (tl, cl, d2) = self.w(left_body)?;
+        let left_branch = self.w(left_body)?;
         self.scopes.pop();
-        let left_branch = self.store(tl, cl);
 
         self.bind(right_var, self.cells.resolve(&right.ty));
-        let (tr, cr, d3) = self.w(right_body)?;
+        let right_branch = self.w(right_body)?;
         self.scopes.pop();
-        let right_branch = self.store(tr, cr);
 
         self.unify_at(&left_branch.ty, &right_branch.ty, "`case` branches", e.span)?;
-        let (ts, cs) = self.read(scrut);
-        let (_, ca) = self.read(left);
-        let (_, cb) = self.read(right);
-        let (ty, cl) = self.read(left_branch);
-        let (_, cr) = self.read(right_branch);
+        let mut check = self.check();
+        self.read(
+            &mut check,
+            [&scrut, &left, &right, &left_branch, &right_branch],
+        );
+        let (ts, ty) = (
+            self.cells.resolve(&scrut.ty),
+            self.cells.resolve(&left_branch.ty),
+        );
         // Like (Let): a local result must not hide a global scrutinee.
-        let side = self.gate(Constraint::implies(
-            Constraint::Loc(ty.clone()),
-            Constraint::Loc(ts),
-        ));
-        let c = Constraint::and(Constraint::conj([cs, ca, cb, cl, cr]), side);
-        self.conclude("(Case)", e, ty, c, vec![d1, d2, d3])
+        self.side(
+            &mut check,
+            Constraint::implies(Constraint::Loc(ty.clone()), Constraint::Loc(ts)),
+        );
+        let premises = vec![scrut.d, left_branch.d, right_branch.d];
+        self.conclude("(Case)", e, ty, check, premises)
     }
 
     /// (Nil)
     #[inline(never)]
     fn nil(&mut self, e: &Expr) -> Outcome {
         let ty = Type::list(self.fresh());
-        let d = self.node("(Nil)", e, &ty, &Constraint::True, vec![]);
-        Ok((ty, Constraint::True, d))
+        let d = self.node("(Nil)", e, &ty, self.check().tree, vec![]);
+        Ok(self.judgment(ty, Solution::True, d))
     }
 
     /// (Cons): list elements must be local (a list of vectors has
     /// statically unknown parallel width).
     #[inline(never)]
     fn cons(&mut self, e: &Expr, h: &Expr, t: &Expr) -> Outcome {
-        let (th, c1, d1) = self.w(h)?;
-        let head = self.store(th, c1);
-        let (tt, c2, d2) = self.w(t)?;
-        let tail = self.store(tt, c2);
+        let head = self.w(h)?;
+        let tail = self.w(t)?;
         let cell = Type::list(head.ty.clone());
         self.unify_at(&cell, &tail.ty, "list cell", e.span)?;
-        let (elem, c1) = self.read(head);
-        let (ty, c2) = self.read(tail);
-        let c = Constraint::and(Constraint::conj([c1, c2]), self.gate(Constraint::Loc(elem)));
-        self.conclude("(Cons)", e, ty, c, vec![d1, d2])
+        let mut check = self.check();
+        self.read(&mut check, [&head, &tail]);
+        let (elem, ty) = (self.cells.resolve(&head.ty), self.cells.resolve(&tail.ty));
+        self.side(&mut check, Constraint::Loc(elem));
+        self.conclude("(Cons)", e, ty, check, vec![head.d, tail.d])
     }
 
     /// (Match), with the (Case) side condition.
@@ -754,33 +857,28 @@ impl Engine<'_> {
         nil_body: &Expr,
         (head_var, tail_var, cons_body): (&Ident, &Ident, &Expr),
     ) -> Outcome {
-        let (ts, cs, d1) = self.w(scrutinee)?;
+        let scrut = self.w(scrutinee)?;
         let alpha = self.fresh();
-        let scrut = self.store(ts, cs);
-        let elem = self.store(alpha.clone(), Constraint::True);
+        let elem = self.judgment(alpha.clone(), Solution::True, None);
         let list = Type::list(alpha);
         self.unify_at(&scrut.ty, &list, "`match` scrutinee", scrutinee.span)?;
 
-        let (tn, cn, d2) = self.w(nil_body)?;
-        let nil = self.store(tn, cn);
+        let nil = self.w(nil_body)?;
 
         let elem_ty = self.cells.resolve(&elem.ty);
         self.bind(head_var, elem_ty.clone());
         self.bind(tail_var, Type::list(elem_ty));
-        let (tc, cc, d3) = self.w(cons_body)?;
+        let cons = self.w(cons_body)?;
         self.scopes.truncate(self.scopes.len() - 2);
-        let cons = self.store(tc, cc);
 
         self.unify_at(&nil.ty, &cons.ty, "`match` branches", e.span)?;
-        let (ts, cs) = self.read(scrut);
-        let (_, ce) = self.read(elem);
-        let (ty, cn) = self.read(nil);
-        let (_, cc) = self.read(cons);
-        let side = self.gate(Constraint::implies(
-            Constraint::Loc(ty.clone()),
-            Constraint::Loc(ts),
-        ));
-        let c = Constraint::and(Constraint::conj([cs, ce, cn, cc]), side);
-        self.conclude("(Match)", e, ty, c, vec![d1, d2, d3])
+        let mut check = self.check();
+        self.read(&mut check, [&scrut, &elem, &nil, &cons]);
+        let (ts, ty) = (self.cells.resolve(&scrut.ty), self.cells.resolve(&nil.ty));
+        self.side(
+            &mut check,
+            Constraint::implies(Constraint::Loc(ty.clone()), Constraint::Loc(ts)),
+        );
+        self.conclude("(Match)", e, ty, check, vec![scrut.d, nil.d, cons.d])
     }
 }

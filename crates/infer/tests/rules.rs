@@ -276,7 +276,7 @@ fn inference_is_deterministic() {
     let a = infer(&e).unwrap();
     let b = infer(&e).unwrap();
     assert_eq!(a.ty, b.ty);
-    assert_eq!(a.constraint, b.constraint);
+    assert_eq!(a.solution, b.solution);
 }
 
 #[test]

@@ -134,9 +134,6 @@ let length = fun xs ->
 pub const APP2_DEF: &str = "\
 let app2 = fun a -> fun b -> rev_app (rev_app a []) b";
 
-/// The tail-recursive list helper suite, in dependency order.
-pub const LIST_HELPERS: [&str; 5] = [REV_APP_DEF, TAKE_DEF, DROP_DEF, LENGTH_DEF, APP2_DEF];
-
 /// `scatter : int → (int list) par → (int list) par` — the root's
 /// list is split into `p` balanced chunks, chunk `k` delivered to
 /// processor `k`; one superstep.

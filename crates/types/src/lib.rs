@@ -46,7 +46,7 @@ pub mod unify;
 
 pub use cells::Cells;
 pub use classify::TypeClass;
-pub use constraint::{Clause, Constraint, Head, Solution, SolveStats};
+pub use constraint::{Clause, Clauses, Constraint, Head, Solution, SolveStats};
 pub use locality::{basic_constraint, locality};
 pub use scheme::Scheme;
 pub use subst::Subst;

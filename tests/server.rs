@@ -237,3 +237,32 @@ fn fairness_light_tenant_is_not_starved_by_heavy_neighbors() {
     assert!(stats.preemptions > 0, "spinners were never preempted");
     assert_eq!(stats.offered, stats.admitted + stats.rejected());
 }
+
+#[test]
+fn nested_references_do_not_hold_a_worker() {
+    // `let r = ref (ref (… 0))`, 100 deep: the deepest nest the debug
+    // parser reads on a host thread's 2 MiB stack. Inference used to
+    // grow as n⁴ on this shape and held the worker for seconds; the
+    // request must finish inside a 500 ms deadline, with no watchdog
+    // and no quarantine.
+    let server = Server::start(
+        config()
+            .with_workers(1)
+            .with_deadline(Some(Duration::from_millis(500))),
+        Telemetry::disabled(),
+    );
+    let n = 100;
+    let source = format!("let r = {}0{}", "ref (".repeat(n), ")".repeat(n));
+    let t = server.submit("deep", &source).unwrap();
+    let done = t.wait();
+    assert!(
+        matches!(done.outcome, Outcome::Done { .. }),
+        "expected Done, got {:?}",
+        done.outcome
+    );
+    let other = server.submit("other", "let x = 1 + 1").unwrap();
+    assert!(matches!(other.wait().outcome, Outcome::Done { .. }));
+    let stats = server.shutdown();
+    assert_eq!(stats.abandoned, 0);
+    assert_eq!(stats.quarantines, 0);
+}
