@@ -14,10 +14,11 @@ use std::time::{Duration, Instant};
 
 use bsml_eval::EvalError;
 
+use crate::link::Link;
 use crate::lock;
 use crate::process::{
-    validate_hello, Link, ProcessConfig, DEFAULT_HANDSHAKE_TIMEOUT, RANK_BIN_ENV,
-    RANK_FINGERPRINT_ENV, RANK_ID_ENV, RANK_P_ENV, RANK_SOCKET_ENV,
+    validate_hello, ProcessConfig, DEFAULT_HANDSHAKE_TIMEOUT, RANK_BIN_ENV, RANK_FINGERPRINT_ENV,
+    RANK_ID_ENV, RANK_P_ENV, RANK_SOCKET_ENV,
 };
 use crate::supervisor::POSTMORTEM_DIR_ENV;
 use crate::transport::{Bind, Listener, RankStream};

@@ -39,13 +39,18 @@
 pub mod checkpoint;
 pub mod cost;
 pub mod distributed;
+mod exchange;
 pub mod faults;
+mod finish;
 mod fleet;
 pub mod formulas;
 pub mod hooks;
+mod link;
 pub mod machine;
 pub mod postmortem;
 pub mod process;
+mod rank;
+mod spmd;
 pub mod storage;
 pub mod supervisor;
 pub mod symbolic;
