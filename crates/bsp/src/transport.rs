@@ -94,11 +94,11 @@ impl Transport for SharedMem {
 /// kernel socket buffers, so `try_send` never refuses.
 #[derive(Debug)]
 pub(crate) struct SocketTransport {
-    hub: std::sync::Arc<crate::process::RemoteHub>,
+    hub: std::sync::Arc<crate::rank::RemoteHub>,
 }
 
 impl SocketTransport {
-    pub(crate) fn new(hub: std::sync::Arc<crate::process::RemoteHub>) -> SocketTransport {
+    pub(crate) fn new(hub: std::sync::Arc<crate::rank::RemoteHub>) -> SocketTransport {
         SocketTransport { hub }
     }
 }
