@@ -414,13 +414,17 @@ impl PostmortemBundle {
         })
     }
 
-    /// Writes the encoded bundle to `path`.
+    /// Writes the encoded bundle to `path`: into a temporary sibling
+    /// first, then renamed over `path`, so a crash mid-write leaves the
+    /// previous bundle (or none), never a torn one.
     ///
     /// # Errors
     ///
     /// [`PostmortemError::Io`].
     pub fn write_to(&self, path: &Path) -> Result<(), PostmortemError> {
-        std::fs::write(path, self.encode())?;
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, self.encode())?;
+        std::fs::rename(&tmp, path)?;
         Ok(())
     }
 
@@ -1178,6 +1182,27 @@ mod tests {
         assert!(PostmortemBundle::decode(&flipped).is_err());
         // Garbage is not a bundle.
         assert!(PostmortemBundle::decode(b"not a bundle").is_err());
+    }
+
+    #[test]
+    fn overwriting_a_bundle_leaves_the_new_one_whole() {
+        let dir = std::env::temp_dir().join(format!("bsml-pm-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pm-rank0.bsmlpm");
+        sample_bundle().write_to(&path).unwrap();
+        let newer = PostmortemBundle {
+            error: "a later failure".into(),
+            ..sample_bundle()
+        };
+        newer.write_to(&path).unwrap();
+        assert_eq!(PostmortemBundle::load(&path).unwrap(), newer);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["pm-rank0.bsmlpm"], "no temporary file is left");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
