@@ -845,7 +845,6 @@ pub(crate) fn run_process_attempt(
 mod tests {
     use super::*;
     use crate::checkpoint::SyncOutcome;
-    use crate::link::{EgressRing, EGRESS_CAPACITY};
     use crate::rank::{run_child_reader, RemoteHub};
     use crate::wire::write_ctl;
     use std::os::unix::net::UnixStream;
@@ -1070,35 +1069,5 @@ mod tests {
                 "refusal {err:?} does not mention {needle:?}"
             );
         }
-    }
-
-    #[test]
-    fn egress_ring_replays_exactly_the_unseen_suffix() {
-        let mut ring = EgressRing::default();
-        for i in 0..5u8 {
-            ring.push(vec![i]);
-        }
-        assert_eq!(ring.sent(), 5);
-        // The peer saw 3 of 5: the replay is frames 3 and 4.
-        let frames = ring.replay_from(3).expect("in range");
-        assert_eq!(frames, vec![&vec![3u8], &vec![4u8]]);
-        // Everything seen: an empty replay, not a refusal.
-        assert_eq!(ring.replay_from(5).expect("in range").len(), 0);
-        // Claiming more than was ever sent is a protocol violation.
-        assert!(ring.replay_from(6).is_none());
-    }
-
-    #[test]
-    fn egress_ring_refuses_tokens_older_than_its_base() {
-        let mut ring = EgressRing::default();
-        for i in 0..(EGRESS_CAPACITY + 10) {
-            ring.push(vec![u8::try_from(i % 251).expect("fits")]);
-        }
-        assert_eq!(ring.sent() as usize, EGRESS_CAPACITY + 10);
-        // The first 10 frames were evicted: a peer that far behind
-        // cannot be healed.
-        assert!(ring.replay_from(9).is_none());
-        let frames = ring.replay_from(10).expect("exactly the base");
-        assert_eq!(frames.len(), EGRESS_CAPACITY);
     }
 }

@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bsml_eval::EvalError;
-use bsml_obs::{FlightEvent, FlightRecorder, Telemetry, TimedFlightEvent};
+use bsml_obs::{FlightEvent, FlightRecorder, Telemetry};
 
 use crate::checkpoint::{program_fingerprint, RankFrame};
 use crate::distributed::DEFAULT_FLIGHT_CAPACITY;
@@ -29,25 +29,15 @@ use crate::transport::{RankStream, SocketTransport};
 use crate::wire::{read_ctl, write_ctl, CtlMsg};
 
 // ---------------------------------------------------------------------------
-// Child side: postmortem accumulator and control hub
+// Child side: postmortem writer and control hub
 // ---------------------------------------------------------------------------
 
-/// Accumulated flight events of a rank process. The ring's `drain` is
-/// destructive, so periodic disk flushes (one per barrier release)
-/// move events into this bounded accumulator — at SIGKILL time the
+/// A rank process's own postmortem writer: single-rank
+/// [`PostmortemBundle`]s of the recorder's snapshot, written at every
+/// barrier entry and release, tmp-then-rename (a kill mid-write leaves
+/// the previous complete bundle, never a torn one). At SIGKILL time the
 /// last flushed bundle survives on disk, which is what makes process
 /// death postmortem-analyzable.
-#[derive(Debug, Default)]
-struct Accum {
-    events: Vec<TimedFlightEvent>,
-    /// Events the accumulator itself evicted to stay bounded (on top
-    /// of what the ring dropped).
-    evicted: u64,
-}
-
-/// A rank process's own postmortem writer: single-rank
-/// [`PostmortemBundle`]s written tmp-then-rename (a kill mid-write
-/// leaves the previous complete bundle, never a torn one).
 #[derive(Debug)]
 struct ChildPostmortem {
     path: PathBuf,
@@ -55,8 +45,6 @@ struct ChildPostmortem {
     attempt: u32,
     rank: usize,
     recorder: Arc<FlightRecorder>,
-    accum: Mutex<Accum>,
-    capacity: usize,
 }
 
 impl ChildPostmortem {
@@ -70,7 +58,6 @@ impl ChildPostmortem {
         attempt: u32,
         fingerprint: u64,
         recorder: Arc<FlightRecorder>,
-        capacity: usize,
     ) -> Option<ChildPostmortem> {
         std::fs::create_dir_all(dir).ok()?;
         let path = dir.join(format!(
@@ -82,32 +69,17 @@ impl ChildPostmortem {
             attempt,
             rank,
             recorder,
-            accum: Mutex::new(Accum::default()),
-            capacity,
         })
     }
 
-    /// Moves everything currently in the ring into the accumulator and
-    /// returns (total dropped, accumulated events).
-    fn snapshot(&self) -> (u64, Vec<TimedFlightEvent>) {
-        let mut accum = lock(&self.accum);
-        accum.events.extend(self.recorder.drain());
-        if accum.events.len() > self.capacity {
-            let overflow = accum.events.len() - self.capacity;
-            accum.events.drain(..overflow);
-            accum.evicted += overflow as u64;
-        }
-        (
-            self.recorder.dropped() + accum.evicted,
-            accum.events.clone(),
-        )
-    }
-
-    /// Writes the current accumulated history as a one-rank bundle.
+    /// Writes the recorder's snapshot as a one-rank bundle.
     /// Best-effort: I/O failures are swallowed (a rank must never die
     /// of its own black box).
     fn flush(&self, error: &str, error_rank: Option<u64>, error_superstep: Option<u64>) {
-        let (dropped, events) = self.snapshot();
+        // Events first: one recorded between the two reads only
+        // overstates `dropped`, which the analyzer reads as a suffix.
+        let events = self.recorder.snapshot();
+        let dropped = self.recorder.dropped();
         let bundle = PostmortemBundle::new(
             self.p,
             self.attempt,
@@ -264,7 +236,6 @@ impl RemoteHub {
                 attempt,
                 fingerprint,
                 Arc::clone(rec),
-                capacity,
             )
             .map(Arc::new),
             _ => None,
@@ -727,7 +698,7 @@ fn run_welcomed(hub: &Arc<RemoteHub>, welcome: CtlMsg) -> Result<bool, String> {
             store: None,
             fingerprint,
         }),
-        // The ring is owned by the child's postmortem accumulator, not
+        // The ring belongs to the run and its postmortem writer, not
         // the network: the parent cannot drain a SIGKILLed process, so
         // the child flushes its ring to disk itself.
         flight: None,
@@ -752,20 +723,17 @@ fn run_welcomed(hub: &Arc<RemoteHub>, welcome: CtlMsg) -> Result<bool, String> {
 
     // Final black box + report. Flush before reporting so the on-disk
     // bundle exists even if the parent is already gone.
-    let (flight_dropped, flight) = match (&postmortem, &recorder) {
-        (Some(pm), _) => {
-            match &result {
-                Ok(_) => pm.flush("", None, None),
-                Err(err) => {
-                    let (error_rank, error_superstep) = error_coordinate(err);
-                    pm.flush(&err.to_string(), error_rank, error_superstep);
-                }
+    if let Some(pm) = &postmortem {
+        match &result {
+            Ok(_) => pm.flush("", None, None),
+            Err(err) => {
+                let (error_rank, error_superstep) = error_coordinate(err);
+                pm.flush(&err.to_string(), error_rank, error_superstep);
             }
-            pm.snapshot()
         }
-        (None, Some(rec)) => (rec.dropped(), rec.drain()),
-        (None, None) => (0, Vec::new()),
-    };
+    }
+    let (flight, flight_dropped) =
+        recorder.map_or((Vec::new(), 0), |rec| (rec.drain(), rec.dropped()));
     match result {
         Ok((value, stats, work)) => {
             hub.end_run();

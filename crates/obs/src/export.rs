@@ -262,6 +262,7 @@ pub fn to_chrome_trace(tel: &Telemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SINK_CAPACITY;
 
     fn sample() -> Telemetry {
         let tel = Telemetry::enabled_logical();
@@ -359,6 +360,115 @@ mod tests {
         }
         let jsonl = tel.to_jsonl();
         assert!(jsonl.contains(r#""msg":"a\"b\\c\nd""#), "{jsonl}");
+    }
+
+    /// Whether `s` is exactly one JSON value, by RFC 8259's grammar with
+    /// two shortcuts: a number is whatever `f64` parses, and a string
+    /// escape is skipped, not checked.
+    fn is_json(s: &str) -> bool {
+        fn ws(b: &[u8], i: usize) -> usize {
+            i + b[i..].iter().take_while(|c| b" \t\n\r".contains(c)).count()
+        }
+        fn value(b: &[u8], i: usize) -> Option<usize> {
+            let i = ws(b, i);
+            match *b.get(i)? {
+                b'{' => seq(b, i + 1, b'}', |b, i| {
+                    let i = ws(b, string(b, ws(b, i))?);
+                    (b.get(i) == Some(&b':')).then(|| value(b, i + 1))?
+                }),
+                b'[' => seq(b, i + 1, b']', value),
+                b'"' => string(b, i),
+                b't' => b[i..].starts_with(b"true").then_some(i + 4),
+                b'f' => b[i..].starts_with(b"false").then_some(i + 5),
+                b'n' => b[i..].starts_with(b"null").then_some(i + 4),
+                _ => {
+                    let len = b[i..]
+                        .iter()
+                        .take_while(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+                        .count();
+                    let number = std::str::from_utf8(&b[i..i + len]).ok()?;
+                    number.parse::<f64>().is_ok().then_some(i + len)
+                }
+            }
+        }
+        fn seq(
+            b: &[u8],
+            i: usize,
+            close: u8,
+            item: fn(&[u8], usize) -> Option<usize>,
+        ) -> Option<usize> {
+            let mut i = ws(b, i);
+            if b.get(i) == Some(&close) {
+                return Some(i + 1);
+            }
+            loop {
+                i = ws(b, item(b, i)?);
+                match *b.get(i)? {
+                    b',' => i += 1,
+                    c if c == close => return Some(i + 1),
+                    _ => return None,
+                }
+            }
+        }
+        fn string(b: &[u8], i: usize) -> Option<usize> {
+            let mut i = (b.get(i) == Some(&b'"')).then_some(i + 1)?;
+            loop {
+                match *b.get(i)? {
+                    b'"' => return Some(i + 1),
+                    b'\\' => i += 2,
+                    c if c < 0x20 => return None,
+                    _ => i += 1,
+                }
+            }
+        }
+        let b = s.as_bytes();
+        value(b, 0).is_some_and(|end| ws(b, end) == b.len())
+    }
+
+    #[test]
+    fn the_json_check_refuses_what_is_not_json() {
+        assert!(is_json(r#"{"a":[1,-2.5e3,true,null,"x\"y"],"b":{}}"#));
+        for bad in [r#"{"a":1,}"#, "[1 2]", r#"{"a"}"#, "\"open", "01x", "{} {}"] {
+            assert!(!is_json(bad), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_full_sink_keeps_the_newest_counts_the_evicted_and_exports_valid_json() {
+        let tel = Telemetry::enabled_logical();
+        let p1 = tel.track("p1").current_track();
+        let extra = 3;
+        let pushed = (SINK_CAPACITY + extra) as u64;
+        for i in 0..pushed {
+            tel.span_idx("step", i).set("i", i);
+            tel.record_flow(i, "put", 0, p1, i, i + 1);
+        }
+        // The sink holds exactly its capacity, and the oldest went first.
+        let spans = tel.spans();
+        assert_eq!(spans.len(), SINK_CAPACITY);
+        assert_eq!(spans[0].index, Some(extra as u64));
+        assert_eq!(spans[SINK_CAPACITY - 1].index, Some(pushed - 1));
+        let flows = tel.flows();
+        assert_eq!(flows.len(), SINK_CAPACITY);
+        assert_eq!(flows[0].id, extra as u64);
+        assert_eq!(flows[SINK_CAPACITY - 1].id, pushed - 1);
+        // The evictions are counted, and every exporter shows them.
+        assert_eq!(tel.counter_value("telemetry.spans_evicted"), extra as u64);
+        assert_eq!(tel.counter_value("telemetry.flows_evicted"), extra as u64);
+        let tree = tel.render_tree();
+        assert_eq!(
+            tree.lines().filter(|l| l.contains("step ")).count(),
+            SINK_CAPACITY
+        );
+        assert!(tree.contains("telemetry.flows_evicted = 3"));
+        let jsonl = tel.to_jsonl();
+        assert_eq!(jsonl.lines().count(), SINK_CAPACITY + 2);
+        assert!(jsonl.lines().all(is_json));
+        assert!(jsonl.contains(r#""name":"telemetry.spans_evicted","value":3"#));
+        let trace = tel.to_chrome_trace();
+        assert!(is_json(&trace));
+        assert!(trace.contains("telemetry.flows_evicted"));
+        assert_eq!(trace.matches(r#""ph":"s""#).count(), SINK_CAPACITY);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! records what its exchange engine and barrier discipline did —
 //! frames sent/received/corrupt-rejected, barrier enter/exit,
 //! checkpoint stage/commit, fault firings, link loss and healing — at
-//! a cost of one short mutex-protected push per event. When the buffer is full the *oldest* event is evicted
-//! (and counted), so a long healthy run keeps only its recent past:
+//! a cost of one short mutex-protected push per event. The buffer is
+//! the workspace's one [`Ring`](crate::Ring): when it is full the
+//! *oldest* event is evicted (and counted), so a long healthy run keeps
+//! only its recent past:
 //! exactly what a postmortem wants. On attempt failure the supervisor
 //! drains all ranks' recorders into a checksummed postmortem bundle;
 //! on success the events are simply dropped.
@@ -26,8 +28,9 @@
 //! assert_eq!(events[0].lamport, 2);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use crate::Ring;
 
 /// One protocol-level event of a distributed attempt, as seen by one
 /// rank. All fields are logical (ranks, sequence numbers, Lamport
@@ -137,25 +140,18 @@ pub struct TimedFlightEvent {
     pub event: FlightEvent,
 }
 
-/// A fixed-capacity ring buffer of [`TimedFlightEvent`]s. Records are
+/// A fixed-capacity [`Ring`] of [`TimedFlightEvent`]s. Records are
 /// kept in insertion order (which is causal order for a single rank:
 /// the Lamport stamps are non-decreasing); when full, the oldest
 /// record is evicted and counted in [`FlightRecorder::dropped`].
 ///
-/// The buffer is internally locked so the supervisor can drain it
+/// The ring is internally locked so the supervisor can drain it
 /// after the rank's thread is gone — including a thread that
 /// *panicked* while holding nothing of ours (poisoning is ignored; the
 /// protected data is a plain event queue, valid at every instant).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    capacity: usize,
-    state: Mutex<Ring>,
-}
-
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<TimedFlightEvent>,
-    dropped: u64,
+    state: Mutex<Ring<TimedFlightEvent>>,
 }
 
 impl FlightRecorder {
@@ -165,50 +161,35 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            capacity,
-            state: Mutex::new(Ring {
-                // A huge configured capacity must not pre-allocate:
-                // the queue grows to the high-water mark actually hit.
-                events: VecDeque::with_capacity(capacity.min(1024)),
-                dropped: 0,
-            }),
+            state: Mutex::new(Ring::new(capacity)),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Ring> {
+    fn lock(&self) -> MutexGuard<'_, Ring<TimedFlightEvent>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configured capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().capacity()
     }
 
     /// Records one event at the given Lamport stamp.
     pub fn record(&self, lamport: u64, event: FlightEvent) {
-        let mut ring = self.lock();
-        if self.capacity == 0 {
-            ring.dropped += 1;
-            return;
-        }
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(TimedFlightEvent { lamport, event });
+        self.lock().push(TimedFlightEvent { lamport, event });
     }
 
     /// Events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.lock().len()
     }
 
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lock().events.is_empty()
+        self.lock().is_empty()
     }
 
     /// Events evicted (or refused, at capacity 0) so far. A non-zero
@@ -217,14 +198,21 @@ impl FlightRecorder {
     /// is inconclusive rather than a causality violation.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.lock().evicted()
+    }
+
+    /// The buffered events, oldest first, left in place: what a rank
+    /// process writes to disk at each flush.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<TimedFlightEvent> {
+        self.lock().iter().cloned().collect()
     }
 
     /// Removes and returns all buffered events, oldest first (the
     /// rank's causal order). The dropped count is preserved.
     #[must_use]
     pub fn drain(&self) -> Vec<TimedFlightEvent> {
-        self.lock().events.drain(..).collect()
+        self.lock().drain()
     }
 }
 

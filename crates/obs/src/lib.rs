@@ -7,7 +7,8 @@
 //!
 //! * **Spans** — nested, timed, RAII-guarded regions carrying
 //!   structured key–value [`FieldValue`] fields
-//!   ([`Telemetry::span`]).
+//!   ([`Telemetry::span`]), kept in a bounded [`Ring`] of
+//!   [`SINK_CAPACITY`].
 //! * **Metrics** — named monotonic counters and log₂-bucketed
 //!   histograms ([`MetricsRegistry`]).
 //! * **Exporters** — a human-readable span tree
@@ -45,15 +46,23 @@ pub mod env;
 mod export;
 mod flight;
 mod metrics;
+mod ring;
 mod span;
 
 pub use flight::{FlightEvent, FlightRecorder, TimedFlightEvent};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
+pub use ring::Ring;
 pub use span::{FieldValue, SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Spans, and flows, an enabled sink keeps: the newest `SINK_CAPACITY`
+/// of each. Older ones are evicted first and counted as the counters
+/// `telemetry.spans_evicted` and `telemetry.flows_evicted`, so a
+/// long-running process keeps its recent past at a bounded cost.
+pub const SINK_CAPACITY: usize = 1 << 16;
 
 /// Identifies one horizontal track (≈ one thread / one BSP processor)
 /// in the trace. Track 0 is the main track.
@@ -83,7 +92,7 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// Locks the sink state, recovering from poisoning: the protected
-    /// data (plain vectors and counters) is valid at every instant, and
+    /// data (plain rings and counters) is valid at every instant, and
     /// telemetry — especially the exporters — must never panic inside
     /// an already-failing run, which would mask the original failure.
     pub(crate) fn state(&self) -> MutexGuard<'_, State> {
@@ -94,10 +103,24 @@ impl Inner {
 pub(crate) struct State {
     /// Track names; index is the [`TrackId`].
     pub(crate) tracks: Vec<String>,
-    pub(crate) spans: Vec<SpanRecord>,
+    spans: Ring<SpanRecord>,
     pub(crate) metrics: MetricsRegistry,
     /// Cross-track causal arrows (message flows), in recording order.
-    pub(crate) flows: Vec<FlowRecord>,
+    flows: Ring<FlowRecord>,
+}
+
+impl State {
+    pub(crate) fn push_span(&mut self, span: SpanRecord) {
+        if self.spans.push(span).is_some() {
+            self.metrics.counter_add("telemetry.spans_evicted", 1);
+        }
+    }
+
+    fn push_flow(&mut self, flow: FlowRecord) {
+        if self.flows.push(flow).is_some() {
+            self.metrics.counter_add("telemetry.flows_evicted", 1);
+        }
+    }
 }
 
 /// One causal arrow between two tracks — a message observed at both
@@ -178,9 +201,9 @@ impl Telemetry {
                 seq: AtomicU64::new(0),
                 state: Mutex::new(State {
                     tracks: vec!["main".to_string()],
-                    spans: Vec::new(),
+                    spans: Ring::new(SINK_CAPACITY),
                     metrics: MetricsRegistry::new(),
-                    flows: Vec::new(),
+                    flows: Ring::new(SINK_CAPACITY),
                 }),
             })),
             track: 0,
@@ -267,8 +290,7 @@ impl Telemetry {
         let Some(inner) = &self.inner else { return };
         let start_seq = Telemetry::next_seq(inner);
         let end_seq = Telemetry::next_seq(inner);
-        let mut state = inner.state();
-        state.spans.push(SpanRecord {
+        inner.state().push_span(SpanRecord {
             track,
             name,
             index,
@@ -301,7 +323,7 @@ impl Telemetry {
         end_us: u64,
     ) {
         let Some(inner) = &self.inner else { return };
-        inner.state().flows.push(FlowRecord {
+        inner.state().push_flow(FlowRecord {
             id,
             name,
             from_track,
@@ -341,20 +363,22 @@ impl Telemetry {
             })
     }
 
-    /// All recorded spans, in recording order.
+    /// The recorded spans the sink keeps (the newest
+    /// [`SINK_CAPACITY`]), in recording order.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |inner| inner.state().spans.clone())
+        self.inner.as_ref().map_or_else(Vec::new, |inner| {
+            inner.state().spans.iter().cloned().collect()
+        })
     }
 
-    /// All recorded flows, in recording order.
+    /// The recorded flows the sink keeps (the newest
+    /// [`SINK_CAPACITY`]), in recording order.
     #[must_use]
     pub fn flows(&self) -> Vec<FlowRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |inner| inner.state().flows.clone())
+        self.inner.as_ref().map_or_else(Vec::new, |inner| {
+            inner.state().flows.iter().cloned().collect()
+        })
     }
 
     /// Registered track names, indexed by [`TrackId`].

@@ -174,8 +174,7 @@ impl Drop for SpanGuard {
         // (a failing rank dropping its span guards); a second panic
         // here would abort the whole process and mask the original
         // failure.
-        let mut state = open.inner.state();
-        state.spans.push(SpanRecord {
+        open.inner.state().push_span(SpanRecord {
             track: open.track,
             name: open.name,
             index: open.index,
