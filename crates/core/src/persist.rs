@@ -118,7 +118,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(TypeEnv, Env, CostSummary), CodecE
     for _ in 0..n {
         let name = r.str()?;
         let scheme = decode_scheme(&mut r)?;
-        tenv = tenv.extend(bsml_ast::Ident::new(&name), scheme);
+        tenv.insert(bsml_ast::Ident::new(&name), scheme);
     }
     let value_len = r.count()?;
     let venv = env_from_bytes(r.take(value_len)?)?;

@@ -378,7 +378,7 @@ impl Session {
         for decl in &module.decls {
             let event = self.process(Some(&decl.name), &decl.expr)?;
             if let SessionEvent::Phrase(output) = &event {
-                self.tenv = self.tenv.extend(decl.name.clone(), output.scheme.clone());
+                self.tenv.insert(decl.name.clone(), output.scheme.clone());
                 self.venv = self.venv.bind(decl.name.clone(), output.value.clone());
             }
             events.push(event);

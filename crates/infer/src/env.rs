@@ -19,12 +19,11 @@ impl TypeEnv {
         TypeEnv::default()
     }
 
-    /// `E + {x : σ}` — extension, replacing any previous binding.
-    #[must_use]
-    pub fn extend(&self, x: Ident, scheme: Scheme) -> TypeEnv {
-        let mut map = self.map.clone();
-        map.insert(x, scheme);
-        TypeEnv { map }
+    /// `E + {x : σ}` in place — extension, replacing any previous
+    /// binding. A toplevel binding costs one map insertion, so loading
+    /// `n` bindings costs `O(n log n)`, not a copy of the map each.
+    pub fn insert(&mut self, x: Ident, scheme: Scheme) {
+        self.map.insert(x, scheme);
     }
 
     /// Looks up a variable's scheme.
@@ -263,25 +262,28 @@ mod tests {
 
     #[test]
     fn env_extension_and_lookup() {
-        let env = TypeEnv::new().extend(Ident::new("x"), Scheme::mono(Type::Int));
+        let mut env = TypeEnv::new();
+        env.insert(Ident::new("x"), Scheme::mono(Type::Int));
         assert_eq!(env.lookup(&Ident::new("x")).unwrap().ty(), &Type::Int);
         assert!(env.lookup(&Ident::new("y")).is_none());
         assert_eq!(env.len(), 1);
-        let env2 = env.extend(Ident::new("x"), Scheme::mono(Type::Bool));
-        assert_eq!(env2.lookup(&Ident::new("x")).unwrap().ty(), &Type::Bool);
-        assert_eq!(env2.len(), 1);
+        env.insert(Ident::new("x"), Scheme::mono(Type::Bool));
+        assert_eq!(env.lookup(&Ident::new("x")).unwrap().ty(), &Type::Bool);
+        assert_eq!(env.len(), 1);
     }
 
     #[test]
     fn env_free_vars_and_subst() {
-        let env = TypeEnv::new().extend(Ident::new("x"), Scheme::mono(Type::var(3)));
+        let mut env = TypeEnv::new();
+        env.insert(Ident::new("x"), Scheme::mono(Type::var(3)));
         assert_eq!(env.free_vars(), vec![TyVar(3)]);
         assert_eq!(env.var_bound(), 4);
     }
 
     #[test]
     fn env_display() {
-        let env = TypeEnv::new().extend(Ident::new("x"), Scheme::mono(Type::Int));
+        let mut env = TypeEnv::new();
+        env.insert(Ident::new("x"), Scheme::mono(Type::Int));
         assert_eq!(env.to_string(), "{x : int}");
         assert_eq!(TypeEnv::new().to_string(), "{}");
     }
