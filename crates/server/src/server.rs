@@ -345,9 +345,6 @@ impl Server {
         inner.count(&inner.stats.admitted, "server.admitted");
         inner
             .telemetry
-            .counter_add(&format!("server.tenant.{tenant}.admitted"), 1);
-        inner
-            .telemetry
             .histogram_record("server.queue_depth", depth);
         inner.work_cv.notify_one();
         Ok(Ticket { id, rx })
@@ -629,7 +626,7 @@ fn drive_round(inner: &Arc<Inner>, tenant: &str) {
         loop {
             match cell.wait_quiescent(inner.config.leash) {
                 Quiescence::Finished => {
-                    finish_current(inner, tenant, &cell);
+                    finish(inner, tenant, &cell, Outcome::DeadlineExceeded);
                     return;
                 }
                 Quiescence::Parked => break,
@@ -657,7 +654,12 @@ fn drive_round(inner: &Arc<Inner>, tenant: &str) {
 fn cancel_and_finish(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, over_budget: bool) {
     cell.cancel();
     if cell.wait_quiescent(inner.config.leash) == Quiescence::Finished {
-        finish_cancelled(inner, tenant, cell, over_budget);
+        let cancelled = if over_budget {
+            Outcome::BudgetExhausted
+        } else {
+            Outcome::DeadlineExceeded
+        };
+        finish(inner, tenant, cell, cancelled);
     } else {
         // Second stage: the host ignored cancellation — it is wedged
         // outside fueled evaluation. Abandon the thread, quarantine
@@ -667,59 +669,11 @@ fn cancel_and_finish(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, ove
     }
 }
 
-/// The host finished after we cancelled: map its report onto the
-/// cancellation reason.
-fn finish_cancelled(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, over_budget: bool) {
-    take_drive(inner, tenant, cell, |reported| match reported {
-        // The usual case: the evaluation hit the cancel at its next
-        // tick and the host rolled the session back.
-        Some(HostOutcome::Failed {
-            cancelled: true, ..
-        }) => {
-            if over_budget {
-                Outcome::BudgetExhausted
-            } else {
-                Outcome::DeadlineExceeded
-            }
-        }
-        // Benign race: the phrase finished in the same instant the
-        // deadline tripped. Honor the host's report — it reflects
-        // what actually happened to the session.
-        Some(HostOutcome::Done { rendered }) => Outcome::Done { rendered },
-        Some(HostOutcome::Static { error }) => Outcome::Static { error },
-        Some(HostOutcome::Failed { error, .. }) => Outcome::Failed { error },
-        Some(HostOutcome::Panicked) => Outcome::Panicked,
-        Some(HostOutcome::DurabilityLost { error }) => Outcome::DurabilityLost { error },
-        None => Outcome::Abandoned,
-    });
-}
-
-/// Normal completion: the host reported while fuel was flowing.
-fn finish_current(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>) {
-    take_drive(inner, tenant, cell, |reported| match reported {
-        Some(HostOutcome::Done { rendered }) => Outcome::Done { rendered },
-        Some(HostOutcome::Static { error }) => Outcome::Static { error },
-        Some(HostOutcome::Failed {
-            error,
-            cancelled: false,
-        }) => Outcome::Failed { error },
-        Some(HostOutcome::Failed {
-            cancelled: true, ..
-        }) => Outcome::DeadlineExceeded,
-        Some(HostOutcome::Panicked) => Outcome::Panicked,
-        Some(HostOutcome::DurabilityLost { error }) => Outcome::DurabilityLost { error },
-        None => Outcome::Abandoned,
-    });
-}
-
-/// Takes the tenant's in-flight drive, receives the host's report,
-/// maps it to an [`Outcome`], and applies the completion.
-fn take_drive(
-    inner: &Arc<Inner>,
-    tenant: &str,
-    cell: &Arc<FuelCell>,
-    to_outcome: impl FnOnce(Option<HostOutcome>) -> Outcome,
-) {
+/// The host finished: takes the tenant's in-flight drive, receives the
+/// host's report, maps it to an [`Outcome`] and applies the
+/// completion. A failure the cancel caused maps to `cancelled`, which
+/// says who cancelled (the deadline or the fuel budget).
+fn finish(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, cancelled: Outcome) {
     let fuel = cell.drawn();
     let mut st = inner.lock();
     let Some(t) = st.tenants.get_mut(tenant) else {
@@ -731,8 +685,22 @@ fn take_drive(
         return;
     };
     st.in_flight -= 1;
-    let reported = drive.outcome_rx.recv_timeout(inner.config.leash).ok();
-    let outcome = to_outcome(reported);
+    let outcome = match drive.outcome_rx.recv_timeout(inner.config.leash).ok() {
+        // The usual case after a cancel: the evaluation hit it at its
+        // next tick and the host rolled the session back.
+        Some(HostOutcome::Failed {
+            cancelled: true, ..
+        }) => cancelled,
+        // Otherwise honor the host's report, even when it finished in
+        // the instant the deadline tripped: it reflects what actually
+        // happened to the session.
+        Some(HostOutcome::Done { rendered }) => Outcome::Done { rendered },
+        Some(HostOutcome::Static { error }) => Outcome::Static { error },
+        Some(HostOutcome::Failed { error, .. }) => Outcome::Failed { error },
+        Some(HostOutcome::Panicked) => Outcome::Panicked,
+        Some(HostOutcome::DurabilityLost { error }) => Outcome::DurabilityLost { error },
+        None => Outcome::Abandoned,
+    };
     apply_completion(inner, &mut st, tenant, drive, outcome, fuel);
 }
 
@@ -822,9 +790,6 @@ fn strike(inner: &Arc<Inner>, st: &mut MutexGuard<'_, SchedState>, tenant: &str,
 /// shed everything it still has queued. Other tenants are untouched.
 fn quarantine(inner: &Arc<Inner>, st: &mut MutexGuard<'_, SchedState>, tenant: &str) {
     inner.count(&inner.stats.quarantines, "server.quarantined");
-    inner
-        .telemetry
-        .counter_add(&format!("server.tenant.{tenant}.quarantined"), 1);
     let Some(t) = st.tenants.get_mut(tenant) else {
         return;
     };
@@ -860,9 +825,6 @@ fn complete(inner: &Arc<Inner>, job: Job, outcome: Outcome, fuel: u64) {
     };
     inner.count(cell, metric);
     inner.count(&inner.stats.completed, "server.completed");
-    inner
-        .telemetry
-        .counter_add(&format!("server.tenant.{}.completed", job.tenant), 1);
     inner.telemetry.histogram_record(
         "server.latency_us",
         u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
