@@ -74,8 +74,8 @@ use crate::lock;
 use crate::machine::{BspMachine, BspParams};
 use crate::postmortem::{error_coordinate, FlightLog, PostmortemBundle};
 
-/// Default maximum number of attempts (1 initial + 2 retries).
-pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
+/// How many attempts a supervisor makes (1 initial + 2 retries).
+pub const MAX_ATTEMPTS: u32 = 3;
 
 /// Environment variable naming a directory for crash-time postmortem
 /// bundles. When set, the supervisor writes one bundle per failed
@@ -134,9 +134,9 @@ impl Sleeper for RecordingSleeper {
 
 /// The delay before retry `attempt` (1-based): exponential backoff
 /// `base · 2^(attempt-1)` with deterministic ±20% jitter seeded by
-/// `jitter_seed ^ attempt`. Jitter decorrelates retry storms when many
-/// supervisors share a fault (and a seed-per-supervisor), while the
-/// explicit seed keeps every schedule reproducible.
+/// `jitter_seed ^ attempt`. A supervisor seeds it with its program's
+/// fingerprint, so supervisors of different programs that share a
+/// fault retry apart, while every schedule stays reproducible.
 #[must_use]
 pub fn backoff_delay(base: Duration, attempt: u32, jitter_seed: u64) -> Duration {
     let exp = 2u32.saturating_pow(attempt.saturating_sub(1));
@@ -175,16 +175,14 @@ pub struct SupervisedOutcome {
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     machine: DistMachine,
-    max_attempts: u32,
     backoff: Duration,
-    jitter_seed: u64,
     sleeper: Arc<dyn Sleeper>,
     telemetry: Telemetry,
     postmortem_dir: Option<PathBuf>,
 }
 
 impl Supervisor {
-    /// Supervises `machine` with [`DEFAULT_MAX_ATTEMPTS`],
+    /// Supervises `machine` with [`MAX_ATTEMPTS`] attempts,
     /// [`DEFAULT_BACKOFF`] and a real [`ThreadSleeper`].
     #[must_use]
     pub fn new(machine: DistMachine) -> Supervisor {
@@ -199,38 +197,17 @@ impl Supervisor {
         };
         Supervisor {
             machine,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
             backoff: DEFAULT_BACKOFF,
-            jitter_seed: 0,
             sleeper: Arc::new(ThreadSleeper),
             telemetry: Telemetry::disabled(),
             postmortem_dir,
         }
     }
 
-    /// Overrides the attempt budget (must be ≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts == 0`.
-    #[must_use]
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Supervisor {
-        assert!(max_attempts > 0, "a supervisor needs at least one attempt");
-        self.max_attempts = max_attempts;
-        self
-    }
-
     /// Overrides the base backoff (use [`Duration::ZERO`] in tests).
     #[must_use]
     pub fn with_backoff(mut self, backoff: Duration) -> Supervisor {
         self.backoff = backoff;
-        self
-    }
-
-    /// Seeds the deterministic backoff jitter (see [`backoff_delay`]).
-    #[must_use]
-    pub fn with_jitter_seed(mut self, jitter_seed: u64) -> Supervisor {
-        self.jitter_seed = jitter_seed;
         self
     }
 
@@ -291,6 +268,7 @@ impl Supervisor {
             .with_fuel(oracle_fuel)
             .run(e)?;
 
+        let fingerprint = program_fingerprint(e, self.machine.p());
         let checkpointing = self.machine.checkpoints().is_some();
         let mut recovered = Vec::new();
         let mut postmortems = Vec::new();
@@ -299,14 +277,14 @@ impl Supervisor {
         // between it and the resume point is the replay debt.
         let mut furthest = 0u64;
         let mut full_restart_only = false;
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.telemetry.counter_add("bsp.retries", 1);
                 self.sleeper
-                    .sleep(backoff_delay(self.backoff, attempt, self.jitter_seed));
+                    .sleep(backoff_delay(self.backoff, attempt, fingerprint));
             }
             let resume = if attempt > 0 && !full_restart_only {
-                self.latest_valid_checkpoint(e)
+                self.latest_valid_checkpoint(fingerprint)
             } else {
                 None
             };
@@ -346,11 +324,11 @@ impl Supervisor {
                     );
                     // A silent corruption deserves a black box as much
                     // as a loud crash does.
-                    postmortems.extend(self.write_postmortem(e, attempt, &err, flight));
+                    postmortems.extend(self.write_postmortem(fingerprint, attempt, &err, flight));
                     recovered.push(err);
                 }
                 Err(err) => {
-                    postmortems.extend(self.write_postmortem(e, attempt, &err, flight));
+                    postmortems.extend(self.write_postmortem(fingerprint, attempt, &err, flight));
                     if resumed || matches!(err, EvalError::CheckpointDiverged { .. }) {
                         // A resumed attempt can only fail through a
                         // fresh fault or a *poisoned record* — a fault
@@ -377,7 +355,7 @@ impl Supervisor {
     /// here is swallowed into a counter.
     fn write_postmortem(
         &self,
-        e: &Expr,
+        fingerprint: u64,
         attempt: u32,
         err: &EvalError,
         flight: Option<FlightLog>,
@@ -393,7 +371,6 @@ impl Supervisor {
             error_superstep,
             log,
         );
-        let fingerprint = program_fingerprint(e, self.machine.p());
         let path = dir.join(format!(
             "pm-{fingerprint:016x}-p{}-attempt{attempt}.bsmlpm",
             self.machine.p()
@@ -414,10 +391,9 @@ impl Supervisor {
     /// are skipped silently; anything else that fails to load is
     /// *corruption* and is counted before falling through to the
     /// next-older generation.
-    fn latest_valid_checkpoint(&self, e: &Expr) -> Option<ResumePoint> {
+    fn latest_valid_checkpoint(&self, fingerprint: u64) -> Option<ResumePoint> {
         let (_, store) = self.machine.checkpoints()?;
         let p = self.machine.p();
-        let fingerprint = program_fingerprint(e, p);
         let mut generations = store.generations();
         generations.sort_unstable();
         for generation in generations.into_iter().rev() {
@@ -625,37 +601,30 @@ mod tests {
     #[test]
     fn backoff_schedule_is_exact_and_jittered() {
         let e = parse(PUT).unwrap();
-        // Crash every attempt so all max_attempts run (and sleep).
+        // Crash every attempt so all MAX_ATTEMPTS run (and sleep).
         let plan = FaultPlan::new()
             .crash(0, 0)
             .crash(0, 0)
             .on_attempt(1)
             .crash(0, 0)
-            .on_attempt(2)
-            .crash(0, 0)
-            .on_attempt(3);
+            .on_attempt(2);
         let machine = DistMachine::new(2).with_faults(plan);
         let sleeper = Arc::new(RecordingSleeper::new());
         let base = Duration::from_millis(10);
-        let seed = 0xB5F_u64;
+        let seed = program_fingerprint(&e, 2);
         let err = Supervisor::new(machine)
-            .with_max_attempts(4)
             .with_backoff(base)
-            .with_jitter_seed(seed)
             .with_sleeper(Arc::<RecordingSleeper>::clone(&sleeper))
             .run(&e)
             .unwrap_err();
         assert!(matches!(err, EvalError::InjectedFault { .. }));
         let slept = sleeper.slept();
-        // Retries 1..=3 sleep exactly the jittered schedule — and no
-        // wall-clock time passed, because the sleeper only records.
+        // Retries 1 and 2 sleep exactly the schedule jittered by the
+        // program's fingerprint — and no wall-clock time passed,
+        // because the sleeper only records.
         assert_eq!(
             slept,
-            vec![
-                backoff_delay(base, 1, seed),
-                backoff_delay(base, 2, seed),
-                backoff_delay(base, 3, seed),
-            ]
+            vec![backoff_delay(base, 1, seed), backoff_delay(base, 2, seed)]
         );
         // Each delay is within ±20% of its nominal 10ms·2^(k-1).
         for (k, d) in slept.iter().enumerate() {
@@ -674,11 +643,5 @@ mod tests {
         assert_ne!(backoff_delay(base, 2, 7), backoff_delay(base, 2, 8));
         // Zero base stays zero regardless of jitter.
         assert_eq!(backoff_delay(Duration::ZERO, 3, 9), Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_attempts_rejected() {
-        let _ = Supervisor::new(DistMachine::new(1)).with_max_attempts(0);
     }
 }

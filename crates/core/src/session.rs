@@ -27,9 +27,11 @@
 //! [`Session::rollback`] undoes whole — bindings, schemes, cumulative
 //! cost and every cell assigned since — and [`Session::commit`] keeps.
 //! Cells roll back through an undo trail that the `:=` rule fills
-//! ([`bsml_eval::trail`]), so neither costs a walk over the session's
-//! values. `load` runs inside such transactions itself: one for the
-//! whole load and one per phrase.
+//! ([`bsml_eval::trail`]), and toplevel schemes through a log of the
+//! scheme each new binding replaced, so neither costs a walk over the
+//! session's values or a copy of its typing environment. `load` runs
+//! inside such transactions itself: one for the whole load and one per
+//! phrase.
 
 use bsml_ast::{Expr, Ident};
 use bsml_bsp::{BspMachine, BspParams, CostSummary, RunReport};
@@ -163,6 +165,10 @@ pub struct Session {
     machine: BspMachine,
     trail: Trail,
     tenv: TypeEnv,
+    /// While a transaction is open: each toplevel name bound since the
+    /// outermost one began, oldest first, with the scheme the binding
+    /// replaced (`None` if the name was unbound).
+    tenv_log: Vec<(Ident, Option<Scheme>)>,
     venv: Env,
     total: CostSummary,
     telemetry: Telemetry,
@@ -198,7 +204,7 @@ impl SessionSnapshot {
 #[must_use = "a transaction is closed by commit or rollback"]
 pub struct Transaction {
     mark: Mark,
-    tenv: TypeEnv,
+    tenv_log: usize,
     venv: Env,
     total: CostSummary,
 }
@@ -227,6 +233,7 @@ impl Session {
                 .with_trail(trail.clone()),
             trail,
             tenv: TypeEnv::new(),
+            tenv_log: Vec::new(),
             venv: Env::new(),
             total: CostSummary::default(),
             telemetry,
@@ -259,6 +266,9 @@ impl Session {
     /// cumulative cost all return to the captured point, in fresh
     /// `ref` cells.
     ///
+    /// Restore outside a transaction: a later rollback would undo the
+    /// logged bindings against the restored environment.
+    ///
     /// # Errors
     ///
     /// [`CodecError`] if the bytes do not decode (a value nested past
@@ -273,7 +283,7 @@ impl Session {
     pub fn begin(&mut self) -> Transaction {
         Transaction {
             mark: self.trail.mark(),
-            tenv: self.tenv.clone(),
+            tenv_log: self.tenv_log.len(),
             venv: self.venv.clone(),
             total: self.total.clone(),
         }
@@ -282,6 +292,9 @@ impl Session {
     /// Keeps everything loaded since `tx` began.
     pub fn commit(&mut self, tx: Transaction) {
         self.trail.commit(tx.mark);
+        if !self.trail.is_open() {
+            self.tenv_log.clear();
+        }
     }
 
     /// Returns the session to where it stood when `tx` began:
@@ -290,7 +303,12 @@ impl Session {
     /// open (a panic can leave them so) are rolled back with it.
     pub fn rollback(&mut self, tx: Transaction) {
         self.trail.rollback(tx.mark);
-        self.tenv = tx.tenv;
+        for (name, old) in self.tenv_log.drain(tx.tenv_log..).rev() {
+            match old {
+                Some(scheme) => self.tenv.insert(name, scheme),
+                None => self.tenv.remove(&name),
+            };
+        }
         self.venv = tx.venv;
         self.total = tx.total;
     }
@@ -378,7 +396,8 @@ impl Session {
         for decl in &module.decls {
             let event = self.process(Some(&decl.name), &decl.expr)?;
             if let SessionEvent::Phrase(output) = &event {
-                self.tenv.insert(decl.name.clone(), output.scheme.clone());
+                let old = self.tenv.insert(decl.name.clone(), output.scheme.clone());
+                self.tenv_log.push((decl.name.clone(), old));
                 self.venv = self.venv.bind(decl.name.clone(), output.value.clone());
             }
             events.push(event);
@@ -624,6 +643,81 @@ mod tests {
         s.load("r := 4").unwrap();
         s.commit(tx);
         assert_eq!(value_of(&s.load("!b").unwrap()[0]), "4");
+    }
+
+    #[test]
+    fn a_name_rebound_in_a_rolled_back_transaction_gets_its_old_scheme_back() {
+        let mut s = session();
+        s.load("let f x = x ;; let n = 1").unwrap();
+        let tx = s.begin();
+        s.load("let f = 2 ;; let n x = (x, x) ;; let fresh = true")
+            .unwrap();
+        // A static error rolls back its own load and no more.
+        assert!(s
+            .load("let f = true ;; let bad = fst (1, mkpar (fun i -> i))")
+            .is_err());
+        assert_eq!(s.scheme_of("f").unwrap().to_string(), "int");
+        s.rollback(tx);
+        assert_eq!(s.scheme_of("f").unwrap().to_string(), "∀'a.['a -> 'a]");
+        assert_eq!(s.scheme_of("n").unwrap().to_string(), "int");
+        assert!(s.scheme_of("fresh").is_none());
+        assert!(s.tenv_log.is_empty());
+        let tx = s.begin();
+        s.load("let n = true").unwrap();
+        s.commit(tx);
+        assert_eq!(s.scheme_of("n").unwrap().to_string(), "bool");
+        assert!(s.tenv_log.is_empty());
+    }
+
+    #[test]
+    fn free_variables_and_the_bound_match_a_walk_after_random_requests() {
+        // `k` and `m` keep a variable free in their constraint.
+        const PHRASES: [&str; 10] = [
+            "let f x = x",
+            "let g x y = (x, y)",
+            "let h = mkpar (fun i -> i)",
+            "let k x = fst (x, nc ())",
+            "let m x = snd (nc (), x)",
+            "let n = 1",
+            "let f = 2",
+            "let p x = put (mkpar (fun j -> fun i -> x))",
+            "let bad = 1 / 0",
+            "let q = fst (1, mkpar (fun i -> i))",
+        ];
+        let mut state = 11u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut s = session();
+        let mut seen_free = false;
+        for _ in 0..200 {
+            let tx = s.begin();
+            for _ in 0..=next(3) {
+                let _ = s.load(PHRASES[next(PHRASES.len())]);
+            }
+            if next(2) == 0 {
+                s.commit(tx);
+            } else {
+                s.rollback(tx);
+            }
+            let schemes: Vec<&Scheme> = s.tenv.domain().filter_map(|x| s.tenv.lookup(x)).collect();
+            let mut free: Vec<_> = schemes.iter().flat_map(|sc| sc.free_vars()).collect();
+            free.sort_unstable();
+            free.dedup();
+            let bound = schemes
+                .iter()
+                .flat_map(|sc| sc.all_vars())
+                .map(|v| v.0 + 1)
+                .max()
+                .unwrap_or(0);
+            seen_free |= !free.is_empty();
+            assert_eq!(s.tenv.free_vars(), free);
+            assert_eq!(s.tenv.var_bound(), bound);
+        }
+        assert!(seen_free);
     }
 
     #[test]

@@ -67,6 +67,12 @@ impl Trail {
         Mark(s.marks.len() - 1)
     }
 
+    /// Whether any mark is open.
+    #[must_use]
+    pub fn is_open(&self) -> bool {
+        !self.0.borrow().marks.is_empty()
+    }
+
     /// Keeps every write since `mark`, closing it and any mark opened
     /// after it. Closing the outermost mark drops the entries.
     pub fn commit(&self, mark: Mark) {

@@ -1,5 +1,6 @@
 //! Typing environments and the initial environment `TC` (Figure 6).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -7,9 +8,16 @@ use bsml_ast::{Const, Ident, Op};
 use bsml_types::{Constraint, Scheme, TyVar, Type};
 
 /// A typing environment `E`: identifiers to type schemes.
+///
+/// Beside the map it counts, per type variable, the bound schemes that
+/// have it free and the bound schemes that mention it at all. Every
+/// insertion and removal updates both counts, so `F(E)` and the
+/// fresh-variable bound cost no walk over the schemes.
 #[derive(Clone, Debug, Default)]
 pub struct TypeEnv {
     map: BTreeMap<Ident, Scheme>,
+    free: BTreeMap<TyVar, usize>,
+    all: BTreeMap<TyVar, usize>,
 }
 
 impl TypeEnv {
@@ -20,10 +28,30 @@ impl TypeEnv {
     }
 
     /// `E + {x : σ}` in place — extension, replacing any previous
-    /// binding. A toplevel binding costs one map insertion, so loading
-    /// `n` bindings costs `O(n log n)`, not a copy of the map each.
-    pub fn insert(&mut self, x: Ident, scheme: Scheme) {
-        self.map.insert(x, scheme);
+    /// binding, which it returns. A toplevel binding costs one map
+    /// insertion, so loading `n` bindings costs `O(n log n)`, not a
+    /// copy of the map each.
+    pub fn insert(&mut self, x: Ident, scheme: Scheme) -> Option<Scheme> {
+        self.count(&scheme, true);
+        let old = self.map.insert(x, scheme);
+        if let Some(old) = &old {
+            self.count(old, false);
+        }
+        old
+    }
+
+    /// Removes `x`'s binding, returning it.
+    pub fn remove(&mut self, x: &Ident) -> Option<Scheme> {
+        let old = self.map.remove(x);
+        if let Some(old) = &old {
+            self.count(old, false);
+        }
+        old
+    }
+
+    fn count(&mut self, scheme: &Scheme, add: bool) {
+        tally(&mut self.free, scheme.free_vars(), add);
+        tally(&mut self.all, scheme.all_vars(), add);
     }
 
     /// Looks up a variable's scheme.
@@ -49,31 +77,35 @@ impl TypeEnv {
         self.map.is_empty()
     }
 
-    /// `F(E)` — free type variables of all bound schemes.
+    /// `F(E)` — free type variables of all bound schemes, in ascending
+    /// order.
     #[must_use]
     pub fn free_vars(&self) -> Vec<TyVar> {
-        let mut out = Vec::new();
-        for scheme in self.map.values() {
-            for v in scheme.free_vars() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+        self.free.keys().copied().collect()
     }
 
     /// One past the largest variable any scheme mentions, quantified
     /// ones included: inference draws its fresh variables from here
     /// on, so no link it makes reaches a quantified variable
     /// (Definition 1's side condition).
-    pub(crate) fn var_bound(&self) -> u32 {
-        self.map
-            .values()
-            .flat_map(Scheme::all_vars)
-            .map(|v| v.0 + 1)
-            .max()
-            .unwrap_or(0)
+    #[must_use]
+    pub fn var_bound(&self) -> u32 {
+        self.all.keys().next_back().map_or(0, |v| v.0 + 1)
+    }
+}
+
+/// Adds one to (or takes one from) the count of each of `vars`,
+/// dropping a variable whose count reaches zero.
+fn tally(counts: &mut BTreeMap<TyVar, usize>, vars: Vec<TyVar>, add: bool) {
+    for v in vars {
+        if add {
+            *counts.entry(v).or_default() += 1;
+        } else if let Entry::Occupied(mut n) = counts.entry(v) {
+            *n.get_mut() -= 1;
+            if *n.get() == 0 {
+                n.remove();
+            }
+        }
     }
 }
 
@@ -278,6 +310,54 @@ mod tests {
         env.insert(Ident::new("x"), Scheme::mono(Type::var(3)));
         assert_eq!(env.free_vars(), vec![TyVar(3)]);
         assert_eq!(env.var_bound(), 4);
+    }
+
+    /// `F(E)`, sorted, and the variable bound as a walk over every
+    /// scheme gives them.
+    fn walked(env: &TypeEnv) -> (Vec<TyVar>, u32) {
+        let mut free: Vec<TyVar> = env.map.values().flat_map(Scheme::free_vars).collect();
+        free.sort_unstable();
+        free.dedup();
+        let bound = env
+            .map
+            .values()
+            .flat_map(Scheme::all_vars)
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0);
+        (free, bound)
+    }
+
+    #[test]
+    fn the_counts_agree_with_a_walk_over_the_schemes() {
+        // Seeded inserts, rebinds and removals of schemes over twelve
+        // variables, some quantified, some free only in the constraint.
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut env = TypeEnv::new();
+        for _ in 0..2_000 {
+            let x = Ident::new(format!("x{}", next(8)));
+            if next(4) == 0 {
+                env.remove(&x);
+            } else {
+                let a = TyVar(next(6) as u32);
+                let b = TyVar(next(6) as u32);
+                let quantified = if next(2) == 0 { vec![a] } else { Vec::new() };
+                let constraint = if next(2) == 0 {
+                    Constraint::loc(Type::var(next(6) as u32 + 6))
+                } else {
+                    Constraint::True
+                };
+                let ty = Type::arrow(Type::Var(a), Type::Var(b));
+                env.insert(x, Scheme::new(quantified, ty, constraint));
+            }
+            assert_eq!((env.free_vars(), env.var_bound()), walked(&env));
+        }
     }
 
     #[test]

@@ -6,8 +6,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bsml_bsp::{BspParams, Disk};
-use bsml_core::knobs;
-use bsml_obs::Telemetry;
 
 /// All the knobs of a [`crate::Server`]. Defaults are deliberately
 /// small: a server that sheds early under test load is one whose
@@ -19,13 +17,12 @@ pub struct ServerConfig {
     /// Worker threads driving fuel slices (not hosting sessions —
     /// each tenant session lives on its own dedicated host thread).
     pub workers: usize,
-    /// Global admission-queue bound across all tenants
-    /// (`BSML_QUEUE_DEPTH`).
+    /// Global admission-queue bound across all tenants.
     pub queue_depth: usize,
     /// Per-tenant bound on queued requests.
     pub tenant_quota: usize,
     /// Per-request wall-clock deadline, measured from admission;
-    /// `None` disables (`BSML_DEADLINE_MS`, `0` to disable).
+    /// `None` disables.
     pub deadline: Option<Duration>,
     /// Fuel units granted per slice — the preemption granularity.
     pub fuel_slice: u64,
@@ -45,10 +42,11 @@ pub struct ServerConfig {
     /// How long a quarantined tenant is refused admission.
     pub quarantine_cooldown: Duration,
     /// Directory for per-tenant write-ahead logs; `None` (the
-    /// default) keeps sessions in-memory only (`BSML_DURABLE_DIR`).
+    /// default) keeps sessions in-memory only.
     pub durable_dir: Option<PathBuf>,
-    /// Commits between WAL compaction snapshots — recovery replays at
-    /// most this many phrases per tenant (`BSML_SNAPSHOT_EVERY`).
+    /// Commits between a tenant host's session snapshots, durable or
+    /// not: a rebuilt host, or recovery, replays at most this many
+    /// phrases per tenant.
     pub snapshot_every: u64,
     /// The storage backend all durable I/O goes through. The default
     /// passthrough disk does real I/O; tests inject fault plans here.
@@ -62,9 +60,9 @@ impl ServerConfig {
         ServerConfig {
             params,
             workers: 4,
-            queue_depth: knobs::DEFAULT_QUEUE_DEPTH,
+            queue_depth: 256,
             tenant_quota: 32,
-            deadline: Some(knobs::DEFAULT_DEADLINE),
+            deadline: Some(Duration::from_secs(2)),
             fuel_slice: 20_000,
             quantum: 100_000,
             fuel_budget: 5_000_000,
@@ -72,22 +70,8 @@ impl ServerConfig {
             quarantine_after: 3,
             quarantine_cooldown: Duration::from_secs(5),
             durable_dir: None,
-            snapshot_every: knobs::DEFAULT_SNAPSHOT_EVERY,
+            snapshot_every: 8,
             disk: Arc::new(Disk::new()),
-        }
-    }
-
-    /// Defaults with the `BSML_QUEUE_DEPTH` and `BSML_DEADLINE_MS`
-    /// environment knobs applied (malformed values fall back with a
-    /// counted `config.bad_env_values` warning).
-    #[must_use]
-    pub fn from_env(params: BspParams, telemetry: &Telemetry) -> ServerConfig {
-        ServerConfig {
-            queue_depth: knobs::queue_depth_from_env(telemetry),
-            deadline: knobs::deadline_from_env(telemetry),
-            durable_dir: knobs::durable_dir_from_env(),
-            snapshot_every: knobs::snapshot_every_from_env(telemetry),
-            ..ServerConfig::new(params)
         }
     }
 
@@ -158,7 +142,7 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the WAL compaction interval (clamped to at least 1).
+    /// Overrides the snapshot interval (clamped to at least 1).
     #[must_use]
     pub fn with_snapshot_every(mut self, every: u64) -> ServerConfig {
         self.snapshot_every = every.max(1);

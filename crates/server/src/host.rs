@@ -14,9 +14,15 @@
 //! append. The rollback undoes the cells the request assigned through
 //! the session's undo trail, so it never walks the tenant's values.
 //! Only a fully successful, durably logged request commits, which is
-//! what makes the server's replay transcripts deterministic: a
-//! transcript is exactly the sources that committed, and replaying
-//! them from scratch rebuilds the same session state.
+//! what makes a tenant's history deterministic: the newest snapshot
+//! plus the sources that committed after it. A host is rebuilt from
+//! exactly that, by restoring the snapshot and replaying the sources.
+//!
+//! The host also decides when to snapshot: every `snapshot_every`
+//! commits it encodes the session, checks that the bytes decode, and
+//! (with a WAL) installs them as a new generation. Each snapshot that
+//! decodes rides the host's next reply to the scheduler, which makes it
+//! the tenant's base and drops the commits it covers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -30,13 +36,9 @@ use bsml_obs::Telemetry;
 use crate::config::ServerConfig;
 use crate::wal::TenantWal;
 
-/// Durability context handed to a host at spawn: the armed per-tenant
-/// WAL handle, and (after a recovery) the serialized base state to
-/// restore before replaying the transcript.
-pub(crate) struct DurableCtx {
-    pub(crate) wal: TenantWal,
-    pub(crate) base: Option<Vec<u8>>,
-}
+/// A session snapshot: the sequence number of the last commit it
+/// covers, and its bytes.
+pub(crate) type Base = (u64, Vec<u8>);
 
 /// What a host reports back for one request.
 #[derive(Clone, Debug)]
@@ -62,7 +64,7 @@ pub(crate) enum HostCmd {
     /// `reply` and then calls [`FuelCell::finish`].
     Run {
         source: String,
-        reply: mpsc::Sender<HostOutcome>,
+        reply: mpsc::Sender<(HostOutcome, Option<Base>)>,
     },
     /// Exit the host loop.
     Shutdown,
@@ -76,22 +78,24 @@ pub(crate) struct HostHandle {
 }
 
 impl HostHandle {
-    /// Spawns a host for `tenant`, replaying `transcript` (the
-    /// tenant's committed sources) to rebuild prior session state.
-    /// The replay runs under plain generous fuel — every transcript
-    /// entry already completed within budget once, so replay cannot
-    /// hang on fuel.
+    /// Spawns a host for `tenant` that rebuilds the tenant's session
+    /// from its history: it restores `base`, then replays `tail`, the
+    /// sources committed after it. The replay runs under plain
+    /// generous fuel — every entry already completed within budget
+    /// once, so replay cannot hang on fuel. `wal`, on a durable
+    /// server, is the tenant's armed log, already holding that history.
     pub(crate) fn spawn(
         tenant: &str,
         config: &ServerConfig,
         telemetry: &Telemetry,
-        transcript: Vec<String>,
-        durable: Option<DurableCtx>,
+        (base, tail): (Option<Base>, Vec<String>),
+        wal: Option<TenantWal>,
     ) -> HostHandle {
         let (cmd_tx, cmd_rx) = mpsc::channel::<HostCmd>();
         let cell = FuelCell::new();
         let thread_cell = Arc::clone(&cell);
         let params = config.params;
+        let every = config.snapshot_every;
         let telemetry = telemetry.clone();
         let name = format!("bsml-host-{tenant}");
         let join = std::thread::Builder::new()
@@ -99,9 +103,10 @@ impl HostHandle {
             .spawn(move || {
                 host_main(
                     params,
-                    telemetry,
-                    transcript,
-                    durable,
+                    every,
+                    &telemetry,
+                    (base, tail),
+                    wal,
                     &thread_cell,
                     &cmd_rx,
                 );
@@ -132,30 +137,32 @@ impl HostHandle {
 
 fn host_main(
     params: bsml_bsp::BspParams,
-    telemetry: Telemetry,
-    transcript: Vec<String>,
-    durable: Option<DurableCtx>,
+    every: u64,
+    telemetry: &Telemetry,
+    (base, tail): (Option<Base>, Vec<String>),
+    mut wal: Option<TenantWal>,
     cell: &Arc<FuelCell>,
     cmd_rx: &mpsc::Receiver<HostCmd>,
 ) {
-    // Rebuild committed state first, on plain fuel (no cell): restore
-    // the recovered snapshot base (if any), then replay the
-    // transcript — every entry is a request that already succeeded,
-    // so this terminates without scheduler involvement.
+    // Rebuild the history first, on plain fuel (no cell): restore the
+    // base, then replay the tail — every entry is a request that
+    // already succeeded, so this terminates without scheduler
+    // involvement. `seq` numbers the session's last commit, and
+    // `since` counts the commits no snapshot covers.
     let mut session = Session::with_telemetry(params, telemetry.clone());
-    let mut wal = None;
-    if let Some(ctx) = durable {
-        if let Some(bytes) = ctx.base.as_deref() {
-            let _ = SessionSnapshot::from_bytes(bytes).and_then(|snap| session.restore(&snap));
-        }
-        wal = Some(ctx.wal);
+    let mut seq = 0;
+    if let Some((covered, bytes)) = base {
+        let _ = SessionSnapshot::from_bytes(&bytes).and_then(|snap| session.restore(&snap));
+        seq = covered;
     }
-    for source in &transcript {
-        let _ = session.load(source);
+    let mut since = tail.len() as u64;
+    seq += since;
+    for source in tail {
+        let _ = session.load(&source);
     }
     // From here on, every evaluation draws fuel through the cell.
     let mut session = session.with_fuel_cell(Arc::clone(cell));
-
+    let mut snapshot = None;
     let mut graceful = false;
     while let Ok(cmd) = cmd_rx.recv() {
         let HostCmd::Run { source, reply } = cmd else {
@@ -164,43 +171,54 @@ fn host_main(
         };
         let outcome = run_one(&mut session, &source, wal.as_mut());
         let committed = matches!(outcome, HostOutcome::Done { .. });
-        let delivered = reply.send(outcome).is_ok();
+        let delivered = reply.send((outcome, snapshot.take())).is_ok();
         cell.finish();
-        // Compact after replying, off the request's latency path. A
-        // failed reply means the server abandoned us mid-request:
+        // A failed reply means the server abandoned us mid-request:
         // never write a *new generation* from a zombie host — the
         // server may have re-armed the tenant into one already.
-        if committed && delivered {
-            if let Some(w) = wal.as_mut().filter(|w| w.should_snapshot()) {
-                compact(w, &session, &telemetry);
-            }
-        }
         if !delivered {
             return;
+        }
+        // Snapshot after replying, off the request's latency path.
+        if committed {
+            seq += 1;
+            since += 1;
+            if since >= every {
+                if let Some(bytes) = take_snapshot(&session, wal.as_mut(), telemetry) {
+                    since = 0;
+                    snapshot = Some((seq, bytes));
+                }
+            }
         }
     }
     // Graceful drain: leave a fresh snapshot behind so the next
     // recovery replays zero phrases for this tenant.
-    if graceful {
-        if let Some(w) = wal.as_mut().filter(|w| w.unsnapshotted() > 0) {
-            compact(w, &session, &telemetry);
-        }
+    if graceful && since > 0 && wal.is_some() {
+        let _ = take_snapshot(&session, wal.as_mut(), telemetry);
     }
 }
 
-/// Installs a snapshot of the session as the WAL's new generation, but
-/// only if recovery would accept it: a snapshot that does not decode
-/// (a session nested deeper than the codec's bound) would make
-/// recovery fall back past the pruned generations and lose the tenant.
-/// A skipped compaction leaves appends on the current generation and
-/// counts `server.compactions_skipped`.
-fn compact(wal: &mut TenantWal, session: &Session, telemetry: &Telemetry) {
+/// Encodes a snapshot of the session and returns its bytes, but only if
+/// they decode and, with a WAL, were installed as its new generation.
+/// A snapshot that does not decode (a session nested deeper than the
+/// codec's bound) would make recovery fall back past the pruned
+/// generations and lose the tenant; it is skipped and counted as
+/// `server.compactions_skipped`. A failed install leaves appends on the
+/// current generation.
+fn take_snapshot(
+    session: &Session,
+    wal: Option<&mut TenantWal>,
+    telemetry: &Telemetry,
+) -> Option<Vec<u8>> {
     let bytes = session.snapshot().to_bytes();
-    if SessionSnapshot::from_bytes(&bytes).is_ok() {
-        let _ = wal.install_snapshot(&bytes);
-    } else {
+    if SessionSnapshot::from_bytes(&bytes).is_err() {
         telemetry.counter_add("server.compactions_skipped", 1);
+        return None;
     }
+    if let Some(wal) = wal {
+        wal.install_snapshot(&bytes).ok()?;
+    }
+    Some(bytes)
 }
 
 /// Runs one request transactionally against the session. A committed
@@ -306,7 +324,7 @@ mod tests {
     fn host_thread_round_trip() {
         let config = ServerConfig::new(BspParams::new(2, 1, 10));
         let telemetry = Telemetry::disabled();
-        let host = HostHandle::spawn("t0", &config, &telemetry, vec![], None);
+        let host = HostHandle::spawn("t0", &config, &telemetry, (None, vec![]), None);
         let (reply_tx, reply_rx) = mpsc::channel();
         host.cell.reset();
         host.cmd_tx
@@ -324,7 +342,7 @@ mod tests {
                 break;
             }
         }
-        let out = reply_rx.recv().unwrap();
+        let (out, _) = reply_rx.recv().unwrap();
         assert!(matches!(out, HostOutcome::Done { .. }));
         assert!(host.cell.drawn() > 0);
         host.shutdown();
@@ -338,7 +356,10 @@ mod tests {
             "t1",
             &config,
             &telemetry,
-            vec!["let a = 20".to_string(), "let b = a + 22".to_string()],
+            (
+                None,
+                vec!["let a = 20".to_string(), "let b = a + 22".to_string()],
+            ),
             None,
         );
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -357,7 +378,7 @@ mod tests {
                 break;
             }
         }
-        match reply_rx.recv().unwrap() {
+        match reply_rx.recv().unwrap().0 {
             HostOutcome::Done { rendered } => assert_eq!(rendered, vec!["- : int = 42"]),
             other => panic!("expected Done, got {other:?}"),
         }
@@ -372,7 +393,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("bsml-host-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let log = DurableLog::open(&dir, Arc::new(Disk::new()), 8, Telemetry::disabled()).unwrap();
+        let log = DurableLog::open(&dir, Arc::new(Disk::new()), Telemetry::disabled()).unwrap();
         let mut wal = log.tenant("t2", None).unwrap();
         let mut s = session();
         assert!(matches!(
@@ -399,7 +420,7 @@ mod tests {
             nth: 1, // header succeeds, first commit fails
             kind: StorageFaultKind::Enospc,
         })));
-        let log = DurableLog::open(&dir, disk, 8, Telemetry::disabled()).unwrap();
+        let log = DurableLog::open(&dir, disk, Telemetry::disabled()).unwrap();
         let mut wal = log.tenant("t3", None).unwrap();
         let mut s = session();
         let out = run_one(&mut s, "let x = 1", Some(&mut wal));

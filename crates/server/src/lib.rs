@@ -26,8 +26,8 @@
 //!   and the session restored from its pre-request snapshot; hosts
 //!   that stop ticking are cancelled, then abandoned by the watchdog;
 //!   repeat offenders are quarantined behind a cooldown, and their
-//!   sessions rebuilt deterministically from a replay transcript of
-//!   committed requests.
+//!   sessions rebuilt deterministically from their history: the newest
+//!   snapshot their host took plus the requests committed after it.
 //!
 //! ```
 //! use bsml_bsp::BspParams;

@@ -39,7 +39,7 @@ use bsml_eval::{FuelCell, Quiescence};
 use bsml_obs::Telemetry;
 
 use crate::config::ServerConfig;
-use crate::host::{DurableCtx, HostCmd, HostHandle, HostOutcome};
+use crate::host::{Base, HostCmd, HostHandle, HostOutcome};
 use crate::types::{Completion, Outcome, Rejected, Ticket};
 use crate::wal::{DurableLog, TenantWal};
 
@@ -65,7 +65,7 @@ struct Job {
 /// survives across preemptions until it completes.
 struct Drive {
     job: Job,
-    outcome_rx: mpsc::Receiver<HostOutcome>,
+    outcome_rx: mpsc::Receiver<(HostOutcome, Option<Base>)>,
     slices: u64,
 }
 
@@ -77,16 +77,35 @@ struct TenantState {
     driving: bool,
     current: Option<Drive>,
     host: Option<HostHandle>,
+    /// The tenant's history: the newest snapshot its hosts took (or
+    /// recovery found), and the sources committed after it — at most
+    /// `snapshot_every` + 1 while snapshots decode. A host is rebuilt
+    /// from exactly these two.
+    base: Option<Base>,
     transcript: Vec<String>,
-    /// Recovered snapshot base: the sequence number it covers and the
-    /// serialized state. `transcript` holds only commits *after* it.
-    base: Option<(u64, Vec<u8>)>,
     /// The armed WAL handle, parked here until the next host spawn
     /// moves it onto the host thread. `None` on a durable server
     /// means the next spawn must re-arm via [`DurableLog::rearm`].
     wal: Option<TenantWal>,
     strikes: u32,
     quarantined_until: Option<Instant>,
+}
+
+impl TenantState {
+    /// Makes a snapshot a host took the tenant's base, dropping the
+    /// commits it covers from the transcript.
+    fn rebase(&mut self, (seq, bytes): Base) {
+        let covered = self.base.as_ref().map_or(0, |(seq, _)| *seq);
+        let Some(n) = seq
+            .checked_sub(covered)
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|n| *n <= self.transcript.len())
+        else {
+            return;
+        };
+        self.transcript.drain(..n);
+        self.base = Some((seq, bytes));
+    }
 }
 
 struct SchedState {
@@ -223,14 +242,9 @@ impl Server {
     #[must_use]
     pub fn start(config: ServerConfig, telemetry: Telemetry) -> Server {
         let log = config.durable_dir.as_ref().and_then(|dir| {
-            DurableLog::open(
-                dir,
-                Arc::clone(&config.disk),
-                config.snapshot_every,
-                telemetry.clone(),
-            )
-            .map_err(|_| telemetry.counter_add("server.wal_open_failed", 1))
-            .ok()
+            DurableLog::open(dir, Arc::clone(&config.disk), telemetry.clone())
+                .map_err(|_| telemetry.counter_add("server.wal_open_failed", 1))
+                .ok()
         });
         let mut tenants: BTreeMap<String, TenantState> = BTreeMap::new();
         if let Some(log) = &log {
@@ -449,20 +463,17 @@ impl Server {
     }
 }
 
-/// Produces the [`DurableCtx`] for a host about to spawn: the parked
-/// WAL handle if the tenant still has one, else a re-armed fresh
-/// generation carrying the tenant's full in-memory history (the
-/// previous handle is unreachable inside an abandoned host thread).
-fn arm_durable(log: &DurableLog, t: &mut TenantState, tenant: &str) -> Result<DurableCtx, String> {
-    let base = t.base.as_ref().map(|(_, bytes)| bytes.clone());
+/// The WAL handle for a host about to spawn on a durable server: the
+/// parked one if the tenant still has it, else a fresh generation
+/// holding the tenant's history (the previous handle is unreachable
+/// inside an abandoned host thread).
+fn arm_wal(log: &DurableLog, t: &mut TenantState, tenant: &str) -> Result<TenantWal, String> {
     if let Some(wal) = t.wal.take() {
-        return Ok(DurableCtx { wal, base });
+        return Ok(wal);
     }
-    let snapshot = t.base.as_ref().map(|(seq, bytes)| (*seq, bytes.as_slice()));
-    match log.rearm(tenant, snapshot, &t.transcript) {
-        Ok(wal) => Ok(DurableCtx { wal, base }),
-        Err(e) => Err(e.to_string()),
-    }
+    let base = t.base.as_ref().map(|(seq, bytes)| (*seq, bytes.as_slice()));
+    log.rearm(tenant, base, &t.transcript)
+        .map_err(|e| e.to_string())
 }
 
 fn worker_main(inner: &Arc<Inner>) {
@@ -525,27 +536,24 @@ fn drive_round(inner: &Arc<Inner>, tenant: &str) {
             }
             let t = st.tenants.get_mut(tenant).expect("tenant exists: driving");
             if t.host.is_none() {
-                let transcript = t.transcript.clone();
-                let durable = if let Some(log) = &inner.log {
-                    match arm_durable(log, t, tenant) {
-                        Ok(ctx) => Some(ctx),
-                        Err(error) => {
-                            // The WAL cannot be re-armed (disk fault):
-                            // refuse to run the request non-durably.
-                            complete(inner, job, Outcome::DurabilityLost { error }, 0);
-                            strike(inner, &mut st, tenant, 1);
-                            continue;
-                        }
+                let wal = match inner.log.as_ref().map(|log| arm_wal(log, t, tenant)) {
+                    None => None,
+                    Some(Ok(wal)) => Some(wal),
+                    Some(Err(error)) => {
+                        // The WAL cannot be re-armed (disk fault):
+                        // refuse to run the request non-durably.
+                        complete(inner, job, Outcome::DurabilityLost { error }, 0);
+                        strike(inner, &mut st, tenant, 1);
+                        continue;
                     }
-                } else {
-                    None
                 };
+                let history = (t.base.clone(), t.transcript.clone());
                 t.host = Some(HostHandle::spawn(
                     tenant,
                     &inner.config,
                     &inner.telemetry,
-                    transcript,
-                    durable,
+                    history,
+                    wal,
                 ));
             }
             let host = t.host.as_ref().expect("host just ensured");
@@ -663,7 +671,7 @@ fn cancel_and_finish(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, ove
     } else {
         // Second stage: the host ignored cancellation — it is wedged
         // outside fueled evaluation. Abandon the thread, quarantine
-        // the tenant; its session is rebuilt from the transcript on
+        // the tenant; its session is rebuilt from its history on
         // next use.
         abandon(inner, tenant, cell);
     }
@@ -684,8 +692,15 @@ fn finish(inner: &Arc<Inner>, tenant: &str, cell: &Arc<FuelCell>, cancelled: Out
         settle(inner, &mut st, tenant);
         return;
     };
+    let (reply, snapshot) = match drive.outcome_rx.recv_timeout(inner.config.leash) {
+        Ok((outcome, snapshot)) => (Some(outcome), snapshot),
+        Err(_) => (None, None),
+    };
+    if let Some(snapshot) = snapshot {
+        t.rebase(snapshot);
+    }
     st.in_flight -= 1;
-    let outcome = match drive.outcome_rx.recv_timeout(inner.config.leash).ok() {
+    let outcome = match reply {
         // The usual case after a cancel: the evaluation hit it at its
         // next tick and the host rolled the session back.
         Some(HostOutcome::Failed {
@@ -861,5 +876,73 @@ fn settle(inner: &Arc<Inner>, st: &mut MutexGuard<'_, SchedState>, tenant: &str)
     }
     if notify_work {
         inner.work_cv.notify_one();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsml_bsp::BspParams;
+
+    fn done(server: &Server, source: &str) -> Vec<String> {
+        match server.submit("t", source).unwrap().wait().outcome {
+            Outcome::Done { rendered } => rendered,
+            other => panic!("{source}: {other:?}"),
+        }
+    }
+
+    /// Commits 100 requests to one tenant, checks that its history is
+    /// a base plus a bounded tail, drops its host, and reads every
+    /// binding back through the host rebuilt from that history.
+    fn history_stays_bounded_and_rebuilds(config: ServerConfig) {
+        let every = config.snapshot_every;
+        let server = Server::start(config, Telemetry::disabled());
+        for i in 0..100 {
+            done(&server, &format!("let v{i} = {i} * 3"));
+        }
+        {
+            let mut st = server.inner.lock();
+            let t = st.tenants.get_mut("t").unwrap();
+            let (covered, _) = t.base.as_ref().expect("a snapshot became the base");
+            assert!(t.transcript.len() as u64 <= every + 1);
+            assert_eq!(covered + t.transcript.len() as u64, 100);
+            t.host.take().expect("a live host").abandon();
+        }
+        for i in 0..100 {
+            assert_eq!(
+                done(&server, &format!("v{i}")),
+                [format!("- : int = {}", i * 3)]
+            );
+        }
+        assert!(server.inner.lock().tenants["t"].host.is_some());
+        let stats = server.shutdown();
+        assert_eq!(stats.done, 200);
+    }
+
+    #[test]
+    fn a_non_durable_tenant_keeps_a_base_and_a_bounded_tail() {
+        history_stays_bounded_and_rebuilds(
+            ServerConfig::new(BspParams::new(2, 1, 10)).with_snapshot_every(8),
+        );
+    }
+
+    #[test]
+    fn a_durable_tenant_keeps_a_base_and_a_bounded_tail() {
+        let dir = std::env::temp_dir().join(format!("bsml-server-history-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        history_stays_bounded_and_rebuilds(
+            ServerConfig::new(BspParams::new(2, 1, 10))
+                .with_snapshot_every(8)
+                .with_durable_dir(&dir),
+        );
+        // The drain left a snapshot of all 200 commits behind, in the
+        // generation the rebuilt host appended to.
+        let log = DurableLog::open(&dir, Arc::new(bsml_bsp::Disk::new()), Telemetry::disabled());
+        let recovered = log
+            .unwrap()
+            .recover(&|b| SessionSnapshot::from_bytes(b).is_ok());
+        assert_eq!(recovered[0].last_seq, 200);
+        assert!(recovered[0].commits.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -48,7 +48,7 @@ impl std::error::Error for Rejected {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// Every phrase parsed, typechecked, and evaluated; the session
-    /// state advanced and the request joined the replay transcript.
+    /// state advanced and the request joined the tenant's history.
     Done {
         /// Rendered `name : scheme = value` summaries, one per phrase.
         rendered: Vec<String>,
@@ -76,7 +76,7 @@ pub enum Outcome {
     Panicked,
     /// The watchdog abandoned a host that stopped drawing fuel even
     /// after cancellation; the tenant is quarantined and its session
-    /// will be rebuilt from the replay transcript on next use.
+    /// will be rebuilt from its history on next use.
     Abandoned,
     /// The phrase evaluated, but its write-ahead-log append failed
     /// (disk fault), so the result was rolled back rather than

@@ -27,7 +27,8 @@
 //! its session state and [`TenantWal::install_snapshot`] writes a
 //! fresh *generation* — `t-<hash>-<gen>.wal`, written whole via
 //! tmp+rename+fsync — containing just Header + Snapshot; appends then
-//! continue there and older generations are pruned. Recovery cost is
+//! continue there and older generations are pruned. The host keeps
+//! the count; this log only writes what it is given. Recovery cost is
 //! O(phrases since the last snapshot). If the newest generation is
 //! unusable (corrupt header, undecodable snapshot), recovery falls
 //! down the generation ladder to the previous one.
@@ -199,16 +200,13 @@ pub struct RecoveredTenant {
     /// generation.
     pub fell_back: bool,
     generation: u32,
-    commits_in_generation: u64,
 }
 
 /// A per-tenant append handle. Writes go through the shared
 /// [`Disk`], so fault plans cover them.
 #[derive(Debug)]
 pub struct TenantWal {
-    disk: Arc<Disk>,
-    telemetry: Telemetry,
-    dir: PathBuf,
+    log: DurableLog,
     hash: u64,
     tenant: String,
     generation: u32,
@@ -217,8 +215,6 @@ pub struct TenantWal {
     /// it, and a failed append truncates back to it.
     len: u64,
     next_seq: u64,
-    since_snapshot: u64,
-    snapshot_every: u64,
     poisoned: bool,
 }
 
@@ -240,28 +236,13 @@ impl TenantWal {
         .encode();
         self.append_record(&body)?;
         self.next_seq += 1;
-        self.since_snapshot += 1;
         Ok(seq)
-    }
-
-    /// Whether enough commits accumulated since the last snapshot for
-    /// compaction to pay off.
-    #[must_use]
-    pub fn should_snapshot(&self) -> bool {
-        self.since_snapshot >= self.snapshot_every
     }
 
     /// The sequence number the next commit will get.
     #[must_use]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Commits appended since the last snapshot — what a recovery
-    /// right now would have to replay for this tenant.
-    #[must_use]
-    pub fn unsnapshotted(&self) -> u64 {
-        self.since_snapshot
     }
 
     /// Compacts: writes a fresh generation containing only
@@ -276,36 +257,17 @@ impl TenantWal {
     /// [`StorageError`]; the log remains consistent on the old
     /// generation.
     pub fn install_snapshot(&mut self, state: &[u8]) -> Result<(), StorageError> {
-        let covered = self.next_seq - 1;
-        let next_gen = self.generation + 1;
-        let mut bytes = frame_record(
-            &WalRecord::Header {
-                version: WAL_VERSION,
-                tenant: self.tenant.clone(),
-            }
-            .encode(),
-        );
-        bytes.extend_from_slice(&frame_record(
-            &WalRecord::Snapshot {
-                seq: covered,
-                state: state.to_vec(),
-            }
-            .encode(),
-        ));
-        let path = generation_path(&self.dir, self.hash, next_gen);
-        self.disk.write_atomic(&path, &bytes)?;
-        self.telemetry
-            .counter_add("server.wal_bytes", bytes.len() as u64);
         let old = self.generation;
-        self.generation = next_gen;
-        self.path = path;
-        self.len = bytes.len() as u64;
-        self.since_snapshot = 0;
+        let covered = (self.next_seq - 1, state);
+        *self = self
+            .log
+            .write_generation(&self.tenant, old + 1, Some(covered), &[])?;
         // Pruning is best-effort: a survivor is only wasted space and
         // recovery always prefers the newest usable generation.
         for gen in 0..=old {
-            self.disk
-                .remove(&generation_path(&self.dir, self.hash, gen));
+            self.log
+                .disk
+                .remove(&generation_path(&self.log.dir, self.hash, gen));
         }
         Ok(())
     }
@@ -318,10 +280,11 @@ impl TenantWal {
             });
         }
         let framed = frame_record(body);
-        match self.disk.append_sync(&self.path, &framed) {
+        match self.log.disk.append_sync(&self.path, &framed) {
             Ok(_) => {
                 self.len += framed.len() as u64;
-                self.telemetry
+                self.log
+                    .telemetry
                     .counter_add("server.wal_bytes", framed.len() as u64);
                 Ok(())
             }
@@ -333,7 +296,7 @@ impl TenantWal {
                 // refuse all further appends.
                 match std::fs::metadata(&self.path) {
                     Ok(m) if m.len() != self.len => {
-                        if self.disk.truncate(&self.path, self.len).is_err() {
+                        if self.log.disk.truncate(&self.path, self.len).is_err() {
                             self.poisoned = true;
                         }
                     }
@@ -352,7 +315,6 @@ impl TenantWal {
 pub struct DurableLog {
     dir: PathBuf,
     disk: Arc<Disk>,
-    snapshot_every: u64,
     telemetry: Telemetry,
 }
 
@@ -365,7 +327,6 @@ impl DurableLog {
     pub fn open(
         dir: &Path,
         disk: Arc<Disk>,
-        snapshot_every: u64,
         telemetry: Telemetry,
     ) -> Result<DurableLog, StorageError> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::Io {
@@ -375,7 +336,6 @@ impl DurableLog {
         Ok(DurableLog {
             dir: dir.to_path_buf(),
             disk,
-            snapshot_every: snapshot_every.max(1),
             telemetry,
         })
     }
@@ -441,51 +401,15 @@ impl DurableLog {
         name: &str,
         recovered: Option<&RecoveredTenant>,
     ) -> Result<TenantWal, StorageError> {
-        let hash = fnv1a(name.as_bytes());
         if let Some(r) = recovered.filter(|r| r.name == name) {
-            return Ok(TenantWal {
-                disk: Arc::clone(&self.disk),
-                telemetry: self.telemetry.clone(),
-                dir: self.dir.clone(),
-                hash,
-                tenant: name.to_string(),
-                generation: r.generation,
-                path: generation_path(&self.dir, hash, r.generation),
-                len: std::fs::metadata(generation_path(&self.dir, hash, r.generation))
-                    .map(|m| m.len())
-                    .unwrap_or(0),
-                next_seq: r.last_seq + 1,
-                since_snapshot: r.commits_in_generation,
-                snapshot_every: self.snapshot_every,
-                poisoned: false,
-            });
+            let path = generation_path(&self.dir, fnv1a(name.as_bytes()), r.generation);
+            let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            return Ok(self.handle(name, r.generation, len, r.last_seq + 1));
         }
-        // Fresh tenant: pick a generation number past anything on
-        // disk (an unusable stale file must not be appended to).
-        let mut generation = 0u32;
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                if let Some((h, g)) = parse_wal_name(&entry.file_name().to_string_lossy()) {
-                    if h == hash && g >= generation {
-                        generation = g + 1;
-                    }
-                }
-            }
-        }
-        let mut wal = TenantWal {
-            disk: Arc::clone(&self.disk),
-            telemetry: self.telemetry.clone(),
-            dir: self.dir.clone(),
-            hash,
-            tenant: name.to_string(),
-            generation,
-            path: generation_path(&self.dir, hash, generation),
-            len: 0,
-            next_seq: 1,
-            since_snapshot: 0,
-            snapshot_every: self.snapshot_every,
-            poisoned: false,
-        };
+        // Fresh tenant: a generation past anything on disk (an
+        // unusable stale file must not be appended to).
+        let generation = self.next_generation(name);
+        let mut wal = self.handle(name, generation, 0, 1);
         wal.append_record(
             &WalRecord::Header {
                 version: WAL_VERSION,
@@ -498,13 +422,13 @@ impl DurableLog {
 
     /// Re-arms a tenant whose previous [`TenantWal`] is unreachable
     /// (its host thread was abandoned wedged, still owning the
-    /// handle). Writes the tenant's full known history — optional
-    /// snapshot base plus every commit after it — as a brand-new
-    /// generation in one atomic tmp+rename+fsync, and returns a
-    /// handle appending there. The zombie host keeps the *old*
-    /// generation's path, so there is never more than one writer per
-    /// file; recovery prefers the newest usable generation and
-    /// ignores whatever the zombie does to the old one.
+    /// handle). Writes the tenant's history — optional snapshot base
+    /// plus every commit after it — as a brand-new generation in one
+    /// atomic tmp+rename+fsync, and returns a handle appending there.
+    /// The zombie host keeps the *old* generation's path, so there is
+    /// never more than one writer per file; recovery prefers the
+    /// newest usable generation and ignores whatever the zombie does
+    /// to the old one.
     ///
     /// # Errors
     ///
@@ -516,17 +440,33 @@ impl DurableLog {
         base: Option<(u64, &[u8])>,
         commits: &[String],
     ) -> Result<TenantWal, StorageError> {
+        self.write_generation(name, self.next_generation(name), base, commits)
+    }
+
+    /// One past the newest generation on disk for tenant `name`.
+    fn next_generation(&self, name: &str) -> u32 {
         let hash = fnv1a(name.as_bytes());
-        let mut generation = 0u32;
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                if let Some((h, g)) = parse_wal_name(&entry.file_name().to_string_lossy()) {
-                    if h == hash && g >= generation {
-                        generation = g + 1;
-                    }
-                }
-            }
-        }
+        std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|entry| parse_wal_name(&entry.file_name().to_string_lossy()))
+            .filter(|(h, _)| *h == hash)
+            .map(|(_, g)| g + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Writes generation `generation` of tenant `name` whole — Header,
+    /// then the optional snapshot base, then `commits` numbered on
+    /// from it — and returns a handle appending there.
+    fn write_generation(
+        &self,
+        name: &str,
+        generation: u32,
+        base: Option<(u64, &[u8])>,
+        commits: &[String],
+    ) -> Result<TenantWal, StorageError> {
         let mut bytes = frame_record(
             &WalRecord::Header {
                 version: WAL_VERSION,
@@ -535,15 +475,15 @@ impl DurableLog {
             .encode(),
         );
         let mut seq = 0u64;
-        if let Some((base_seq, state)) = base {
+        if let Some((covered, state)) = base {
             bytes.extend_from_slice(&frame_record(
                 &WalRecord::Snapshot {
-                    seq: base_seq,
+                    seq: covered,
                     state: state.to_vec(),
                 }
                 .encode(),
             ));
-            seq = base_seq;
+            seq = covered;
         }
         for source in commits {
             seq += 1;
@@ -555,24 +495,27 @@ impl DurableLog {
                 .encode(),
             ));
         }
-        let path = generation_path(&self.dir, hash, generation);
+        let path = generation_path(&self.dir, fnv1a(name.as_bytes()), generation);
         self.disk.write_atomic(&path, &bytes)?;
         self.telemetry
             .counter_add("server.wal_bytes", bytes.len() as u64);
-        Ok(TenantWal {
-            disk: Arc::clone(&self.disk),
-            telemetry: self.telemetry.clone(),
-            dir: self.dir.clone(),
+        Ok(self.handle(name, generation, bytes.len() as u64, seq + 1))
+    }
+
+    /// A handle appending to generation `generation` of tenant `name`,
+    /// whose known-good length is `len`.
+    fn handle(&self, name: &str, generation: u32, len: u64, next_seq: u64) -> TenantWal {
+        let hash = fnv1a(name.as_bytes());
+        TenantWal {
+            log: self.clone(),
             hash,
             tenant: name.to_string(),
             generation,
-            path,
-            len: bytes.len() as u64,
-            next_seq: seq + 1,
-            since_snapshot: commits.len() as u64,
-            snapshot_every: self.snapshot_every,
+            path: generation_path(&self.dir, hash, generation),
+            len,
+            next_seq,
             poisoned: false,
-        })
+        }
     }
 
     fn recover_generation(
@@ -598,7 +541,6 @@ impl DurableLog {
         let mut base: Option<(u64, Vec<u8>)> = None;
         let mut commits: Vec<String> = Vec::new();
         let mut last_seq = 0u64;
-        let mut commits_in_generation = 0u64;
         let mut logical_torn = torn;
         for record in records {
             match record {
@@ -611,7 +553,6 @@ impl DurableLog {
                 }
                 WalRecord::Commit { seq, source } if seq == last_seq + 1 => {
                     last_seq = seq;
-                    commits_in_generation += 1;
                     commits.push(source);
                 }
                 // A record out of place or out of sequence ends the
@@ -628,10 +569,7 @@ impl DurableLog {
             // logical prefix when the tail was checksum-valid but
             // out of sequence.
             let keep = if logical_torn && !torn {
-                reframed_len(
-                    &bytes,
-                    1 + u64::from(base.is_some()) + commits_in_generation,
-                )
+                reframed_len(&bytes, 1 + u64::from(base.is_some()) + commits.len() as u64)
             } else {
                 good
             };
@@ -645,7 +583,6 @@ impl DurableLog {
             truncated: torn || logical_torn,
             fell_back: false,
             generation,
-            commits_in_generation,
         })
     }
 }
@@ -684,7 +621,7 @@ mod tests {
     use super::*;
 
     fn log(dir: &Path) -> DurableLog {
-        DurableLog::open(dir, Arc::new(Disk::new()), 4, Telemetry::disabled()).unwrap()
+        DurableLog::open(dir, Arc::new(Disk::new()), Telemetry::disabled()).unwrap()
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -767,9 +704,7 @@ mod tests {
         for i in 0..4 {
             wal.append_commit(&format!("let v{i} = {i}")).unwrap();
         }
-        assert!(wal.should_snapshot());
         wal.install_snapshot(b"fake-state").unwrap();
-        assert!(!wal.should_snapshot());
         wal.append_commit("let after = 9").unwrap();
         // Old generation pruned, new one carries base + suffix.
         assert!(!generation_path(&dir, fnv1a(b"carol"), 0).exists());
@@ -811,7 +746,7 @@ mod tests {
             nth: 2, // header, first commit, then tear the second
             kind: StorageFaultKind::TornWrite { at: 7 },
         })));
-        let log = DurableLog::open(&dir, disk, 8, Telemetry::disabled()).unwrap();
+        let log = DurableLog::open(&dir, disk, Telemetry::disabled()).unwrap();
         let mut wal = log.tenant("erin", None).unwrap();
         wal.append_commit("let ok = 1").unwrap();
         let err = wal.append_commit("let torn = 2").unwrap_err();

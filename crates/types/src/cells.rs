@@ -13,6 +13,8 @@
 //!
 //! [`unify`]: crate::unify()
 
+use std::collections::BTreeMap;
+
 use crate::constraint::Constraint;
 use crate::ty::{TyVar, Type};
 use crate::unify::{UnifyError, UnifyStats};
@@ -36,12 +38,38 @@ use crate::unify::{UnifyError, UnifyStats};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Cells {
-    /// `Some(τ)` for a linked variable.
-    links: Vec<Option<Type>>,
-    /// The let-level of each variable while it is unbound.
+    links: Links,
+    /// The let-level of each arena variable while it is unbound.
     levels: Vec<u32>,
     /// Links made so far.
     linked: u64,
+}
+
+/// The links of an arena whose first variable is `first`. The
+/// variables below it stand for the free variables of an enclosing
+/// environment: unbound at level 0, and linked in `outer` if
+/// unification links them, so an arena costs nothing for them until
+/// then.
+#[derive(Clone, Debug, Default)]
+struct Links {
+    first: u32,
+    outer: BTreeMap<TyVar, Type>,
+    /// `Some(τ)` for a linked arena variable.
+    arena: Vec<Option<Type>>,
+}
+
+impl Links {
+    /// `v`'s index in the arena, `None` below it.
+    fn index(&self, v: TyVar) -> Option<usize> {
+        v.0.checked_sub(self.first).map(|i| i as usize)
+    }
+
+    fn get(&self, v: TyVar) -> Option<&Type> {
+        match self.index(v) {
+            Some(i) => self.arena.get(i).and_then(Option::as_ref),
+            None => self.outer.get(&v),
+        }
+    }
 }
 
 impl Cells {
@@ -51,16 +79,18 @@ impl Cells {
     #[must_use]
     pub fn starting_at(first: u32) -> Cells {
         Cells {
-            links: vec![None; first as usize],
-            levels: vec![0; first as usize],
-            linked: 0,
+            links: Links {
+                first,
+                ..Links::default()
+            },
+            ..Cells::default()
         }
     }
 
     /// A fresh unbound variable at `level`.
     pub fn fresh(&mut self, level: u32) -> TyVar {
-        let v = TyVar(self.links.len() as u32);
-        self.links.push(None);
+        let v = TyVar(self.next_var());
+        self.links.arena.push(None);
         self.levels.push(level);
         v
     }
@@ -73,7 +103,7 @@ impl Cells {
     /// The number the next fresh variable gets.
     #[must_use]
     pub fn next_var(&self) -> u32 {
-        self.links.len() as u32
+        self.links.first + self.links.arena.len() as u32
     }
 
     /// How many links unification has made so far. A term whose
@@ -94,19 +124,21 @@ impl Cells {
     /// variable past the arena is unbound.
     #[must_use]
     pub fn link(&self, v: TyVar) -> Option<&Type> {
-        self.links.get(v.0 as usize).and_then(Option::as_ref)
+        self.links.get(v)
     }
 
     /// The level of an unbound variable.
     #[must_use]
     pub fn level(&self, v: TyVar) -> u32 {
-        self.levels[v.0 as usize]
+        self.links.index(v).map_or(0, |i| self.levels[i])
     }
 
     /// Lowers the level of `v` to `level` if it sits deeper.
     pub fn lower(&mut self, v: TyVar, level: u32) {
-        let l = &mut self.levels[v.0 as usize];
-        *l = (*l).min(level);
+        if let Some(i) = self.links.index(v) {
+            let l = &mut self.levels[i];
+            *l = (*l).min(level);
+        }
     }
 
     /// The type with every linked variable replaced by its resolution.
@@ -142,11 +174,16 @@ impl Cells {
                         continue;
                     }
                     stats.occurs_checks += 1;
-                    let level = self.levels[v.0 as usize];
+                    let level = self.level(v);
                     if occurs_lowering(&self.links, &mut self.levels, v, level, &t) {
                         return Err(UnifyError::Occurs(v, self.resolve(&t)));
                     }
-                    self.links[v.0 as usize] = Some(t);
+                    match self.links.index(v) {
+                        Some(i) => self.links.arena[i] = Some(t),
+                        None => {
+                            self.links.outer.insert(v, t);
+                        }
+                    }
                     self.linked += 1;
                 }
                 (Type::Arrow(a1, b1), Type::Arrow(a2, b2))
@@ -167,7 +204,7 @@ impl Cells {
     /// The outermost constructor of `ty`, following links.
     fn head(&self, ty: Type) -> Type {
         match ty {
-            Type::Var(v) => match &self.links[v.0 as usize] {
+            Type::Var(v) => match self.link(v) {
                 Some(image) => self.head(image.clone()),
                 None => ty,
             },
@@ -178,20 +215,15 @@ impl Cells {
 
 /// The occurs check of `v` in `ty` through the links; lowers every
 /// unbound variable met on the way to `level`.
-fn occurs_lowering(
-    links: &[Option<Type>],
-    levels: &mut [u32],
-    v: TyVar,
-    level: u32,
-    ty: &Type,
-) -> bool {
+fn occurs_lowering(links: &Links, levels: &mut [u32], v: TyVar, level: u32, ty: &Type) -> bool {
     match ty {
         Type::Int | Type::Bool | Type::Unit => false,
-        Type::Var(w) => match &links[w.0 as usize] {
+        Type::Var(w) => match links.get(*w) {
             Some(image) => occurs_lowering(links, levels, v, level, image),
             None => {
-                let l = &mut levels[w.0 as usize];
-                *l = (*l).min(level);
+                if let Some(i) = links.index(*w) {
+                    levels[i] = levels[i].min(level);
+                }
                 *w == v
             }
         },

@@ -37,7 +37,7 @@
 //! rejected` and `admitted == completed`); 1 = usage error;
 //! 2 = accounting mismatch (a server bug, worth a loud CI failure).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,7 +95,7 @@ fn parse_inject(spec: &str) -> Option<StorageFault> {
 /// tenant's rebuilt session, deterministically ordered.
 fn dump_state(dir: &Path, disk: Arc<Disk>) -> ExitCode {
     let telemetry = Telemetry::enabled_logical();
-    let log = match DurableLog::open(dir, disk, 8, telemetry.clone()) {
+    let log = match DurableLog::open(dir, disk, telemetry.clone()) {
         Ok(log) => log,
         Err(e) => {
             eprintln!("cannot open durable dir {}: {e}", dir.display());
@@ -152,13 +152,9 @@ fn install_sigterm_handler() {}
 fn main() -> ExitCode {
     let mut tenants: usize = 8;
     let mut requests: usize = 8;
-    let mut workers: usize = 4;
     let mut seed: u64 = 42;
-    let mut deadline_ms: u64 = 2_000;
-    let mut queue_depth: usize = 256;
     let mut mix = LoadMix::stress();
-    let mut durable_dir: Option<PathBuf> = None;
-    let mut snapshot_every: u64 = 8;
+    let mut config = ServerConfig::new(machine());
     let mut plan = StoragePlan::new();
     let mut dump = false;
 
@@ -173,18 +169,20 @@ fn main() -> ExitCode {
                 match arg.as_str() {
                     "--tenants" => tenants = v as usize,
                     "--requests" => requests = v as usize,
-                    "--workers" => workers = v as usize,
+                    "--workers" => config = config.with_workers(v as usize),
                     "--seed" => seed = v,
-                    "--deadline-ms" => deadline_ms = v,
-                    "--snapshot-every" => snapshot_every = v,
-                    _ => queue_depth = v as usize,
+                    "--deadline-ms" => {
+                        config = config.with_deadline((v > 0).then(|| Duration::from_millis(v)));
+                    }
+                    "--snapshot-every" => config = config.with_snapshot_every(v),
+                    _ => config = config.with_queue_depth(v as usize),
                 }
             }
             "--durable-dir" => {
                 let Some(v) = args.next() else {
                     return usage();
                 };
-                durable_dir = Some(PathBuf::from(v));
+                config = config.with_durable_dir(v);
             }
             "--inject" => {
                 let Some(fault) = args.next().as_deref().and_then(parse_inject) else {
@@ -200,7 +198,7 @@ fn main() -> ExitCode {
 
     let disk = Arc::new(Disk::with_plan(plan));
     if dump {
-        let Some(dir) = durable_dir else {
+        let Some(dir) = config.durable_dir else {
             eprintln!("--dump-state requires --durable-dir");
             return usage();
         };
@@ -209,19 +207,7 @@ fn main() -> ExitCode {
 
     install_sigterm_handler();
     let telemetry = Telemetry::enabled();
-    let mut config = ServerConfig::from_env(machine(), &telemetry)
-        .with_workers(workers)
-        .with_queue_depth(queue_depth)
-        .with_snapshot_every(snapshot_every)
-        .with_storage(disk)
-        .with_deadline(if deadline_ms == 0 {
-            None
-        } else {
-            Some(Duration::from_millis(deadline_ms))
-        });
-    if let Some(dir) = durable_dir {
-        config = config.with_durable_dir(dir);
-    }
+    let config = config.with_storage(disk);
     let server = Server::start(config, telemetry.clone());
     if server.durable() {
         println!(

@@ -5,9 +5,13 @@
 //! walk none of the session's values. This binary counts heap
 //! allocations rather than time, so the check is exact on any host:
 //! the same requests allocate the same number of blocks whether the
-//! tenant holds a 1,000-element list or a 10,000-element one. Toplevel
-//! bindings go into the typing environment in place, so loading them,
-//! and decoding their snapshot, allocate in proportion to their number.
+//! tenant holds a 1,000-element list or a 10,000-element one, and
+//! whether it has bound no function or 10,000 of them: the typing
+//! environment rolls back through a log of the schemes each binding
+//! replaced, and counts its variables instead of walking its schemes.
+//! Toplevel bindings go into the typing environment in place, so
+//! loading them, and decoding their snapshot, allocate in proportion to
+//! their number.
 //!
 //! The allocator counts on the calling thread only, so tests running in
 //! parallel threads cannot disturb a count.
@@ -76,6 +80,29 @@ fn a_request_allocates_the_same_whatever_the_tenant_holds() {
     let small = allocs_per_request(&mut tenant(1_000));
     let large = allocs_per_request(&mut tenant(10_000));
     assert_eq!(small, large);
+}
+
+/// A tenant holding `r`, `y`, `u` and `z`, so the request's names are
+/// bound beforehand, and `k` polymorphic functions, loaded 500 per
+/// `load`.
+fn tenant_with_functions(k: usize) -> Session {
+    let mut s = Session::new(BspParams::new(2, 1, 10));
+    s.load("let r = ref 0 ;; let y = 0 ;; let u = () ;; let z = ()")
+        .expect("load");
+    for first in (0..k).step_by(500) {
+        let source: Vec<String> = (first..k.min(first + 500))
+            .map(|j| format!("let f{j} x = x"))
+            .collect();
+        s.load(&source.join(" ;; ")).expect("load");
+    }
+    s
+}
+
+#[test]
+fn a_request_allocates_the_same_whatever_the_tenant_has_bound() {
+    let none = allocs_per_request(&mut tenant_with_functions(0));
+    let many = allocs_per_request(&mut tenant_with_functions(10_000));
+    assert_eq!(none, many);
 }
 
 /// Heap allocations of one `load` of `n` toplevel functions, and of

@@ -41,7 +41,7 @@ fn validate(bytes: &[u8]) -> bool {
 /// Renders the durable state of one tenant exactly like
 /// `bsml-serve --dump-state`: restore the base, replay the suffix.
 fn render_recovered(dir: &Path) -> Vec<(String, u64, usize, String)> {
-    let log = DurableLog::open(dir, Arc::new(Disk::new()), 8, Telemetry::disabled()).unwrap();
+    let log = DurableLog::open(dir, Arc::new(Disk::new()), Telemetry::disabled()).unwrap();
     log.recover(&|b| validate(b))
         .into_iter()
         .map(|r| {

@@ -138,7 +138,7 @@ proptest! {
     ) {
         let snap_at = snap_at.min(n - 1);
         let dir = temp_dir(&format!("compact-{seed}-{n}-{snap_at}"));
-        let log = DurableLog::open(&dir, Arc::new(Disk::new()), 64, Telemetry::disabled())
+        let log = DurableLog::open(&dir, Arc::new(Disk::new()), Telemetry::disabled())
             .unwrap();
         let mut wal = log.tenant("alice", None).unwrap();
         let mut session = Session::new(machine());
@@ -178,18 +178,24 @@ proptest! {
     fn wal_chaos_degrades_to_typed_error_or_older_state(seed in 0u64..256) {
         let dir = temp_dir(&format!("chaos-{seed}"));
         let disk = Arc::new(Disk::with_plan(StoragePlan::chaos(seed)));
-        let log = DurableLog::open(&dir, disk, 3, Telemetry::disabled()).unwrap();
+        let log = DurableLog::open(&dir, disk, Telemetry::disabled()).unwrap();
         let all = phrases(seed, 6);
         let mut durable: Vec<String> = Vec::new();
         if let Ok(mut wal) = log.tenant("chaos", None) {
             let mut session = Session::new(machine());
+            // Commits since the last installed snapshot, as a host
+            // counts them.
+            let mut since = 0;
             for p in &all {
                 // Mirror the server's commit-before-report rule: the
                 // session only keeps a phrase whose append succeeded.
                 let before = session.snapshot();
                 let _ = session.load(p);
                 match wal.append_commit(p) {
-                    Ok(_) => durable.push(p.clone()),
+                    Ok(_) => {
+                        durable.push(p.clone());
+                        since += 1;
+                    }
                     Err(
                         StorageError::Enospc { .. }
                         | StorageError::TornWrite { .. }
@@ -197,10 +203,10 @@ proptest! {
                         | StorageError::Io { .. },
                     ) => session.restore(&before).unwrap(),
                 }
-                if wal.should_snapshot() {
-                    // Compaction failure is benign: the old generation
-                    // stays authoritative.
-                    let _ = wal.install_snapshot(&session.snapshot().to_bytes());
+                // Compaction failure is benign: the old generation
+                // stays authoritative.
+                if since >= 3 && wal.install_snapshot(&session.snapshot().to_bytes()).is_ok() {
+                    since = 0;
                 }
             }
         }
@@ -208,7 +214,7 @@ proptest! {
         // sees a consistent prefix: sequence numbers index the
         // *durable* phrase list, and the recovered suffix matches it
         // exactly.
-        let clean = DurableLog::open(&dir, Arc::new(Disk::new()), 3, Telemetry::disabled())
+        let clean = DurableLog::open(&dir, Arc::new(Disk::new()), Telemetry::disabled())
             .unwrap();
         for r in clean.recover(&|b| SessionSnapshot::from_bytes(b).is_ok()) {
             prop_assert!(r.last_seq <= durable.len() as u64);
