@@ -1,15 +1,15 @@
 //! Superstep-granularity checkpointing for the distributed machine.
 //!
-//! Every BSP barrier is a globally-consistent cut: when the final
-//! barrier of a superstep completes, *every* rank has finished that
-//! superstep and none has started the next. The distributed machine
-//! exploits this (DESIGN.md §9): every `k` completed supersteps each
-//! rank *stages* a [`RankFrame`] — its externally-visible state at the
-//! cut — and the **last** rank to arrive at the barrier *commits* the
-//! generation while it still holds the barrier lock. A committed
-//! generation therefore always contains all `p` frames of the same
-//! cut; a crash between staging and commit leaves an invisible,
-//! harmless partial generation.
+//! The frames of one superstep count form a globally-consistent cut:
+//! a rank's frame after `s` completed supersteps holds everything it
+//! received in them, and no message of a later superstep. The
+//! distributed machine exploits this (DESIGN.md §9): every `k`
+//! completed supersteps each rank *stages* a [`RankFrame`] — its
+//! externally-visible state at the cut — and the stage of the `p`-th
+//! frame *commits* the generation. A committed generation therefore
+//! always contains all `p` frames of the same cut; a crash between
+//! staging and commit leaves an invisible, harmless partial
+//! generation.
 //!
 //! A frame records the rank's fuel remaining, its communication
 //! statistics, and the ordered log of communication outcomes (the
@@ -236,11 +236,11 @@ pub struct ResumePoint {
 
 /// Where checkpoint frames live.
 ///
-/// Staging and commit are split so that the commit can run inside the
-/// barrier (under its lock, by the last arriving rank): a generation
-/// becomes visible to [`CheckpointStore::load`] only once every rank's
-/// frame of the *same cut* is staged — the consistency argument of
-/// DESIGN.md §9.
+/// Staging and commit are split so that every stager can try the
+/// commit: a generation becomes visible to [`CheckpointStore::load`]
+/// only once every rank's frame of the *same cut* is staged — the
+/// consistency argument of DESIGN.md §9 — and only one commit takes
+/// the frames.
 pub trait CheckpointStore: fmt::Debug + Send + Sync {
     /// Stages one rank's frame for generation `frame.superstep`.
     /// Returns the staged frame's encoded size in bytes.

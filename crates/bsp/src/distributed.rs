@@ -13,15 +13,16 @@
 //! frames through per-rank mailboxes
 //! behind a lossless [`crate::transport::Transport`]. Only non-empty
 //! messages become frames. Each rank's per-destination frame counts
-//! travel in a *count round*, the superstep's entry synchronization;
-//! when it completes, every receiver's mailbox holds exactly the frames
-//! announced to it, and it drains them without waiting. Every data
-//! frame carries a per-link sequence number, and a missing, surplus or
-//! out-of-sequence frame fails the run at once with
-//! [`EvalError::TransportFailure`] (DESIGN.md §10). The final barrier
-//! of the superstep is a poisonable `PoisonBarrier` (a failing
-//! processor releases, rather than deadlocks, its peers), and it keeps
-//! the next superstep's frames out of this one's drain.
+//! travel in a *count round*, the superstep's one synchronization, over
+//! a poisonable `PoisonBarrier` (a failing processor releases, rather
+//! than deadlocks, its peers). When it completes, every receiver's
+//! mailbox holds the frames announced to it, and it drains them without
+//! waiting; a frame of the next superstep, from a peer that ran ahead,
+//! is parked for the next drain. Every data frame carries its
+//! superstep and a per-link sequence number, and a missing, surplus,
+//! duplicate, out-of-sequence or far-ahead frame fails the run at once
+//! with [`EvalError::TransportFailure`]. A run ends with one more count
+//! round that carries no frame (DESIGN.md §10).
 //!
 //! **Robustness** (DESIGN.md §9): every barrier wait runs under a
 //! wall-clock watchdog ([`DEFAULT_BARRIER_TIMEOUT`]), so a stalled or
@@ -251,9 +252,10 @@ impl DistMachine {
 
     /// Enables superstep-granularity checkpointing: every
     /// `policy.interval()` completed supersteps each rank stages a
-    /// frame into `store`, committed atomically at the superstep's
-    /// exit barrier. Disabled machines (the default) allocate no
-    /// store and take no new locks in the superstep hot path.
+    /// frame into `store`, and the stage of the `p`-th frame commits
+    /// the generation atomically. Disabled machines (the default)
+    /// allocate no store and take no new locks in the superstep hot
+    /// path.
     #[must_use]
     pub fn with_checkpoints(
         mut self,
@@ -461,7 +463,7 @@ mod tests {
     fn poison_barrier_releases_waiters() {
         let barrier = Arc::new(PoisonBarrier::new(2));
         let b2 = Arc::clone(&barrier);
-        let waiter = std::thread::spawn(move || b2.wait(DEFAULT_BARRIER_TIMEOUT, None));
+        let waiter = std::thread::spawn(move || b2.wait(DEFAULT_BARRIER_TIMEOUT));
         // Give the waiter time to block, then poison instead of join.
         std::thread::sleep(std::time::Duration::from_millis(20));
         barrier.poison();
@@ -476,11 +478,11 @@ mod tests {
         let barrier = PoisonBarrier::new(3);
         barrier.poison();
         assert_eq!(
-            barrier.wait(DEFAULT_BARRIER_TIMEOUT, None),
+            barrier.wait(DEFAULT_BARRIER_TIMEOUT),
             Err(EvalError::PeerFailure)
         );
         assert_eq!(
-            barrier.wait(Duration::from_secs(5), None),
+            barrier.wait(Duration::from_secs(5)),
             Err(EvalError::PeerFailure)
         );
         assert_eq!(lock(&barrier.state).waiting, 0);
@@ -497,7 +499,7 @@ mod tests {
                 let waiters: Vec<_> = (0..2)
                     .map(|_| {
                         let b = Arc::clone(&barrier);
-                        scope.spawn(move || b.wait(Duration::from_secs(5), None))
+                        scope.spawn(move || b.wait(Duration::from_secs(5)))
                     })
                     .collect();
                 for _ in 0..2 {
@@ -522,7 +524,7 @@ mod tests {
                 let b = Arc::clone(&barrier);
                 scope.spawn(move || {
                     for _ in 0..4 {
-                        b.wait(Duration::from_secs(5), None).expect("no poison");
+                        b.wait(Duration::from_secs(5)).expect("no poison");
                     }
                 });
             }
@@ -537,7 +539,7 @@ mod tests {
     fn poison_barrier_timeout_surfaces_and_poisons() {
         let barrier = PoisonBarrier::new(2);
         let err = barrier
-            .wait(Duration::from_millis(10), None)
+            .wait(Duration::from_millis(10))
             .expect_err("nobody else is coming");
         assert!(
             matches!(err, EvalError::BarrierTimeout { waiting: 1, .. }),
@@ -545,7 +547,7 @@ mod tests {
         );
         // The timeout poisoned the barrier: everyone else is released.
         assert_eq!(
-            barrier.wait(DEFAULT_BARRIER_TIMEOUT, None),
+            barrier.wait(DEFAULT_BARRIER_TIMEOUT),
             Err(EvalError::PeerFailure)
         );
     }
@@ -558,13 +560,35 @@ mod tests {
             let b = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    b.wait(DEFAULT_BARRIER_TIMEOUT, None)?;
+                    b.wait(DEFAULT_BARRIER_TIMEOUT)?;
                 }
                 Ok::<(), EvalError>(())
             }));
         }
         for h in handles {
             h.join().expect("no panic").expect("no poison");
+        }
+    }
+
+    #[test]
+    fn poison_barrier_keeps_a_completed_round_from_a_later_poison() {
+        // The last arriver completes the round and then fails before
+        // the waiter wakes: the waiter still leaves the round it
+        // completed, as the last arriver did.
+        for round in 0..500 {
+            let barrier = Arc::new(PoisonBarrier::new(2));
+            let waiter = {
+                let b = Arc::clone(&barrier);
+                std::thread::spawn(move || b.wait(DEFAULT_BARRIER_TIMEOUT))
+            };
+            while lock(&barrier.state).waiting == 0 {
+                std::thread::yield_now();
+            }
+            barrier
+                .wait(DEFAULT_BARRIER_TIMEOUT)
+                .expect("the last arrival completes the round");
+            barrier.poison();
+            assert_eq!(waiter.join().expect("no panic"), Ok(()), "round {round}");
         }
     }
 
@@ -754,7 +778,7 @@ mod tests {
     }
 
     /// What [`Defective`] does to the first frame it carries.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Defect {
         FlipBit,
         /// Replaces the message with bytes that do not decode, under
@@ -762,6 +786,16 @@ mod tests {
         BadMessage,
         Duplicate,
         Drop,
+        /// Restamps the frame two supersteps ahead.
+        TwoAhead,
+        /// Follows the frame with a forged frame of the next superstep,
+        /// the link's next in sequence.
+        Surplus,
+        /// Follows the frame with the forged frame of `Surplus`, twice.
+        SurplusTwice,
+        /// Damages nothing, but holds the receiver's first drain until
+        /// the sender's next-superstep frame is in its mailbox.
+        RunAhead,
     }
 
     /// A transport that is lossless except for one defect on its
@@ -772,50 +806,89 @@ mod tests {
         boxes: Vec<Mutex<std::collections::VecDeque<Vec<u8>>>>,
         /// The destination of the first frame, once sent.
         first_dst: Mutex<Option<usize>>,
+        /// `RunAhead`: whether the receiver's first drain found a frame
+        /// of a later superstep waiting, or `None` before that drain.
+        ran_ahead: Mutex<Option<bool>>,
+    }
+
+    impl Defective {
+        /// Whether `rank`'s mailbox holds a frame past superstep 0.
+        fn holds_a_later_frame(&self, rank: usize) -> bool {
+            lock(&self.boxes[rank])
+                .iter()
+                .any(|bytes| Frame::decode(bytes).is_ok_and(|f| f.superstep > 0))
+        }
     }
 
     impl Transport for Defective {
         fn try_send(&self, dst: usize, bytes: &[u8]) -> bool {
-            let mut frame = bytes.to_vec();
-            let mut copies = 1;
+            let mut frames = vec![bytes.to_vec()];
             let mut first_dst = lock(&self.first_dst);
             if first_dst.is_none() {
                 *first_dst = Some(dst);
+                let sound = Frame::decode(bytes).expect("a sound frame");
+                let ahead = Frame {
+                    superstep: sound.superstep + 1,
+                    seq: sound.seq + 1,
+                    ..sound.clone()
+                };
                 match self.defect {
-                    Defect::FlipBit => frame[bytes.len() / 2] ^= 1,
+                    Defect::FlipBit => frames[0][bytes.len() / 2] ^= 1,
                     Defect::BadMessage => {
-                        let mut f = Frame::decode(bytes).expect("a sound frame");
-                        f.payload = FramePayload::Put(vec![0xff]);
-                        frame = f.encode();
+                        frames[0] = Frame {
+                            payload: FramePayload::Put(vec![0xff]),
+                            ..sound
+                        }
+                        .encode();
                     }
-                    Defect::Duplicate => copies = 2,
-                    Defect::Drop => copies = 0,
+                    Defect::Duplicate => frames.push(bytes.to_vec()),
+                    Defect::Drop => frames.clear(),
+                    Defect::TwoAhead => {
+                        frames[0] = Frame {
+                            superstep: sound.superstep + 2,
+                            ..sound
+                        }
+                        .encode();
+                    }
+                    Defect::Surplus => frames.push(ahead.encode()),
+                    Defect::SurplusTwice => frames.extend([ahead.encode(), ahead.encode()]),
+                    Defect::RunAhead => {}
                 }
             }
-            // Both copies land under one lock, so the receiver drains
+            // Every copy lands under one lock, so the receiver drains
             // them together.
-            let mut mailbox = lock(&self.boxes[dst]);
-            for _ in 0..copies {
-                mailbox.push_back(frame.clone());
-            }
+            lock(&self.boxes[dst]).extend(frames);
             true
         }
 
         fn recv(&self, rank: usize) -> Option<Vec<u8>> {
+            if self.defect == Defect::RunAhead && *lock(&self.first_dst) == Some(rank) {
+                let mut ran_ahead = lock(&self.ran_ahead);
+                if ran_ahead.is_none() {
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while !self.holds_a_later_frame(rank) && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    *ran_ahead = Some(self.holds_a_later_frame(rank));
+                }
+            }
             lock(&self.boxes[rank]).pop_front()
         }
     }
 
-    /// Runs a one-superstep exchange on two ranks over a [`Defective`]
-    /// transport under a 10 s watchdog, and checks that the receiver
-    /// of the damaged frame fails the run at once. Returns the failure's
-    /// detail and the count of corrupt frames.
-    fn assert_fails_fast(defect: Defect) -> (String, u64) {
-        let e = parse("put (mkpar (fun j -> fun i -> j))").unwrap();
+    /// Runs `source` on two ranks over a [`Defective`] transport under
+    /// a 10 s watchdog. Returns the outcome, the transport and the
+    /// network, after checking that the run took less than 5 s.
+    fn run_defective(
+        defect: Defect,
+        source: &str,
+    ) -> (Result<DistOutcome, EvalError>, Arc<Defective>, Arc<Network>) {
+        let e = parse(source).unwrap();
         let transport = Arc::new(Defective {
             defect,
             boxes: (0..2).map(|_| Mutex::default()).collect(),
             first_dst: Mutex::new(None),
+            ran_ahead: Mutex::new(None),
         });
         let machine = DistMachine::new(2).with_barrier_timeout(Duration::from_secs(10));
         let net = Arc::new(Network::new(
@@ -830,23 +903,37 @@ mod tests {
         let start = Instant::now();
         let result = machine.run_threads(&e, &net, None);
         let elapsed = start.elapsed();
-        let receiver = lock(&transport.first_dst).expect("a frame was sent");
-        let detail = match result {
-            Err(EvalError::TransportFailure {
-                rank,
-                superstep,
-                detail,
-            }) => {
-                assert_eq!((rank, superstep), (receiver, 0), "{defect:?}");
-                detail
-            }
-            other => panic!("{defect:?}: expected a TransportFailure, got {other:?}"),
-        };
         assert!(
             elapsed < Duration::from_secs(5),
             "{defect:?}: took {elapsed:?} under a 10 s watchdog"
         );
+        (result, transport, net)
+    }
+
+    /// Runs `source` over a [`Defective`] transport and checks that the
+    /// receiver of the damaged frame fails the run at once, in
+    /// `superstep`. Returns the failure's detail and the count of
+    /// corrupt frames.
+    fn fails_fast_at(defect: Defect, source: &str, superstep: u64) -> (String, u64) {
+        let (result, transport, net) = run_defective(defect, source);
+        let receiver = lock(&transport.first_dst).expect("a frame was sent");
+        let detail = match result {
+            Err(EvalError::TransportFailure {
+                rank,
+                superstep: failed,
+                detail,
+            }) => {
+                assert_eq!((rank, failed), (receiver, superstep), "{defect:?}");
+                detail
+            }
+            other => panic!("{defect:?}: expected a TransportFailure, got {other:?}"),
+        };
         (detail, net.ledger.counters().corrupt_frames)
+    }
+
+    /// [`fails_fast_at`] on a one-superstep exchange, in superstep 0.
+    fn assert_fails_fast(defect: Defect) -> (String, u64) {
+        fails_fast_at(defect, "put (mkpar (fun j -> fun i -> j))", 0)
     }
 
     #[test]
@@ -871,5 +958,46 @@ mod tests {
     #[test]
     fn a_lost_frame_fails_the_exchange_at_once() {
         assert_fails_fast(Defect::Drop);
+    }
+
+    /// Two supersteps of exchange between two ranks, each reading its
+    /// peer's message, with a result every rank can report.
+    const TWO_SUPERSTEPS: &str = "
+        let r1 = put (mkpar (fun j -> fun i -> j + 1)) in
+        let v = apply (mkpar (fun i -> fun t -> t (1 - i)), r1) in
+        let r2 = put (apply (mkpar (fun j -> fun x -> fun i -> x * 10 + j), v)) in
+        apply (mkpar (fun i -> fun t -> t (1 - i)), r2)";
+
+    #[test]
+    fn a_frame_from_a_peer_that_ran_ahead_is_parked_for_the_next_superstep() {
+        let (result, transport, _) = run_defective(Defect::RunAhead, TWO_SUPERSTEPS);
+        assert_eq!(
+            *lock(&transport.ran_ahead),
+            Some(true),
+            "the sender's superstep-1 frame was in the mailbox at the drain of superstep 0"
+        );
+        let out = result.expect("the parked frame is delivered in superstep 1");
+        assert_eq!(out.value.to_string(), "<|11, 20|>");
+        assert_eq!(out.supersteps, 2);
+    }
+
+    #[test]
+    fn a_frame_two_supersteps_ahead_fails_the_exchange_at_once() {
+        let (detail, _) = fails_fast_at(Defect::TwoAhead, TWO_SUPERSTEPS, 0);
+        assert!(detail.contains("superstep 2"), "{detail}");
+    }
+
+    #[test]
+    fn a_duplicate_of_a_parked_frame_fails_the_exchange_at_once() {
+        let (detail, _) = fails_fast_at(Defect::SurplusTwice, TWO_SUPERSTEPS, 0);
+        assert!(detail.contains("carries seq 1, expected 2"), "{detail}");
+    }
+
+    #[test]
+    fn a_surplus_frame_after_the_last_superstep_fails_the_final_round() {
+        let one_superstep = "let r = put (mkpar (fun j -> fun i -> j)) in
+                             apply (mkpar (fun i -> fun t -> t (1 - i)), r)";
+        let (detail, _) = fails_fast_at(Defect::Surplus, one_superstep, 1);
+        assert!(detail.contains("nothing more was announced"), "{detail}");
     }
 }

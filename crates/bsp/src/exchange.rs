@@ -1,8 +1,8 @@
 //! One superstep's communication on either backend (DESIGN.md §10):
 //! the network an attempt's ranks share, how they synchronize (a
 //! poisonable barrier in-process, the coordinator's control stream
-//! across processes), and the driver's send, count round, drain and
-//! exit barrier.
+//! across processes), and the driver's send, count round and drain.
+//! The count round is the superstep's one synchronization.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,20 +50,15 @@ impl PoisonBarrier {
 
     /// Waits for all `n` processors, or until `timeout` elapses.
     ///
-    /// The **last** arriver runs `on_complete` (if any) while still
-    /// holding the barrier lock, *before* releasing anyone: whatever
-    /// the closure observes or publishes is a consistent cut — every
-    /// processor has arrived, none has moved on. This is how
-    /// checkpoint generations are committed (DESIGN.md §9).
+    /// A round that completed is the waiter's to keep: a poison that
+    /// lands after the last arrival but before this waiter wakes does
+    /// not turn it into a failure, so every rank leaves a completed
+    /// round alike.
     ///
     /// A poisoned *mutex* (a peer panicked inside the critical
     /// section) is treated like a poisoned barrier: the state may be
     /// inconsistent, so the only safe report is a peer failure.
-    pub(crate) fn wait(
-        &self,
-        timeout: Duration,
-        on_complete: Option<&dyn Fn()>,
-    ) -> Result<(), EvalError> {
+    pub(crate) fn wait(&self, timeout: Duration) -> Result<(), EvalError> {
         let Ok(mut st) = self.state.lock() else {
             return Err(EvalError::PeerFailure);
         };
@@ -77,15 +72,15 @@ impl PoisonBarrier {
             // barrier episodes, so reuse across u64 wraparound is
             // sound (and unit-tested).
             st.generation = st.generation.wrapping_add(1);
-            if let Some(complete) = on_complete {
-                complete();
-            }
             self.cv.notify_all();
             return Ok(());
         }
         let gen = st.generation;
         let deadline = Instant::now() + timeout;
-        while st.generation == gen && !st.poisoned {
+        while st.generation == gen {
+            if st.poisoned {
+                return Err(EvalError::PeerFailure);
+            }
             let now = Instant::now();
             if now >= deadline {
                 let waiting = st.waiting;
@@ -101,11 +96,7 @@ impl PoisonBarrier {
                 Err(_) => return Err(EvalError::PeerFailure),
             };
         }
-        if st.poisoned {
-            Err(EvalError::PeerFailure)
-        } else {
-            Ok(())
-        }
+        Ok(())
     }
 
     pub(crate) fn poison(&self) {
@@ -136,8 +127,8 @@ pub(crate) enum SyncBackend {
         /// `s + 1`, which every reader of `s` enters first.
         counts: [Vec<AtomicU64>; 2],
     },
-    /// This rank is alone in its process; the count round, barriers
-    /// and poison travel through the hub's socket.
+    /// This rank is alone in its process; the count round and poison
+    /// travel through the hub's socket.
     Remote(Arc<RemoteHub>),
 }
 
@@ -193,8 +184,8 @@ pub(crate) struct NetCheckpoint {
     /// Checkpoint every `interval` completed supersteps.
     pub(crate) interval: u64,
     /// Where frames are staged and committed. `None` in a rank
-    /// process: its frames ride its `BarrierEnter` to the
-    /// coordinator's store.
+    /// process: each frame travels alone, in a `Staged` message, to
+    /// the coordinator's store.
     pub(crate) store: Option<Arc<dyn CheckpointStore>>,
     /// [`program_fingerprint`] of this (program, p) pair.
     pub(crate) fingerprint: u64,
@@ -210,7 +201,7 @@ pub(crate) struct Network {
     pub(crate) sync: SyncBackend,
     /// The substrate frames travel over (per-rank mailboxes).
     pub(crate) transport: Arc<dyn Transport>,
-    /// Watchdog timeout applied to every count round and barrier wait.
+    /// Watchdog timeout applied to every count round.
     pub(crate) barrier_timeout: Duration,
     /// Faults to inject into this attempt (`None` = zero-cost).
     pub(crate) faults: Option<Arc<FaultPlan>>,
@@ -266,39 +257,6 @@ impl Network {
 }
 
 impl SpmdDriver {
-    /// Runs one synchronization (a count round or a barrier wait, on
-    /// any backend), timing it into the `bsp.barrier_wait_us`
-    /// histogram and re-tagging timeouts with this rank's BSP superstep
-    /// (counted in the ledger).
-    fn timed_barrier<T>(
-        &self,
-        wait: impl FnOnce() -> Result<T, EvalError>,
-    ) -> Result<T, EvalError> {
-        let result = if self.telemetry.is_enabled() {
-            let before = Instant::now();
-            let result = wait();
-            let waited = u64::try_from(before.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.telemetry
-                .histogram_record("bsp.barrier_wait_us", waited);
-            result
-        } else {
-            wait()
-        };
-        match result {
-            Err(EvalError::BarrierTimeout { waiting, .. }) => {
-                self.net
-                    .ledger
-                    .barrier_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(EvalError::BarrierTimeout {
-                    superstep: self.superstep(),
-                    waiting,
-                })
-            }
-            other => other,
-        }
-    }
-
     /// One superstep's communication. Stamps and sends `sends` (this
     /// rank's non-empty messages, at most one per peer), runs the count
     /// round, and drains exactly the frames it announced. Returns the
@@ -348,16 +306,39 @@ impl SpmdDriver {
         self.drain(superstep, from)
     }
 
-    /// The count round: publishes how many frames this rank sent each
-    /// peer, waits for every rank to do the same, and returns how many
-    /// each peer sent this rank. It is the superstep's entry
-    /// synchronization, timed into `bsp.barrier_wait_us` like the exit
-    /// barrier. Every frame was handed to the transport before its
-    /// sender entered the round, so when the round returns this rank's
-    /// mailbox holds them all (DESIGN.md §10).
-    fn count_round(&self, superstep: u64, to: Vec<u64>) -> Result<Vec<u64>, EvalError> {
-        let net = &self.net;
-        match &net.sync {
+    /// The last synchronization of a run that evaluated without error:
+    /// a count round that announces no frame, so no rank finishes
+    /// before every rank has drained the last superstep, and a drain
+    /// that proves no frame is left over.
+    pub(crate) fn final_round(&mut self) -> Result<(), EvalError> {
+        let superstep = self.superstep();
+        let from = self.count_round(superstep, vec![0; self.net.p])?;
+        self.drain(superstep, from).map(drop)
+    }
+
+    /// The count round of `superstep`, the superstep's one
+    /// synchronization (DESIGN.md §10): publishes how many frames this
+    /// rank sent each peer, waits for every rank to do the same, and
+    /// returns how many each peer sent this rank. Every frame was
+    /// handed to the transport before its sender entered the round, so
+    /// when the round returns this rank's mailbox holds them all.
+    ///
+    /// The round of superstep `n` is also the barrier that closes
+    /// superstep `n − 1`: when it completes, every rank has drained
+    /// `n − 1` and staged its frame of any checkpoint generation `n`,
+    /// which the last stage committed. It is timed into
+    /// `bsp.barrier_wait_us`, bracketed from the second round on by
+    /// `BarrierEnter`/`BarrierExit` of superstep `n − 1`, and followed
+    /// by `CheckpointCommitted` on a rank that staged.
+    fn count_round(&mut self, superstep: u64, to: Vec<u64>) -> Result<Vec<u64>, EvalError> {
+        let closes = superstep.checked_sub(1);
+        if let Some(closed) = closes {
+            let lamport = self.tick();
+            self.flight_record(lamport, FlightEvent::BarrierEnter { superstep: closed });
+        }
+        let net = Arc::clone(&self.net);
+        let started = self.telemetry.is_enabled().then(Instant::now);
+        let result = match &net.sync {
             SyncBackend::Local { barrier, counts } => {
                 let p = net.p;
                 let matrix = &counts[(superstep % 2) as usize];
@@ -366,26 +347,56 @@ impl SpmdDriver {
                 for (dst, n) in to.into_iter().enumerate() {
                     matrix[self.rank * p + dst].store(n, Ordering::Relaxed);
                 }
-                self.timed_barrier(|| barrier.wait(net.barrier_timeout, None))?;
-                Ok((0..p)
-                    .map(|src| matrix[src * p + self.rank].load(Ordering::Relaxed))
-                    .collect())
+                barrier.wait(net.barrier_timeout).map(|()| {
+                    (0..p)
+                        .map(|src| matrix[src * p + self.rank].load(Ordering::Relaxed))
+                        .collect()
+                })
             }
-            SyncBackend::Remote(hub) => {
-                self.timed_barrier(|| hub.count_round(superstep, to, net.barrier_timeout))
+            SyncBackend::Remote(hub) => hub.count_round(superstep, to, net.barrier_timeout),
+        };
+        if let Some(started) = started {
+            let waited = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.telemetry
+                .histogram_record("bsp.barrier_wait_us", waited);
+        }
+        match result {
+            Ok(from) => {
+                if let Some(closed) = closes {
+                    let lamport = self.tick();
+                    self.flight_record(lamport, FlightEvent::BarrierExit { superstep: closed });
+                }
+                if let Some(generation) = self.staged.take() {
+                    // Recorded on every rank that staged, not just the
+                    // one whose stage committed: the commit is a
+                    // property of the cut, and every rank is past it.
+                    let lamport = self.tick();
+                    self.flight_record(lamport, FlightEvent::CheckpointCommitted { generation });
+                }
+                Ok(from)
             }
+            // Re-tagged with this rank's BSP superstep, and counted.
+            Err(EvalError::BarrierTimeout { waiting, .. }) => {
+                net.ledger.barrier_timeouts.fetch_add(1, Ordering::Relaxed);
+                Err(EvalError::BarrierTimeout { superstep, waiting })
+            }
+            Err(err) => Err(err),
         }
     }
 
     /// Drains this rank's mailbox after the count round, which
-    /// announced `from[src]` frames from each peer. Each frame must
-    /// decode, come from a peer with an announced frame outstanding,
-    /// and carry that link's exact next sequence number; afterwards no
-    /// announced frame may be missing. Anything else — a corrupt,
-    /// surplus, duplicate, out-of-sequence or missing frame — fails
-    /// the run at once with [`EvalError::TransportFailure`]. There is
-    /// nothing to wait for: the exit barrier that follows keeps the
-    /// next superstep's frames out (DESIGN.md §10).
+    /// announced `from[src]` frames from each peer. Frames a peer sent
+    /// for this superstep after running ahead were parked by the last
+    /// drain and come first. Each frame must decode, come from a peer
+    /// and carry that link's exact next sequence number. A frame of the
+    /// next superstep is a peer running ahead: it is parked, one per
+    /// peer, for the next drain. Any other frame must be one this
+    /// round announced, and afterwards none may be missing. Anything
+    /// else — a corrupt, surplus, duplicate, out-of-sequence, missing
+    /// or far-ahead frame — fails the run at once with
+    /// [`EvalError::TransportFailure`]. There is nothing to wait for: a
+    /// peer cannot send superstep `n + 2` before this rank enters the
+    /// round of `n + 1` (DESIGN.md §10).
     fn drain(
         &mut self,
         superstep: u64,
@@ -394,6 +405,11 @@ impl SpmdDriver {
         let net = Arc::clone(&self.net);
         let p = net.p;
         let mut inbox: Vec<Option<FramePayload>> = vec![None; p];
+        for src in 0..p {
+            if let Some(frame) = self.parked[src].take() {
+                self.deliver(superstep, frame, &mut from, &mut inbox)?;
+            }
+        }
         while let Some(bytes) = net.transport.recv(self.rank) {
             let frame = Frame::decode(&bytes).map_err(|err| self.corrupt_frame(superstep, err))?;
             let src = frame.from;
@@ -401,16 +417,6 @@ impl SpmdDriver {
                 return Err(self.transport_failure(
                     superstep,
                     format!("frame claims to come from rank {src}, which is not a peer"),
-                ));
-            }
-            if from[src] == 0 || inbox[src].is_some() {
-                return Err(self.transport_failure(
-                    superstep,
-                    format!(
-                        "frame from rank {src} (seq {}) on a link nothing more was \
-                         announced on",
-                        frame.seq
-                    ),
                 ));
             }
             if frame.seq != self.recv_seq[src] {
@@ -422,41 +428,12 @@ impl SpmdDriver {
                     ),
                 ));
             }
-            // Every received frame advances the Lamport clock past
-            // the sender's stamp: the receive is strictly after the
-            // send, machine-wide.
-            let stamp = self.observe(frame.lamport);
             self.recv_seq[src] += 1;
-            from[src] -= 1;
-            self.flight_record(
-                stamp,
-                FlightEvent::FrameReceived {
-                    from: src as u64,
-                    seq: frame.seq,
-                    superstep: frame.superstep,
-                    sent_lamport: frame.lamport,
-                },
-            );
-            if self.telemetry.is_enabled() {
-                // A causal arrow from the sender's rank track to ours,
-                // at the delivery instant (the sender's wall clock is
-                // not observable here).
-                let now = self.telemetry.now_us();
-                let from_track = self.telemetry.track(&format!("p{src}")).current_track();
-                let id = net.flow_ids.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.record_flow(
-                    id,
-                    match frame.payload {
-                        FramePayload::IfAt(_) => "ifat",
-                        FramePayload::Put(_) => "put",
-                    },
-                    from_track,
-                    self.telemetry.current_track(),
-                    now,
-                    now,
-                );
+            if frame.superstep == superstep + 1 && self.parked[src].is_none() {
+                self.parked[src] = Some(frame);
+            } else {
+                self.deliver(superstep, frame, &mut from, &mut inbox)?;
             }
-            inbox[src] = Some(frame.payload);
         }
         if let Some(src) = from.iter().position(|&n| n > 0) {
             return Err(self.transport_failure(
@@ -468,6 +445,72 @@ impl SpmdDriver {
             ));
         }
         Ok(inbox)
+    }
+
+    /// Puts one frame into the inbox of `superstep`'s drain: it must
+    /// belong to the superstep, on a link with an announced frame
+    /// outstanding.
+    fn deliver(
+        &mut self,
+        superstep: u64,
+        frame: Frame,
+        from: &mut [u64],
+        inbox: &mut [Option<FramePayload>],
+    ) -> Result<(), EvalError> {
+        let src = frame.from;
+        if frame.superstep != superstep {
+            return Err(self.transport_failure(
+                superstep,
+                format!(
+                    "frame from rank {src} (seq {}) belongs to superstep {}",
+                    frame.seq, frame.superstep
+                ),
+            ));
+        }
+        if from[src] == 0 || inbox[src].is_some() {
+            return Err(self.transport_failure(
+                superstep,
+                format!(
+                    "frame from rank {src} (seq {}) on a link nothing more was announced on",
+                    frame.seq
+                ),
+            ));
+        }
+        from[src] -= 1;
+        // Every received frame advances the Lamport clock past the
+        // sender's stamp: the receive is strictly after the send,
+        // machine-wide.
+        let stamp = self.observe(frame.lamport);
+        self.flight_record(
+            stamp,
+            FlightEvent::FrameReceived {
+                from: src as u64,
+                seq: frame.seq,
+                superstep: frame.superstep,
+                sent_lamport: frame.lamport,
+            },
+        );
+        if self.telemetry.is_enabled() {
+            // A causal arrow from the sender's rank track to ours, at
+            // the delivery instant (the sender's wall clock is not
+            // observable here).
+            let now = self.telemetry.now_us();
+            let from_track = self.telemetry.track(&format!("p{src}")).current_track();
+            let id = self.net.flow_ids.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.record_flow(
+                id,
+                match frame.payload {
+                    FramePayload::IfAt(_) => "ifat",
+                    FramePayload::Put(_) => "put",
+                },
+                from_track,
+                self.telemetry.current_track(),
+                now,
+                now,
+            );
+        }
+        inbox[src] = Some(frame.payload);
+        Ok(())
     }
 
     /// Fails the run on a frame, or a message in one, that does not
@@ -491,60 +534,5 @@ impl SpmdDriver {
             superstep,
             detail,
         }
-    }
-
-    /// The final barrier of a superstep. If this rank staged a frame,
-    /// the last arriver commits the generation while holding the
-    /// barrier lock: at that instant every rank has staged its frame
-    /// of the same cut and none has started the next superstep — the
-    /// consistent-cut argument of DESIGN.md §9.
-    pub(crate) fn superstep_exit_barrier(
-        &mut self,
-        staged: Option<u64>,
-        superstep: u64,
-    ) -> Result<(), EvalError> {
-        let lamport = self.tick();
-        self.flight_record(lamport, FlightEvent::BarrierEnter { superstep });
-        let result = match &self.net.sync {
-            // Process mode: the *parent* owns the commit — it collects
-            // every rank's `BarrierEnter` (with its staged frame),
-            // commits the generation at the quorum instant (the same
-            // consistent cut: every rank has arrived, none has been
-            // released), and broadcasts the release this rank waits
-            // for here.
-            SyncBackend::Remote(hub) => {
-                self.timed_barrier(|| hub.barrier_enter(superstep, self.net.barrier_timeout))
-            }
-            SyncBackend::Local { barrier, .. } => {
-                let net = &self.net;
-                let store = net.checkpoint.as_ref().and_then(|ck| ck.store.as_ref());
-                let commit = staged.zip(store).map(|(generation, store)| {
-                    move || {
-                        if let Ok(bytes) = store.commit(generation, net.p) {
-                            net.ledger
-                                .checkpoints_written
-                                .fetch_add(1, Ordering::Relaxed);
-                            net.ledger
-                                .checkpoint_bytes
-                                .fetch_add(bytes, Ordering::Relaxed);
-                        }
-                    }
-                });
-                let on_complete = commit.as_ref().map(|c| c as &dyn Fn());
-                self.timed_barrier(|| barrier.wait(net.barrier_timeout, on_complete))
-            }
-        };
-        if result.is_ok() {
-            let lamport = self.tick();
-            self.flight_record(lamport, FlightEvent::BarrierExit { superstep });
-            if let Some(generation) = staged {
-                // Recorded on every rank, not just the committing
-                // arriver: the commit is a property of the consistent
-                // cut, and every rank passed through it.
-                let lamport = self.tick();
-                self.flight_record(lamport, FlightEvent::CheckpointCommitted { generation });
-            }
-        }
-        result
     }
 }

@@ -14,13 +14,13 @@
 //! the entry of every `put`/`if‥at‥` and at every mailbox write:
 //!
 //! * [`FaultKind::Crash`] — the processor fails cleanly with
-//!   [`bsml_eval::EvalError::InjectedFault`] and poisons the barrier.
+//!   [`bsml_eval::EvalError::InjectedFault`] and poisons the run.
 //! * [`FaultKind::Panic`] — the processor thread panics mid-superstep
 //!   (exercising the machine's unwind containment).
 //! * [`FaultKind::DropMessage`] — one `put` message is lost: it is
 //!   silently replaced with `nc ()`, caught only by the supervisor's
 //!   oracle cross-check.
-//! * [`FaultKind::Stall`] — the processor sleeps before a barrier
+//! * [`FaultKind::Stall`] — the processor sleeps before a count round
 //!   (long stalls trip the watchdog as
 //!   [`bsml_eval::EvalError::BarrierTimeout`]).
 //!
@@ -365,16 +365,15 @@ impl LinkFaultKind {
     }
 }
 
-/// One deterministic link sever: when the coordinator finishes the
-/// barrier of `superstep` on `attempt`, rank `rank`'s control stream
-/// suffers `kind` instead of (before) receiving its release. Carried
-/// in [`crate::process::ProcessConfig::link_faults`].
+/// One deterministic link sever: when the count round of `superstep`
+/// on `attempt` reaches its quorum, rank `rank`'s control stream
+/// suffers `kind` before it receives its `RecvCounts`. Carried in
+/// [`crate::process::ProcessConfig::link_faults`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkFault {
     /// The rank whose link is severed.
     pub rank: usize,
-    /// The superstep whose barrier release the sever lands on
-    /// (`0` severs right after launch, before any barrier).
+    /// The superstep whose count round the sever lands on.
     pub superstep: u64,
     /// What happens to the wire.
     pub kind: LinkFaultKind,

@@ -248,11 +248,11 @@ impl LinkEnd {
 
 /// Validates a claimed `Rejoin` against the fleet the parent is
 /// supervising: `completed[r]` is the parent's count of supersteps
-/// rank `r` has entered the exit barrier of. The rejoining side's
-/// claim may be *newer* (its `BarrierEnter` can be lost in flight —
-/// the replay redelivers it) but never older: a stale claim means the
-/// connecting process is not the rank the parent has been talking to.
-/// Returns the authenticated rank id.
+/// rank `r` has completed, read from its last `SendCounts`. The
+/// rejoining side's claim may be *newer* (its `SendCounts` can be lost
+/// in flight — the replay redelivers it) but never older: a stale claim
+/// means the connecting process is not the rank the parent has been
+/// talking to. Returns the authenticated rank id.
 ///
 /// # Errors
 ///
@@ -650,7 +650,7 @@ fn handle_rejoin(state: &ParentState, mut stream: RankStream) -> io::Result<()> 
     stream.set_read_timeout(None)?;
     *lock(&link.pending_reader) = Some((stream, our_token));
     // Every link gets a fresh liveness stamp, not just the healed one:
-    // the barrier hold stalled the peers' reader threads, so their
+    // the count-round hold stalled the peers' reader threads, so their
     // stale `last_seen` says nothing about their ranks.
     for peer in &state.fleet.links {
         *lock(&peer.last_seen) = Instant::now();
@@ -671,7 +671,7 @@ pub(crate) fn link_monitor(state: &ParentState) {
     let period = state.heartbeat;
     while !state.stands_down_within(period) {
         // While any link is mid-heal the fleet is deliberately parked:
-        // the barrier hold can leave reader threads (and therefore
+        // the count-round hold can leave reader threads (and therefore
         // `last_seen` stamps) stalled through no fault of their ranks,
         // so silence is not evidence and grace-kills are suspended.
         let healing = (0..state.p).any(|r| {
@@ -729,22 +729,25 @@ mod tests {
         (RankStream::Unix(a), RankStream::Unix(b))
     }
 
-    fn release(superstep: u64) -> CtlMsg {
-        CtlMsg::BarrierRelease { superstep }
+    fn recv_counts(superstep: u64) -> CtlMsg {
+        CtlMsg::RecvCounts {
+            superstep,
+            from: vec![0, 1],
+        }
     }
 
     #[test]
     fn a_frame_sent_on_a_dead_writer_arrives_once_after_the_heal() {
         let (ours, mut theirs) = pair();
         let end = LinkEnd::new(ours);
-        end.send(&release(0)).expect("the link is up");
-        assert_eq!(read_ctl(&mut theirs).unwrap(), release(0));
+        end.send(&recv_counts(0)).expect("the link is up");
+        assert_eq!(read_ctl(&mut theirs).unwrap(), recv_counts(0));
         // The link dies; the next frame's write fails, and the frame
         // waits in the ring under the heal count it went out under.
         end.shutdown(Shutdown::Both);
         drop(theirs);
         let seen = end.heals();
-        assert_eq!(end.send(&release(1)), Err(seen));
+        assert_eq!(end.send(&recv_counts(1)), Err(seen));
         // The peer comes back having received one session frame.
         let (fresh, mut peer) = pair();
         assert_eq!(end.heal(fresh, 1).expect("replayed"), Some(1));
@@ -757,7 +760,7 @@ mod tests {
         assert_eq!(woke, Some(()));
         // Exactly once: the replayed frame, then the next one sent.
         end.send(&CtlMsg::Poison).expect("healed");
-        assert_eq!(read_ctl(&mut peer).unwrap(), release(1));
+        assert_eq!(read_ctl(&mut peer).unwrap(), recv_counts(1));
         assert_eq!(read_ctl(&mut peer).unwrap(), CtlMsg::Poison);
     }
 
@@ -769,7 +772,7 @@ mod tests {
         end.freeze();
         let sent = EGRESS_CAPACITY as u64 + 1;
         for superstep in 0..sent {
-            end.send(&release(superstep)).expect("frozen");
+            end.send(&recv_counts(superstep)).expect("frozen");
         }
         // Frame 0 was evicted, and a token past `sent` was never earned.
         // A refusal writes nothing, so a stream that cannot block turns
@@ -784,14 +787,14 @@ mod tests {
         let (fresh, mut peer) = pair();
         assert_eq!(end.heal(fresh, sent - 1).expect("replayed"), Some(1));
         assert!(!end.is_frozen());
-        assert_eq!(read_ctl(&mut peer).unwrap(), release(sent - 1));
+        assert_eq!(read_ctl(&mut peer).unwrap(), recv_counts(sent - 1));
     }
 
     #[test]
     fn a_token_past_what_was_sent_gets_a_reject_and_no_rejoin_ok() {
         let (ours, _theirs) = pair();
         let end = LinkEnd::new(ours);
-        end.send(&release(0)).expect("the link is up");
+        end.send(&recv_counts(0)).expect("the link is up");
         // The rank claims two session frames; one was ever sent.
         let (mut fresh, mut rank) = pair();
         let mut accepted = false;
@@ -812,6 +815,6 @@ mod tests {
             read_ctl(&mut rank).unwrap(),
             CtlMsg::RejoinOk { resume_token: 0 }
         );
-        assert_eq!(read_ctl(&mut rank).unwrap(), release(0));
+        assert_eq!(read_ctl(&mut rank).unwrap(), recv_counts(0));
     }
 }

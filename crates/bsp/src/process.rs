@@ -97,12 +97,12 @@ pub const RANK_P_ENV: &str = "BSML_RANK_P";
 pub const RANK_FINGERPRINT_ENV: &str = "BSML_RANK_FINGERPRINT";
 
 /// Deterministically SIGKILL one rank process — the chaos grid's
-/// process-mode fault. `superstep = s` kills the rank as it *enters*
-/// superstep `s` (it is withheld the barrier release that would let it
-/// proceed past superstep `s - 1`; `s = 0` kills it in place of its
-/// `Welcome`), which mirrors the in-process crash fault's
-/// coordinate:
-/// the newest committed checkpoint generation is `⌊s/k⌋·k`, so a
+/// process-mode fault. `superstep = s` kills the rank at the quorum of
+/// the count round of superstep `s`, in place of its `RecvCounts`: it
+/// has completed exactly `s` supersteps and no rank completes superstep
+/// `s`, which mirrors the in-process crash fault's coordinate. Every
+/// rank shipped its frame of generation `s` before entering the round,
+/// so the newest committed checkpoint generation is `⌊s/k⌋·k`, and a
 /// supervised resume replays exactly `s mod k` supersteps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillSpec {
@@ -240,15 +240,6 @@ pub(crate) struct RankReport {
     flight: Vec<TimedFlightEvent>,
 }
 
-/// The barrier round currently filling (BSP lockstep guarantees all
-/// `p` arrivals of round `t` precede any arrival of round `t + 1`).
-struct Round {
-    arrived: Vec<bool>,
-    count: usize,
-    /// The generation the arrivals of this round staged, if any.
-    staged_generation: Option<u64>,
-}
-
 /// Parent-side state of one run on a fleet: reader threads (one per
 /// rank) route frames and synchronization through it.
 pub(crate) struct ParentState<'f> {
@@ -256,13 +247,15 @@ pub(crate) struct ParentState<'f> {
     attempt: u32,
     pub(crate) fingerprint: u64,
     pub(crate) fleet: &'f Fleet,
-    /// Supersteps each rank has completed (its death coordinate).
+    /// Supersteps each rank has completed, counted at its
+    /// `SendCounts` (its death coordinate and the floor of its rejoin
+    /// claim).
     pub(crate) completed: Vec<AtomicU64>,
     /// The count round currently filling: each rank's per-destination
-    /// frame counts, by sender. Like the barrier's arrivals, all `p`
-    /// rows of round `t` precede any row of round `t + 1`.
+    /// frame counts, by sender. All `p` rows of round `t` precede any
+    /// row of round `t + 1`: no rank leaves round `t` before the last
+    /// row is in.
     counts: Mutex<Vec<Option<Vec<u64>>>>,
-    round: Mutex<Round>,
     pub(crate) reports: Mutex<Vec<Option<RankReport>>>,
     /// Death notes for ranks whose stream died before any report.
     pub(crate) deaths: Mutex<Vec<Option<String>>>,
@@ -334,19 +327,11 @@ impl ParentState<'_> {
     }
 
     /// Starts the run: each rank's `Welcome` is a session frame on its
-    /// live link. A rank whose kill spec names superstep 0 is SIGKILLed
-    /// in its place, so it sends no part of superstep 0 — like an
-    /// in-process crash at the entry of its first `put`. Killed after
-    /// the welcome, it could race its data frames out and let a peer
-    /// finish the superstep's exchange.
+    /// live link.
     fn welcome(&self, machine: &DistMachine, e: &Expr, resume: Option<&ResumePoint>) {
         let program = e.to_string();
         let millis = |d: Duration| u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
         for rank in 0..self.p {
-            if self.killed_at(rank, 0) {
-                self.kill(rank);
-                continue;
-            }
             let welcome = CtlMsg::Welcome {
                 program: program.clone(),
                 fingerprint: self.fingerprint,
@@ -406,13 +391,26 @@ impl ParentState<'_> {
         self.set_state(rank, LinkState::Disconnected);
     }
 
-    /// One rank's `SendCounts` for `superstep`. Its reader routed every
-    /// `Data` frame the rank sent ahead of it, so once all `p` rows are
-    /// in, every frame of the superstep is on its destination's
-    /// stream. The last arrival then sends each rank its column as
-    /// `RecvCounts`, which its FIFO stream delivers behind those
-    /// frames.
+    /// One rank's `SendCounts` for `superstep`, which counts the
+    /// supersteps it completed. Its reader routed every `Data` frame,
+    /// and staged every `Staged` frame, that the rank sent ahead of it,
+    /// so once all `p` rows are in, every frame of the superstep is on
+    /// its destination's stream and every generation staged before the
+    /// round is committed. The last arrival then sends each rank its
+    /// column as `RecvCounts`, which its FIFO stream delivers behind
+    /// those frames.
+    ///
+    /// Kill specs and link faults for `superstep` fire here, in place
+    /// of the faulted rank's `RecvCounts`. A kill withholds every
+    /// rank's, as an in-process crash at a superstep's entry leaves its
+    /// peers in the round: no rank completes the superstep, and the
+    /// death's poison releases them. A severed link gets its
+    /// `RecvCounts` on the dead (or frozen) socket, the one frame its
+    /// heal replays, and the other ranks wait for the heal: they cannot
+    /// race deliveries into the replay window, which keeps the
+    /// accounting exact. A link that does not heal is held like a kill.
     fn handle_counts(&self, rank: usize, superstep: u64, to: Vec<u64>) {
+        self.completed[rank].fetch_max(superstep, Ordering::Relaxed);
         let rows = {
             let mut rows = lock(&self.counts);
             rows[rank] = Some(to);
@@ -421,100 +419,63 @@ impl ParentState<'_> {
             }
             std::mem::replace(&mut *rows, vec![None; self.p])
         };
-        for dst in 0..self.p {
-            let from = rows
+        let recv_counts = |dst: usize| CtlMsg::RecvCounts {
+            superstep,
+            from: rows
                 .iter()
                 .flatten()
                 .map(|row| row.get(dst).copied().unwrap_or(0))
-                .collect();
-            self.send_to(dst, &CtlMsg::RecvCounts { superstep, from });
+                .collect(),
+        };
+        // A kill on a faulted coordinate lands before the sever: a dead
+        // rank cannot finish a rejoin.
+        let mut killed = false;
+        for r in 0..self.p {
+            if self.killed_at(r, superstep) {
+                self.kill(r);
+                killed = true;
+            }
+        }
+        if killed {
+            return;
+        }
+        for r in 0..self.p {
+            let Some(kind) = self.link_fault_at(r, superstep) else {
+                continue;
+            };
+            let seen = self.fleet.links[r].end.heals();
+            self.sever(r, kind);
+            self.send_to(r, &recv_counts(r));
+            // The hold ends early if the rank dies mid-rejoin (its
+            // budget exhausted), and its reader's poison goes out.
+            let healed = self.fleet.links[r].end.await_heal(
+                Instant::now() + self.link_grace * 2,
+                |heals| (heals > seen).then_some(()),
+                || self.exited(r),
+            );
+            if healed.is_none() {
+                return;
+            }
+        }
+        for r in 0..self.p {
+            if self.link_fault_at(r, superstep).is_none() {
+                self.send_to(r, &recv_counts(r));
+            }
         }
     }
 
-    /// One rank arrived at the exit barrier of `superstep`. The last
-    /// arrival commits any staged generation (the consistent cut:
-    /// every rank has arrived, none has been released) and broadcasts
-    /// the release — SIGKILLing instead any rank whose kill spec names
-    /// the superstep being entered.
-    fn handle_barrier(&self, rank: usize, superstep: u64, staged: Option<Vec<u8>>) {
-        self.completed[rank].fetch_max(superstep + 1, Ordering::Relaxed);
-        let staged_generation = staged.and_then(|bytes| {
-            let store = self.store.as_ref()?;
-            let frame = RankFrame::decode(&bytes).ok()?;
-            let generation = frame.superstep;
-            // Staging is best-effort, exactly like in-process.
-            store.stage(&frame).ok()?;
-            Some(generation)
-        });
-        let complete = {
-            let mut round = lock(&self.round);
-            if let Some(generation) = staged_generation {
-                round.staged_generation = Some(generation);
-            }
-            if !round.arrived[rank] {
-                round.arrived[rank] = true;
-                round.count += 1;
-            }
-            if round.count == self.p {
-                let generation = round.staged_generation.take();
-                round.arrived.iter_mut().for_each(|a| *a = false);
-                round.count = 0;
-                Some(generation)
-            } else {
-                None
-            }
+    /// One rank's `Staged` checkpoint frame: staged in the store, and
+    /// its generation committed if it is the generation's p-th frame
+    /// (the store refuses the commit until then, and only one commit
+    /// can take the frames). Best-effort, exactly like in-process.
+    fn handle_staged(&self, frame: &[u8]) {
+        let (Some(store), Ok(frame)) = (&self.store, RankFrame::decode(frame)) else {
+            return;
         };
-        if let Some(generation) = complete {
-            if let (Some(generation), Some(store)) = (generation, &self.store) {
-                if let Ok(bytes) = store.commit(generation, self.p) {
-                    self.ckpt_written.fetch_add(1, Ordering::Relaxed);
-                    self.ckpt_bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-            }
-            // Faulted links first, un-faulted releases second: a rank
-            // released *before* a peer's link is severed could race
-            // fresh deliveries into that peer's egress ring while it
-            // rejoins, blurring the replay accounting.
-            for r in 0..self.p {
-                let Some(kind) = self.link_fault_at(r, superstep + 1) else {
-                    continue;
-                };
-                if self.killed_at(r, superstep + 1) {
-                    // A kill on the faulted coordinate lands before the
-                    // sever: a dead rank cannot finish a rejoin, so its
-                    // reader takes the death path as for any kill.
-                    self.kill(r);
-                    continue;
-                }
-                // Sever first, then queue the release: the write
-                // lands on the dead (or frozen) socket, so the
-                // release is exactly the frame the rejoin replay
-                // redelivers.
-                let seen = self.fleet.links[r].end.heals();
-                self.sever(r, kind);
-                self.send_to(r, &CtlMsg::BarrierRelease { superstep });
-                // Hold the fleet at the barrier until the severed
-                // rank rejoins (everyone is parked anyway): peers
-                // then cannot race fresh deliveries into the
-                // replay window, keeping the accounting exact. The
-                // hold ends early if the rank dies mid-rejoin (its
-                // budget exhausted), so its reader's poison broadcast
-                // can go out.
-                self.fleet.links[r].end.await_heal(
-                    Instant::now() + self.link_grace * 2,
-                    |heals| (heals > seen).then_some(()),
-                    || self.exited(r),
-                );
-            }
-            for r in 0..self.p {
-                if self.link_fault_at(r, superstep + 1).is_some() {
-                    continue;
-                }
-                if self.killed_at(r, superstep + 1) {
-                    self.kill(r);
-                } else {
-                    self.send_to(r, &CtlMsg::BarrierRelease { superstep });
-                }
+        if store.stage(&frame).is_ok() {
+            if let Ok(bytes) = store.commit(frame.superstep, self.p) {
+                self.ckpt_written.fetch_add(1, Ordering::Relaxed);
+                self.ckpt_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
         }
     }
@@ -557,9 +518,7 @@ fn parent_reader(state: &ParentState, rank: usize, mut stream: RankStream) -> Op
                     CtlMsg::SendCounts { superstep, to } => {
                         state.handle_counts(rank, superstep, to);
                     }
-                    CtlMsg::BarrierEnter { superstep, staged } => {
-                        state.handle_barrier(rank, superstep, staged);
-                    }
+                    CtlMsg::Staged { frame } => state.handle_staged(&frame),
                     CtlMsg::Poison => state.broadcast(&CtlMsg::Poison),
                     CtlMsg::Fatal {
                         error,
@@ -668,11 +627,6 @@ pub(crate) fn run_process_attempt(
         fleet: &fleet,
         completed: (0..p).map(|_| AtomicU64::new(baseline)).collect(),
         counts: Mutex::new(vec![None; p]),
-        round: Mutex::new(Round {
-            arrived: vec![false; p],
-            count: 0,
-            staged_generation: None,
-        }),
         reports: Mutex::new((0..p).map(|_| None).collect()),
         deaths: Mutex::new(vec![None; p]),
         store: machine
@@ -691,14 +645,6 @@ pub(crate) fn run_process_attempt(
         shutdown_cv: Condvar::new(),
     };
     state.welcome(machine, e, resume.as_ref());
-
-    // Superstep-0 link faults: severed right after the welcome — the
-    // rank heals before (or while) running its first superstep.
-    for fault in &cfg.link_faults {
-        if fault.attempt == attempt && fault.superstep == 0 && fault.rank < p {
-            state.sever(fault.rank, fault.kind);
-        }
-    }
 
     // Route until every rank has reported `Done`, or its stream reached
     // EOF (after a `Fatal`, or a death). Children bound their own waits
@@ -931,10 +877,11 @@ mod tests {
         }
     }
 
-    /// A hub over a socketpair: staged frames ride the next
-    /// `BarrierEnter`, and the release lets the barrier through.
+    /// A hub over a socketpair: a staged frame goes to the parent the
+    /// moment it is staged, and a count round ships the counts and
+    /// returns the parent's column.
     #[test]
-    fn hub_ships_staged_frames_with_barrier_enter() {
+    fn hub_ships_a_staged_frame_at_once() {
         let (ours, theirs) = UnixStream::pair().expect("socketpair");
         let hub = RemoteHub::new(RankStream::Unix(ours.try_clone().expect("clone")));
         let reader_hub = Arc::clone(&hub);
@@ -952,27 +899,35 @@ mod tests {
             outcomes: vec![SyncOutcome::IfAt { chosen: true }],
         };
         hub.stage(frame.encode());
-
-        // The "parent": expect BarrierEnter carrying the frame, then
-        // release.
-        let expected = frame.clone();
         let mut parent_end = theirs;
+        let msg = read_ctl(&mut parent_end).expect("staged frame");
+        let CtlMsg::Staged { frame: bytes } = msg else {
+            panic!("expected Staged, got {msg:?}");
+        };
+        assert_eq!(RankFrame::decode(&bytes).expect("decodes"), frame);
+
+        // The "parent": expect the counts, with nothing staged ahead of
+        // them, then answer the round.
         let parent = std::thread::spawn(move || {
-            let msg = read_ctl(&mut parent_end).expect("barrier enter");
-            let CtlMsg::BarrierEnter { superstep, staged } = msg else {
-                panic!("expected BarrierEnter, got {msg:?}");
+            let msg = read_ctl(&mut parent_end).expect("send counts");
+            let CtlMsg::SendCounts { superstep, to } = msg else {
+                panic!("expected SendCounts, got {msg:?}");
             };
-            assert_eq!(superstep, 3);
-            let bytes = staged.expect("staged frame rides along");
-            assert_eq!(RankFrame::decode(&bytes).expect("decodes"), expected);
-            write_ctl(&mut parent_end, &CtlMsg::BarrierRelease { superstep }).expect("release");
+            assert_eq!((superstep, to), (4, vec![0]));
+            let answer = CtlMsg::RecvCounts {
+                superstep,
+                from: vec![0],
+            };
+            write_ctl(&mut parent_end, &answer).expect("recv counts");
             parent_end
         });
-        hub.barrier_enter(3, Duration::from_secs(5))
-            .expect("released");
+        assert_eq!(
+            hub.count_round(4, vec![0], Duration::from_secs(5)),
+            Ok(vec![0])
+        );
         let _keep_alive = parent.join().expect("parent thread");
-        // The stash is consumed: the next barrier ships nothing.
-        assert!(lock(&hub.staged).is_none());
+        // Entering the round counted the supersteps completed.
+        assert_eq!(hub.completed.load(Ordering::Acquire), 4);
     }
 
     #[test]
@@ -984,7 +939,7 @@ mod tests {
         hub.absorb(CtlMsg::Poison);
         assert!(hub.is_poisoned());
         assert_eq!(
-            hub.barrier_enter(0, Duration::from_secs(5)),
+            hub.count_round(0, vec![0], Duration::from_secs(5)),
             Err(EvalError::PeerFailure)
         );
         drop(theirs);
@@ -994,7 +949,7 @@ mod tests {
     fn unreleased_barrier_times_out_instead_of_hanging() {
         let (ours, theirs) = UnixStream::pair().expect("socketpair");
         let hub = RemoteHub::new(RankStream::Unix(ours));
-        let result = hub.barrier_enter(2, Duration::from_millis(30));
+        let result = hub.count_round(2, vec![0], Duration::from_millis(30));
         assert_eq!(
             result,
             Err(EvalError::BarrierTimeout {
@@ -1008,6 +963,38 @@ mod tests {
     }
 
     #[test]
+    fn a_count_round_the_parent_completed_survives_a_later_poison() {
+        // The parent answers the round, then a peer's failure poisons
+        // the run before this rank's driver wakes: the driver still
+        // leaves the round it completed, as its peers did.
+        for superstep in 0..500 {
+            let (ours, mut theirs) = UnixStream::pair().expect("socketpair");
+            let hub = RemoteHub::new(RankStream::Unix(ours));
+            let waiter = {
+                let hub = Arc::clone(&hub);
+                std::thread::spawn(move || {
+                    hub.count_round(superstep, vec![0], Duration::from_secs(5))
+                })
+            };
+            // The rank is in the round once its counts are on the wire.
+            assert!(matches!(
+                read_ctl(&mut theirs),
+                Ok(CtlMsg::SendCounts { .. })
+            ));
+            hub.absorb(CtlMsg::RecvCounts {
+                superstep,
+                from: vec![0],
+            });
+            hub.absorb(CtlMsg::Poison);
+            assert_eq!(
+                waiter.join().expect("no panic"),
+                Ok(vec![0]),
+                "round {superstep}"
+            );
+        }
+    }
+
+    #[test]
     fn rejoin_validation_accepts_equal_and_newer_claims() {
         let completed = vec![3, 5];
         let equal = CtlMsg::Rejoin {
@@ -1017,7 +1004,7 @@ mod tests {
             resume_token: 40,
         };
         assert_eq!(validate_rejoin(&equal, 0xBEEF, 2, &completed), Ok(1));
-        // Newer is legal: the rank's BarrierEnter can be lost in
+        // Newer is legal: the rank's SendCounts can be lost in
         // flight — the replay redelivers it.
         let newer = CtlMsg::Rejoin {
             rank: 0,

@@ -33,11 +33,11 @@ use crate::wire::{read_ctl, write_ctl, CtlMsg};
 // ---------------------------------------------------------------------------
 
 /// A rank process's own postmortem writer: single-rank
-/// [`PostmortemBundle`]s of the recorder's snapshot, written at every
-/// barrier entry and release, tmp-then-rename (a kill mid-write leaves
-/// the previous complete bundle, never a torn one). At SIGKILL time the
-/// last flushed bundle survives on disk, which is what makes process
-/// death postmortem-analyzable.
+/// [`PostmortemBundle`]s of the recorder's snapshot, written as the
+/// rank enters and leaves every count round, tmp-then-rename (a kill
+/// mid-write leaves the previous complete bundle, never a torn one). At
+/// SIGKILL time the last flushed bundle survives on disk, which is what
+/// makes process death postmortem-analyzable.
 #[derive(Debug)]
 struct ChildPostmortem {
     path: PathBuf,
@@ -99,15 +99,13 @@ impl ChildPostmortem {
 }
 
 /// State the driver blocks on: during a run, the parent's latest
-/// `RecvCounts`, releases observed so far and the poison flag; between
-/// runs, the next `Welcome` or the poison flag, which the reader raises
-/// when it stops.
+/// `RecvCounts` and the poison flag; between runs, the next `Welcome`
+/// or the poison flag, which the reader raises when it stops.
 #[derive(Debug, Default)]
 struct BarrierProgress {
     /// The superstep and per-source counts of a `RecvCounts` not yet
     /// taken by its count round.
     recv_counts: Option<(u64, Vec<u64>)>,
-    releases: u64,
     poisoned: bool,
     /// A run is in progress: from its `Welcome` until this rank reports.
     running: bool,
@@ -117,9 +115,9 @@ struct BarrierProgress {
 
 /// A rank process's end of the parent's control stream: its end of
 /// the link plus everything the reader thread routes off the stream
-/// (welcomes, delivered frames, receive counts, barrier releases,
-/// poison). This is what [`crate::exchange::SyncBackend::Remote`]
-/// and [`SocketTransport`] talk to.
+/// (welcomes, delivered frames, receive counts, poison). This is what
+/// [`crate::exchange::SyncBackend::Remote`] and [`SocketTransport`]
+/// talk to.
 ///
 /// The link and the Lamport clock live as long as the process;
 /// everything else belongs to one run and starts fresh at each
@@ -131,9 +129,6 @@ pub(crate) struct RemoteHub {
     inbound: Mutex<VecDeque<Vec<u8>>>,
     barrier: Mutex<BarrierProgress>,
     barrier_cv: Condvar,
-    /// The checkpoint frame this rank staged since the last barrier,
-    /// encoded, shipped with the next `BarrierEnter`.
-    pub(crate) staged: Mutex<Option<Vec<u8>>>,
     /// The current run's fingerprint, link settings and black box.
     pub(crate) run: Mutex<RunLink>,
     /// Where to reconnect when the link dies. `None` (the in-crate
@@ -145,8 +140,9 @@ pub(crate) struct RemoteHub {
     /// Where each run's postmortem bundle goes (the spawn
     /// environment's [`POSTMORTEM_DIR_ENV`]).
     postmortem_dir: Option<PathBuf>,
-    /// Supersteps this rank has entered the exit barrier of — the
-    /// claim a `Rejoin` carries, validated against the parent's count.
+    /// Supersteps this rank has completed, counted as it enters each
+    /// count round — the claim a `Rejoin` carries, validated against
+    /// the parent's count.
     pub(crate) completed: AtomicU64,
     /// The rank's Lamport clock, shared with the driver so heartbeat
     /// and flight-recorder stamps interleave correctly with protocol
@@ -167,7 +163,7 @@ pub(crate) struct RunLink {
     link_grace: Duration,
     /// Where `LinkDown`/`LinkUp` are recorded (the driver's ring).
     recorder: Option<Arc<FlightRecorder>>,
-    /// Flushed after every barrier release so a later SIGKILL still
+    /// Flushed around every count round so a later SIGKILL still
     /// leaves an on-disk bundle.
     postmortem: Option<Arc<ChildPostmortem>>,
 }
@@ -190,7 +186,6 @@ impl RemoteHub {
             inbound: Mutex::new(VecDeque::new()),
             barrier: Mutex::new(BarrierProgress::default()),
             barrier_cv: Condvar::new(),
-            staged: Mutex::new(None),
             run: Mutex::new(RunLink::default()),
             endpoint,
             rank,
@@ -256,7 +251,6 @@ impl RemoteHub {
         // this `Welcome`.
         self.link.begin_run();
         lock(&self.inbound).clear();
-        *lock(&self.staged) = None;
         self.completed.store(0, Ordering::Release);
         *lock(&self.barrier) = BarrierProgress {
             running: true,
@@ -365,22 +359,27 @@ impl RemoteHub {
         lock(&self.barrier).poisoned
     }
 
-    /// Stashes this rank's encoded checkpoint frame for the next
-    /// `BarrierEnter`, which ships it to the coordinator's store.
-    pub(crate) fn stage(&self, bytes: Vec<u8>) {
-        *lock(&self.staged) = Some(bytes);
+    /// Ships this rank's encoded checkpoint frame to the coordinator's
+    /// store the moment it is staged. Best-effort like every stage: a
+    /// link that cannot carry it fails the run at the next count round.
+    pub(crate) fn stage(&self, frame: Vec<u8>) {
+        self.send(&CtlMsg::Staged { frame });
     }
 
-    /// The remote count round: ships this rank's per-destination frame
-    /// counts — behind every `Data` frame of the superstep, on the same
-    /// FIFO stream — and waits for the parent's `RecvCounts`. The
-    /// parent sends that only after routing every peer's frames to this
-    /// rank's stream, so when it returns the frames it announces are
-    /// already in the inbound queue.
+    /// The remote count round, the superstep's one synchronization:
+    /// ships this rank's per-destination frame counts — behind every
+    /// `Data` frame of the superstep, on the same FIFO stream — and
+    /// waits for the parent's `RecvCounts`. The parent sends that only
+    /// after routing every peer's frames to this rank's stream, so when
+    /// it returns the frames it announces are already in the inbound
+    /// queue.
     ///
     /// # Errors
     ///
-    /// As for [`RemoteHub::barrier_enter`].
+    /// [`EvalError::PeerFailure`] when the run is poisoned before the
+    /// round completes or the stream dies;
+    /// [`EvalError::BarrierTimeout`] when `timeout` elapses first —
+    /// which also poisons the run, so peers unwind too.
     pub(crate) fn count_round(
         &self,
         superstep: u64,
@@ -390,69 +389,45 @@ impl RemoteHub {
         if self.is_poisoned() {
             return Err(EvalError::PeerFailure);
         }
-        if !self.send(&CtlMsg::SendCounts { superstep, to }) {
-            self.poison_local();
-            return Err(EvalError::PeerFailure);
-        }
-        self.await_parent(superstep, timeout, |b| {
-            b.recv_counts
-                .take_if(|(s, _)| *s == superstep)
-                .map(|(_, from)| from)
-        })
-    }
-
-    /// The remote superstep exit barrier: announce arrival (shipping
-    /// any staged frame) and wait for the parent's release.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::PeerFailure`] when the run is poisoned (before or
-    /// during the wait) or the stream dies;
-    /// [`EvalError::BarrierTimeout`] when `timeout` elapses first —
-    /// which also poisons the run, so peers unwind too.
-    pub(crate) fn barrier_enter(&self, superstep: u64, timeout: Duration) -> Result<(), EvalError> {
-        let staged = lock(&self.staged).take();
         let postmortem = lock(&self.run).postmortem.clone();
-        let target = {
-            let b = lock(&self.barrier);
-            if b.poisoned {
-                return Err(EvalError::PeerFailure);
-            }
-            b.releases + 1
-        };
-        // Flush *before* announcing arrival: the caller has already
-        // recorded this round's `BarrierEnter` in the ring, and a
-        // `KillSpec` SIGKILL can land any time after the parent sees
-        // the announcement — flushing first makes the bundle durable
-        // (events up to and including the fatal barrier entry) before
-        // the parent can possibly react.
+        // Flush *before* entering: a `KillSpec` SIGKILL can land any
+        // time after the parent reads the counts, and flushing first
+        // makes the bundle durable (events up to and including the
+        // `BarrierEnter` the caller recorded) before the parent can
+        // react.
         if let Some(pm) = &postmortem {
             pm.flush("", None, None);
         }
-        // Count *before* sending: the parent counts the superstep
-        // completed the instant it reads the `BarrierEnter`, and the
+        // Count *before* sending: the parent counts the supersteps
+        // completed the instant it reads the `SendCounts`, and the
         // reader thread may present a `Rejoin` claim in the window
         // between our send and our bookkeeping — counting first keeps
         // this side's claim at least as new as the parent's, so a
         // genuine rejoin is never rejected as stale.
-        self.completed.fetch_max(superstep + 1, Ordering::AcqRel);
-        if !self.send(&CtlMsg::BarrierEnter { superstep, staged }) {
+        self.completed.fetch_max(superstep, Ordering::AcqRel);
+        if !self.send(&CtlMsg::SendCounts { superstep, to }) {
             self.poison_local();
             return Err(EvalError::PeerFailure);
         }
-        self.await_parent(superstep, timeout, |b| (b.releases >= target).then_some(()))?;
-        // A completed superstep is a durability point: flush the ring
-        // so a SIGKILL anywhere in the *next* superstep still leaves
-        // an analyzable bundle on disk.
+        let from = self.await_parent(superstep, timeout, |b| {
+            b.recv_counts
+                .take_if(|(s, _)| *s == superstep)
+                .map(|(_, from)| from)
+        })?;
+        // A completed round is a durability point: flush the ring so a
+        // SIGKILL anywhere in the next superstep still leaves an
+        // analyzable bundle on disk.
         if let Some(pm) = &postmortem {
             pm.flush("", None, None);
         }
-        Ok(())
+        Ok(from)
     }
 
     /// Blocks until `ready` takes what this wait is for out of the
     /// progress state, the run is poisoned, or `timeout` elapses —
-    /// which also poisons the run, so peers unwind too.
+    /// which also poisons the run, so peers unwind too. What `ready`
+    /// finds wins over a poison that landed beside it: a completed
+    /// round is the waiter's to keep.
     fn await_parent<T>(
         &self,
         superstep: u64,
@@ -462,11 +437,11 @@ impl RemoteHub {
         let deadline = Instant::now() + timeout;
         let mut b = lock(&self.barrier);
         loop {
-            if b.poisoned {
-                return Err(EvalError::PeerFailure);
-            }
             if let Some(out) = ready(&mut b) {
                 return Ok(out);
+            }
+            if b.poisoned {
+                return Err(EvalError::PeerFailure);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -474,7 +449,7 @@ impl RemoteHub {
                 self.barrier_cv.notify_all();
                 drop(b);
                 self.send(&CtlMsg::Poison);
-                // The caller's `timed_barrier` retags the superstep;
+                // The caller's count round retags the superstep;
                 // `waiting` is 1 because a rank process only knows
                 // about itself.
                 return Err(EvalError::BarrierTimeout {
@@ -500,10 +475,6 @@ impl RemoteHub {
                 lock(&self.barrier).recv_counts = Some((superstep, from));
                 self.barrier_cv.notify_all();
             }
-            CtlMsg::BarrierRelease { .. } => {
-                lock(&self.barrier).releases += 1;
-                self.barrier_cv.notify_all();
-            }
             CtlMsg::Poison => self.poison_local(),
             // Child→parent shapes on a parent→child stream: a protocol
             // bug upstream; ignoring them is safe (the run's health is
@@ -519,8 +490,8 @@ impl RemoteHub {
 /// poisoning the run (a vanished parent must not leave the rank
 /// waiting forever); between runs the end of the stream closes the
 /// rank. Heartbeat pings are answered here, so the rank stays
-/// observably alive even while its driver thread is parked at a
-/// barrier.
+/// observably alive even while its driver thread is parked in a count
+/// round.
 pub(crate) fn run_child_reader(hub: &RemoteHub, mut stream: RankStream) {
     // Whether the stream carries the short read timeout that silence
     // detection polls with.

@@ -15,7 +15,7 @@ use crate::exchange::{Network, SyncBackend};
 use crate::faults::FaultKind;
 use crate::finish::{decode_exact, RankResult};
 use crate::lock;
-use crate::wire::{CtlStats, FramePayload};
+use crate::wire::{CtlStats, Frame, FramePayload};
 
 /// Replay state of a resumed rank: the checkpoint frame being
 /// consumed and a cursor into its outcome log.
@@ -44,9 +44,16 @@ pub(crate) struct SpmdDriver {
     /// Next expected sequence number per `(src → self)` link; a frame
     /// carrying any other number fails the exchange.
     pub(crate) recv_seq: Vec<u64>,
+    /// Per source, a frame of the next superstep that arrived before
+    /// this rank's drain of the current one: its sender ran ahead. The
+    /// next drain takes it first.
+    pub(crate) parked: Vec<Option<Frame>>,
+    /// The checkpoint generation this rank staged since its last count
+    /// round; the next round's completion means it is committed.
+    pub(crate) staged: Option<u64>,
     /// This rank's Lamport clock (DESIGN.md §12): advanced by one on
     /// every local protocol event (stamping a frame, entering or
-    /// leaving a barrier), and to `max(local, remote) + 1` on every
+    /// leaving a count round), and to `max(local, remote) + 1` on every
     /// received frame — so a receive is always strictly after its
     /// send in Lamport order, across ranks. Shared (atomically) with
     /// the process-mode control hub, whose heartbeat and link events
@@ -65,7 +72,7 @@ pub(crate) struct SpmdDriver {
 
 impl SpmdDriver {
     /// The superstep this rank is currently entering (completed
-    /// barriers so far) — the coordinate fault plans are keyed on.
+    /// supersteps so far) — the coordinate fault plans are keyed on.
     pub(crate) fn superstep(&self) -> u64 {
         lock(&self.stats).supersteps
     }
@@ -154,7 +161,7 @@ impl SpmdDriver {
                     },
                 );
                 // Contained by `run_rank`'s unwind guard, which also
-                // poisons the barrier on our behalf.
+                // poisons the run on our behalf.
                 panic!(
                     "injected panic: processor {} at superstep {superstep}",
                     self.rank
@@ -224,7 +231,7 @@ impl SpmdDriver {
     // --- checkpoint recording, staging and replay -------------------------
 
     /// Whether this rank is still consuming a checkpoint's outcome log
-    /// (replay mode: no barriers, no faults, no staging).
+    /// (replay mode: no count rounds, no faults, no staging).
     fn replaying(&self) -> bool {
         self.replay
             .as_ref()
@@ -245,7 +252,7 @@ impl SpmdDriver {
     }
 
     /// A divergence between the replayed program and the checkpoint:
-    /// poisons the barrier (peers may already be live and waiting) and
+    /// poisons the run (peers may already be live and waiting) and
     /// reports the coordinate. The supervisor reacts by falling back
     /// to a full restart — a wrong checkpoint costs time, never
     /// correctness.
@@ -310,15 +317,16 @@ impl SpmdDriver {
 
     /// After a live superstep completes: appends the outcome to the
     /// record log, tracks progress, and stages a frame when the
-    /// policy's interval divides the completed-superstep count.
-    /// Returns the staged generation, to be committed at the final
-    /// barrier. All of this is behind `net.checkpoint` — disabled
-    /// machines do nothing here.
-    fn record_and_stage(&mut self, outcome: SyncOutcome, fuel_left: u64) -> Option<u64> {
-        let (interval, fingerprint, store) = {
-            let ck = self.net.checkpoint.as_ref()?;
-            (ck.interval, ck.fingerprint, ck.store.clone())
+    /// policy's interval divides the completed-superstep count. The
+    /// stage that completes a generation commits it (DESIGN.md §9):
+    /// in-process the rank whose frame is the p-th, across processes
+    /// the coordinator when it reads the p-th. All of this is behind
+    /// `net.checkpoint` — disabled machines do nothing here.
+    fn record_and_stage(&mut self, outcome: SyncOutcome, fuel_left: u64) {
+        let Some(ck) = self.net.checkpoint.as_ref() else {
+            return;
         };
+        let (interval, fingerprint, store) = (ck.interval, ck.fingerprint, ck.store.clone());
         let stats = *lock(&self.stats);
         self.net
             .ledger
@@ -327,7 +335,7 @@ impl SpmdDriver {
         let record = self.record.as_mut().expect("recording iff checkpointing");
         record.push(outcome);
         if !stats.supersteps.is_multiple_of(interval) {
-            return None;
+            return;
         }
         let frame = RankFrame {
             fingerprint,
@@ -342,28 +350,42 @@ impl SpmdDriver {
         };
         // A store that cannot stage simply skips this generation —
         // checkpointing is best-effort, never a reason to fail a run. A
-        // rank process hands the frame to its hub, which ships it with
-        // the next `BarrierEnter` to the coordinator's store.
+        // rank process ships the frame to the coordinator's store at
+        // once: riding its next `SendCounts` instead, a crash at the
+        // next superstep's entry would lose the generation.
+        let generation = stats.supersteps;
         let staged = match &self.net.sync {
             SyncBackend::Remote(hub) => {
                 hub.stage(frame.encode());
                 true
             }
-            SyncBackend::Local { .. } => store.is_some_and(|store| store.stage(&frame).is_ok()),
+            SyncBackend::Local { .. } => store.is_some_and(|store| {
+                let staged = store.stage(&frame).is_ok();
+                // Every stager tries the commit: the store refuses it
+                // until all p frames are in, and only one commit can
+                // take them.
+                if staged {
+                    if let Ok(bytes) = store.commit(generation, self.net.p) {
+                        let ledger = &self.net.ledger;
+                        ledger.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                        ledger.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    }
+                }
+                staged
+            }),
         };
-        let staged = staged.then_some(stats.supersteps);
-        if let Some(generation) = staged {
+        if staged {
+            self.staged = Some(generation);
             let lamport = self.tick();
             self.flight_record(lamport, FlightEvent::CheckpointStaged { generation });
         }
-        staged
     }
 
     /// The replayed counterpart of [`ParallelDriver::put`]: re-runs
     /// the local phase (so fuel and sent-word accounting advance
     /// exactly as in the original run) but takes the delivered table
-    /// from the log instead of the network — no barrier, no mailbox,
-    /// no faults.
+    /// from the log instead of the network — no count round, no
+    /// mailbox, no faults.
     fn replay_put(&mut self, ev: &mut dyn Applier, fs: &[Value]) -> Result<Value, EvalError> {
         let p = self.net.p;
         let superstep = self.superstep();
@@ -543,7 +565,7 @@ impl ParallelDriver for SpmdDriver {
             }
         }
         // Communication phase: the count round inside the exchange is
-        // also the superstep's entry synchronization.
+        // the superstep's one synchronization.
         let delivered = self.exchange(superstep, sends)?;
         // Each received message is decoded once, here. The encodings
         // are kept only when a checkpoint frame will want them.
@@ -587,12 +609,9 @@ impl ParallelDriver for SpmdDriver {
             stats.puts += 1;
         }
         self.note_superstep_end(superstep, ev.fuel_left());
-        let staged = row.and_then(|delivered| {
-            self.record_and_stage(SyncOutcome::Put { delivered }, ev.fuel_left())
-        });
-        // The exit barrier separates supersteps — and the last arriver
-        // commits this superstep's checkpoint, if any.
-        self.superstep_exit_barrier(staged, superstep)?;
+        if let Some(delivered) = row {
+            self.record_and_stage(SyncOutcome::Put { delivered }, ev.fuel_left());
+        }
         Ok(Value::vector(vec![Value::MsgTable(std::rc::Rc::new(
             table,
         ))]))
@@ -654,19 +673,20 @@ impl ParallelDriver for SpmdDriver {
         }
         ev.note_ifat(at, chosen);
         self.note_superstep_end(superstep, ev.fuel_left());
-        let staged = self
-            .record
-            .is_some()
-            .then(|| self.record_and_stage(SyncOutcome::IfAt { chosen }, ev.fuel_left()))
-            .flatten();
-        self.superstep_exit_barrier(staged, superstep)?;
+        if self.record.is_some() {
+            self.record_and_stage(SyncOutcome::IfAt { chosen }, ev.fuel_left());
+        }
         Ok(chosen)
+    }
+
+    fn finish(&mut self) -> Result<(), EvalError> {
+        self.final_round()
     }
 }
 
 /// One processor's run: the evaluation itself runs under an unwind
 /// guard, so a panicking processor (an injected [`FaultKind::Panic`]
-/// or a genuine bug) poisons the barrier — releasing its peers — and
+/// or a genuine bug) poisons the run — releasing its peers — and
 /// comes home as [`EvalError::PeerFailure`] instead of killing the
 /// whole runner.
 pub(crate) fn run_rank(
@@ -719,6 +739,8 @@ fn run_rank_inner(
         replay: replay.map(|frame| ReplayState { frame, next: 0 }),
         send_seq: vec![0; p],
         recv_seq: vec![0; p],
+        parked: (0..p).map(|_| None).collect(),
+        staged: None,
         clock,
         flight,
         fuel_mark: fuel,
@@ -727,7 +749,9 @@ fn run_rank_inner(
     };
     let mut hooks = NoHooks;
     let mut ev = Evaluator::with_driver(&mut hooks, fuel, Box::new(driver));
-    let result = ev.eval(program);
+    // The final count round comes before the result is encoded: no
+    // rank reports until every rank has drained the last superstep.
+    let result = ev.eval(program).and_then(|v| ev.finish().map(|()| v));
     let work = fuel - ev.fuel_left();
     match result {
         Ok(v) => {

@@ -18,11 +18,14 @@
 //! A transport moves opaque *bytes*; framing, checksums, and
 //! sequencing belong to [`crate::wire`] and the exchange.
 //!
-//! A [`SharedMem`] mailbox is bounded by `p − 1` frames: a rank sends
-//! each peer at most one frame per superstep, and the superstep's exit
-//! barrier keeps the next superstep's frames out until the receiver
-//! has drained this one's. A refusal is therefore a protocol
-//! violation, which the exchange reports as a transport failure.
+//! A [`SharedMem`] mailbox is bounded by `2(p − 1)` frames. A rank
+//! sends each peer at most one frame per superstep, and the count
+//! round is the only synchronization: a peer that left the round of
+//! superstep `n` can send its frame of `n + 1` before the receiver has
+//! drained `n`, but it cannot send `n + 2` before the receiver enters
+//! the round of `n + 1`. So a mailbox holds at most two supersteps'
+//! frames, and a refusal is a protocol violation, which the exchange
+//! reports as a transport failure.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -57,18 +60,18 @@ pub trait Transport: fmt::Debug + Send + Sync {
 #[derive(Debug)]
 pub struct SharedMem {
     boxes: Vec<Mutex<VecDeque<Vec<u8>>>>,
-    /// Frames one mailbox holds before `try_send` refuses: `p − 1`,
-    /// one superstep's worth.
+    /// Frames one mailbox holds before `try_send` refuses:
+    /// `2(p − 1)`, two supersteps' worth.
     capacity: usize,
 }
 
 impl SharedMem {
-    /// Mailboxes for `p` ranks, each holding up to `p − 1` frames.
+    /// Mailboxes for `p` ranks, each holding up to `2(p − 1)` frames.
     #[must_use]
     pub fn new(p: usize) -> SharedMem {
         SharedMem {
             boxes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-            capacity: p.saturating_sub(1),
+            capacity: 2 * p.saturating_sub(1),
         }
     }
 }
@@ -132,7 +135,7 @@ pub enum Bind {
 /// One accepted (or dialed) rank⇄coordinator control stream,
 /// abstracting over the two socket families. TCP streams run with
 /// `TCP_NODELAY`: control frames are small and latency-critical
-/// (barrier releases, heartbeats), so Nagle batching only hurts.
+/// (count rounds, heartbeats), so Nagle batching only hurts.
 #[derive(Debug)]
 pub enum RankStream {
     /// A Unix-domain stream.
@@ -341,14 +344,14 @@ mod tests {
     fn shared_mem_is_fifo_and_bounded() {
         let p = 5;
         let t = SharedMem::new(p);
-        for i in 0..p - 1 {
+        for i in 0..2 * (p - 1) {
             assert!(t.try_send(1, &i.to_le_bytes()));
         }
         // Mailbox full: a refusal, not queue growth.
         assert!(!t.try_send(1, b"late"));
         assert_eq!(t.recv(1), Some(0usize.to_le_bytes().to_vec()));
         assert!(t.try_send(1, b"late"));
-        for i in 1..p - 1 {
+        for i in 1..2 * (p - 1) {
             assert_eq!(t.recv(1), Some(i.to_le_bytes().to_vec()));
         }
         assert_eq!(t.recv(1).as_deref(), Some(b"late".as_slice()));

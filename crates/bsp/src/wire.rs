@@ -198,9 +198,10 @@ pub const CTL_MAGIC: u64 = u64::from_le_bytes(*b"BSMLCTL1");
 
 /// Version of the control protocol. A `Hello` carrying any other
 /// version is rejected during the handshake — never negotiated.
-/// Version 5 names the program's fingerprint in every `Welcome`, so a
-/// rank that serves many runs checks each program it is sent.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// Version 6 drops the exit barrier: `SendCounts`/`RecvCounts` is the
+/// one round trip per superstep, and a staged checkpoint frame travels
+/// alone in `Staged`.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on one control frame (64 MiB). A stream reader rejects
 /// a larger length prefix *before* allocating, so a corrupt or hostile
@@ -250,10 +251,10 @@ pub struct CtlLedger {
 /// truncation, length mismatches, checksum mismatches, unknown tags
 /// and trailing garbage.
 ///
-/// Direction conventions: `Hello`/`Data`/`SendCounts`/`BarrierEnter`/
+/// Direction conventions: `Hello`/`Data`/`SendCounts`/`Staged`/
 /// `Fatal`/`Done`/`Pong`/`Rejoin` flow child → parent; `Welcome`/
-/// `Reject`/`Deliver`/`RecvCounts`/`BarrierRelease`/`Ping`/`RejoinOk`
-/// flow parent → child; `Poison` flows both ways.
+/// `Reject`/`Deliver`/`RecvCounts`/`Ping`/`RejoinOk` flow parent →
+/// child; `Poison` flows both ways.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtlMsg {
     /// First message on a new connection: the child identifies itself.
@@ -325,7 +326,8 @@ pub enum CtlMsg {
         frame: Vec<u8>,
     },
     /// Child → parent: this rank's entry into the superstep's count
-    /// round, sent after every `Data` frame of the superstep.
+    /// round, its one synchronization, sent after every `Data` frame
+    /// of the superstep.
     SendCounts {
         /// The superstep being exchanged.
         superstep: u64,
@@ -342,18 +344,13 @@ pub enum CtlMsg {
         /// (`p` entries).
         from: Vec<u64>,
     },
-    /// Child → parent: this rank reached the superstep exit barrier.
-    BarrierEnter {
-        /// The superstep being exited.
-        superstep: u64,
-        /// The `RankFrame` bytes this rank staged at this barrier, if
-        /// checkpointing is on and the interval divides the count.
-        staged: Option<Vec<u8>>,
-    },
-    /// Parent → child: all `p` ranks entered; proceed.
-    BarrierRelease {
-        /// The superstep being released.
-        superstep: u64,
+    /// Child → parent: the `RankFrame` this rank just staged for a
+    /// checkpoint generation, sent the moment it is staged. The
+    /// coordinator commits the generation when it reads its p-th
+    /// frame.
+    Staged {
+        /// The encoded `RankFrame`.
+        frame: Vec<u8>,
     },
     /// Either direction: the run is dead; stop waiting and unwind.
     Poison,
@@ -409,7 +406,8 @@ pub enum CtlMsg {
         rank: usize,
         /// The program fingerprint it was welcomed under.
         fingerprint: u64,
-        /// Supersteps this rank has completed (barrier releases seen).
+        /// Supersteps this rank has completed (counted as it entered
+        /// its last count round).
         completed_superstep: u64,
         /// Count of session frames this rank had *received* on the old
         /// stream — the parent replays its egress buffer from here.
@@ -431,9 +429,8 @@ const CTL_WELCOME: u8 = 1;
 const CTL_REJECT: u8 = 2;
 const CTL_DATA: u8 = 3;
 const CTL_DELIVER: u8 = 4;
-// Tags 5 and 6 (the retired exchange-completion round) stay unused.
-const CTL_BARRIER_ENTER: u8 = 7;
-const CTL_BARRIER_RELEASE: u8 = 8;
+// Tags 5 and 6 (the retired exchange-completion round) and 7 and 8
+// (the retired exit barrier) stay unused.
 const CTL_POISON: u8 = 9;
 const CTL_FATAL: u8 = 10;
 const CTL_DONE: u8 = 11;
@@ -443,6 +440,7 @@ const CTL_REJOIN: u8 = 14;
 const CTL_REJOIN_OK: u8 = 15;
 const CTL_SEND_COUNTS: u8 = 16;
 const CTL_RECV_COUNTS: u8 = 17;
+const CTL_STAGED: u8 = 18;
 
 // Errors cross the process boundary structurally: every variant the
 // distributed runtime can actually produce has a precise tag, so the
@@ -748,20 +746,9 @@ impl CtlMsg {
                 out.push(CTL_RECV_COUNTS);
                 encode_counts(&mut out, *superstep, from);
             }
-            CtlMsg::BarrierEnter { superstep, staged } => {
-                out.push(CTL_BARRIER_ENTER);
-                put_u64(&mut out, *superstep);
-                match staged {
-                    None => out.push(0),
-                    Some(bytes) => {
-                        out.push(1);
-                        put_bytes(&mut out, bytes);
-                    }
-                }
-            }
-            CtlMsg::BarrierRelease { superstep } => {
-                out.push(CTL_BARRIER_RELEASE);
-                put_u64(&mut out, *superstep);
+            CtlMsg::Staged { frame } => {
+                out.push(CTL_STAGED);
+                put_bytes(&mut out, frame);
             }
             CtlMsg::Poison => out.push(CTL_POISON),
             CtlMsg::Fatal {
@@ -900,21 +887,8 @@ impl CtlMsg {
                 let (superstep, from) = decode_counts(&mut r)?;
                 CtlMsg::RecvCounts { superstep, from }
             }
-            CTL_BARRIER_ENTER => CtlMsg::BarrierEnter {
-                superstep: r.u64()?,
-                staged: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.bytes()?.to_vec()),
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "option",
-                            tag,
-                        })
-                    }
-                },
-            },
-            CTL_BARRIER_RELEASE => CtlMsg::BarrierRelease {
-                superstep: r.u64()?,
+            CTL_STAGED => CtlMsg::Staged {
+                frame: r.bytes()?.to_vec(),
             },
             CTL_POISON => CtlMsg::Poison,
             CTL_FATAL => CtlMsg::Fatal {
@@ -1172,11 +1146,9 @@ mod tests {
                 superstep: 9,
                 from: vec![0, 1, 0, 2],
             },
-            CtlMsg::BarrierEnter {
-                superstep: 9,
-                staged: Some(vec![9, 9, 9]),
+            CtlMsg::Staged {
+                frame: vec![9, 9, 9],
             },
-            CtlMsg::BarrierRelease { superstep: 9 },
             CtlMsg::Poison,
             CtlMsg::Fatal {
                 error: EvalError::TransportFailure {
@@ -1255,7 +1227,9 @@ mod tests {
                 superstep: 2,
                 from: vec![0, 1, 1],
             },
-            CtlMsg::BarrierRelease { superstep: 9 },
+            CtlMsg::Staged {
+                frame: vec![9, 9, 9],
+            },
         ] {
             let bytes = msg.encode();
             for i in 0..bytes.len() {

@@ -153,6 +153,16 @@ impl<'h, H: EvalHooks> Evaluator<'h, H> {
         r
     }
 
+    /// Ends the program on its parallel backend
+    /// ([`ParallelDriver::finish`]).
+    ///
+    /// # Errors
+    ///
+    /// Any [`EvalError`] of the backend's last synchronization.
+    pub fn finish(&mut self) -> Result<(), EvalError> {
+        self.drive(|d, _| d.finish())
+    }
+
     /// Overrides the non-tail recursion depth limit.
     #[must_use]
     pub fn max_depth(mut self, max_depth: u32) -> Self {

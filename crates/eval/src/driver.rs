@@ -96,6 +96,18 @@ pub trait ParallelDriver {
     /// Any [`EvalError`].
     fn ifat(&mut self, ev: &mut dyn Applier, bools: &[Value], at: usize)
         -> Result<bool, EvalError>;
+
+    /// Ends a program that evaluated without error. A backend whose
+    /// processors may run a superstep ahead of one another
+    /// synchronizes them a last time here; the lockstep backend has
+    /// nothing to do.
+    ///
+    /// # Errors
+    ///
+    /// Any [`EvalError`] of that synchronization.
+    fn finish(&mut self) -> Result<(), EvalError> {
+        Ok(())
+    }
 }
 
 /// The default lockstep backend (paper §3's semantics, literally).

@@ -66,12 +66,15 @@ pub enum FlightEvent {
     /// The wire decoder rejected an incoming frame (checksum,
     /// truncation, bad tag) — the exchange then fails the run.
     CorruptRejected,
-    /// This rank arrived at the superstep's exit barrier.
+    /// This rank entered the synchronization that closes the
+    /// superstep: the next superstep's count round, or the run's
+    /// final one.
     BarrierEnter {
         /// The superstep being completed.
         superstep: u64,
     },
-    /// The exit barrier released this rank.
+    /// That synchronization completed: every rank has drained the
+    /// superstep.
     BarrierExit {
         /// The superstep just completed.
         superstep: u64,
@@ -97,9 +100,9 @@ pub enum FlightEvent {
         /// The staged generation (completed-superstep count).
         generation: u64,
     },
-    /// The generation was committed at the exit barrier (a
-    /// consistent cut: every rank records this after the barrier
-    /// releases it).
+    /// The generation is committed (a consistent cut, committed by
+    /// the stage of its last frame): every rank that staged records
+    /// this when its next count round completes.
     CheckpointCommitted {
         /// The committed generation.
         generation: u64,

@@ -5,7 +5,9 @@
 //! timed cold (a fresh `ProcessConfig` per run, so every run launches
 //! its rank fleet) and warm (one config cloned per run, so runs reuse
 //! the idle fleet). A second table times a program with no superstep,
-//! which is all launch (cold) or all fixed cost per run (warm).
+//! which is all launch (cold) or all fixed cost per run (warm). A
+//! third prices one empty superstep, the model's `l`: the difference
+//! between programs of 65 and of 1 `put` of `nc ()`, over 64.
 //!
 //! ```console
 //! $ cargo build --release --bin bsml-rank   # the worker the launcher spawns
@@ -39,6 +41,18 @@ const EXCHANGE_5: &str = "
 
 /// A program with no superstep: each backend's fixed cost per run.
 const ZERO_SUPERSTEPS: &str = "mkpar (fun i -> i)";
+
+/// `n` supersteps that carry no message: each `put` sends `nc ()`
+/// everywhere, so no frame is sent and only the synchronization is
+/// left.
+fn empty_supersteps(n: u64) -> Expr {
+    parse(&format!(
+        "let rec go n = if n = 0 then mkpar (fun i -> i)
+                        else let r = put (mkpar (fun j -> fun i -> nc ())) in go (n - 1) in
+         go {n}"
+    ))
+    .expect("program parses")
+}
 
 fn median(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
@@ -113,5 +127,29 @@ fn main() {
         let warm_cfg = ProcessConfig::default();
         let (_, warm) = time(21, || on_processes(p, warm_cfg.clone(), &e));
         println!("{p:<3} {threads:<11?} {cold:<11?} {warm:<11?}");
+    }
+
+    let (one, many) = (empty_supersteps(1), empty_supersteps(65));
+    println!();
+    println!(
+        "one empty superstep, l = (t65 - t1) / 64 (medians of 21 on threads, 7 on warm procs)"
+    );
+    println!("p   threads     procs warm");
+    for p in [4usize, 8, 16] {
+        let on_threads = |e: &Expr| {
+            time(21, || {
+                DistMachine::new(p)
+                    .run(e)
+                    .expect("thread run")
+                    .value
+                    .to_string()
+            })
+            .1
+        };
+        let warm_cfg = ProcessConfig::default();
+        let on_warm = |e: &Expr| time(7, || on_processes(p, warm_cfg.clone(), e)).1;
+        let threads = on_threads(&many).saturating_sub(on_threads(&one)) / 64;
+        let warm = on_warm(&many).saturating_sub(on_warm(&one)) / 64;
+        println!("{p:<3} {threads:<11?} {warm:<11?}");
     }
 }

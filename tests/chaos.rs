@@ -212,8 +212,8 @@ fn checkpoint_intervals() -> Vec<u64> {
 /// accounting, not just convergence:
 ///
 /// * the resume point is the last committed generation
-///   `c = ⌊s/k⌋·k` (consistent-cut commits happen only at superstep
-///   exit barriers that are multiples of `k`),
+///   `c = ⌊s/k⌋·k` (consistent cuts are staged, and committed, only
+///   at superstep counts that are multiples of `k`),
 /// * the replay debt is exactly `s − c = s mod k` supersteps — within
 ///   the acceptance bound of `k + (s mod k)`,
 /// * across both attempts exactly `⌊S/k⌋` generations are committed

@@ -44,15 +44,14 @@ use bsml_serve::{frame_record, WalRecord};
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("frame/put", 69, 0x501557703fa35935),
     ("frame/ifat", 42, 0x82811d9141bc0c6d),
-    ("ctl/hello", 49, 0x5dfad6bf1e43b868),
+    ("ctl/hello", 49, 0x45295d39d1affd29),
     ("ctl/welcome", 235, 0xa334d71b80d98dc1),
     ("ctl/reject", 49, 0xeb23ff3bebf9827d),
     ("ctl/data", 98, 0x8983a11c7a1cc884),
     ("ctl/deliver", 90, 0x62c95f80c5ed19bc),
     ("ctl/send_counts", 61, 0x89a616f4d4c54acb),
     ("ctl/recv_counts", 61, 0xe7ce3029064368f8),
-    ("ctl/barrier_enter", 33, 0xdb0d6ee348a2e2eb),
-    ("ctl/barrier_release", 21, 0xbd59e907cd9bf1dc),
+    ("ctl/staged", 24, 0x8b6c344d2fe4f0fb),
     ("ctl/poison", 13, 0x343b9cabd77555d3),
     ("ctl/fatal", 374, 0x6675a349eda05d3e),
     ("ctl/done", 228, 0x50ce8b812bd825ca),
@@ -238,15 +237,10 @@ fn ctl_msgs() -> Vec<(&'static str, CtlMsg)> {
             },
         ),
         (
-            "ctl/barrier_enter",
-            CtlMsg::BarrierEnter {
-                superstep: 9,
-                staged: Some(vec![9, 9, 9]),
+            "ctl/staged",
+            CtlMsg::Staged {
+                frame: vec![9, 9, 9],
             },
-        ),
-        (
-            "ctl/barrier_release",
-            CtlMsg::BarrierRelease { superstep: 9 },
         ),
         ("ctl/poison", CtlMsg::Poison),
         (

@@ -190,9 +190,7 @@ fn ctl_msg() -> impl Strategy<Value = CtlMsg> {
             .prop_map(|(superstep, to)| CtlMsg::SendCounts { superstep, to }),
         (any::<u64>(), vec(any::<u64>(), 0..16))
             .prop_map(|(superstep, from)| CtlMsg::RecvCounts { superstep, from }),
-        (any::<u64>(), maybe_bytes())
-            .prop_map(|(superstep, staged)| CtlMsg::BarrierEnter { superstep, staged }),
-        any::<u64>().prop_map(|superstep| CtlMsg::BarrierRelease { superstep }),
+        vec(any::<u8>(), 0..64).prop_map(|frame| CtlMsg::Staged { frame }),
         Just(CtlMsg::Poison),
         any::<u64>().prop_map(|lamport| CtlMsg::Ping { lamport }),
         any::<u64>().prop_map(|lamport| CtlMsg::Pong { lamport }),
@@ -330,7 +328,7 @@ proptest! {
         resume_token in any::<u64>(),
     ) {
         // The genuine claim is `completed[rank] + ahead` (a child may
-        // be *ahead* of the parent's count when its BarrierEnter was
+        // be *ahead* of the parent's count when its SendCounts was
         // lost in flight); any claim *behind* the parent's count is a
         // stale process that must be rejected, as is a wrong
         // fingerprint or an out-of-range rank.

@@ -9,8 +9,8 @@
 //! reconnects within the grace window and both sides replay their
 //! bounded egress buffers — with **zero** fleet respawns and **zero**
 //! supersteps replayed from checkpoint, and the accounting must be
-//! exact: one rejoin, one replayed frame (the barrier release that
-//! landed on the dead socket). Faults that exhaust the rejoin budget
+//! exact: one rejoin, one replayed frame (the `RecvCounts` that landed
+//! on the dead socket). Faults that exhaust the rejoin budget
 //! (flap storms) or race a SIGKILL must demote cleanly to the next
 //! rung, respawn-from-checkpoint, never hang.
 
@@ -154,7 +154,7 @@ fn tcp_runs_match_the_lockstep_oracle_and_the_thread_backend() {
 /// demand the cheapest rung of the ladder with *exact* accounting —
 /// the supervisor sees no failure at all (one attempt, nothing
 /// recovered, nothing resumed), the link healed by exactly one rejoin,
-/// and exactly one frame (the barrier release that landed on the dead
+/// and exactly one frame (the `RecvCounts` that landed on the dead
 /// socket) came back out of the egress buffer.
 fn heal_cell(bind: Option<Bind>, kind: LinkFaultKind, rank: usize, s: u64) {
     let ctx = format!("bind={bind:?} kind={kind:?} fault=({rank},{s})");
@@ -192,9 +192,9 @@ fn heal_cell(bind: Option<Bind>, kind: LinkFaultKind, rank: usize, s: u64) {
     assert_eq!(tel.counter_value("bsp.supersteps_replayed"), 0, "{ctx}");
     assert_eq!(tel.counter_value("bsp.retries"), 0, "{ctx}");
     // Exactly one rejoin healed the link, and exactly one frame — the
-    // withheld barrier release — was replayed from the egress buffer
-    // (heartbeats bypass the buffer; peers were held at the barrier,
-    // so no deliveries could race into the replay window).
+    // withheld `RecvCounts` — was replayed from the egress buffer
+    // (heartbeats bypass the buffer; peers were held in the count
+    // round, so no deliveries could race into the replay window).
     assert_eq!(tel.counter_value("net.rejoins"), 1, "{ctx}");
     assert_eq!(tel.counter_value("net.egress_replayed"), 1, "{ctx}");
     assert!(

@@ -416,9 +416,9 @@ fn a_sigkilled_rank_still_leaves_an_analyzable_postmortem_bundle() {
     let mut cfg = process_config();
     cfg.postmortem_dir = Some(pm_dir.clone());
     // Entering superstep 1 is the hardest coordinate for the black
-    // box: the rank never receives a single barrier release, so only
-    // the pre-wait flush (taken just before it blocked on the barrier
-    // the parent withholds) can put superstep 0 on disk.
+    // box: only the pre-wait flush (taken just before it blocked in
+    // the count round the parent withholds) can put the close of
+    // superstep 0 on disk.
     cfg.kills.push(KillSpec {
         rank: 1,
         superstep: 1,
@@ -460,8 +460,8 @@ fn a_sigkilled_rank_still_leaves_an_analyzable_postmortem_bundle() {
         "the rank ran a full superstep before dying — its black box must not be empty"
     );
     // The bundle ends exactly where the rank died: blocked in the
-    // exit barrier of superstep 0, waiting for a release that never
-    // came.
+    // count round that closes superstep 0, waiting for `RecvCounts`
+    // that never came.
     assert!(
         matches!(
             rank_log.events.last().map(|t| &t.event),

@@ -168,10 +168,11 @@ fn lockstep_and_distributed_telemetry_totals_agree() {
         out.total_words_sent
     );
 
-    // Every rank timed both barrier phases of both supersteps.
+    // Every rank timed the count round of each superstep and the
+    // final one.
     let metrics = distributed.metrics();
     let waits = &metrics.histograms["bsp.barrier_wait_us"];
-    assert_eq!(waits.count, (p as u64) * 2 * out.supersteps);
+    assert_eq!(waits.count, (p as u64) * (out.supersteps + 1));
 }
 
 /// Runs `src` on a fresh lockstep machine and sink, and checks whether
